@@ -33,6 +33,17 @@ def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--digits``: a count of digits is at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_rat_list(text: str):
     return [rational(part) for part in text.split(",") if part.strip() != ""]
 
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a series to target digits")
     e.add_argument("--spec", help="JSON series spec file")
     e.add_argument("--expr", help="term expression text")
-    e.add_argument("--digits", type=int, required=True)
+    e.add_argument("--digits", type=_positive_int, required=True)
 
     r = sub.add_parser("rate", help="predicted digits per term of a spec")
     r.add_argument("--spec", required=True)
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--num", help="numerator coefficients, ascending")
     i.add_argument("--p", help="denominator polynomial coefficients, ascending")
     i.add_argument("--kernel", help="kernel denominator as z,k,s")
-    i.add_argument("--digits", type=int, required=True)
+    i.add_argument("--digits", type=_positive_int, required=True)
 
     a = sub.add_parser("accelerate", help="m-step grouping of a series spec")
     a.add_argument("--hyp", required=True, help="JSON spec file")
@@ -213,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--id", help="identity id, e.g. eq-1.1")
     v.add_argument("--all", action="store_true")
     v.add_argument("--only", help="wildcard filter with --all, e.g. 'eq-5.*'")
-    v.add_argument("--digits", type=int, help="override per-record precision")
+    v.add_argument(
+        "--digits", type=_positive_int, help="override per-record precision"
+    )
 
     sub.add_parser("list", help="list catalog records")
     return parser

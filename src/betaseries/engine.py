@@ -14,12 +14,27 @@ upward toward their limit; soundness is additionally validated by the
 re-evaluate-at-higher-precision checks in the test suite.  Summation stops
 when that bound (including any prefactor) drops below ``10^-target_digits``.
 Eight consecutive ratios at or above 1 are treated as divergence.
+
+Only the value needs the working precision, so each step runs at the
+precision it needs:
+
+- the terms and the running sum: working precision;
+- tail control: term ratios and the tail bound are first computed at 64
+  bits.  Where that filter leaves the outcome open (a ratio that may reach
+  1, a bound that may fall below the target), the same quantity is
+  recomputed at working precision from the last six nonzero ``|t|``, so the
+  stop index, the divergence verdict and the reported bound are those of
+  the policy computed wholly at working precision;
+- the rate fit: ``|S_n - S|`` at working precision (it cancels), its
+  logarithm at 53 bits, since the fitted slope is a float;
+- ``EvalResult.partial_sums``: scaled by the prefactor when first read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -34,6 +49,9 @@ GUARD_DIGITS = 15
 ZERO_RUN_LIMIT = 5
 
 DEFAULT_MAX_TERMS = 100_000
+
+#: bits of the tail-control filter; see ``_TailControl``
+FILTER_PREC = 64
 
 
 class EvaluationError(ArithmeticError):
@@ -61,13 +79,25 @@ class EvalResult:
     geometric-domination assumption validated during summation.
     ``measured_rate`` is the decimal-digits-per-term slope fitted over the
     trailing half of the partial sums (None when too few usable points).
+
+    ``partial_sums`` (prefactor included) is computed on first read from the
+    running sums kept unscaled, at the working precision ``working_prec``
+    (bits) of the evaluation, whatever the precision at the time of reading,
+    and then cached.
     """
 
     value: mpf
     terms_used: int
     tail_bound: mpf
     measured_rate: Optional[float]
-    partial_sums: Tuple[mpf, ...] = field(repr=False, default=())
+    unscaled_partial_sums: Tuple[mpf, ...] = field(repr=False, default=())
+    prefactor: mpf = field(repr=False, default=mpf(1))
+    working_prec: int = field(repr=False, default=53)
+
+    @cached_property
+    def partial_sums(self) -> Tuple[mpf, ...]:
+        with mp.workprec(self.working_prec):
+            return tuple(self.prefactor * s for s in self.unscaled_partial_sums)
 
 
 def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
@@ -96,6 +126,12 @@ def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
     return (n * sxy - sx * sy) / denom
 
 
+def _log10_float(x: mpf) -> float:
+    """``log10`` of a positive mpf to float accuracy."""
+    with mp.workprec(53):
+        return float(mp.log10(x))
+
+
 def measured_rate(
     partial_sums: Sequence[mpf],
     reference: mpf,
@@ -115,11 +151,88 @@ def measured_rate(
         d = abs(s - reference)
         if d == 0:
             continue
-        pts.append((i, -float(mp.log10(d))))
+        pts.append((i, -_log10_float(d)))
     slope = _fit_rate(pts[len(pts) // 2 :])
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")
     return slope
+
+
+class _TailControl:
+    """The tail policy of the module docstring, fed one ``|t_n|`` at a time.
+
+    Every decision equals the one computed wholly at working precision (the
+    precision current when ``push`` is called).  The ratios and the tail
+    bound are computed first from 64-bit copies of the ``|t|``.  While the
+    inflated ratio ``rhat`` is at most ``1 - 2^-8``, the 64-bit bound is
+    within a relative ``2^-53`` of the exact one, and the working-precision
+    bound within ``2^-46`` (working precision has at least 56 bits).  The
+    filter decides only outside the slack those errors need; otherwise the
+    working-precision quantity is recomputed from the last six nonzero
+    ``|t|``, which determine the last five ratios.
+    """
+
+    def __init__(self, tol: mpf, apref: mpf):
+        self.tol = tol
+        self.apref = apref
+        self.diverging = 0
+        self.mags: deque = deque(maxlen=6)  # last nonzero |t|, full precision
+        self.last64: Optional[mpf] = None  # the last of them, at 64 bits
+        self.ratios: deque = deque(maxlen=5)  # their ratios, at 64 bits
+        with mp.workprec(FILTER_PREC):
+            self.inflation = mpf("1.1")
+            # a 64-bit ratio below this is below 1 at working precision
+            self.ratio_below_one = 1 - mpf(2) ** -50
+            # a 64-bit rhat at or above this is above 1 at working precision
+            self.rhat_above_one = 1 + mpf(2) ** -40
+            # the largest 64-bit rhat whose bound the filter may reject
+            self.rhat_filtered = 1 - mpf(2) ** -8
+            self.filter_tol = tol * (1 + mpf(2) ** -40)
+
+    def push(self, at: mpf) -> Optional[mpf]:
+        """Take the next nonzero ``|t|``; the tail bound once it meets the target.
+
+        Raises ``SeriesDivergenceError`` on the eighth consecutive ratio >= 1.
+        """
+        with mp.workprec(FILTER_PREC):
+            at64 = +at
+            r = None if self.last64 is None else at64 / self.last64
+        self.last64 = at64
+        if r is not None:
+            if r < self.ratio_below_one or at / self.mags[-1] < 1:
+                self.diverging = 0
+            else:
+                self.diverging += 1
+                if self.diverging >= 8:
+                    raise SeriesDivergenceError(
+                        "term ratio stayed >= 1 for 8 consecutive terms"
+                    )
+            self.ratios.append(r)
+        self.mags.append(at)
+        if not self.ratios or not self._may_meet_target(at64):
+            return None
+        candidate = self._candidate()
+        if candidate is not None and candidate < self.tol:
+            return candidate
+        return None
+
+    def _may_meet_target(self, at64: mpf) -> bool:
+        """False only if the working-precision bound is not below ``tol``."""
+        with mp.workprec(FILTER_PREC):
+            rhat = self.inflation * max(self.ratios)
+            if rhat >= self.rhat_above_one:
+                return False
+            if rhat > self.rhat_filtered:
+                return True
+            return at64 * rhat / (1 - rhat) * self.apref < self.filter_tol
+
+    def _candidate(self) -> Optional[mpf]:
+        """The tail bound at working precision; None while ``rhat >= 1``."""
+        mags = list(self.mags)
+        rhat = mpf("1.1") * max(b / a for a, b in zip(mags, mags[1:]))
+        if rhat >= 1:
+            return None
+        return mags[-1] * rhat / (1 - rhat) * self.apref
 
 
 def sum_terms(
@@ -143,12 +256,9 @@ def sum_terms(
             raise ValueError("prefactor must be nonzero")
         tol = mpf(10) ** (-target_digits)
         floor = mpf(10) ** (-(target_digits + GUARD_DIGITS - 5))
+        control = _TailControl(tol, apref)
         total = mpf(0)
         partials = []
-        ratios: deque = deque(maxlen=5)
-        diverging = 0
-        prev_abs: Optional[mpf] = None
-        last_nonzero: Optional[mpf] = None
         zero_run = 0
         tail: Optional[mpf] = None
 
@@ -169,33 +279,12 @@ def sum_terms(
                     break
                 continue
             zero_run = 0
-            if prev_abs is not None:
-                r = at / prev_abs
-                if r >= 1:
-                    diverging += 1
-                    if diverging >= 8:
-                        raise SeriesDivergenceError(
-                            "term ratio stayed >= 1 for 8 consecutive terms"
-                        )
-                else:
-                    diverging = 0
-                ratios.append(r)
-            prev_abs = at
-            last_nonzero = at
-            if ratios:
-                rhat = mpf("1.1") * max(ratios)
-                if rhat < 1:
-                    candidate = last_nonzero * rhat / (1 - rhat) * apref
-                    if candidate < tol:
-                        tail = candidate
-                        break
-        else:
-            raise EvaluationError("term stream ended before the tail target was met")
+            tail = control.push(at)
+            if tail is not None:
+                break
 
         if tail is None:
             raise EvaluationError("term stream ended before the tail target was met")
-        value = pref * total
-        scaled = tuple(pref * s for s in partials)
         # rate fit against the final value, ignoring points at rounding noise
         noise = mpf(10) ** (-(wp - 3)) * max(mpf(1), abs(total))
         pts = []
@@ -203,14 +292,16 @@ def sum_terms(
             d = abs(s - total)
             if d <= noise:
                 continue
-            pts.append((i, -float(mp.log10(d))))
+            pts.append((i, -_log10_float(d)))
         rate = _fit_rate(pts[len(pts) // 2 :])
         return EvalResult(
-            value=value,
+            value=pref * total,
             terms_used=len(partials),
             tail_bound=max(tail, floor),
             measured_rate=rate,
-            partial_sums=scaled,
+            unscaled_partial_sums=tuple(partials),
+            prefactor=pref,
+            working_prec=mp.prec,
         )
 
 

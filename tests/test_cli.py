@@ -1,18 +1,26 @@
 """CLI smoke tests: subcommands, wire output, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*argv, check=False):
+    # the child imports the package from this checkout, as the tests do
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "betaseries", *argv],
         capture_output=True,
         text=True,
         check=check,
+        env=env,
     )
 
 
@@ -147,6 +155,22 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--expr", "2^(-n)"),
+            ("integrate", "--a", "0", "--b", "0"),
+            ("verify", "--id", "eq-1.1"),
+        ],
+        ids=["eval", "integrate", "verify"],
+    )
+    def test_digits_below_one_is_a_usage_error(self, argv, digits):
+        proc = run_cli(*argv, "--digits", digits)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--digits: must be a positive integer" in proc.stderr
+
     def test_no_command(self):
         assert run_cli().returncode == 2
 
