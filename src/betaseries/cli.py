@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .derive import SeedIntegral, solve_seed, solve_seed_param
@@ -44,30 +45,58 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_rat_list(text: str):
-    return [rational(part) for part in text.split(",") if part.strip() != ""]
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational such as ``-1/2`` or ``1.5``."""
+    try:
+        return rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _parse_param_poly(text: str) -> ParamPolynomial:
-    # one w-polynomial per x-degree, w-coefficients colon-separated:
-    # "0:1,-1,1" means (0 + 1*w) + (-1)*x + (1)*x^2
-    xcoeffs = []
-    for chunk in text.split(","):
-        xcoeffs.append(Polynomial(rational(c) for c in chunk.split(":")))
-    return ParamPolynomial(xcoeffs)
+def _rational_list(text: str) -> list:
+    """argparse type of comma-separated coefficients, ascending degree.
+
+    An empty field is an error, not a coefficient to drop: ``1,,2`` is not
+    ``1 + 2x``.
+    """
+    return [_rational(part) for part in text.split(",")]
 
 
-def _cmd_derive(args) -> int:
+def _rational_rows(text: str) -> list:
+    """argparse type of ``derive --p``: one row per x-degree, comma-separated.
+
+    Each row is a colon-separated list of w-coefficients, one entry without
+    ``--param``: ``"0:1,-1,1"`` means ``(0 + 1*w) + (-1)*x + (1)*x^2``.
+    """
+    return [[_rational(c) for c in row.split(":")] for row in text.split(",")]
+
+
+def _kernel(text: str) -> KernelForm:
+    """argparse type of ``--kernel z,k,s``: rational z, integers k, s."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"takes z,k,s, got {text!r}")
+    try:
+        k, s = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"k and s must be integers, got {text!r}"
+        ) from None
+    try:
+        return KernelForm(z=_rational(parts[0]), k=k, s=s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _cmd_derive(args, parser) -> int:
     if args.param:
-        p = _parse_param_poly(args.p)
-        pds = solve_seed_param(
-            p, args.k, args.s, a=rational(args.a), b=rational(args.b)
-        )
+        p = ParamPolynomial(Polynomial(row) for row in args.p)
+        pds = solve_seed_param(p, args.k, args.s, a=args.a, b=args.b)
         _emit(param_series_to_dict(pds))
         return 0
-    seed = SeedIntegral(
-        a=rational(args.a), b=rational(args.b), p=Polynomial(_parse_rat_list(args.p))
-    )
+    if any(len(row) != 1 for row in args.p):
+        parser.error("--p takes colon-separated w-coefficients only with --param")
+    seed = SeedIntegral(a=args.a, b=args.b, p=Polynomial(row[0] for row in args.p))
     ds = solve_seed(seed, args.k, args.s)
     _emit(series_spec_to_dict(ds))
     return 0
@@ -118,26 +147,14 @@ def _cmd_integrate(args, parser) -> int:
     if args.p is not None and args.kernel is not None:
         parser.error("integrate takes at most one of --p or --kernel")
     if args.kernel is not None:
-        parts = args.kernel.split(",")
-        if len(parts) != 3:
-            parser.error("--kernel takes z,k,s")
-        denominator = KernelForm(
-            z=rational(parts[0]), k=int(parts[1]), s=int(parts[2])
-        )
+        denominator = args.kernel
     elif args.p is not None:
-        denominator = Polynomial(_parse_rat_list(args.p))
+        denominator = Polynomial(args.p)
     else:
         denominator = None
-    numerator = (
-        Polynomial(_parse_rat_list(args.num))
-        if args.num is not None
-        else Polynomial((1,))
-    )
+    numerator = Polynomial(args.num) if args.num is not None else Polynomial((1,))
     problem = QuadratureProblem(
-        a=rational(args.a),
-        b=rational(args.b),
-        numerator=numerator,
-        denominator=denominator,
+        a=args.a, b=args.b, numerator=numerator, denominator=denominator
     )
     value = integrate(problem, args.digits)
     _emit({"value": float_str(value, args.digits), "digits": args.digits})
@@ -193,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("derive", help="solve a seed denominator for z and Q")
-    d.add_argument("--p", required=True, help="seed denominator coefficients, ascending degree, e.g. 1,1/3 (with --param: colon-separated w-coefficients per x-degree, e.g. 0:1,-1,1)")
-    d.add_argument("--a", default="0", help="exponent of x (rational)")
-    d.add_argument("--b", default="0", help="exponent of 1-x (rational)")
+    d.add_argument("--p", required=True, type=_rational_rows, help="seed denominator coefficients, ascending degree, e.g. 1,1/3 (with --param: colon-separated w-coefficients per x-degree, e.g. 0:1,-1,1)")
+    d.add_argument("--a", default="0", type=_rational, help="exponent of x (rational)")
+    d.add_argument("--b", default="0", type=_rational, help="exponent of 1-x (rational)")
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--s", type=int, required=True)
     d.add_argument("--param", action="store_true", help="treat P as P(x, w)")
@@ -209,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--spec", required=True)
 
     i = sub.add_parser("integrate", help="quadrature of x^a (1-x)^b N/D on [0,1]")
-    i.add_argument("--a", required=True)
-    i.add_argument("--b", required=True)
-    i.add_argument("--num", help="numerator coefficients, ascending")
-    i.add_argument("--p", help="denominator polynomial coefficients, ascending")
-    i.add_argument("--kernel", help="kernel denominator as z,k,s")
+    i.add_argument("--a", required=True, type=_rational)
+    i.add_argument("--b", required=True, type=_rational)
+    i.add_argument("--num", type=_rational_list, help="numerator coefficients, ascending")
+    i.add_argument("--p", type=_rational_list, help="denominator polynomial coefficients, ascending")
+    i.add_argument("--kernel", type=_kernel, help="kernel denominator as z,k,s")
     i.add_argument("--digits", type=_positive_int, required=True)
 
     a = sub.add_parser("accelerate", help="m-step grouping of a series spec")
@@ -265,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         if args.command == "derive":
-            return _cmd_derive(args)
+            return _cmd_derive(args, parser)
         if args.command == "eval":
             if (args.expr is None) == (args.spec is None):
                 parser.error("eval needs exactly one of --spec or --expr")

@@ -8,8 +8,13 @@ direct quadrature.  Gamma-function combinations are assembled exclusively
 from Beta integrals plus the reflection identity, so a single well-tested
 quadrature underpins every gamma reference.
 
-Computed constants are cached per (name, digits); the cache is guarded by a
-lock so concurrent readers are safe.
+Computed constants are cached per (name, digits) in ``_cache``, the
+process-wide cache of precision-keyed constants.  It is defined in
+``quadrature``, which keeps its tanh-sinh node tables there too, so one
+``_cache.clear()`` returns the process to the state of a fresh start.  The
+lock around its reads and writes does not make concurrent use safe: every
+computation here runs at mpmath's global ``mp`` precision, which all threads
+share.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .polynomials import rational
-from .quadrature import QuadratureProblem, integrate
+from .quadrature import QuadratureProblem, _cache, integrate
 
 _GUARD = 10
 
-_cache: dict = {}
 _cache_lock = threading.Lock()
 
 

@@ -171,6 +171,45 @@ class TestUsage:
         assert proc.stdout == ""
         assert "--digits: must be a positive integer" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("integrate", "--a", "0", "--b", "0", "--num", "1,,2"), "--num"),
+            (("integrate", "--a", "0", "--b", "0", "--num", "1,2,"), "--num"),
+            (("integrate", "--a", "x", "--b", "0"), "--a"),
+            (("integrate", "--a", "0", "--b", "1/0"), "--b"),
+            (("integrate", "--a", "0", "--b", "0", "--p", "1,1.5x"), "--p"),
+            (("integrate", "--a", "0", "--b", "0", "--kernel", "1/2,1.5,2"), "--kernel"),
+            (("integrate", "--a", "0", "--b", "0", "--kernel", "-48,1"), "--kernel"),
+            (("derive", "--p", "1,,1/3", "--k", "1", "--s", "2"), "--p"),
+            (("derive", "--p", "1,1/3", "--a", "1/2x", "--k", "1", "--s", "2"), "--a"),
+            (("derive", "--p", "1,1/3", "--b", "x", "--k", "1", "--s", "2"), "--b"),
+            (("derive", "--p", "0:1,-1,x", "--k", "3", "--s", "3", "--param"), "--p"),
+        ],
+    )
+    def test_malformed_number_is_a_usage_error(self, argv, flag):
+        if argv[0] == "integrate":
+            argv += ("--digits", "10")
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument {flag}:" in proc.stderr
+
+    def test_empty_coefficient_is_not_dropped(self):
+        # 1 + 0x + 2x^2 integrates to 5/3; dropping the empty field gave 1 + 2x
+        proc = run_cli(
+            "integrate", "--a", "0", "--b", "0", "--num", "1,0,2", "--digits", "10"
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == "1.666666667"
+
+    def test_domain_error_is_a_failure(self):
+        proc = run_cli(
+            "integrate", "--a", "0", "--b", "0", "--kernel", "1/8,1,1", "--digits", "10"
+        )
+        assert proc.returncode == 1
+        assert "kernel denominator vanishes on [0, 1]" in proc.stderr
+
     def test_no_command(self):
         assert run_cli().returncode == 2
 
