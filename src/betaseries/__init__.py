@@ -31,11 +31,10 @@ from .engine import (
     evaluate_derived,
     evaluate_expr,
     measured_rate,
-    pochhammer,
     predicted_rate,
     sum_terms,
 )
-from .expressions import parse_term_expr, to_text
+from .expressions import parse_term_expr, pochhammer, to_text
 from .hyper import (
     GroupedSeries,
     HypSeriesSpec,

@@ -35,7 +35,7 @@ def _emit(doc) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--digits``: a count of digits is at least 1."""
+    """argparse type of ``--digits`` and ``--m``: a count that is at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("accelerate", help="m-step grouping of a series spec")
     a.add_argument("--hyp", required=True, help="JSON spec file")
-    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--m", type=_positive_int, required=True)
 
     v = sub.add_parser("verify", help="verify catalog identities")
     v.add_argument("--id", help="identity id, e.g. eq-1.1")

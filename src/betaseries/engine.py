@@ -1,7 +1,12 @@
 """Arbitrary-precision series evaluation with rigorous empirical tail bounds.
 
-Terms are computed as exact rationals (incrementally, via the Pochhammer
-ratio recurrence for derived series) and rounded once each into binary
+Derived and hypergeometric series share one term core, ``HypTerms``: a first
+term, a term ratio that is a rational function of ``n`` (a constant times
+linear factors), and an optional weight; grouping ``m`` terms at a time is
+a transform of it, and the predicted rate is read off the ratio's limit.
+
+Terms are computed as exact rationals (by that ratio recurrence, or from
+scratch for printed expressions) and rounded once each into binary
 floats at a working precision of ``target_digits + 15``; the guard combined
 with a single final rounding keeps accumulated rounding far below the
 reported tail bound for any realistic term count (< 10^5 terms).
@@ -32,15 +37,17 @@ precision it needs:
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
 
-from .derive import DerivedSeries, convergence_bound, weight_values
+from .derive import DerivedSeries, weight_values
 from .expressions import TermExpr, evaluate as expr_value, parse_term_expr
 
 GUARD_DIGITS = 15
@@ -98,17 +105,6 @@ class EvalResult:
     def partial_sums(self) -> Tuple[mpf, ...]:
         with mp.workprec(self.working_prec):
             return tuple(self.prefactor * s for s in self.unscaled_partial_sums)
-
-
-def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
-    """Rising factorial ``(x)_m = x (x+1) ... (x+m-1)``; ``(x)_0 = 1``."""
-    if m < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    acc = Fraction(1)
-    x = Fraction(x)
-    for j in range(m):
-        acc *= x + j
-    return acc
 
 
 def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
@@ -306,44 +302,81 @@ def sum_terms(
 
 
 # --------------------------------------------------------------------------
-# Derived-series evaluation
+# The hypergeometric term core and the derived-series front end
 # --------------------------------------------------------------------------
 
 
-def derived_term(ds: DerivedSeries, n: int) -> Fraction:
-    """Term ``n`` computed from scratch via Pochhammer products (exact)."""
+@dataclass(frozen=True)
+class HypTerms:
+    """Exact terms ``t(n) w(n)``: ``t(0) = t0`` and a rational term ratio.
+
+    ``r(n) = t(n+1) / t(n) = c * prod (p n + q) / prod (p' n + q')`` over the
+    linear factors ``(slope, intercept)`` in ``num`` and ``den``.  The
+    optional weight ``w(n)`` multiplies term ``n`` after the recurrence, so a
+    vanishing weight never enters a denominator.
+    """
+
+    t0: Fraction
+    c: Fraction
+    num: Tuple[Tuple[Fraction, Fraction], ...]
+    den: Tuple[Tuple[Fraction, Fraction], ...]
+    weight: Optional[Callable[[int], Fraction]] = None
+
+    def ratio(self, n: int) -> Fraction:
+        num = self.c * math.prod(p * n + q for p, q in self.num)
+        return num / math.prod(p * n + q for p, q in self.den)
+
+    def terms(self) -> Iterator[Fraction]:
+        t = self.t0
+        for n in itertools.count():
+            yield t if self.weight is None else t * self.weight(n)
+            t *= self.ratio(n)
+
+    def grouped(self, m: int) -> "HypTerms":
+        """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
+
+        The outer block advances by ``r(mn) ... r(mn+m-1)``: each factor
+        ``p n + q`` becomes ``pm n + (pi + q)`` for ``i < m``, and ``c``
+        becomes ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``.
+        """
+
+        def spread(factors):
+            return tuple((p * m, p * i + q) for p, q in factors for i in range(m))
+
+        def weight(n: int) -> Fraction:
+            total, piece = 0, 1
+            for j in range(m):
+                if j:
+                    piece *= self.ratio(m * n + j - 1)
+                total += piece * (1 if self.weight is None else self.weight(m * n + j))
+            return total
+
+        return HypTerms(self.t0, self.c**m, spread(self.num), spread(self.den), weight)
+
+    def rate(self) -> float:
+        """Digits per term ``log10(1/|L|)``, with ``L = c prod p / prod p'`` the
+        limit of ``r(n)`` (``num`` and ``den`` hold equally many factors)."""
+        if self.c == 0:
+            raise ValueError("z = 0 has no geometric rate")
+        limit = self.c * math.prod(p for p, _ in self.num)
+        limit /= math.prod(p for p, _ in self.den)
+        with mp.workdps(30):
+            return float(mp.log10(to_mpf(1 / abs(limit))))
+
+
+def derived_core(ds: DerivedSeries) -> HypTerms:
+    """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
     a, b, k, s = ds.a, ds.b, ds.k, ds.s
-    t = (
-        pochhammer(a + 1, k * n)
-        * pochhammer(b + 1, s * n)
-        / (pochhammer(a + b + 2, (k + s) * n) * ds.z**n)
+    num = [(k, a + 1 + j) for j in range(k)] + [(s, b + 1 + j) for j in range(s)]
+    den = [(k + s, a + b + 2 + j) for j in range(k + s)]
+    return HypTerms(
+        Fraction(1), 1 / ds.z, tuple(num), tuple(den), partial(weight_values, ds)
     )
-    return t * weight_values(ds, n)
 
 
 def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
-    """Exact terms of the series, generated by the ratio recurrence.
-
-    The weightless part ``t_n`` advances by the closed ratio
-    ``prod_j (a+1+kn+j) * prod_j (b+1+sn+j) / (z * prod_j (a+b+2+(k+s)n+j))``
-    and the weight ``w(n)`` multiplies in separately, so a vanishing weight
-    never enters a denominator.
-    """
-    a, b, k, s, z = ds.a, ds.b, ds.k, ds.s, ds.z
-    t = Fraction(1)
-    n = 0
-    while True:
-        yield t * weight_values(ds, n)
-        num = Fraction(1)
-        for j in range(k):
-            num *= a + 1 + k * n + j
-        for j in range(s):
-            num *= b + 1 + s * n + j
-        den = z
-        for j in range(k + s):
-            den *= a + b + 2 + (k + s) * n + j
-        t = t * num / den
-        n += 1
+    """Exact terms of the series by the ratio recurrence."""
+    return derived_core(ds).terms()
 
 
 def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
@@ -371,19 +404,10 @@ def evaluate_expr(
     if isinstance(expr, str):
         expr = parse_term_expr(expr)
     return sum_terms(
-        (expr_value(expr, n) for n in _naturals()), target_digits
+        (expr_value(expr, n) for n in itertools.count()), target_digits
     )
-
-
-def _naturals() -> Iterator[int]:
-    n = 0
-    while True:
-        yield n
-        n += 1
 
 
 def predicted_rate(ds: DerivedSeries) -> float:
     """Asymptotic decimal digits gained per term: ``log10(|z| / M(k, s))``."""
-    m = convergence_bound(ds.k, ds.s)
-    with mp.workdps(30):
-        return float(mp.log10(to_mpf(abs(ds.z) / m)))
+    return derived_core(ds).rate()

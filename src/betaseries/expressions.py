@@ -276,13 +276,15 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
             math.comb(int(evaluate(node.top, n)), int(evaluate(node.bottom, n)))
         )
     if isinstance(node, Poch):
-        m = int(evaluate(node.length, n))
-        acc = Fraction(1)
-        x = node.base
-        for j in range(m):
-            acc *= x + j
-        return acc
+        return pochhammer(node.base, int(evaluate(node.length, n)))
     raise TypeError(f"not a TermExpr node: {node!r}")
+
+
+def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
+    """Rising factorial ``(x)_m = x (x+1) ... (x+m-1)``; ``(x)_0 = 1``."""
+    if m < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    return math.prod((x + j for j in range(m)), start=Fraction(1))
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,9 @@ rewritten by summing ``m`` consecutive terms in closed Pochhammer form:
 The grouped series ``sum_n outer_n * inner_n`` telescopes exactly onto the
 base series -- partial sum ``N`` of the grouped form equals partial sum
 ``mN`` of the base -- and therefore converges ``m`` times faster in digits
-per term.
+per term.  Both forms are ``engine.HypTerms`` cores: the spec compiles to
+the ratio ``z prod_g (n + x_g) / (n + y_g)``, and ``HypTerms.grouped(m)``
+turns it into the outer m-step ratio with ``inner_n`` as the weight.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .engine import EvalResult, measured_rate, sum_terms
+from .engine import EvalResult, HypTerms, measured_rate, sum_terms
 from .polynomials import rational
 
 
@@ -65,25 +67,16 @@ class HypSeriesSpec:
             if balance <= 1:
                 raise ValueError("|z| = 1 requires sum(lower) - sum(upper) > 1")
 
-    def term(self, n: int) -> Fraction:
-        """Exact term from scratch (reference implementation)."""
-        t = self.z**n
-        for x, y in zip(self.upper, self.lower):
-            for j in range(n):
-                t *= Fraction(x + j) / (y + j)
-        return t
+    @property
+    def core(self) -> HypTerms:
+        """``t(0) = 1``, ``t(n+1) / t(n) = z prod_g (n + x_g) / (n + y_g)``."""
+        upper = tuple((1, x) for x in self.upper)
+        lower = tuple((1, y) for y in self.lower)
+        return HypTerms(Fraction(1), self.z, upper, lower)
 
     def terms(self) -> Iterator[Fraction]:
         """Exact terms via the one-step ratio recurrence."""
-        t = Fraction(1)
-        n = 0
-        while True:
-            yield t
-            factor = self.z
-            for x, y in zip(self.upper, self.lower):
-                factor *= Fraction(x + n) / (y + n)
-            t *= factor
-            n += 1
+        return self.core.terms()
 
 
 @dataclass(frozen=True)
@@ -97,51 +90,22 @@ class GroupedSeries:
         if self.m < 1:
             raise GroupingError("grouping step m must be >= 1")
 
-    def term(self, n: int) -> Fraction:
-        """Exact grouped term: outer block times inner weight."""
-        base = self.base
-        m = self.m
-        outer = base.z ** (m * n)
-        for x, y in zip(base.upper, base.lower):
-            for j in range(m * n):
-                outer *= Fraction(x + j) / (y + j)
-        return outer * self._inner(n)
-
-    def _inner(self, n: int) -> Fraction:
-        base = self.base
-        m = self.m
-        inner = Fraction(0)
-        zpow = Fraction(1)
-        shift = m * n
-        for j in range(m):
-            piece = zpow
-            for x, y in zip(base.upper, base.lower):
-                for i in range(j):
-                    piece *= Fraction(x + shift + i) / (y + shift + i)
-            inner += piece
-            zpow *= base.z
-        return inner
+    @property
+    def core(self) -> HypTerms:
+        """The base core grouped: outer block ratio and inner weight."""
+        return self.base.core.grouped(self.m)
 
     def terms(self) -> Iterator[Fraction]:
         """Exact grouped terms; the outer block advances by an m-step ratio."""
-        base = self.base
-        m = self.m
-        outer = Fraction(1)
-        n = 0
-        while True:
-            yield outer * self._inner(n)
-            factor = base.z**m
-            for x, y in zip(base.upper, base.lower):
-                for j in range(m):
-                    factor *= Fraction(x + m * n + j) / (y + m * n + j)
-            outer *= factor
-            n += 1
+        return self.core.terms()
 
 
 def group(base: HypSeriesSpec, m: int) -> GroupedSeries:
-    """Regroup the series ``m`` terms at a time (m = 1 returns it unchanged)."""
-    if m < 1:
-        raise GroupingError("grouping step m must be >= 1")
+    """Regroup the series ``m`` terms at a time.
+
+    ``m = 1`` still gives a ``GroupedSeries`` (with the base's terms), so
+    ``accelerate --m 1`` reports ``"m": 1``.
+    """
     return GroupedSeries(base=base, m=m)
 
 
@@ -154,13 +118,7 @@ def eval_hyp(
 
 def hyp_rate(spec: Union[HypSeriesSpec, GroupedSeries]) -> float:
     """Predicted digits per term: ``log10(1/|z|)``, times m when grouped."""
-    if isinstance(spec, GroupedSeries):
-        return spec.m * hyp_rate(spec.base)
-    z = spec.z
-    if z == 0:
-        raise ValueError("z = 0 has no geometric rate")
-    with mp.workdps(30):
-        return float(-mp.log10(mpf(abs(z.numerator)) / z.denominator))
+    return spec.core.rate()
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,8 @@ from mpmath import mp, mpf
 
 from betaseries.catalog import eval_recipe, load_catalog, verify
 from betaseries.derive import SeedIntegral, solve_seed, solve_seed_param
-from betaseries.engine import (
-    derived_term,
-    derived_terms,
-    evaluate_expr,
-    measured_rate,
-    pochhammer,
-)
+from betaseries.engine import derived_terms, evaluate_expr, measured_rate
+from betaseries.expressions import pochhammer
 from betaseries.hyper import HypSeriesSpec, group
 from betaseries.polynomials import (
     ParamPolynomial,
@@ -31,6 +26,7 @@ from betaseries.polynomials import (
 from betaseries.quadrature import QuadratureProblem, integrate
 from betaseries.references import pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
+from scratch_terms import derived_term, hyp_term
 
 P = Polynomial
 
@@ -266,7 +262,7 @@ def test_criterion_11_property_suites():
             base = hyp_spec_from_dict(record.base)
             gen = base.terms()
             for n in range(21):
-                recurrence_ok &= next(gen) == base.term(n)
+                recurrence_ok &= next(gen) == hyp_term(base, n)
         for side in (record.lhs, record.rhs):
             series_nodes.extend(_series_leaves(side))
 

@@ -126,6 +126,15 @@ class TestAccelerate:
         doc = json.loads(proc.stdout)
         assert doc["m"] == 2 and doc["z"] == "1/4"
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_step_below_one_is_a_usage_error(self, tmp_path, m):
+        hyp = tmp_path / "hyp.json"
+        hyp.write_text(json.dumps({"upper": ["1"], "lower": ["2"], "z": "1/2"}))
+        proc = run_cli("accelerate", "--hyp", str(hyp), "--m", m)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--m: must be a positive integer" in proc.stderr
+
 
 class TestVerify:
     def test_single_identity(self):

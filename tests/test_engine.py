@@ -11,18 +11,19 @@ from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed
 from betaseries.engine import (
     EvaluationError,
     SeriesDivergenceError,
-    derived_term,
+    derived_core,
     derived_terms,
     evaluate_derived,
     evaluate_expr,
     measured_rate,
-    pochhammer,
     predicted_rate,
     sum_terms,
     to_mpf,
 )
+from betaseries.expressions import pochhammer
 from betaseries.polynomials import Polynomial
 from betaseries.references import atan_of, pi_machin, sqrt_of
+from scratch_terms import derived_term
 
 
 def arcsine_series():
@@ -110,6 +111,15 @@ class TestEvaluateDerived:
             for n in range(21):
                 assert next(gen) == derived_term(ds, n)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_grouped_weighted_core_sums_consecutive_terms(self, m):
+        # grouping keeps the weight: term n is w-weighted terms mn .. mn+m-1
+        core = derived_core(arcsine_series())
+        base = core.terms()
+        grouped = core.grouped(m).terms()
+        for _ in range(10):
+            assert next(grouped) == sum(next(base) for _ in range(m))
+
     def test_weight_factor_separated_from_recurrence(self):
         # the weightless part advances by the ratio recurrence regardless of
         # the weight values, so a vanishing weight cannot enter a denominator
@@ -117,7 +127,7 @@ class TestEvaluateDerived:
             SeedIntegral(a=F(-1, 2), b=F(0), p=Polynomial([1, F(1, 3)])), 1, 2
         )
         from betaseries.derive import weight_values
-        from betaseries.engine import pochhammer as poch
+        from betaseries.expressions import pochhammer as poch
 
         gen = derived_terms(ds)
         for n in range(15):

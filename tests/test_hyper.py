@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf
 
+from betaseries.catalog import load_catalog
 from betaseries.engine import evaluate_expr
 from betaseries.expressions import evaluate, parse_term_expr
 from betaseries.hyper import (
@@ -17,10 +18,26 @@ from betaseries.hyper import (
     verify_grouping,
 )
 from betaseries.references import ln2_series
+from betaseries.wire import hyp_spec_from_dict
+from scratch_terms import grouped_term, hyp_term
 
 CATALAN_BASE = HypSeriesSpec(
     upper=(F(1), F(1, 2)), lower=(F(3, 2), F(3, 2)), z=F(1, 4)
 )
+
+
+def _catalog_hyp_specs():
+    """Every hyp spec of the catalog: the ``hyp`` sides and grouping bases."""
+    specs = []
+    for record in load_catalog():
+        if record.kind == "grouping":
+            specs.append(pytest.param(record.base, id=record.id))
+        elif isinstance(record.lhs, dict) and "hyp" in record.lhs:
+            specs.append(pytest.param(record.lhs["hyp"], id=record.id))
+    return specs
+
+
+CATALOG_HYP_SPECS = _catalog_hyp_specs()
 
 
 class TestSpecValidation:
@@ -51,7 +68,7 @@ class TestTermRecurrences:
     def test_base_terms_match_scratch(self):
         gen = CATALAN_BASE.terms()
         for n in range(20):
-            assert next(gen) == CATALAN_BASE.term(n)
+            assert next(gen) == hyp_term(CATALAN_BASE, n)
 
     def test_base_terms_are_central_binomial(self):
         # (1)_n (1/2)_n / ((3/2)_n)^2 (1/4)^n == 1 / ((2n+1)^2 C(2n,n))
@@ -65,7 +82,15 @@ class TestTermRecurrences:
             grouped = group(CATALAN_BASE, m)
             gen = grouped.terms()
             for n in range(12):
-                assert next(gen) == grouped.term(n)
+                assert next(gen) == grouped_term(grouped, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("doc", CATALOG_HYP_SPECS)
+    def test_catalog_grouped_terms_match_scratch(self, doc, m):
+        grouped = group(hyp_spec_from_dict(doc), m)
+        gen = grouped.terms()
+        for n in range(12):
+            assert next(gen) == grouped_term(grouped, n)
 
 
 class TestExactTelescoping:
@@ -148,7 +173,7 @@ class TestPrintedForms:
             bracket = z * (x1 + 2 * n) * (x2 + 2 * n) / (
                 (y1 + 2 * n) * (y2 + 2 * n)
             ) + 1
-            assert grouped._inner(n) == bracket
+            assert grouped.core.weight(n) == bracket
 
 
 class TestEvaluation:
@@ -199,4 +224,12 @@ class TestRates:
     def test_grouped_rate_multiplies(self):
         assert hyp_rate(group(CATALAN_BASE, 3)) == pytest.approx(
             3 * hyp_rate(CATALAN_BASE), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("doc", CATALOG_HYP_SPECS)
+    def test_catalog_grouped_rate_multiplies(self, doc, m):
+        base = hyp_spec_from_dict(doc)
+        assert hyp_rate(group(base, m)) == pytest.approx(
+            m * hyp_rate(base), abs=1e-12
         )
