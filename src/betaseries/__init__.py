@@ -47,7 +47,6 @@ from .polynomials import (
     ParamPolynomial,
     Polynomial,
     expand_kernel,
-    param_divmod,
     poly_divmod,
     rational,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "integrate",
     "load_catalog",
     "measured_rate",
-    "param_divmod",
     "parse_term_expr",
     "pochhammer",
     "poly_divmod",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -264,58 +265,52 @@ def _check_rational_kernel_identity() -> Tuple[bool, str]:
     return True, f"exact at {len(samples)} rational sample points"
 
 
-def _check_param_cubic() -> Tuple[bool, str]:
-    """k=s=3 parameterized solve reproduces z = w^3 and the printed quotient."""
-    w = Polynomial((0, 1))
-    p = ParamPolynomial([w, Polynomial((-1,)), Polynomial((1,))])  # x^2 - x + w
-    pds = solve_seed_param(p, 3, 3)
-    z_expected = Polynomial((0, 0, 0, 1))
-    q_expected = ParamPolynomial(
-        [
-            Polynomial((0, 0, 1)),  # w^2
-            Polynomial((0, 1)),  # w x
-            Polynomial((1, -1)),  # (1 - w) x^2
-            Polynomial((-2,)),  # -2 x^3
-            Polynomial((1,)),  # x^4
-        ]
-    )
-    if pds.z_w != z_expected:
-        return False, f"z(w) = {pds.z_w}, expected w^3"
-    if pds.q_w != q_expected:
-        return False, f"Q(x,w) = {pds.q_w}, expected printed quartic"
-    return True, "z = w^3 and Q match exactly; product identity re-verified"
+def _check_param_kernel(k, z_w, q_w, label) -> Tuple[bool, str]:
+    """k = s parameterized solve over ``x^2 - x + w`` reproduces ``z(w)`` and Q."""
+    pds = solve_seed_param(ParamPolynomial([Polynomial.x(), -1, 1]), k, k)
+    if pds.z_w != Polynomial(z_w):
+        return False, f"z(w) = {pds.z_w}, expected w^{k}"
+    if pds.q_w != ParamPolynomial(Polynomial(c) for c in q_w):
+        return False, f"Q(x,w) = {pds.q_w}, expected printed {label}"
+    return True, f"z = w^{k} and Q match exactly; product identity re-verified"
 
 
-def _check_param_quintic() -> Tuple[bool, str]:
-    """k=s=5 parameterized solve reproduces z = w^5 and the degree-8 quotient."""
-    w = Polynomial((0, 1))
-    p = ParamPolynomial([w, Polynomial((-1,)), Polynomial((1,))])
-    pds = solve_seed_param(p, 5, 5)
-    z_expected = Polynomial((0, 0, 0, 0, 0, 1))
-    q_expected = ParamPolynomial(
+# check name -> (k, z(w), Q(x, w) as w-coefficients of x^0, x^1, ..., label)
+_PARAM_KERNELS = {
+    # Q = x^4 - 2x^3 + (1 - w)x^2 + wx + w^2
+    "param-cubic": (
+        3,
+        (0, 0, 0, 1),
+        [(0, 0, 1), (0, 1), (1, -1), (-2,), (1,)],
+        "quartic",
+    ),
+    # Q = x^8 - 4x^7 + (6 - w)x^6 + (3w - 4)x^5 + (w^2 - 3w + 1)x^4
+    #     + (w - 2w^2)x^3 + (w^2 - w^3)x^2 + w^3 x + w^4
+    "param-quintic": (
+        5,
+        (0, 0, 0, 0, 0, 1),
         [
-            Polynomial((0, 0, 0, 0, 1)),  # w^4
-            Polynomial((0, 0, 0, 1)),  # w^3 x
-            Polynomial((0, 0, 1, -1)),  # (w^2 - w^3) x^2
-            Polynomial((0, 1, -2)),  # (w - 2w^2) x^3
-            Polynomial((1, -3, 1)),  # (w^2 - 3w + 1) x^4
-            Polynomial((-4, 3)),  # (3w - 4) x^5
-            Polynomial((6, -1)),  # (6 - w) x^6
-            Polynomial((-4,)),  # -4 x^7
-            Polynomial((1,)),  # x^8
-        ]
-    )
-    if pds.z_w != z_expected:
-        return False, f"z(w) = {pds.z_w}, expected w^5"
-    if pds.q_w != q_expected:
-        return False, f"Q(x,w) = {pds.q_w}, expected printed octic"
-    return True, "z = w^5 and Q match exactly; product identity re-verified"
+            (0, 0, 0, 0, 1),
+            (0, 0, 0, 1),
+            (0, 0, 1, -1),
+            (0, 1, -2),
+            (1, -3, 1),
+            (-4, 3),
+            (6, -1),
+            (-4,),
+            (1,),
+        ],
+        "octic",
+    ),
+}
 
 
 EXACT_CHECKS: Dict[str, Callable[[], Tuple[bool, str]]] = {
     "rational-kernel-identity": _check_rational_kernel_identity,
-    "param-cubic": _check_param_cubic,
-    "param-quintic": _check_param_quintic,
+    **{
+        name: partial(_check_param_kernel, *row)
+        for name, row in _PARAM_KERNELS.items()
+    },
 }
 
 

@@ -24,7 +24,6 @@ from .polynomials import (
     RationalLike,
     expand_kernel,
     has_root_on_unit_interval,
-    param_divmod,
     poly_divmod,
     rational,
 )
@@ -165,10 +164,8 @@ class ParamDerivedSeries:
         object.__setattr__(self, "a", rational(self.a))
         object.__setattr__(self, "b", rational(self.b))
         object.__setattr__(self, "qcoeffs_w", tuple(self.qcoeffs_w))
-        target = ParamPolynomial((self.z_w,)) + ParamPolynomial.from_polynomial(
-            expand_kernel(self.k, self.s)
-        )
-        if self.seed_p * self.q_w != target:
+        kernel = ParamPolynomial.from_polynomial(expand_kernel(self.k, self.s))
+        if self.seed_p * self.q_w != kernel + self.z_w:
             raise ValueError("seed_p * Q != z(w) - x^k (1-x)^s identically")
 
     @property
@@ -194,29 +191,43 @@ class ParamDerivedSeries:
         )
 
 
-def solve_seed(seed: SeedIntegral, k: int, s: int) -> DerivedSeries:
-    """Find z and Q with ``seed.p * Q == z - x^k (1-x)^s`` exactly.
+def _divide_kernel(p: Polynomial, k: int, s: int, constant_message: str):
+    """Divide the z-free kernel part ``-x^k (1-x)^s`` by ``p`` in x.
 
-    Divides the z-independent kernel part by P; the remainder of the full
-    dividend is affine in the unknown z (the constant term carries z with
-    coefficient 1, every other coefficient is z-free), so divisibility
-    forces all non-constant remainder coefficients to vanish and pins
-    ``z = -remainder[0]``.
+    Returns the quotient, the remainder and the x-degrees >= 1 at which the
+    remainder is nonzero.  The remainder of the full dividend
+    ``z - x^k (1-x)^s`` is this one plus ``z`` in its constant term, so
+    divisibility needs those degrees empty and pins ``z = -remainder[0]``.
+    Works over Q and over Q[w] alike; ``constant_message`` is the
+    ``NotDivisibleError`` text for a ``p`` constant in x.
     """
     if k < 0 or s < 0 or k + s < 1:
         raise ValueError("need nonnegative k, s with k + s >= 1")
-    if seed.p.degree < 1:
+    if p.degree < 1:
+        raise NotDivisibleError(constant_message)
+    q, r = poly_divmod(type(p)(expand_kernel(k, s).coeffs), p)
+    return q, r, [deg for deg in range(1, r.degree + 1) if r.coefficient(deg)]
+
+
+def solve_seed(seed: SeedIntegral, k: int, s: int) -> DerivedSeries:
+    """Find z and Q with ``seed.p * Q == z - x^k (1-x)^s`` exactly.
+
+    Divides the z-independent kernel part by P (``_divide_kernel``): every
+    non-constant remainder coefficient must vanish, and
+    ``z = -remainder[0]``.
+    """
+    q0, r0, bad = _divide_kernel(
+        seed.p,
+        k,
+        s,
+        "constant seed denominator leaves z undetermined; "
+        "divide it out instead of solving",
+    )
+    if bad:
         raise NotDivisibleError(
-            "constant seed denominator leaves z undetermined; "
-            "divide it out instead of solving"
+            "not divisible for any z -- change k,s or parameterize P; "
+            f"offending remainder {r0}"
         )
-    q0, r0 = poly_divmod(expand_kernel(k, s), seed.p)
-    for deg in range(1, max(r0.degree + 1, 1)):
-        if r0.coefficient(deg) != 0:
-            raise NotDivisibleError(
-                "not divisible for any z -- change k,s or parameterize P; "
-                f"offending remainder {r0}"
-            )
     z = -r0.coefficient(0)
     if z == 0:
         raise DegenerateSeriesError(
@@ -245,17 +256,9 @@ def solve_seed_param(
     The x-remainder of the kernel part must vanish identically in w except
     for its constant-in-x coefficient, which determines ``z(w)``.
     """
-    if k < 0 or s < 0 or k + s < 1:
-        raise ValueError("need nonnegative k, s with k + s >= 1")
-    if p.degree_x < 1:
-        raise NotDivisibleError("constant-in-x denominator leaves z undetermined")
-    kernel = ParamPolynomial.from_polynomial(expand_kernel(k, s))
-    q0, r0 = param_divmod(kernel, p)
-    bad = [
-        deg
-        for deg in range(1, r0.degree_x + 1)
-        if not r0.coefficient(deg).is_zero
-    ]
+    q0, r0, bad = _divide_kernel(
+        p, k, s, "constant-in-x denominator leaves z undetermined"
+    )
     if bad:
         raise NotDivisibleError(
             "no polynomial z(w) clears the remainder: x-degrees "

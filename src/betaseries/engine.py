@@ -128,6 +128,21 @@ def _log10_float(x: mpf) -> float:
         return float(mp.log10(x))
 
 
+def _fit_errors(
+    partial_sums: Sequence[mpf], reference: mpf, floor: mpf
+) -> Optional[float]:
+    """``_fit_rate`` of the points ``(i, -log10 |S_i - reference|)``.
+
+    Fits the back half of the points whose error is above ``floor``.
+    """
+    pts = []
+    for i, s in enumerate(partial_sums):
+        d = abs(s - reference)
+        if d > floor:
+            pts.append((i, -_log10_float(d)))
+    return _fit_rate(pts[len(pts) // 2 :])
+
+
 def measured_rate(
     partial_sums: Sequence[mpf],
     reference: mpf,
@@ -142,13 +157,7 @@ def measured_rate(
     """
     if len(partial_sums) < min_points:
         raise ValueError(f"need at least {min_points} partial sums")
-    pts = []
-    for i, s in enumerate(partial_sums):
-        d = abs(s - reference)
-        if d == 0:
-            continue
-        pts.append((i, -_log10_float(d)))
-    slope = _fit_rate(pts[len(pts) // 2 :])
+    slope = _fit_errors(partial_sums, reference, mpf(0))
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")
     return slope
@@ -283,13 +292,7 @@ def sum_terms(
             raise EvaluationError("term stream ended before the tail target was met")
         # rate fit against the final value, ignoring points at rounding noise
         noise = mpf(10) ** (-(wp - 3)) * max(mpf(1), abs(total))
-        pts = []
-        for i, s in enumerate(partials[:-1]):
-            d = abs(s - total)
-            if d <= noise:
-                continue
-            pts.append((i, -_log10_float(d)))
-        rate = _fit_rate(pts[len(pts) // 2 :])
+        rate = _fit_errors(partials[:-1], total, noise)
         return EvalResult(
             value=pref * total,
             terms_used=len(partials),

@@ -1,20 +1,20 @@
-"""Exact polynomial arithmetic over arbitrary-precision rationals.
+"""Exact polynomial arithmetic in ``x`` over Q or over Q[w].
 
-Two polynomial flavours are provided:
-
-* ``Polynomial`` -- dense univariate polynomial with ``fractions.Fraction``
-  coefficients (index = degree).  All arithmetic is exact; evaluation at a
-  rational point returns a ``Fraction``.
-* ``ParamPolynomial`` -- polynomial in ``x`` whose coefficients are
-  themselves ``Polynomial``s in a parameter ``w``.  Division is supported
-  whenever the divisor's leading ``x``-coefficient is a nonzero constant,
-  which keeps every quotient inside the coefficient ring (no rational
-  functions of ``w`` ever appear).
+``Polynomial`` is a dense polynomial in ``x`` (index = degree) whose
+coefficients lie in one ring: ``fractions.Fraction`` by default, or, in the
+subclass ``ParamPolynomial``, ``Polynomial``s in a parameter ``w``.  The
+ring is chosen by one class hook that coerces each coefficient; addition,
+multiplication, powers, equality, hashing and the long division
+``poly_divmod`` are written once and serve both rings.  Over Q[w] the
+divisor's leading x-coefficient must be a nonzero constant, which keeps
+every quotient inside the ring (no rational functions of ``w`` ever
+appear).  ``ParamPolynomial`` adds only exact specialization at a rational
+``w``.  Root counting on [0, 1] (Sturm chains) works over Q.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
 ``Fraction(0, 1)``, which is exactly the representation this package
-needs.  The alias ``Rational`` is exported for signatures.
+needs.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -40,54 +38,51 @@ def rational(value: RationalLike) -> Fraction:
 
 
 class Polynomial:
-    """Dense univariate polynomial over exact rationals.
+    """Dense polynomial in ``x``; ``coeffs[i]`` is the coefficient of ``x**i``.
 
-    ``coeffs[i]`` is the coefficient of ``x**i``.  Trailing zeros are
-    stripped on construction so the leading coefficient is nonzero unless
-    the polynomial is zero (represented by an empty tuple, degree -1).
-    Instances are immutable and hashable.
+    The coefficients are ``Fraction``s here; a subclass picks another
+    coefficient ring through the ``_coefficient`` hook, which coerces each
+    coefficient on construction.  Trailing zeros are stripped, so the
+    leading coefficient is nonzero unless the polynomial is zero (an empty
+    tuple, degree -1).  Instances are immutable and hashable.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    _coefficient = staticmethod(rational)
+
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [self._coefficient(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
+    def zero(cls):
         return cls(())
 
     @classmethod
-    def one(cls) -> "Polynomial":
+    def one(cls):
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "Polynomial":
-        return cls((rational(c),))
+    def constant(cls, c):
+        return cls((c,))
 
     @classmethod
-    def x(cls) -> "Polynomial":
+    def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (rational(coeff),))
 
     # -- basic structure ----------------------------------------------
 
     @property
     def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
+        """Degree in x; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
     @property
@@ -95,64 +90,75 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int):
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
-        return Fraction(0)
+        return self._coefficient(0)
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
+    def _coerce(self, other):
+        """``other`` as a polynomial of this type; a coefficient is a constant."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, str):
+            return NotImplemented
+        try:
+            return type(self)((other,))
+        except TypeError:
+            return NotImplemented
+
+    def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
+        return type(self)(
             self.coefficient(i) + other.coefficient(i) for i in range(n)
         )
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+    def __neg__(self):
+        return type(self)(-c for c in self.coeffs)
 
-    def __sub__(self, other) -> "Polynomial":
+    def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
+    def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
-    def __mul__(self, other) -> "Polynomial":
+    def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)()
+        out = [self._coefficient(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+                out[i + j] = out[i + j] + a * b
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
+        result = self.one()
         base = self
         while n:
             if n & 1:
@@ -161,20 +167,12 @@ class Polynomial:
             n >>= 1
         return result
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other)
-        return NotImplemented
-
     # -- evaluation, comparison, display -------------------------------
 
-    def __call__(self, x: RationalLike) -> Fraction:
+    def __call__(self, x: RationalLike):
         """Exact Horner evaluation at a rational point."""
         x = rational(x)
-        acc = Fraction(0)
+        acc = self._coefficient(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -192,7 +190,7 @@ class Polynomial:
         return not self.is_zero
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "x")
@@ -225,29 +223,36 @@ def format_poly(coeffs: Sequence[Fraction], var: str) -> str:
 
 
 def poly_divmod(dividend: Polynomial, divisor: Polynomial):
-    """Exact long division: returns (quotient, remainder).
+    """Exact long division in x: returns (quotient, remainder).
 
     Satisfies ``dividend == divisor * quotient + remainder`` with
     ``remainder.degree < divisor.degree``.  Raises ``ZeroDivisionError``
-    for a zero divisor.
+    for a zero divisor.  Over ``Q[w]`` the divisor's leading coefficient
+    must be a nonzero rational constant, so every quotient coefficient
+    stays a polynomial in w (no rational functions of w ever appear).
     """
     if divisor.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
+    lead = divisor.leading
+    if isinstance(lead, Polynomial):
+        if lead.degree != 0:
+            raise ValueError("divisor not monic-up-to-constant in x")
+        lead = lead.leading
+    cls = type(dividend)
     if dividend.degree < divisor.degree:
-        return Polynomial(), dividend
+        return cls(), dividend
     rem = list(dividend.coeffs)
-    dcoeffs = divisor.coeffs
-    dlead = divisor.leading
     ddeg = divisor.degree
     qlen = len(rem) - ddeg
-    quot = [Fraction(0)] * qlen
+    quot = [dividend._coefficient(0)] * qlen
+    inv = 1 / lead
     for shift in range(qlen - 1, -1, -1):
-        factor = rem[shift + ddeg] / dlead
-        if factor != 0:
+        factor = rem[shift + ddeg] * inv
+        if factor:
             quot[shift] = factor
-            for i, dc in enumerate(dcoeffs):
-                rem[shift + i] -= factor * dc
-    return Polynomial(quot), Polynomial(rem[:ddeg])
+            for i, dc in enumerate(divisor.coeffs):
+                rem[shift + i] = rem[shift + i] - factor * dc
+    return cls(quot), cls(rem[:ddeg])
 
 
 def expand_kernel(k: int, s: int) -> Polynomial:
@@ -328,134 +333,36 @@ def has_root_on_unit_interval(p: Polynomial) -> bool:
     return count_distinct_roots_on_unit_interval(p) > 0
 
 
-class ParamPolynomial:
+class ParamPolynomial(Polynomial):
     """Polynomial in ``x`` with coefficients that are polynomials in ``w``.
 
-    ``coeffs[i]`` (a ``Polynomial`` in ``w``) multiplies ``x**i``.
-    Supports ring arithmetic, exact specialization at rational ``w``, and
-    long division by divisors whose leading ``x``-coefficient is a nonzero
-    rational constant.
+    ``coeffs[i]`` (a ``Polynomial`` in ``w``) multiplies ``x**i``; rational
+    coefficients are lifted to constants in w.  Arithmetic, equality and
+    ``poly_divmod`` are ``Polynomial``'s; this class adds exact
+    specialization at a rational ``w``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Polynomial):
-                cs.append(c)
-            else:
-                cs.append(Polynomial.constant(c))
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPolynomial is immutable")
+    @staticmethod
+    def _coefficient(c) -> Polynomial:
+        return c if type(c) is Polynomial else Polynomial((c,))
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "ParamPolynomial":
         """Lift a rational polynomial in x to constant-in-w coefficients."""
-        return cls(Polynomial.constant(c) for c in p.coeffs)
-
-    @classmethod
-    def w(cls) -> "ParamPolynomial":
-        return cls((Polynomial((0, 1)),))
-
-    @classmethod
-    def x(cls) -> "ParamPolynomial":
-        return cls((Polynomial(), Polynomial.one()))
-
-    @property
-    def degree_x(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, degree: int) -> Polynomial:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return Polynomial()
-
-    def __add__(self, other) -> "ParamPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPolynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPolynomial":
-        return ParamPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "ParamPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ParamPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> "ParamPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ParamPolynomial()
-        out = [Polynomial() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ParamPolynomial(out)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ParamPolynomial):
-            return other
-        if isinstance(other, Polynomial):
-            return ParamPolynomial((other,))
-        if isinstance(other, (int, Fraction)):
-            return ParamPolynomial((Polynomial.constant(other),))
-        return NotImplemented
+        return cls(p.coeffs)
 
     def specialize(self, w0: RationalLike) -> Polynomial:
         """Exact substitution of a rational value for w."""
         w0 = rational(w0)
         return Polynomial(c(w0) for c in self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __repr__(self) -> str:
-        return f"ParamPolynomial({list(self.coeffs)!r})"
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for deg in range(self.degree_x, -1, -1):
+        for deg in range(self.degree, -1, -1):
             c = self.coefficient(deg)
             if c.is_zero:
                 continue
@@ -467,34 +374,3 @@ class ParamPolynomial:
             else:
                 parts.append(f"({ctext})*x^{deg}")
         return " + ".join(parts)
-
-
-def param_divmod(dividend: ParamPolynomial, divisor: ParamPolynomial):
-    """Long division in (Q[w])[x] for divisors with constant leading coefficient.
-
-    Returns ``(quotient, remainder)`` with
-    ``dividend == divisor * quotient + remainder`` exactly and
-    ``remainder.degree_x < divisor.degree_x``.  The divisor's leading
-    coefficient in x must be a nonzero rational constant so every division
-    step stays inside polynomial (not rational-function) coefficients.
-    """
-    if divisor.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    lead = divisor.coeffs[-1]
-    if lead.degree != 0:
-        raise ValueError("divisor not monic-up-to-constant in x")
-    lead_const = lead.coeffs[0]
-    if dividend.degree_x < divisor.degree_x:
-        return ParamPolynomial(), dividend
-    rem = list(dividend.coeffs)
-    ddeg = divisor.degree_x
-    qlen = len(rem) - ddeg
-    quot = [Polynomial() for _ in range(qlen)]
-    inv = Fraction(1) / lead_const
-    for shift in range(qlen - 1, -1, -1):
-        factor = rem[shift + ddeg] * inv
-        if not factor.is_zero:
-            quot[shift] = factor
-            for i, dc in enumerate(divisor.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * dc
-    return ParamPolynomial(quot), ParamPolynomial(rem[:ddeg])

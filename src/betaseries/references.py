@@ -60,7 +60,12 @@ def nth_root(x: mpf, m: int) -> mpf:
         return mpf(0)
     if m == 1:
         return mpf(x)
-    y = mpf(float(x) ** (1.0 / m))
+    # Float seed 2^q (x / 2^(m q))^(1/m), with q = 0 while float(x) is finite
+    # and nonzero.  Outside that range x = f 2^e (1/2 <= f < 1) is scaled by
+    # q = e // m into [1/2, 2^(m-1)), where float() is exact enough.
+    e = mp.frexp(x)[1]
+    q = 0 if -1073 <= e <= 1023 else e // m
+    y = mp.ldexp(mpf(float(mp.ldexp(x, -m * q)) ** (1.0 / m)), q)
     tol = mpf(2) ** (-(mp.prec - 6))
     for _ in range(60):
         step = (x / y ** (m - 1) - y) / m

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,12 +40,29 @@ class TestDerive:
         proc = run_cli("derive", "--p", "0:1,-1,1", "--k", "3", "--s", "3", "--param")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
-        assert doc["z_w_coeffs"] == ["0", "0", "0", "1"]
+        assert doc == {
+            "a": "0",
+            "b": "0",
+            "k": 3,
+            "s": 3,
+            "z_w_coeffs": ["0", "0", "0", "1"],
+            # Q = x^4 - 2x^3 + (1 - w)x^2 + wx + w^2
+            "qcoeffs_w": [["0", "0", "1"], ["0", "1"], ["1", "-1"], ["-2"], ["1"]],
+            "seed_p_w": [["0", "1"], ["-1"], ["1"]],
+        }
 
     def test_underivable_seed_fails_cleanly(self):
         proc = run_cli("derive", "--p", "1,0,1", "--k", "1", "--s", "1")
         assert proc.returncode == 1
         assert "not divisible" in proc.stderr
+
+    def test_underivable_param_seed_fails_cleanly(self):
+        proc = run_cli(
+            "derive", "--p", "0:1,0,0,1", "--k", "1", "--s", "1", "--param"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "no polynomial z(w)" in proc.stderr
 
 
 class TestEval:
@@ -243,3 +261,34 @@ class TestUsage:
             second = run_cli(*argv)
             assert first.stdout == second.stdout
             assert first.returncode == second.returncode == 0
+
+
+def readme_cli_examples():
+    """The ``betaseries`` lines of the sh block under README's "## CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("betaseries ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        commands = {argv[0] for argv in readme_cli_examples()}
+        assert {"derive", "eval", "integrate", "verify", "list"} <= commands
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            argv
+            for argv in readme_cli_examples()
+            if "--spec" not in argv and "--hyp" not in argv
+        ],
+        ids=" ".join,
+    )
+    def test_example_runs(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr

@@ -131,6 +131,21 @@ class TestElementaryFunctions:
             s = sqrt_of(F(9, 4))
             assert abs(s - mpf(3) / 2) < mpf(10) ** -45
 
+    @pytest.mark.parametrize("exponent", [400, -400])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nth_root_outside_float_range(self, m, exponent):
+        with mp.workdps(50):
+            x = mpf(10) ** exponent * 7
+            expected = mp.sqrt(x) if m == 2 else mp.cbrt(x)
+            assert abs(nth_root(x, m) - expected) <= abs(expected) * mpf(10) ** -45
+
+    def test_sqrt_reference_outside_float_range(self):
+        big = reference("sqrt(1" + "0" * 400 + ")", 30)
+        small = reference("sqrt(1/1" + "0" * 400 + ")", 30)
+        with mp.workdps(30):
+            assert abs(big / mpf(10) ** 200 - 1) < mpf(10) ** -28
+            assert abs(small * mpf(10) ** 200 - 1) < mpf(10) ** -28
+
     def test_atan_known_value(self):
         with mp.workdps(50):
             # atan(1/sqrt(3)) = pi/6

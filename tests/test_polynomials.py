@@ -11,7 +11,6 @@ from betaseries.polynomials import (
     count_distinct_roots_on_unit_interval,
     expand_kernel,
     has_root_on_unit_interval,
-    param_divmod,
     poly_divmod,
     rational,
 )
@@ -137,7 +136,7 @@ class TestParamDivmod:
             [P([0, 0, 0, 1]), P(), P(), P([-1]), P([3]), P([-3]), P([1])]
         )  # x^6 - 3x^5 + 3x^4 - x^3 + w^3
         divisor = ParamPolynomial([w, P([-1]), P([1])])  # x^2 - x + w
-        q, r = param_divmod(dividend, divisor)
+        q, r = poly_divmod(dividend, divisor)
         expected = ParamPolynomial(
             [P([0, 0, 1]), P([0, 1]), P([1, -1]), P([-2]), P([1])]
         )  # x^4 - 2x^3 + (1-w)x^2 + wx + w^2
@@ -146,7 +145,7 @@ class TestParamDivmod:
 
     def test_self_division(self):
         divisor = ParamPolynomial([P([0, 1]), P([-1]), P([1])])
-        q, r = param_divmod(divisor, divisor)
+        q, r = poly_divmod(divisor, divisor)
         assert q == ParamPolynomial([P.one()])
         assert r.is_zero
 
@@ -155,7 +154,7 @@ class TestParamDivmod:
         kernel = ParamPolynomial.from_polynomial(expand_kernel(5, 5))
         w5 = ParamPolynomial([P([0, 0, 0, 0, 0, 1])])
         divisor = ParamPolynomial([P([0, 1]), P([-1]), P([1])])
-        q, r = param_divmod(w5 + kernel, divisor)
+        q, r = poly_divmod(w5 + kernel, divisor)
         assert r.is_zero
         assert q.coefficient(8) == P.one()
         assert q.coefficient(6) == P([6, -1])  # (6 - w) x^6
@@ -165,19 +164,61 @@ class TestParamDivmod:
         w = P([0, 1])
         bad = ParamPolynomial([P([1]), w])  # leading x-coeff is w
         with pytest.raises(ValueError, match="monic-up-to-constant"):
-            param_divmod(ParamPolynomial([P([1]), P([1]), P([1])]), bad)
+            poly_divmod(ParamPolynomial([P([1]), P([1]), P([1])]), bad)
 
     def test_specialization_commutes_with_divmod(self):
         rng = random.Random(23)
         w = P([0, 1])
         dividend = ParamPolynomial([w * w, P([2]), w, P([1]), P([-1, 2])])
         divisor = ParamPolynomial([w, P([-1]), P([2])])
-        q, r = param_divmod(dividend, divisor)
+        q, r = poly_divmod(dividend, divisor)
         for _ in range(20):
             w0 = rand_rational(rng)
             q0, r0 = poly_divmod(dividend.specialize(w0), divisor.specialize(w0))
             assert q.specialize(w0) == q0
             assert r.specialize(w0) == r0
+
+
+class TestOneTypeOverQAndQw:
+    def test_lifted_division_specializes_to_rational_division(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            p = rand_poly(rng)
+            d = rand_poly(rng, allow_zero=False)
+            q, r = poly_divmod(p, d)
+            lq, lr = poly_divmod(
+                ParamPolynomial.from_polynomial(p),
+                ParamPolynomial.from_polynomial(d),
+            )
+            assert isinstance(lq, ParamPolynomial)
+            assert isinstance(lr, ParamPolynomial)
+            w0 = rand_rational(rng)
+            assert lq.specialize(w0) == q
+            assert lr.specialize(w0) == r
+
+    def test_rational_coefficients_lift_to_constants(self):
+        a = ParamPolynomial([1, 2])
+        b = ParamPolynomial([P([1]), P([2])])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_polynomial_in_w_is_a_constant_in_x(self):
+        w = P([0, 1])
+        xw = ParamPolynomial([0, 1])
+        expected = ParamPolynomial([w, P([1])])  # x + w
+        assert w + xw == expected
+        assert xw + w == expected
+        assert w * xw == ParamPolynomial([P(), w])
+        assert xw - w == -(w - xw)
+
+    def test_rational_and_parameterized_types_stay_apart(self):
+        assert P([1, 2]) != ParamPolynomial([1, 2])
+        assert P([1, 2]) + 1 == P([2, 2])
+        assert P([1]) != "1"
+        with pytest.raises(TypeError):
+            P([1, 2]) + "1"
+        with pytest.raises(TypeError):
+            ParamPolynomial([ParamPolynomial([1])])
 
 
 class TestRootDetection:
