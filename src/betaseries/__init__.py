@@ -17,9 +17,7 @@ from .derive import (
     NotDivisibleError,
     ParamDerivedSeries,
     SeedIntegral,
-    SeriesValueContract,
     convergence_bound,
-    series_value_contract,
     solve_seed,
     solve_seed_param,
     weight_values,
@@ -73,7 +71,6 @@ __all__ = [
     "QuadratureProblem",
     "SeedIntegral",
     "SeriesDivergenceError",
-    "SeriesValueContract",
     "VerifyReport",
     "convergence_bound",
     "eval_hyp",
@@ -93,7 +90,6 @@ __all__ = [
     "rational",
     "reference",
     "run_all",
-    "series_value_contract",
     "solve_seed",
     "solve_seed_param",
     "sum_terms",

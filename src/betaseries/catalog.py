@@ -121,10 +121,6 @@ def load_catalog() -> List[IdentityRecord]:
     return sorted(records, key=lambda r: r.id)
 
 
-def catalog_ids() -> List[str]:
-    return [r.id for r in load_catalog()]
-
-
 def get_record(identity_id: str) -> IdentityRecord:
     for record in load_catalog():
         if record.id == identity_id:

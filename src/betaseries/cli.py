@@ -3,7 +3,9 @@
 Subcommands: ``derive``, ``eval``, ``rate``, ``integrate``, ``accelerate``,
 ``verify``, ``list``.  Results go to stdout as JSON; diagnostics go to
 stderr.  Exit status: 0 success, 1 verification/evaluation failure,
-2 usage error.
+2 usage error.  Every option is checked where argparse reads it: a
+malformed number or ``--expr`` (a syntax or semantic error in the term
+expression), a missing or conflicting option, is a usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from . import catalog as catalog_mod
 from .derive import SeedIntegral, solve_seed, solve_seed_param
 from .engine import evaluate_derived, evaluate_expr, predicted_rate
+from .expressions import ExprError, TermExpr, parse_term_expr
 from .hyper import GroupedSeries, eval_hyp, group, hyp_rate
 from .polynomials import ParamPolynomial, Polynomial, rational
 from .quadrature import KernelForm, QuadratureProblem, integrate
@@ -71,6 +74,14 @@ def _rational_rows(text: str) -> list:
     return [[_rational(c) for c in row.split(":")] for row in text.split(",")]
 
 
+def _term_expr(text: str) -> TermExpr:
+    """argparse type of ``--expr``: the summand, parsed and checked here once."""
+    try:
+        return parse_term_expr(text)
+    except ExprError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _kernel(text: str) -> KernelForm:
     """argparse type of ``--kernel z,k,s``: rational z, integers k, s."""
     parts = text.split(",")
@@ -88,14 +99,14 @@ def _kernel(text: str) -> KernelForm:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_derive(args, parser) -> int:
+def _cmd_derive(args) -> int:
     if args.param:
         p = ParamPolynomial(Polynomial(row) for row in args.p)
         pds = solve_seed_param(p, args.k, args.s, a=args.a, b=args.b)
         _emit(param_series_to_dict(pds))
         return 0
     if any(len(row) != 1 for row in args.p):
-        parser.error("--p takes colon-separated w-coefficients only with --param")
+        args.usage_error("--p takes colon-separated w-coefficients only with --param")
     seed = SeedIntegral(a=args.a, b=args.b, p=Polynomial(row[0] for row in args.p))
     ds = solve_seed(seed, args.k, args.s)
     _emit(series_spec_to_dict(ds))
@@ -143,9 +154,7 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _cmd_integrate(args, parser) -> int:
-    if args.p is not None and args.kernel is not None:
-        parser.error("integrate takes at most one of --p or --kernel")
+def _cmd_integrate(args) -> int:
     if args.kernel is not None:
         denominator = args.kernel
     elif args.p is not None:
@@ -170,9 +179,7 @@ def _cmd_accelerate(args) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    if (args.id is None) == (not args.all):
-        parser.error("verify needs exactly one of --id or --all")
+def _cmd_verify(args) -> int:
     if args.all:
         summary = catalog_mod.run_all(digits=args.digits, only=args.only)
         _emit(summary)
@@ -216,54 +223,61 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--s", type=int, required=True)
     d.add_argument("--param", action="store_true", help="treat P as P(x, w)")
+    d.set_defaults(handler=_cmd_derive, usage_error=d.error)
 
     e = sub.add_parser("eval", help="evaluate a series to target digits")
-    e.add_argument("--spec", help="JSON series spec file")
-    e.add_argument("--expr", help="term expression text")
+    source = e.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="JSON series spec file")
+    source.add_argument("--expr", type=_term_expr, help="term expression text")
     e.add_argument("--digits", type=_positive_int, required=True)
+    e.set_defaults(handler=_cmd_eval)
 
     r = sub.add_parser("rate", help="predicted digits per term of a spec")
     r.add_argument("--spec", required=True)
+    r.set_defaults(handler=_cmd_rate)
 
     i = sub.add_parser("integrate", help="quadrature of x^a (1-x)^b N/D on [0,1]")
     i.add_argument("--a", required=True, type=_rational)
     i.add_argument("--b", required=True, type=_rational)
     i.add_argument("--num", type=_rational_list, help="numerator coefficients, ascending")
-    i.add_argument("--p", type=_rational_list, help="denominator polynomial coefficients, ascending")
-    i.add_argument("--kernel", type=_kernel, help="kernel denominator as z,k,s")
+    denominator = i.add_mutually_exclusive_group()
+    denominator.add_argument("--p", type=_rational_list, help="denominator polynomial coefficients, ascending")
+    denominator.add_argument("--kernel", type=_kernel, help="kernel denominator as z,k,s")
     i.add_argument("--digits", type=_positive_int, required=True)
+    i.set_defaults(handler=_cmd_integrate)
 
     a = sub.add_parser("accelerate", help="m-step grouping of a series spec")
     a.add_argument("--hyp", required=True, help="JSON spec file")
     a.add_argument("--m", type=_positive_int, required=True)
+    a.set_defaults(handler=_cmd_accelerate)
 
     v = sub.add_parser("verify", help="verify catalog identities")
-    v.add_argument("--id", help="identity id, e.g. eq-1.1")
-    v.add_argument("--all", action="store_true")
+    target = v.add_mutually_exclusive_group(required=True)
+    target.add_argument("--id", help="identity id, e.g. eq-1.1")
+    target.add_argument("--all", action="store_true")
     v.add_argument("--only", help="wildcard filter with --all, e.g. 'eq-5.*'")
     v.add_argument(
         "--digits", type=_positive_int, help="override per-record precision"
     )
+    v.set_defaults(handler=_cmd_verify)
 
-    sub.add_parser("list", help="list catalog records")
+    ls = sub.add_parser("list", help="list catalog records")
+    ls.set_defaults(handler=_cmd_list)
     return parser
 
 
-_VALUE_FLAGS = {
-    "--p", "--a", "--b", "--k", "--s", "--num", "--kernel", "--digits",
-    "--spec", "--expr", "--hyp", "--m", "--id", "--only",
-}
+_FLAG = re.compile(r"^--[^=]+$")
 _NEG_VALUE = re.compile(r"^-\d[\d/,.:]*$")
 
 
 def _merge_negative_values(argv):
-    """Join ``--a -1/2`` into ``--a=-1/2`` so argparse accepts the value."""
+    """Join ``--flag -1/2`` into ``--flag=-1/2`` so argparse takes the value."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (
-            tok in _VALUE_FLAGS
+            _FLAG.match(tok)
             and i + 1 < len(argv)
             and _NEG_VALUE.match(argv[i + 1])
         ):
@@ -281,27 +295,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        if args.command == "derive":
-            return _cmd_derive(args, parser)
-        if args.command == "eval":
-            if (args.expr is None) == (args.spec is None):
-                parser.error("eval needs exactly one of --spec or --expr")
-            return _cmd_eval(args)
-        if args.command == "rate":
-            return _cmd_rate(args)
-        if args.command == "integrate":
-            return _cmd_integrate(args, parser)
-        if args.command == "accelerate":
-            return _cmd_accelerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "list":
-            return _cmd_list(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

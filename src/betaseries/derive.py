@@ -133,14 +133,6 @@ class DerivedSeries:
     def q(self) -> Polynomial:
         return Polynomial(self.qcoeffs)
 
-    @property
-    def scale(self) -> str:
-        """Closed-form prefactor that multiplies the series sum."""
-        return (
-            f"Gamma({self.a + 1})*Gamma({self.b + 1})"
-            f"/(({self.z})*Gamma({self.a + self.b + 2}))"
-        )
-
     def __str__(self) -> str:
         return (
             f"DerivedSeries(a={self.a}, b={self.b}, k={self.k}, s={self.s}, "
@@ -301,40 +293,3 @@ def weight_values(ds: DerivedSeries, n: int) -> Fraction:
             ratio *= Fraction(a + j + k * n) / den
         total += coeff * ratio
     return total
-
-
-@dataclass(frozen=True)
-class SeriesValueContract:
-    """Statement of the bound value of a derived series.
-
-    The series sum times the prefactor equals the seed integral
-    ``int_0^1 x^a (1-x)^b / P(x) dx`` and equally the transformed integral
-    ``int_0^1 Q(x) x^a (1-x)^b / (z - x^k (1-x)^s) dx``.  The numerical
-    checks live in the quadrature/reference modules; this object carries
-    everything they need.
-    """
-
-    series: DerivedSeries
-    prefactor: str
-    summand: str
-
-    @property
-    def seed_integrand(self) -> Tuple[Fraction, Fraction, Polynomial, Polynomial]:
-        """(a, b, numerator, denominator-polynomial) of the seed form."""
-        return (self.series.a, self.series.b, Polynomial.one(), self.series.seed_p)
-
-    @property
-    def transformed_integrand(self):
-        """(a, b, numerator, (z, k, s)) of the kernel-denominator form."""
-        ds = self.series
-        return (ds.a, ds.b, ds.q, (ds.z, ds.k, ds.s))
-
-
-def series_value_contract(ds: DerivedSeries) -> SeriesValueContract:
-    """Build the value statement for a derived series."""
-    summand = (
-        f"(({ds.a + 1})_(kn) * ({ds.b + 1})_(sn)) / "
-        f"(({ds.a + ds.b + 2})_((k+s)n) * ({ds.z})^n) * w(n), "
-        f"k={ds.k}, s={ds.s}, w from Q={ds.q}"
-    )
-    return SeriesValueContract(series=ds, prefactor=ds.scale, summand=summand)

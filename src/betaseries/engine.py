@@ -143,20 +143,15 @@ def _fit_errors(
     return _fit_rate(pts[len(pts) // 2 :])
 
 
-def measured_rate(
-    partial_sums: Sequence[mpf],
-    reference: mpf,
-    *,
-    min_points: int = 10,
-) -> float:
+def measured_rate(partial_sums: Sequence[mpf], reference: mpf) -> float:
     """Digits gained per term, measured against a more accurate reference.
 
     Fits the least-squares slope of ``-log10 |S_n - reference|`` over the
-    last half of the sequence.  Partial sums that exactly equal the
-    reference are clamped out of the fit.
+    last half of the sequence, which must hold at least 10 partial sums.
+    Partial sums that exactly equal the reference are clamped out of the fit.
     """
-    if len(partial_sums) < min_points:
-        raise ValueError(f"need at least {min_points} partial sums")
+    if len(partial_sums) < 10:
+        raise ValueError("need at least 10 partial sums")
     slope = _fit_errors(partial_sums, reference, mpf(0))
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")

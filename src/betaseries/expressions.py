@@ -26,8 +26,14 @@ Two kinds of power survive parsing: ``expr ^ INT`` (constant integer
 exponent) and ``RATIONAL ^ linear-in-n``.  Arguments of ``fact``/``binom``
 and the length argument of ``poch`` must be linear forms ``c1*n + c0``
 with nonnegative integer ``c1, c0`` so they are nonnegative integers for
-every ``n >= 0``; violations are reported as semantic errors with the
-offending source position.
+every ``n >= 0``.
+
+The parser checks each node as it builds it, so a parsed expression needs
+no second pass.  A violation is a semantic error at the position of the
+offending function name or operator: ``fact(n/2)`` fails at ``1:1``,
+``0^(n-1)`` at the ``^``, and ``n/0`` at the ``/``.  Only a zero that
+appears at some index ``n`` (``1/(n-1)``) is left to evaluation, which
+reports it without a source position.
 """
 
 from __future__ import annotations
@@ -185,58 +191,18 @@ def linear_form(node: TermExpr) -> Optional[Tuple[Fraction, Fraction]]:
     return None
 
 
-def _nonneg_integer_linear(node: TermExpr, what: str) -> None:
+def _nonneg_integer_linear(node: TermExpr, what: str, tok: _Token) -> None:
+    """Reject ``node`` at ``tok`` unless it is ``c1*n + c0``, c1, c0 integers >= 0."""
     f = linear_form(node)
     if f is None:
-        raise ExprSemanticError(f"{what} must be linear in n")
-    slope, intercept = f
-    if slope.denominator != 1 or intercept.denominator != 1:
-        raise ExprSemanticError(f"{what} must have integer coefficients")
-    if slope < 0 or intercept < 0:
-        raise ExprSemanticError(
-            f"{what} must be a nonnegative integer for all n >= 0"
-        )
-
-
-def validate(node: TermExpr) -> TermExpr:
-    """Check the well-definedness invariants of every subexpression."""
-    if isinstance(node, (Lit, Var)):
-        return node
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        validate(node.left)
-        validate(node.right)
-        return node
-    if isinstance(node, Neg):
-        validate(node.operand)
-        return node
-    if isinstance(node, PowInt):
-        validate(node.base)
-        return node
-    if isinstance(node, PowN):
-        validate(node.exponent)
-        f = linear_form(node.exponent)
-        if f is None or f[0].denominator != 1 or f[1].denominator != 1:
-            raise ExprSemanticError(
-                "power exponent must be an integer-valued linear form in n"
-            )
-        if node.base == 0 and (f[0] < 0 or f[1] < 0):
-            raise ExprSemanticError("zero base with possibly negative exponent")
-        return node
-    if isinstance(node, Fact):
-        validate(node.arg)
-        _nonneg_integer_linear(node.arg, "factorial argument")
-        return node
-    if isinstance(node, Binom):
-        validate(node.top)
-        validate(node.bottom)
-        _nonneg_integer_linear(node.top, "binomial argument")
-        _nonneg_integer_linear(node.bottom, "binomial argument")
-        return node
-    if isinstance(node, Poch):
-        validate(node.length)
-        _nonneg_integer_linear(node.length, "pochhammer length")
-        return node
-    raise TypeError(f"not a TermExpr node: {node!r}")
+        message = f"{what} must be linear in n"
+    elif f[0].denominator != 1 or f[1].denominator != 1:
+        message = f"{what} must have integer coefficients"
+    elif f[0] < 0 or f[1] < 0:
+        message = f"{what} must be a nonnegative integer for all n >= 0"
+    else:
+        return
+    raise ExprSemanticError(message, tok.line, tok.column)
 
 
 def evaluate(node: TermExpr, n: int) -> Fraction:
@@ -264,11 +230,7 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
             raise ExprSemanticError(f"zero base with negative exponent at n={n}")
         return base ** node.exponent
     if isinstance(node, PowN):
-        e = evaluate(node.exponent, n)
-        exp = int(e)
-        if node.base == 0:
-            return Fraction(0) if exp > 0 else Fraction(1)
-        return node.base ** exp
+        return node.base ** int(evaluate(node.exponent, n))
     if isinstance(node, Fact):
         return Fraction(math.factorial(int(evaluate(node.arg, n))))
     if isinstance(node, Binom):
@@ -394,7 +356,11 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if tok.text == "/":
-                    node = _fold(Div(node, rhs), tok)
+                    if rhs == Lit(Fraction(0)):
+                        raise ExprSemanticError(
+                            "division by zero constant", tok.line, tok.column
+                        )
+                    node = _fold(Div(node, rhs))
                 else:
                     node = _fold(Mul(node, rhs))
             else:
@@ -424,6 +390,10 @@ class _Parser:
                 raise ExprSemanticError(
                     "constant exponent must be an integer", tok.line, tok.column
                 )
+            if exponent.value < 0 and base == Lit(Fraction(0)):
+                raise ExprSemanticError(
+                    "zero base with negative exponent", tok.line, tok.column
+                )
             return _fold(PowInt(base, int(exponent.value)))
         base_f = _const_value(base)
         if base_f is None:
@@ -439,6 +409,10 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
+        if base_f == 0 and (f[0] < 0 or f[1] < 0):
+            raise ExprSemanticError(
+                "zero base with possibly negative exponent", tok.line, tok.column
+            )
         return PowN(base_f, exponent)
 
     def atom(self) -> TermExpr:
@@ -453,11 +427,14 @@ class _Parser:
                 first = self.expr()
                 if tok.text == "fact":
                     self.expect(")")
+                    _nonneg_integer_linear(first, "factorial argument", tok)
                     return Fact(first)
                 self.expect(",")
                 second = self.expr()
                 self.expect(")")
                 if tok.text == "binom":
+                    _nonneg_integer_linear(first, "binomial argument", tok)
+                    _nonneg_integer_linear(second, "binomial argument", tok)
                     return Binom(first, second)
                 base = _const_value(first)
                 if base is None:
@@ -466,6 +443,7 @@ class _Parser:
                         tok.line,
                         tok.column,
                     )
+                _nonneg_integer_linear(second, "pochhammer length", tok)
                 return Poch(base, second)
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
@@ -483,7 +461,7 @@ def _const_value(node: TermExpr) -> Optional[Fraction]:
     return node.value if isinstance(node, Lit) else None
 
 
-def _fold(node: TermExpr, tok: Optional[_Token] = None) -> TermExpr:
+def _fold(node: TermExpr) -> TermExpr:
     """Constant-fold literal arithmetic so e.g. ``7/6`` becomes one literal."""
     if isinstance(node, Neg) and isinstance(node.operand, Lit):
         return Lit(-node.operand.value)
@@ -496,20 +474,15 @@ def _fold(node: TermExpr, tok: Optional[_Token] = None) -> TermExpr:
                 return Lit(a - b)
             if isinstance(node, Mul):
                 return Lit(a * b)
-            if b == 0:
-                line, col = (tok.line, tok.column) if tok else (1, 0)
-                raise ExprSemanticError("division by zero constant", line, col)
             return Lit(a / b)
     if isinstance(node, PowInt) and isinstance(node.base, Lit):
-        if node.exponent >= 0 or node.base.value != 0:
-            return Lit(node.base.value ** node.exponent)
+        return Lit(node.base.value ** node.exponent)
     return node
 
 
 def parse_term_expr(text: str) -> TermExpr:
-    """Parse and validate a term expression in the summand grammar."""
-    node = _Parser(text).parse()
-    return validate(node)
+    """Parse a term expression in the summand grammar, checking it on the way."""
+    return _Parser(text).parse()
 
 
 # --------------------------------------------------------------------------

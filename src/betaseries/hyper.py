@@ -128,10 +128,8 @@ class GroupingReport:
     passed: bool
     base_value: object
     grouped_value: object
-    abs_difference: object
     base_rate: float
     grouped_rate: float
-    rate_multiple_ok: bool
     detail: str = ""
 
 
@@ -169,9 +167,7 @@ def verify_grouping(base: HypSeriesSpec, m: int, digits: int) -> GroupingReport:
         passed=value_ok and rate_ok,
         base_value=rb.value,
         grouped_value=rg.value,
-        abs_difference=diff,
         base_rate=base_slope,
         grouped_rate=grouped_slope,
-        rate_multiple_ok=rate_ok,
         detail=detail.strip(),
     )

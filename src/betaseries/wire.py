@@ -2,20 +2,21 @@
 
 Rationals travel as strings (``"num/den"``, or plain ``"num"`` when the
 denominator is 1) so no precision is ever lost; floats travel as decimal
-strings with an explicit digit count.  ``parse -> serialize -> parse`` is
-the identity on every spec.
+strings with an explicit digit count.  For derived and hypergeometric
+specs ``parse -> serialize -> parse`` is the identity; the parameterized
+series of ``derive --param`` is only written, never read back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from mpmath import mp, mpf
 
 from .derive import DerivedSeries, ParamDerivedSeries
 from .hyper import GroupedSeries, HypSeriesSpec
-from .polynomials import ParamPolynomial, Polynomial, rational
+from .polynomials import Polynomial, rational
 
 
 def rat_str(x: Fraction) -> str:
@@ -34,8 +35,8 @@ def float_str(value: mpf, digits: int) -> str:
     return mp.nstr(value, digits, strip_zeros=False)
 
 
-def series_spec_to_dict(ds: DerivedSeries, expr: Optional[str] = None) -> dict:
-    doc = {
+def series_spec_to_dict(ds: DerivedSeries) -> dict:
+    return {
         "a": rat_str(ds.a),
         "b": rat_str(ds.b),
         "k": ds.k,
@@ -44,9 +45,6 @@ def series_spec_to_dict(ds: DerivedSeries, expr: Optional[str] = None) -> dict:
         "qcoeffs": rat_list(ds.qcoeffs),
         "seed_p_coeffs": rat_list(ds.seed_p.coeffs),
     }
-    if expr is not None:
-        doc["expr"] = expr
-    return doc
 
 
 def series_spec_from_dict(doc: dict) -> DerivedSeries:
@@ -75,27 +73,11 @@ def param_series_to_dict(pds: ParamDerivedSeries) -> dict:
     }
 
 
-def param_series_from_dict(doc: dict) -> ParamDerivedSeries:
-    return ParamDerivedSeries(
-        a=rational(doc["a"]),
-        b=rational(doc["b"]),
-        k=int(doc["k"]),
-        s=int(doc["s"]),
-        z_w=Polynomial(rational(c) for c in doc["z_w_coeffs"]),
-        qcoeffs_w=tuple(
-            Polynomial(rational(c) for c in q) for q in doc["qcoeffs_w"]
-        ),
-        seed_p=ParamPolynomial(
-            Polynomial(rational(c) for c in cw) for cw in doc["seed_p_w"]
-        ),
-    )
-
-
-def hyp_spec_to_dict(spec, m: Optional[int] = None) -> dict:
+def hyp_spec_to_dict(spec) -> dict:
     if isinstance(spec, GroupedSeries):
         base, m = spec.base, spec.m
     else:
-        base = spec
+        base, m = spec, None
     doc = {
         "upper": rat_list(base.upper),
         "lower": rat_list(base.lower),

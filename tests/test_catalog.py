@@ -7,22 +7,19 @@ from mpmath import mp, mpf
 
 from betaseries.catalog import (
     EXACT_CHECKS,
-    catalog_ids,
     eval_recipe,
     get_record,
     load_catalog,
     run_all,
     verify,
 )
-from betaseries.derive import SeedIntegral, solve_seed, solve_seed_param
+from betaseries.derive import SeedIntegral, solve_seed
 from betaseries.hyper import GroupedSeries, HypSeriesSpec
-from betaseries.polynomials import ParamPolynomial, Polynomial
+from betaseries.polynomials import Polynomial
 from betaseries.references import pi_machin
 from betaseries.wire import (
     hyp_spec_from_dict,
     hyp_spec_to_dict,
-    param_series_from_dict,
-    param_series_to_dict,
     rat_str,
     series_spec_from_dict,
     series_spec_to_dict,
@@ -72,12 +69,12 @@ REQUIRED_IDS = {
 
 class TestRegistry:
     def test_required_records_present(self):
-        ids = set(catalog_ids())
+        ids = {r.id for r in load_catalog()}
         missing = REQUIRED_IDS - ids
         assert not missing, f"catalog is missing {sorted(missing)}"
 
     def test_sorted_and_unique(self):
-        ids = catalog_ids()
+        ids = [r.id for r in load_catalog()]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
 
@@ -245,23 +242,11 @@ class TestWireFormats:
         assert again == ds
         assert series_spec_to_dict(again) == doc
 
-    def test_param_series_roundtrip(self):
-        pxw = ParamPolynomial(
-            [Polynomial([0, 1]), Polynomial([-1]), Polynomial([1])]
-        )
-        pds = solve_seed_param(pxw, 3, 3)
-        doc = param_series_to_dict(pds)
-        assert doc["z_w_coeffs"] == ["0", "0", "0", "1"]
-        again = param_series_from_dict(doc)
-        assert again.z_w == pds.z_w
-        assert again.qcoeffs_w == pds.qcoeffs_w
-        assert param_series_to_dict(again) == doc
-
     def test_hyp_spec_roundtrip(self):
         spec = HypSeriesSpec(
             upper=(F(1), F(1, 2)), lower=(F(3, 2), F(3, 2)), z=F(1, 4)
         )
-        doc = hyp_spec_to_dict(spec, m=2)
+        doc = hyp_spec_to_dict(GroupedSeries(spec, 2))
         grouped = hyp_spec_from_dict(doc)
         assert isinstance(grouped, GroupedSeries)
         assert grouped.base == spec and grouped.m == 2

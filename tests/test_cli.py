@@ -12,17 +12,21 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv, check=False):
+def run_python(*argv, check=False):
     # the child imports the package from this checkout, as the tests do
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(
-        [sys.executable, "-m", "betaseries", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         check=check,
         env=env,
     )
+
+
+def run_cli(*argv, check=False):
+    return run_python("-m", "betaseries", *argv, check=check)
 
 
 class TestDerive:
@@ -90,12 +94,10 @@ class TestEval:
 
     def test_requires_exactly_one_input(self):
         assert run_cli("eval", "--digits", "10").returncode == 2
-        assert (
-            run_cli(
-                "eval", "--digits", "10", "--expr", "1", "--spec", "x.json"
-            ).returncode
-            == 2
-        )
+        proc = run_cli("eval", "--digits", "10", "--expr", "1", "--spec", "x.json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not allowed with argument" in proc.stderr
 
 
 class TestRateAndIntegrate:
@@ -131,6 +133,8 @@ class TestRateAndIntegrate:
             "--kernel", "-2,1,1", "--digits", "10",
         )
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not allowed with argument" in proc.stderr
 
 
 class TestAccelerate:
@@ -179,6 +183,10 @@ class TestVerify:
 
     def test_requires_id_or_all(self):
         assert run_cli("verify").returncode == 2
+        proc = run_cli("verify", "--id", "eq-1.1", "--all")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not allowed with argument" in proc.stderr
 
 
 class TestUsage:
@@ -222,6 +230,21 @@ class TestUsage:
         assert proc.stdout == ""
         assert f"argument {flag}:" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1 + * 2", "syntax error at 1:5"),
+            ("fact(n/2)", "semantic error at 1:1"),
+            ("n/0", "semantic error at 1:2: division by zero"),
+        ],
+        ids=["syntax", "semantic", "zero-divisor"],
+    )
+    def test_malformed_expr_is_a_usage_error(self, expr, message):
+        proc = run_cli("eval", "--expr", expr, "--digits", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument --expr: {message}" in proc.stderr
+
     def test_empty_coefficient_is_not_dropped(self):
         # 1 + 0x + 2x^2 integrates to 5/3; dropping the empty field gave 1 + 2x
         proc = run_cli(
@@ -263,14 +286,18 @@ class TestUsage:
             assert first.returncode == second.returncode == 0
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under README's ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split(f"\n## {heading}\n", 1)[1].split(f"```{language}\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def readme_cli_examples():
     """The ``betaseries`` lines of the sh block under README's "## CLI"."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
-    block = block.split("```", 1)[0]
     return [
         shlex.split(line, comments=True)[1:]
-        for line in block.splitlines()
+        for line in readme_block("CLI", "sh").splitlines()
         if line.startswith("betaseries ")
     ]
 
@@ -292,3 +319,9 @@ class TestReadmeExamples:
     def test_example_runs(self, argv):
         proc = run_cli(*argv)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    proc = run_python("-c", readme_block("Library example", "python"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("2.5105")

@@ -11,7 +11,6 @@ from betaseries.derive import (
     NotDivisibleError,
     SeedIntegral,
     convergence_bound,
-    series_value_contract,
     solve_seed,
     solve_seed_param,
     weight_values,
@@ -221,22 +220,3 @@ class TestDerivedSeriesValidation:
     def test_seed_p_derived_from_q(self):
         ds = DerivedSeries(a=F(0), b=F(0), k=1, s=1, z=F(4), qcoeffs=(F(1),))
         assert ds.seed_p == P([4, -1, 1])  # 4 - x(1-x)
-
-
-class TestSeriesValueContract:
-    def test_contract_for_solved_seed(self):
-        ds = solve_seed(make_seed([1, F(1, 3)], a=F(-1, 2)), 1, 2)
-        contract = series_value_contract(ds)
-        a, b, num, den = contract.seed_integrand
-        assert (a, b) == (F(-1, 2), F(0))
-        assert num == P.one() and den == P([1, F(1, 3)])
-        a, b, q, (z, k, s) = contract.transformed_integrand
-        assert q == ds.q and (z, k, s) == (F(-48), 1, 2)
-        assert "Gamma(1/2)" in contract.prefactor
-
-    def test_contract_for_direct_series(self):
-        # Q = 1, P = z - x(1-x): central-binomial series shape
-        ds = DerivedSeries(a=F(0), b=F(0), k=1, s=1, z=F(4), qcoeffs=(F(1),))
-        contract = series_value_contract(ds)
-        _, _, _, den = contract.seed_integrand
-        assert den == P([4, -1, 1])

@@ -87,6 +87,8 @@ class TestParsing:
         assert isinstance(ast, PowN)
         assert ast.base == F(-1296)
         assert evaluate(ast, 2) == F(1296**2)
+        zero = parse_term_expr("0^n")
+        assert [evaluate(zero, n) for n in range(3)] == [1, 0, 0]
 
     def test_variable_power_constant_exponent(self):
         ast = parse_term_expr("(2*n+1)^2")
@@ -116,12 +118,16 @@ class TestErrors:
             parse_term_expr("fact(n^2)")
 
     def test_factorial_fractional_argument(self):
-        with pytest.raises(ExprSemanticError, match="integer"):
+        with pytest.raises(ExprSemanticError, match="integer") as err:
             parse_term_expr("fact(n/2)")
+        assert (err.value.line, err.value.column) == (1, 1)
 
     def test_factorial_negative_argument(self):
         with pytest.raises(ExprSemanticError, match="nonnegative"):
             parse_term_expr("fact(n-3)")
+        with pytest.raises(ExprSemanticError, match="nonnegative") as err:
+            parse_term_expr("1 +\n fact(n-3)")
+        assert (err.value.line, err.value.column) == (2, 2)
 
     def test_binom_nonlinear(self):
         with pytest.raises(ExprSemanticError):
@@ -140,8 +146,18 @@ class TestErrors:
             parse_term_expr("2^(1/2)")
 
     def test_division_by_zero_constant(self):
-        with pytest.raises(ExprSemanticError, match="zero"):
-            parse_term_expr("1/0")
+        # a zero divisor or a zero base with a negative exponent is rejected
+        # while parsing, at its operator
+        for text, column in (
+            ("1/0", 2),
+            ("n/0", 2),
+            ("(n+1)/(2-2)", 6),
+            ("0^(-1)", 2),
+            ("2 + 0^(n-1)", 6),
+        ):
+            with pytest.raises(ExprSemanticError, match="zero") as err:
+                parse_term_expr(text)
+            assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestLinearForm:
