@@ -19,6 +19,7 @@ Record kinds:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -414,22 +415,14 @@ def _verify_grouping_record(record: IdentityRecord, digits: int) -> VerifyReport
     m = record.m or 2
     grouped = group(base, m)
     # exact telescoping: grouped partial sums == base partial sums at stride m
-    base_partials = []
-    acc = Fraction(0)
-    base_term = base.terms()
-    for _ in range(m * (record.check_terms + 1)):
-        acc += next(base_term)
-        base_partials.append(acc)
-    gacc = Fraction(0)
-    grouped_term = grouped.terms()
-    exact_ok = True
+    base_sums = itertools.accumulate(base.terms())
+    grouped_sums = itertools.accumulate(grouped.terms())
     first_bad = None
     for n in range(record.check_terms + 1):
-        gacc += next(grouped_term)
-        if gacc != base_partials[m * (n + 1) - 1]:
-            exact_ok = False
+        if next(grouped_sums) != list(itertools.islice(base_sums, m))[-1]:
             first_bad = n
             break
+    exact_ok = first_bad is None
     numeric = verify_grouping(base, m, digits)
     ok = exact_ok and numeric.passed
     sums_note = "match" if exact_ok else f"diverge at n={first_bad}"

@@ -184,6 +184,8 @@ def _cmd_verify(args) -> int:
         summary = catalog_mod.run_all(digits=args.digits, only=args.only)
         _emit(summary)
         return 0 if summary["failed"] == 0 else 1
+    if args.only is not None:
+        args.usage_error("--only filters --all; it cannot be used with --id")
     report = catalog_mod.verify(args.id, digits=args.digits)
     doc = report.summary()
     if report.detail:
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--digits", type=_positive_int, help="override per-record precision"
     )
-    v.set_defaults(handler=_cmd_verify)
+    v.set_defaults(handler=_cmd_verify, usage_error=v.error)
 
     ls = sub.add_parser("list", help="list catalog records")
     ls.set_defaults(handler=_cmd_list)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .expressions import pochhammer
 from .polynomials import (
     ParamPolynomial,
     Polynomial,
@@ -271,25 +272,16 @@ def solve_seed_param(
 
 
 def weight_values(ds: DerivedSeries, n: int) -> Fraction:
-    """Exact weight ``w(n)`` contributed by Q's coefficients.
+    """Exact weight ``w(n)`` contributed by Q's coefficients ``a_j``.
 
-    ``w(n) = sum_j a_j * prod_{g=1..j} (a + g + k n) / (a + b + g + 1 + (k+s) n)``
-    where ``a_j`` are the Q coefficients.  The denominators cannot vanish
-    while ``a + b + 2 > 0``, which the series invariants guarantee; a zero
-    is still checked defensively.
+    ``w(n) = sum_j a_j (a + 1 + kn)_j / (a + b + 2 + (k+s)n)_j``.  Every
+    lower symbol is positive, since ``a, b > -1``.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    a, b, k, s = ds.a, ds.b, ds.k, ds.s
-    total = Fraction(0)
-    ratio = Fraction(1)
-    for j, coeff in enumerate(ds.qcoeffs):
-        if j > 0:
-            den = a + b + j + 1 + (k + s) * n
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"weight denominator vanishes at g={j}, n={n}"
-                )
-            ratio *= Fraction(a + j + k * n) / den
-        total += coeff * ratio
-    return total
+    top = ds.a + 1 + ds.k * n
+    bottom = ds.a + ds.b + 2 + (ds.k + ds.s) * n
+    return sum(
+        coeff * pochhammer(top, j) / pochhammer(bottom, j)
+        for j, coeff in enumerate(ds.qcoeffs)
+    )

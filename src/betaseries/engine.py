@@ -1,9 +1,10 @@
 """Arbitrary-precision series evaluation with rigorous empirical tail bounds.
 
 Derived and hypergeometric series share one term core, ``HypTerms``: a first
-term, a term ratio that is a rational function of ``n`` (a constant times
-linear factors), and an optional weight; grouping ``m`` terms at a time is
-a transform of it, and the predicted rate is read off the ratio's limit.
+term, a constant, Pochhammer symbols ``(q)_{pn}`` above and below, and an
+optional weight.  Grouping ``m`` terms at a time is a transform of it that
+maps each symbol ``(p, q)`` to ``(pm, q)``, and the predicted rate is read
+off the term ratio's limit.
 
 Terms are computed as exact rationals (by that ratio recurrence, or from
 scratch for printed expressions) and rounded once each into binary
@@ -48,7 +49,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Unio
 from mpmath import mp, mpf
 
 from .derive import DerivedSeries, weight_values
-from .expressions import TermExpr, evaluate as expr_value, parse_term_expr
+from .expressions import TermExpr, parse_term_expr, pochhammer_pair
+from .expressions import evaluate as expr_value
 
 GUARD_DIGITS = 15
 
@@ -306,23 +308,29 @@ def sum_terms(
 
 @dataclass(frozen=True)
 class HypTerms:
-    """Exact terms ``t(n) w(n)``: ``t(0) = t0`` and a rational term ratio.
+    """Exact terms ``t(n) w(n)``, ``t(n) = t0 c^n prod (q)_{pn} / prod (q')_{p'n}``.
 
-    ``r(n) = t(n+1) / t(n) = c * prod (p n + q) / prod (p' n + q')`` over the
-    linear factors ``(slope, intercept)`` in ``num`` and ``den``.  The
-    optional weight ``w(n)`` multiplies term ``n`` after the recurrence, so a
-    vanishing weight never enters a denominator.
+    Each factor ``(p, q)`` in ``num`` and ``den`` is a Pochhammer symbol with
+    integer ``p >= 0``; the ratio ``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}``
+    is one integer fraction.  The optional weight ``w(n)`` multiplies term ``n``
+    after the recurrence, so a vanishing weight never enters a denominator.
     """
 
     t0: Fraction
     c: Fraction
-    num: Tuple[Tuple[Fraction, Fraction], ...]
-    den: Tuple[Tuple[Fraction, Fraction], ...]
+    num: Tuple[Tuple[int, Fraction], ...]
+    den: Tuple[Tuple[int, Fraction], ...]
     weight: Optional[Callable[[int], Fraction]] = None
 
     def ratio(self, n: int) -> Fraction:
-        num = self.c * math.prod(p * n + q for p, q in self.num)
-        return num / math.prod(p * n + q for p, q in self.den)
+        top, bottom = self.c.numerator, self.c.denominator
+        for p, q in self.num:
+            u, v = pochhammer_pair(q + p * n, p)
+            top, bottom = top * u, bottom * v
+        for p, q in self.den:
+            u, v = pochhammer_pair(q + p * n, p)
+            top, bottom = top * v, bottom * u
+        return Fraction(top, bottom)
 
     def terms(self) -> Iterator[Fraction]:
         t = self.t0
@@ -333,13 +341,10 @@ class HypTerms:
     def grouped(self, m: int) -> "HypTerms":
         """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
 
-        The outer block advances by ``r(mn) ... r(mn+m-1)``: each factor
-        ``p n + q`` becomes ``pm n + (pi + q)`` for ``i < m``, and ``c``
-        becomes ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``.
+        The outer term is ``t(mn)``: each symbol ``(q)_{pn}`` becomes
+        ``(q)_{pmn}``, so ``(p, q)`` maps to ``(pm, q)``, and ``c`` becomes
+        ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``.
         """
-
-        def spread(factors):
-            return tuple((p * m, p * i + q) for p, q in factors for i in range(m))
 
         def weight(n: int) -> Fraction:
             total, piece = 0, 1
@@ -349,15 +354,17 @@ class HypTerms:
                 total += piece * (1 if self.weight is None else self.weight(m * n + j))
             return total
 
-        return HypTerms(self.t0, self.c**m, spread(self.num), spread(self.den), weight)
+        num = tuple((p * m, q) for p, q in self.num)
+        den = tuple((p * m, q) for p, q in self.den)
+        return HypTerms(self.t0, self.c**m, num, den, weight)
 
     def rate(self) -> float:
-        """Digits per term ``log10(1/|L|)``, with ``L = c prod p / prod p'`` the
-        limit of ``r(n)`` (``num`` and ``den`` hold equally many factors)."""
+        """Digits per term ``log10(1/|L|)``, with ``L = c prod p^p / prod p'^p'``
+        the limit of ``r(n)`` (the lengths in ``num`` and ``den`` add up alike)."""
         if self.c == 0:
             raise ValueError("z = 0 has no geometric rate")
-        limit = self.c * math.prod(p for p, _ in self.num)
-        limit /= math.prod(p for p, _ in self.den)
+        limit = self.c * math.prod(p**p for p, _ in self.num)
+        limit /= math.prod(p**p for p, _ in self.den)
         with mp.workdps(30):
             return float(mp.log10(to_mpf(1 / abs(limit))))
 
@@ -365,11 +372,8 @@ class HypTerms:
 def derived_core(ds: DerivedSeries) -> HypTerms:
     """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
     a, b, k, s = ds.a, ds.b, ds.k, ds.s
-    num = [(k, a + 1 + j) for j in range(k)] + [(s, b + 1 + j) for j in range(s)]
-    den = [(k + s, a + b + 2 + j) for j in range(k + s)]
-    return HypTerms(
-        Fraction(1), 1 / ds.z, tuple(num), tuple(den), partial(weight_values, ds)
-    )
+    num, den = ((k, a + 1), (s, b + 1)), ((k + s, a + b + 2),)
+    return HypTerms(Fraction(1), 1 / ds.z, num, den, partial(weight_values, ds))
 
 
 def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:

@@ -33,7 +33,7 @@ no second pass.  A violation is a semantic error at the position of the
 offending function name or operator: ``fact(n/2)`` fails at ``1:1``,
 ``0^(n-1)`` at the ``^``, and ``n/0`` at the ``/``.  Only a zero that
 appears at some index ``n`` (``1/(n-1)``) is left to evaluation, which
-reports it without a source position.
+raises ``ZeroDivisionError`` naming that ``n``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprSemanticError(ExprError):
-    def __init__(self, message: str, line: int = 1, column: int = 0):
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"semantic error at {line}:{column}: {message}")
         self.line = line
         self.column = column
@@ -220,14 +220,14 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
     if isinstance(node, Div):
         denom = evaluate(node.right, n)
         if denom == 0:
-            raise ExprSemanticError(f"division by zero at n={n}")
+            raise ZeroDivisionError(f"division by zero at n={n}")
         return evaluate(node.left, n) / denom
     if isinstance(node, Neg):
         return -evaluate(node.operand, n)
     if isinstance(node, PowInt):
         base = evaluate(node.base, n)
         if node.exponent < 0 and base == 0:
-            raise ExprSemanticError(f"zero base with negative exponent at n={n}")
+            raise ZeroDivisionError(f"zero base with negative exponent at n={n}")
         return base ** node.exponent
     if isinstance(node, PowN):
         return node.base ** int(evaluate(node.exponent, n))
@@ -242,11 +242,20 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
     raise TypeError(f"not a TermExpr node: {node!r}")
 
 
-def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
-    """Rising factorial ``(x)_m = x (x+1) ... (x+m-1)``; ``(x)_0 = 1``."""
+def pochhammer_pair(x: Union[Fraction, int], m: int) -> Tuple[int, int]:
+    """``(x)_m = prod_{j<m} (u + j v) / v^m`` for ``x = u/v``, as an unreduced pair.
+
+    The package's one rising-factorial product: ``pochhammer`` reduces it once,
+    and an ``engine.HypTerms`` ratio folds all its symbols into one fraction."""
     if m < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    return math.prod((x + j for j in range(m)), start=Fraction(1))
+    u, v = x.numerator, x.denominator
+    return math.prod(range(u, u + m * v, v)), v**m
+
+
+def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
+    """Rising factorial ``(x)_m = x (x+1) ... (x+m-1)``; ``(x)_0 = 1``."""
+    return Fraction(*pochhammer_pair(x, m))
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ The grouped series ``sum_n outer_n * inner_n`` telescopes exactly onto the
 base series -- partial sum ``N`` of the grouped form equals partial sum
 ``mN`` of the base -- and therefore converges ``m`` times faster in digits
 per term.  Both forms are ``engine.HypTerms`` cores: the spec compiles to
-the ratio ``z prod_g (n + x_g) / (n + y_g)``, and ``HypTerms.grouped(m)``
-turns it into the outer m-step ratio with ``inner_n`` as the weight.
+the Pochhammer symbols ``(1, x_g)`` over ``(1, y_g)``, and ``grouped(m)``
+maps each ``(p, q)`` to ``(pm, q)``, with ``inner_n`` as the weight.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class HypSeriesSpec:
 
     @property
     def core(self) -> HypTerms:
-        """``t(0) = 1``, ``t(n+1) / t(n) = z prod_g (n + x_g) / (n + y_g)``."""
+        """Term ``n`` is ``z^n prod_g (x_g)_n / (y_g)_n``."""
         upper = tuple((1, x) for x in self.upper)
         lower = tuple((1, y) for y in self.lower)
         return HypTerms(Fraction(1), self.z, upper, lower)

@@ -4,7 +4,7 @@ The package generates every term by a ratio recurrence; these functions
 compute term ``n`` directly as closed Pochhammer products.
 """
 
-from betaseries import pochhammer, weight_values
+from betaseries import pochhammer
 
 
 def _poch_ratio(spec, shift, n):
@@ -28,7 +28,15 @@ def grouped_term(grouped, n):
 
 
 def derived_term(ds, n):
-    """Term ``n`` of a ``DerivedSeries``: Pochhammer products times ``w(n)``."""
-    t = pochhammer(ds.a + 1, ds.k * n) * pochhammer(ds.b + 1, ds.s * n)
-    t /= pochhammer(ds.a + ds.b + 2, (ds.k + ds.s) * n) * ds.z**n
-    return t * weight_values(ds, n)
+    """Term ``n`` of a ``DerivedSeries``, weight included, in closed form.
+
+    ``sum_j q_j (a+1)_{kn+j} (b+1)_{sn} / ((a+b+2)_{(k+s)n+j} z^n)`` over the
+    coefficients ``q_j`` of Q; it shares no code with ``weight_values``.
+    """
+    a, b, k, s = ds.a, ds.b, ds.k, ds.s
+    common = pochhammer(b + 1, s * n) / ds.z**n
+    return sum(
+        q * common * pochhammer(a + 1, k * n + j)
+        / pochhammer(a + b + 2, (k + s) * n + j)
+        for j, q in enumerate(ds.qcoeffs)
+    )

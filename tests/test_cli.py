@@ -187,6 +187,13 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "not allowed with argument" in proc.stderr
+        # --only filters --all; with --id it used to be ignored silently
+        proc = run_cli(
+            "verify", "--id", "eq-3.3", "--only", "eq-5.*", "--digits", "10"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "betaseries verify: error: --only" in proc.stderr
 
 
 class TestUsage:
@@ -244,6 +251,21 @@ class TestUsage:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"argument --expr: {message}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1/(n-1)^2", "error: division by zero at n=1"),
+            ("1 + (n-2)^(-1)", "error: zero base with negative exponent at n=2"),
+        ],
+        ids=["division", "power"],
+    )
+    def test_zero_at_an_index_is_a_failure_without_position(self, expr, message):
+        # the zero is found only when evaluating term n: no source position
+        proc = run_cli("eval", "--expr", expr, "--digits", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == message
 
     def test_empty_coefficient_is_not_dropped(self):
         # 1 + 0x + 2x^2 integrates to 5/3; dropping the empty field gave 1 + 2x

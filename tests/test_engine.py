@@ -40,8 +40,17 @@ class TestPochhammer:
             assert pochhammer(x, 0) == 1
 
     def test_negative_length(self):
-        with pytest.raises(ValueError):
-            pochhammer(F(1), -1)
+        for x in (F(1), F(-5, 2), 0):
+            with pytest.raises(ValueError):
+                pochhammer(x, -1)
+
+    @pytest.mark.parametrize("x", [F(0), F(1), F(-3), F(7, 6), F(-5, 2), F(-1, 3)])
+    def test_matches_defining_product(self, x):
+        # the integer kernel against x (x+1) ... (x+m-1), one Fraction at a time
+        expected = F(1)
+        for m in range(41):
+            assert pochhammer(x, m) == expected
+            expected *= x + m
 
     def test_multisection_identity(self):
         # (a)_{nk} == prod_{y<k} ((a+y)/k)_n * k^{kn}
@@ -110,6 +119,26 @@ class TestEvaluateDerived:
             gen = derived_terms(ds)
             for n in range(21):
                 assert next(gen) == derived_term(ds, n)
+
+    @pytest.mark.parametrize(
+        "k, s, p",
+        [
+            (0, 3, [3, 1]),
+            (0, 1, [1, F(1, 3)]),
+            (3, 0, [2, -1]),
+            (1, 0, [3, 1]),
+            (2, 4, [3, 1]),
+        ],
+        ids=["k0", "k0-s1", "s0", "s0-k1", "k2-s4"],
+    )
+    def test_recurrence_matches_scratch_for_any_kernel(self, k, s, p):
+        # one symbol per (a+1)_{kn}, (b+1)_{sn}, (a+b+2)_{(k+s)n}, even of length 0
+        ds = solve_seed(SeedIntegral(a=F(-1, 2), b=F(1, 3), p=Polynomial(p)), k, s)
+        core = derived_core(ds)
+        assert len(core.num) + len(core.den) == 3
+        gen = derived_terms(ds)
+        for n in range(30):
+            assert next(gen) == derived_term(ds, n)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_grouped_weighted_core_sums_consecutive_terms(self, m):

@@ -159,6 +159,15 @@ class TestErrors:
                 parse_term_expr(text)
             assert (err.value.line, err.value.column) == (1, column)
 
+    def test_zero_at_an_index_names_the_index(self):
+        # only evaluation finds it, so it is not a semantic error with a position
+        for text, n in (("1/(n-1)^2", 1), ("(n-3)^(-2)", 3)):
+            ast = parse_term_expr(text)
+            for i in range(n):
+                evaluate(ast, i)
+            with pytest.raises(ZeroDivisionError, match=f"at n={n}$"):
+                evaluate(ast, n)
+
 
 class TestLinearForm:
     def test_basic(self):
