@@ -12,20 +12,27 @@ nodes) until two successive levels agree to ``target_digits + 5``; failure
 to converge within ``max_levels`` halvings raises.
 
 The transform of a node does not depend on the problem.  For each ``t >= 0``
-the values ``(x, 1-x, pi cosh t)`` are computed once per working precision
-(``mp.prec``) and kept in that precision's node table; every later integral
-at that precision reads them from there.  The nodes at ``t`` and ``-t`` are
-evaluated together from one entry, since the node at ``-t`` is the node at
-``t`` with ``x`` and ``1-x`` swapped.  Only ``x^a``, ``(1-x)^b``, the
-numerator and the denominator are evaluated per problem.  Every value is
-rounded exactly as when each node was computed on its own, so results do
-not depend on what the tables already hold.
+the values ``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` are computed once per
+working precision (``mp.prec``) and kept in that precision's node table;
+every later integral at that precision reads them from there.  The nodes at
+``t`` and ``-t`` are evaluated together from one entry, since the node at
+``-t`` is the node at ``t`` with ``x`` and ``1-x`` (and their logarithms)
+swapped.  Only ``x^a (1-x)^b``, the numerator and the denominator are
+evaluated per problem.  When ``a`` or ``b`` has a denominator above 2,
+``x^a (1-x)^b`` is ``exp(a ln x + b ln(1-x))``, one exponential where two
+general powers would each take a logarithm and an exponential; integer and
+half-integer exponents keep mpmath's cheaper powers.  Every value a node
+contributes is computed the same way whether its transform is fresh or
+read from a table, so results do not depend on what the tables already
+hold.  Where the exponential is taken, results are not bit-identical to
+powers rounded one by one; they agree with them to about ``10^-(d+15)``
+relative.
 
 The node tables live in ``_cache``, the process-wide cache of
 precision-keyed constants that ``references`` also uses for its reference
 values.  They last as long as the process, or until ``_cache.clear()``; a
-table keeps the mantissa and exponent of each value (about 0.65 MB for
-the 1 813 nodes of ``verify --all --digits 100``).
+table keeps the mantissa and exponent of each value (about 0.64 MB for
+the 901 nodes of ``verify --all --digits 100``).
 """
 
 from __future__ import annotations
@@ -107,22 +114,25 @@ def _horner(coeffs: Tuple[mpf, ...], x: mpf) -> mpf:
 _cache: dict = {}
 
 
-def _node(table: dict, t: mpf) -> Tuple[mpf, mpf, mpf]:
-    """``(x, 1-x, pi cosh t)`` of the node at ``t >= 0``, at ``mp.prec``.
+def _node(table: dict, t: mpf) -> Tuple[mpf, mpf, mpf, mpf, mpf]:
+    """``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` of the node at ``t >= 0``.
 
     ``table`` is the node table of ``mp.prec``.  The values are computed on
     the first call for ``t`` and kept there, keyed by ``float(t)`` (exact,
     since ``t = j / 2^level``), as the mantissa and exponent of each: all
-    three are positive and normalized, so the sign is 0 and the bit count
-    is the mantissa's.  ``1-x`` is computed directly, not by subtraction, so
-    it keeps full relative precision as ``x`` approaches 1.
+    five are positive and normalized, so the sign is 0 and the bit count
+    is the mantissa's.  With ``u = (pi/2) sinh t`` and ``e = exp(-2u)``,
+    ``1-x = e / (1+e)`` is computed directly, not by subtraction, so it
+    keeps full relative precision as ``x`` approaches 1; likewise
+    ``-ln x = log1p(e)`` and ``-ln(1-x) = 2u - ln x``.
     """
     key = float(t)
     entry = table.get(key)
     if entry is None:
         u = mp.pi / 2 * mp.sinh(t)
         em = mp.exp(-2 * u)
-        values = (1 / (1 + em), em / (1 + em), mp.pi * mp.cosh(t))
+        nlx = mp.log1p(em)
+        values = (1 / (1 + em), em / (1 + em), mp.pi * mp.cosh(t), nlx, 2 * u + nlx)
         entry = table[key] = tuple(part for v in values for part in v._mpf_[1:3])
     return tuple(
         mp.make_mpf((0, man, exp, man.bit_length()))
@@ -166,12 +176,25 @@ def integrate(
 
         nodes = _cache.setdefault(("tanh-sinh nodes", mp.prec), {})
 
-        def weighted(x: mpf, omx: mpf, pc: mpf) -> mpf:
+        if max(problem.a.denominator, problem.b.denominator) > 2:
+            # A general power costs a logarithm and an exponential; with the
+            # logarithms tabled, x^a (1-x)^b costs one exponential.
+            na, nb = -a, -b
+
+            def powers(x: mpf, omx: mpf, nlx: mpf, nlomx: mpf) -> mpf:
+                return mp.exp(na * nlx + nb * nlomx)
+
+        else:
+            # Integer and half-integer powers take mpmath's cheaper
+            # repeated-squaring and square-root paths.
+
+            def powers(x: mpf, omx: mpf, nlx: mpf, nlomx: mpf) -> mpf:
+                return x**a * omx**b
+
+        def weighted(x: mpf, omx: mpf, pc: mpf, nlx: mpf, nlomx: mpf) -> mpf:
             """Transformed integrand times dx/dt at the node ``(x, 1-x)``."""
-            if x == 0 or omx == 0:
-                return mpf(0)
             weight = pc * x * omx
-            val = x**a * omx**b * _horner(num_coeffs, x) / denom(x, omx)
+            val = powers(x, omx, nlx, nlomx) * _horner(num_coeffs, x) / denom(x, omx)
             return val * weight
 
         trunc_tol = mpf(10) ** (-(wp + 5))
@@ -181,15 +204,18 @@ def integrate(
         def pair_sum(h: mpf, start: int, step: int) -> mpf:
             """Sum over j = start, start+step, ... of the nodes at +-j*h.
 
-            The node at -t is the node at t with x and 1-x swapped, so its
-            weight is ``pc * (1-x) * x``, rounded in that order.
+            The node at -t is the node at t with x and 1-x (and their
+            logarithms) swapped, so its weight is ``pc * (1-x) * x``,
+            rounded in that order.
             """
             total = mpf(0)
             small = 0
             j = start
             while j * h <= t_cap:
-                x, omx, pc = _node(nodes, j * h)
-                contrib = weighted(x, omx, pc) + weighted(omx, x, pc)
+                x, omx, pc, nlx, nlomx = _node(nodes, j * h)
+                contrib = weighted(x, omx, pc, nlx, nlomx) + weighted(
+                    omx, x, pc, nlomx, nlx
+                )
                 total += contrib
                 if abs(contrib) < trunc_tol:
                     small += 1

@@ -16,6 +16,7 @@ from betaseries.quadrature import (
 from betaseries.references import (
     asin_of,
     atan_of,
+    beta_value,
     catalan_accelerated,
     gamma_combination,
     ln2_series,
@@ -214,7 +215,89 @@ class TestReferenceConstants:
         assert all(v == values[0] for v in values)
 
 
+def _mpf(r):
+    return mpf(r.numerator) / r.denominator
+
+
+#: every Beta argument the catalog uses: the Gamma(1/3)^3, Gamma(1/4)^2 and
+#: Gamma(1/5) records, and the two Beta values of each kummer(h)
+CATALOG_BETA_PAIRS = [(F(1, 3), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 5), F(1, 5))]
+for _h in (F(1, 3), F(1, 4), F(1, 5)):
+    CATALOG_BETA_PAIRS += [(_h, 2 - 2 * _h), (F(1, 2), F(3, 2) - _h)]
+
+
+def _pair_id(pq):
+    return f"{pq[0]},{pq[1]}"
+
+
+class TestBetaSeries:
+    """``beta_value`` (Gauss series) against quadrature and against mpmath."""
+
+    @pytest.mark.parametrize("pq", CATALOG_BETA_PAIRS, ids=_pair_id)
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_against_quadrature(self, digits, pq):
+        p, q = pq
+        series = beta_value(p, q, digits)
+        quad = integrate(QuadratureProblem(a=p - 1, b=q - 1), digits)
+        with mp.workdps(digits + 20):
+            assert abs(series - quad) <= mpf(10) ** -(digits + 5) * quad
+
+    @pytest.mark.parametrize("pq", CATALOG_BETA_PAIRS, ids=_pair_id)
+    def test_against_mpmath_at_300_digits(self, pq):
+        p, q = pq
+        value = beta_value(p, q, 300)
+        with mp.workdps(330):
+            exact = mp.beta(_mpf(p), _mpf(q))
+            assert abs(value - exact) <= mpf(10) ** -310 * exact
+
+    def test_against_mpmath_at_1000_digits(self):
+        for p, q in CATALOG_BETA_PAIRS[:3]:
+            value = beta_value(p, q, 1000)
+            with mp.workdps(1030):
+                exact = mp.beta(_mpf(p), _mpf(q))
+                assert abs(value - exact) <= mpf(10) ** -1010 * exact
+
+    @pytest.mark.parametrize("p", [F(1, 3), F(7, 2), F(5), F(123, 10)])
+    def test_terminating(self, p):
+        # B(p, 1) = 1/p and B(p, 2) = 1/(p (p+1)): one series stops after
+        # q terms, the other has the closed form's irrational parts cancel
+        with mp.workdps(80):
+            for q, exact in ((F(1), 1 / p), (F(2), 1 / (p * (p + 1)))):
+                value = beta_value(p, q, 60)
+                assert abs(value - _mpf(exact)) <= mpf(10) ** -70 * _mpf(exact)
+                assert beta_value(q, p, 60) == value
+
+    def test_rejects_nonpositive_parameters(self):
+        with pytest.raises(ValueError):
+            beta_value(F(0), F(1, 2), 30)
+        with pytest.raises(ValueError):
+            beta_value(F(1, 2), F(-1, 3), 30)
+
+
+def _kummer_gamma(h):
+    h = _mpf(h)
+    return mp.sqrt(mp.pi) * mp_gamma(2 - 2 * h) * mp_gamma(h) / (2 * mp_gamma(1.5 - h))
+
+
+#: the catalog's Gamma values, each by mpmath's Gamma at the caller's precision
+GAMMA_VALUES = {
+    "G13cubed": lambda: mp_gamma(mpf(1) / 3) ** 3,
+    "G14sq": lambda: mp_gamma(mpf(1) / 4) ** 2,
+    "G34sq": lambda: mp_gamma(mpf(3) / 4) ** 2,
+    "kummer(1/3)": lambda: _kummer_gamma(F(1, 3)),
+    "kummer(1/4)": lambda: _kummer_gamma(F(1, 4)),
+    "kummer(1/5)": lambda: _kummer_gamma(F(1, 5)),
+}
+
+
 class TestGammaCombinations:
+    @pytest.mark.parametrize("tag", sorted(GAMMA_VALUES))
+    def test_against_mpmath_gamma_at_100_digits(self, tag):
+        value = gamma_combination(tag, 100)
+        with mp.workdps(130):
+            expected = GAMMA_VALUES[tag]()
+            assert abs(value - expected) <= mpf(10) ** -100 * abs(expected)
+
     def test_kummer_half_collapses_to_half_pi(self):
         value = gamma_combination("kummer(1/2)", 30)
         with mp.workdps(45):
