@@ -17,7 +17,6 @@ from .derive import (
     NotDivisibleError,
     ParamDerivedSeries,
     SeedIntegral,
-    convergence_bound,
     solve_seed,
     solve_seed_param,
     weight_values,
@@ -32,7 +31,7 @@ from .engine import (
     predicted_rate,
     sum_terms,
 )
-from .expressions import parse_term_expr, pochhammer, to_text
+from .expressions import parse_term_expr, pochhammer
 from .hyper import (
     GroupedSeries,
     HypSeriesSpec,
@@ -44,6 +43,7 @@ from .hyper import (
 from .polynomials import (
     ParamPolynomial,
     Polynomial,
+    convergence_bound,
     expand_kernel,
     poly_divmod,
     rational,
@@ -93,7 +93,6 @@ __all__ = [
     "solve_seed",
     "solve_seed_param",
     "sum_terms",
-    "to_text",
     "verify",
     "verify_grouping",
     "weight_values",

@@ -23,6 +23,7 @@ from .polynomials import (
     ParamPolynomial,
     Polynomial,
     RationalLike,
+    convergence_bound,
     expand_kernel,
     has_root_on_unit_interval,
     poly_divmod,
@@ -44,20 +45,6 @@ class DivergentSeriesError(DerivationError):
 
 class DegenerateSeriesError(DerivationError):
     """z = 0: the series prefactor is undefined."""
-
-
-def convergence_bound(k: int, s: int) -> Fraction:
-    """Supremum of ``x^k (1-x)^s`` on [0, 1]: ``k^k s^s / (k+s)^(k+s)``.
-
-    Equals 1 when either exponent vanishes (the extremum moves to an
-    endpoint).  A derived series converges iff ``|z|`` strictly exceeds
-    this bound.
-    """
-    if k < 0 or s < 0:
-        raise ValueError("exponents must be nonnegative")
-    if k == 0 or s == 0:
-        return Fraction(1)
-    return Fraction(k**k * s**s, (k + s) ** (k + s))
 
 
 @dataclass(frozen=True)

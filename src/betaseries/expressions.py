@@ -17,10 +17,15 @@ Grammar (whitespace insignificant)::
             | 'binom' '(' expr ',' expr ')'
             | 'poch' '(' expr ',' expr ')'
 
-Rational literals like ``7/6`` arrive through the division operator and are
-folded into a single literal at parse time, as is all other constant
-arithmetic; ``(-1296)^n`` therefore has a plain rational base.  Operators
-associate left within a precedence level.
+Operators associate left within a precedence level.  Every polynomial
+subexpression in ``n`` folds at parse time into one node, ``Poly``, that
+holds an exact ``polynomials.Polynomial``: integer literals and ``n`` are
+polynomials, and so are their sums, differences, products, negations,
+quotients by a constant and powers with a constant exponent ``k >= 0``.
+So ``7/6`` is one constant, ``(-1296)^n`` has a plain rational base, and
+``(2*n+1)^2`` is the single polynomial ``4n^2 + 4n + 1``.  A constant
+raised to a negative integer power folds too.  Expressions are parsed and
+evaluated only; there is no serializer.
 
 Two kinds of power survive parsing: ``expr ^ INT`` (constant integer
 exponent) and ``RATIONAL ^ linear-in-n``.  Arguments of ``fact``/``binom``
@@ -39,9 +44,12 @@ raises ``ZeroDivisionError`` naming that ``n``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
+
+from .polynomials import Polynomial
 
 
 class ExprError(ValueError):
@@ -68,13 +76,10 @@ class ExprSemanticError(ExprError):
 
 
 @dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Poly:
+    """A polynomial in the index n with rational coefficients."""
 
-
-@dataclass(frozen=True)
-class Var:
-    """The summation index n."""
+    p: Polynomial
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ class Poch:
     length: "TermExpr"
 
 
-TermExpr = Union[Lit, Var, Add, Sub, Mul, Div, Neg, PowInt, PowN, Fact, Binom, Poch]
+TermExpr = Union[Poly, Add, Sub, Mul, Div, Neg, PowInt, PowN, Fact, Binom, Poch]
 
 
 # --------------------------------------------------------------------------
@@ -149,45 +154,14 @@ TermExpr = Union[Lit, Var, Add, Sub, Mul, Div, Neg, PowInt, PowN, Fact, Binom, P
 
 def linear_form(node: TermExpr) -> Optional[Tuple[Fraction, Fraction]]:
     """Return (slope, intercept) if ``node`` is linear in n, else None."""
-    if isinstance(node, Lit):
-        return Fraction(0), node.value
-    if isinstance(node, Var):
-        return Fraction(1), Fraction(0)
-    if isinstance(node, Neg):
-        f = linear_form(node.operand)
-        return None if f is None else (-f[0], -f[1])
-    if isinstance(node, (Add, Sub)):
-        lf, rf = linear_form(node.left), linear_form(node.right)
-        if lf is None or rf is None:
-            return None
-        if isinstance(node, Add):
-            return lf[0] + rf[0], lf[1] + rf[1]
-        return lf[0] - rf[0], lf[1] - rf[1]
-    if isinstance(node, Mul):
-        lf, rf = linear_form(node.left), linear_form(node.right)
-        if lf is None or rf is None:
-            return None
-        if lf[0] == 0:
-            return lf[1] * rf[0], lf[1] * rf[1]
-        if rf[0] == 0:
-            return rf[1] * lf[0], rf[1] * lf[1]
-        return None
-    if isinstance(node, Div):
-        lf, rf = linear_form(node.left), linear_form(node.right)
-        if lf is None or rf is None or rf[0] != 0 or rf[1] == 0:
-            return None
-        return lf[0] / rf[1], lf[1] / rf[1]
-    if isinstance(node, PowInt):
-        f = linear_form(node.base)
-        if f is None:
-            return None
-        if node.exponent == 0:
-            return Fraction(0), Fraction(1)
-        if node.exponent == 1:
-            return f
-        if f[0] == 0:
-            return Fraction(0), f[1] ** node.exponent
-        return None
+    if isinstance(node, Poly) and node.p.degree <= 1:
+        return node.p.coefficient(1), node.p.coefficient(0)
+    return None
+
+
+def _const_value(node: TermExpr) -> Optional[Fraction]:
+    if isinstance(node, Poly) and node.p.degree <= 0:
+        return node.p.coefficient(0)
     return None
 
 
@@ -205,12 +179,24 @@ def _nonneg_integer_linear(node: TermExpr, what: str, tok: _Token) -> None:
     raise ExprSemanticError(message, tok.line, tok.column)
 
 
+def _index(node: Poly, n: int) -> int:
+    """Value at ``n`` of a polynomial the parser proved integer-coefficient."""
+    acc = 0
+    for c in reversed(node.p.coeffs):
+        acc = acc * n + c.numerator
+    return acc
+
+
 def evaluate(node: TermExpr, n: int) -> Fraction:
     """Exact value of the expression at index ``n``."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return Fraction(n)
+    if isinstance(node, Poly):
+        # Horner in integers over the running common denominator: one
+        # reduction per polynomial instead of one per Fraction operation
+        num, den = 0, 1
+        for c in reversed(node.p.coeffs):
+            num = num * n * c.denominator + c.numerator * den
+            den *= c.denominator
+        return Fraction(num, den)
     if isinstance(node, Add):
         return evaluate(node.left, n) + evaluate(node.right, n)
     if isinstance(node, Sub):
@@ -230,15 +216,13 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
             raise ZeroDivisionError(f"zero base with negative exponent at n={n}")
         return base ** node.exponent
     if isinstance(node, PowN):
-        return node.base ** int(evaluate(node.exponent, n))
+        return node.base ** _index(node.exponent, n)
     if isinstance(node, Fact):
-        return Fraction(math.factorial(int(evaluate(node.arg, n))))
+        return Fraction(math.factorial(_index(node.arg, n)))
     if isinstance(node, Binom):
-        return Fraction(
-            math.comb(int(evaluate(node.top, n)), int(evaluate(node.bottom, n)))
-        )
+        return Fraction(math.comb(_index(node.top, n), _index(node.bottom, n)))
     if isinstance(node, Poch):
-        return pochhammer(node.base, int(evaluate(node.length, n)))
+        return pochhammer(node.base, _index(node.length, n))
     raise TypeError(f"not a TermExpr node: {node!r}")
 
 
@@ -263,6 +247,20 @@ def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
 # --------------------------------------------------------------------------
 
 _FUNRS = ("fact", "binom", "poch")
+_NODES = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _binary(op: str, left: TermExpr, right: TermExpr) -> TermExpr:
+    """``left op right``, folded into one ``Poly`` when both sides are
+    polynomials (for ``/``, when the divisor is a constant)."""
+    if isinstance(left, Poly) and isinstance(right, Poly):
+        if op in _FOLDS:
+            return Poly(_FOLDS[op](left.p, right.p))
+        divisor = _const_value(right)
+        if divisor is not None:
+            return Poly(left.p * (1 / divisor))
+    return _NODES[op](left, right)
 
 
 @dataclass(frozen=True)
@@ -352,8 +350,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                node = _fold(Add(node, rhs) if tok.text == "+" else Sub(node, rhs))
+                node = _binary(tok.text, node, self.term())
             else:
                 return node
 
@@ -364,14 +361,11 @@ class _Parser:
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
                 rhs = self.unary()
-                if tok.text == "/":
-                    if rhs == Lit(Fraction(0)):
-                        raise ExprSemanticError(
-                            "division by zero constant", tok.line, tok.column
-                        )
-                    node = _fold(Div(node, rhs))
-                else:
-                    node = _fold(Mul(node, rhs))
+                if tok.text == "/" and _const_value(rhs) == 0:
+                    raise ExprSemanticError(
+                        "division by zero constant", tok.line, tok.column
+                    )
+                node = _binary(tok.text, node, rhs)
             else:
                 return node
 
@@ -379,7 +373,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return _fold(Neg(self.unary()))
+            operand = self.unary()
+            return Poly(-operand.p) if isinstance(operand, Poly) else Neg(operand)
         return self.power()
 
     def power(self) -> TermExpr:
@@ -394,18 +389,22 @@ class _Parser:
                 return node
 
     def _make_pow(self, base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
-        if isinstance(exponent, Lit):
-            if exponent.value.denominator != 1:
+        c, k = _const_value(base), _const_value(exponent)
+        if k is not None:
+            if k.denominator != 1:
                 raise ExprSemanticError(
                     "constant exponent must be an integer", tok.line, tok.column
                 )
-            if exponent.value < 0 and base == Lit(Fraction(0)):
+            if k < 0 and c == 0:
                 raise ExprSemanticError(
                     "zero base with negative exponent", tok.line, tok.column
                 )
-            return _fold(PowInt(base, int(exponent.value)))
-        base_f = _const_value(base)
-        if base_f is None:
+            if c is not None:
+                return Poly(Polynomial.constant(c ** int(k)))
+            if isinstance(base, Poly) and k >= 0:
+                return Poly(base.p ** int(k))
+            return PowInt(base, int(k))
+        if c is None:
             raise ExprSemanticError(
                 "variable exponent requires a constant rational base",
                 tok.line,
@@ -418,19 +417,19 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
-        if base_f == 0 and (f[0] < 0 or f[1] < 0):
+        if c == 0 and (f[0] < 0 or f[1] < 0):
             raise ExprSemanticError(
                 "zero base with possibly negative exponent", tok.line, tok.column
             )
-        return PowN(base_f, exponent)
+        return PowN(c, exponent)
 
     def atom(self) -> TermExpr:
         tok = self.advance()
         if tok.kind == "int":
-            return Lit(Fraction(int(tok.text)))
+            return Poly(Polynomial.constant(int(tok.text)))
         if tok.kind == "name":
             if tok.text == "n":
-                return Var()
+                return Poly(Polynomial.x())
             if tok.text in _FUNRS:
                 self.expect("(")
                 first = self.expr()
@@ -466,91 +465,6 @@ class _Parser:
         )
 
 
-def _const_value(node: TermExpr) -> Optional[Fraction]:
-    return node.value if isinstance(node, Lit) else None
-
-
-def _fold(node: TermExpr) -> TermExpr:
-    """Constant-fold literal arithmetic so e.g. ``7/6`` becomes one literal."""
-    if isinstance(node, Neg) and isinstance(node.operand, Lit):
-        return Lit(-node.operand.value)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        if isinstance(node.left, Lit) and isinstance(node.right, Lit):
-            a, b = node.left.value, node.right.value
-            if isinstance(node, Add):
-                return Lit(a + b)
-            if isinstance(node, Sub):
-                return Lit(a - b)
-            if isinstance(node, Mul):
-                return Lit(a * b)
-            return Lit(a / b)
-    if isinstance(node, PowInt) and isinstance(node.base, Lit):
-        return Lit(node.base.value ** node.exponent)
-    return node
-
-
 def parse_term_expr(text: str) -> TermExpr:
     """Parse a term expression in the summand grammar, checking it on the way."""
     return _Parser(text).parse()
-
-
-# --------------------------------------------------------------------------
-# Serialization (canonical text that reparses to an equal AST)
-# --------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node: TermExpr) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, (PowInt, PowN)):
-        return _PREC_POW
-    if isinstance(node, Lit) and (node.value < 0 or node.value.denominator != 1):
-        return _PREC_MUL  # prints with '/' or '-': parenthesize like a product
-    return _PREC_ATOM
-
-
-def _wrap(node: TermExpr, minimum: int) -> str:
-    text = to_text(node)
-    return f"({text})" if _prec(node) < minimum else text
-
-
-def _rat_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def to_text(node: TermExpr) -> str:
-    """Render an AST to grammar text; ``parse_term_expr`` inverts it."""
-    if isinstance(node, Lit):
-        return _rat_text(node.value)
-    if isinstance(node, Var):
-        return "n"
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Neg):
-        return f"-{_wrap(node.operand, _PREC_NEG)}"
-    if isinstance(node, PowInt):
-        return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}" if node.exponent >= 0 else f"{_wrap(node.base, _PREC_ATOM)}^({node.exponent})"
-    if isinstance(node, PowN):
-        base = _rat_text(node.base)
-        if node.base < 0 or node.base.denominator != 1:
-            base = f"({base})"
-        return f"{base}^{_wrap(node.exponent, _PREC_ATOM)}"
-    if isinstance(node, Fact):
-        return f"fact({to_text(node.arg)})"
-    if isinstance(node, Binom):
-        return f"binom({to_text(node.top)},{to_text(node.bottom)})"
-    if isinstance(node, Poch):
-        return f"poch({_rat_text(node.base)},{to_text(node.length)})"
-    raise TypeError(f"not a TermExpr node: {node!r}")

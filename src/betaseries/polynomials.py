@@ -9,7 +9,9 @@ multiplication, powers, equality, hashing and the long division
 divisor's leading x-coefficient must be a nonzero constant, which keeps
 every quotient inside the ring (no rational functions of ``w`` ever
 appear).  ``ParamPolynomial`` adds only exact specialization at a rational
-``w``.  Root counting on [0, 1] (Sturm chains) works over Q.
+``w``.  Root counting on [0, 1] (Sturm chains) works over Q.  The kernel
+facts that seed solving and the quadrature oracle share live here too:
+``expand_kernel`` and ``convergence_bound``.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
@@ -271,6 +273,20 @@ def expand_kernel(k: int, s: int) -> Polynomial:
         # -x^k * C(s,j) * (-x)^j contributes (-1)^(j+1) C(s,j) x^(k+j)
         coeffs[k + j] = Fraction(comb(s, j) * (-1 if j % 2 == 0 else 1))
     return Polynomial(coeffs)
+
+
+def convergence_bound(k: int, s: int) -> Fraction:
+    """Supremum of ``x^k (1-x)^s`` on [0, 1]: ``k^k s^s / (k+s)^(k+s)``.
+
+    Equals 1 when either exponent vanishes (the extremum moves to an
+    endpoint).  A derived series converges iff ``|z|`` strictly exceeds
+    this bound.
+    """
+    if k < 0 or s < 0:
+        raise ValueError("exponents must be nonnegative")
+    if k == 0 or s == 0:
+        return Fraction(1)
+    return Fraction(k**k * s**s, (k + s) ** (k + s))
 
 
 def derivative(p: Polynomial) -> Polynomial:

@@ -43,8 +43,12 @@ from typing import Tuple, Union
 
 from mpmath import mp, mpf
 
-from .derive import convergence_bound
-from .polynomials import Polynomial, has_root_on_unit_interval, rational
+from .polynomials import (
+    Polynomial,
+    convergence_bound,
+    has_root_on_unit_interval,
+    rational,
+)
 
 
 class QuadratureError(ArithmeticError):

@@ -187,8 +187,14 @@ class TestCatalogWideInvariants:
             fitted = measured_rate(result.partial_sums[10:], reference.value)
             assert fitted == pytest.approx(rate, abs=0.05), record.id
 
-    def test_parser_roundtrip_for_every_catalog_expression(self):
-        from betaseries.expressions import parse_term_expr, to_text
+    def test_every_catalog_expression_matches_python_eval(self):
+        # an oracle that shares no code with the parser: Python evaluates the
+        # same text, with '^' as '**', exact Fraction literals and n, and
+        # fact/binom from the math module
+        import math
+        import re
+
+        from betaseries.expressions import evaluate, parse_term_expr
 
         expressions = []
 
@@ -208,9 +214,34 @@ class TestCatalogWideInvariants:
             collect(record.lhs)
             collect(record.rhs)
         assert len(expressions) >= 20
+
+        def index(x):
+            assert x.denominator == 1 and x >= 0
+            return int(x)
+
+        def poch(x, m):
+            value = F(1)
+            for j in range(index(m)):
+                value *= x + j
+            return value
+
+        names = {
+            "F": F,
+            "fact": lambda x: F(math.factorial(index(x))),
+            "binom": lambda a, b: F(math.comb(index(a), index(b))),
+            "poch": poch,
+        }
         for text in expressions:
+            # '^' associates left, Python's '**' right: no chain may differ
+            flat = "".join(text.split())
+            while "(" in flat:
+                flat = re.sub(r"\w*\([^()]*\)", "A", flat)
+            assert not re.search(r"\^\w+\^", flat), text
+            code = re.sub(r"\d+", r"F(\g<0>)", text).replace("^", "**")
             ast = parse_term_expr(text)
-            assert parse_term_expr(to_text(ast)) == ast
+            for n in range(40):
+                expected = eval(code, dict(names, n=F(n)))
+                assert evaluate(ast, n) == expected, (text, n)
 
 
 class TestRunAll:

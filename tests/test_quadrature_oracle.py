@@ -222,3 +222,15 @@ def test_too_few_levels_raise():
     with pytest.raises(QuadratureError) as theirs:
         reference_integrate(p, 30, max_levels=1)
     assert str(ours.value) == str(theirs.value)
+
+
+def test_imports_no_derivation_code():
+    # the quadrature is an independent check of derived series
+    import ast
+    import inspect
+
+    from betaseries import quadrature
+
+    tree = ast.parse(inspect.getsource(quadrature))
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "derive" not in modules and "expressions" not in modules
