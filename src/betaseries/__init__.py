@@ -45,10 +45,11 @@ from .polynomials import (
     Polynomial,
     convergence_bound,
     expand_kernel,
+    kernel_polynomial,
     poly_divmod,
     rational,
 )
-from .quadrature import KernelForm, QuadratureProblem, integrate
+from .quadrature import QuadratureProblem, integrate
 from .references import gamma_combination, reference
 
 __version__ = "0.1.0"
@@ -63,7 +64,6 @@ __all__ = [
     "GroupedSeries",
     "HypSeriesSpec",
     "IdentityRecord",
-    "KernelForm",
     "NotDivisibleError",
     "ParamDerivedSeries",
     "ParamPolynomial",
@@ -81,6 +81,7 @@ __all__ = [
     "group",
     "hyp_rate",
     "integrate",
+    "kernel_polynomial",
     "load_catalog",
     "measured_rate",
     "parse_term_expr",

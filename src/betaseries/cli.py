@@ -21,8 +21,8 @@ from .derive import SeedIntegral, solve_seed, solve_seed_param
 from .engine import evaluate_derived, evaluate_expr, predicted_rate
 from .expressions import ExprError, TermExpr, parse_term_expr
 from .hyper import GroupedSeries, eval_hyp, group, hyp_rate
-from .polynomials import ParamPolynomial, Polynomial, rational
-from .quadrature import KernelForm, QuadratureProblem, integrate
+from .polynomials import ParamPolynomial, Polynomial, kernel_polynomial, rational
+from .quadrature import QuadratureProblem, integrate
 from .wire import (
     float_str,
     hyp_spec_from_dict,
@@ -56,13 +56,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _rational_list(text: str) -> list:
+def _polynomial(text: str) -> Polynomial:
     """argparse type of comma-separated coefficients, ascending degree.
 
     An empty field is an error, not a coefficient to drop: ``1,,2`` is not
     ``1 + 2x``.
     """
-    return [_rational(part) for part in text.split(",")]
+    return Polynomial([_rational(part) for part in text.split(",")])
 
 
 def _rational_rows(text: str) -> list:
@@ -82,8 +82,11 @@ def _term_expr(text: str) -> TermExpr:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _kernel(text: str) -> KernelForm:
-    """argparse type of ``--kernel z,k,s``: rational z, integers k, s."""
+def _kernel(text: str) -> Polynomial:
+    """argparse type of ``--kernel z,k,s``: ``z - x^k (1-x)^s``, expanded.
+
+    z is rational; k and s are integers, nonnegative with ``k + s >= 1``.
+    """
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"takes z,k,s, got {text!r}")
@@ -94,7 +97,7 @@ def _kernel(text: str) -> KernelForm:
             f"k and s must be integers, got {text!r}"
         ) from None
     try:
-        return KernelForm(z=_rational(parts[0]), k=k, s=s)
+        return kernel_polynomial(_rational(parts[0]), k, s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -155,15 +158,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    if args.kernel is not None:
-        denominator = args.kernel
-    elif args.p is not None:
-        denominator = Polynomial(args.p)
-    else:
-        denominator = None
-    numerator = Polynomial(args.num) if args.num is not None else Polynomial((1,))
     problem = QuadratureProblem(
-        a=args.a, b=args.b, numerator=numerator, denominator=denominator
+        a=args.a, b=args.b, numerator=args.num, denominator=args.denominator
     )
     value = integrate(problem, args.digits)
     _emit({"value": float_str(value, args.digits), "digits": args.digits})
@@ -241,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("integrate", help="quadrature of x^a (1-x)^b N/D on [0,1]")
     i.add_argument("--a", required=True, type=_rational)
     i.add_argument("--b", required=True, type=_rational)
-    i.add_argument("--num", type=_rational_list, help="numerator coefficients, ascending")
+    i.add_argument("--num", type=_polynomial, default=Polynomial.one(), help="numerator coefficients, ascending")
     denominator = i.add_mutually_exclusive_group()
-    denominator.add_argument("--p", type=_rational_list, help="denominator polynomial coefficients, ascending")
-    denominator.add_argument("--kernel", type=_kernel, help="kernel denominator as z,k,s")
+    denominator.add_argument("--p", dest="denominator", metavar="P", type=_polynomial, default=Polynomial.one(), help="denominator polynomial coefficients, ascending")
+    denominator.add_argument("--kernel", dest="denominator", metavar="KERNEL", type=_kernel, help="kernel denominator as z,k,s")
     i.add_argument("--digits", type=_positive_int, required=True)
     i.set_defaults(handler=_cmd_integrate)
 

@@ -26,6 +26,7 @@ from .polynomials import (
     convergence_bound,
     expand_kernel,
     has_root_on_unit_interval,
+    kernel_polynomial,
     poly_divmod,
     rational,
 )
@@ -108,7 +109,7 @@ class DerivedSeries:
         q = self.q
         if q.is_zero:
             raise ValueError("Q must be nonzero")
-        target = Polynomial.constant(self.z) + expand_kernel(self.k, self.s)
+        target = kernel_polynomial(self.z, self.k, self.s)
         if self.seed_p is None:
             p, rem = poly_divmod(target, q)
             if not rem.is_zero:

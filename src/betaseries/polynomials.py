@@ -10,8 +10,8 @@ divisor's leading x-coefficient must be a nonzero constant, which keeps
 every quotient inside the ring (no rational functions of ``w`` ever
 appear).  ``ParamPolynomial`` adds only exact specialization at a rational
 ``w``.  Root counting on [0, 1] (Sturm chains) works over Q.  The kernel
-facts that seed solving and the quadrature oracle share live here too:
-``expand_kernel`` and ``convergence_bound``.
+facts that seed solving, the catalog and the CLI share live here too:
+``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
@@ -273,6 +273,11 @@ def expand_kernel(k: int, s: int) -> Polynomial:
         # -x^k * C(s,j) * (-x)^j contributes (-1)^(j+1) C(s,j) x^(k+j)
         coeffs[k + j] = Fraction(comb(s, j) * (-1 if j % 2 == 0 else 1))
     return Polynomial(coeffs)
+
+
+def kernel_polynomial(z: RationalLike, k: int, s: int) -> Polynomial:
+    """The kernel ``z - x^k (1-x)^s`` as an expanded polynomial in x."""
+    return Polynomial.constant(z) + expand_kernel(k, s)
 
 
 def convergence_bound(k: int, s: int) -> Fraction:

@@ -1,8 +1,12 @@
 """Endpoint-singularity-aware quadrature on [0, 1].
 
 Integrands have the shape ``x^a (1-x)^b N(x) / D(x)`` with rational
-``a, b > -1``, polynomial numerator, and a denominator that is either a
-polynomial with no root on [0, 1] or the kernel form ``z - x^k (1-x)^s``.
+``a, b > -1`` and two polynomials: a numerator ``N`` and a denominator ``D``
+with no root on [0, 1], which an exact root scan checks.  There is no
+separate kernel form: the kernel denominator ``z - x^k (1-x)^s`` is the
+expanded polynomial ``polynomials.kernel_polynomial(z, k, s)``, and the
+root scan rejects it exactly when ``0 <= z <= M(k, s)``, the double root
+at ``z = M`` included.
 
 The double-exponential substitution ``x = (1 + tanh((pi/2) sinh t)) / 2``
 turns the algebraic endpoint singularities into doubly exponential decay of
@@ -39,42 +43,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from mpmath import mp, mpf
 
-from .polynomials import (
-    Polynomial,
-    convergence_bound,
-    has_root_on_unit_interval,
-    rational,
-)
+from .polynomials import Polynomial, has_root_on_unit_interval, rational
 
 
 class QuadratureError(ArithmeticError):
     """The level-doubling scheme did not reach the requested agreement."""
-
-
-@dataclass(frozen=True)
-class KernelForm:
-    """Denominator ``z - x^k (1-x)^s``."""
-
-    z: Fraction
-    k: int
-    s: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", rational(self.z))
-        if self.k < 0 or self.s < 0 or self.k + self.s < 1:
-            raise ValueError("need nonnegative k, s with k + s >= 1")
-
-    def vanishes_on_unit_interval(self) -> bool:
-        # x^k (1-x)^s covers [0, M] on [0, 1]; the denominator vanishes
-        # somewhere iff z lands in that range.
-        return 0 <= self.z <= convergence_bound(self.k, self.s)
-
-
-Denominator = Union[Polynomial, KernelForm, None]
 
 
 @dataclass(frozen=True)
@@ -84,7 +61,7 @@ class QuadratureProblem:
     a: Fraction
     b: Fraction
     numerator: Polynomial = Polynomial((1,))
-    denominator: Denominator = None
+    denominator: Polynomial = Polynomial((1,))
 
     def __post_init__(self):
         object.__setattr__(self, "a", rational(self.a))
@@ -93,17 +70,10 @@ class QuadratureProblem:
             raise ValueError("need a > -1 and b > -1 for integrability")
         if self.numerator.is_zero:
             raise ValueError("numerator is the zero polynomial")
-        den = self.denominator
-        if isinstance(den, Polynomial):
-            if den.is_zero:
-                raise ValueError("denominator is the zero polynomial")
-            if has_root_on_unit_interval(den):
-                raise ValueError("denominator has a root on [0, 1]")
-        elif isinstance(den, KernelForm):
-            if den.vanishes_on_unit_interval():
-                raise ValueError("kernel denominator vanishes on [0, 1]")
-        elif den is not None:
-            raise TypeError("denominator must be Polynomial, KernelForm or None")
+        if self.denominator.is_zero:
+            raise ValueError("denominator is the zero polynomial")
+        if has_root_on_unit_interval(self.denominator):
+            raise ValueError("denominator has a root on [0, 1]")
 
 
 def _horner(coeffs: Tuple[mpf, ...], x: mpf) -> mpf:
@@ -156,28 +126,10 @@ def integrate(
     with mp.workdps(wp):
         a = mpf(problem.a.numerator) / problem.a.denominator
         b = mpf(problem.b.numerator) / problem.b.denominator
-        num_coeffs = tuple(
-            mpf(c.numerator) / c.denominator for c in problem.numerator.coeffs
+        num_coeffs, den_coeffs = (
+            tuple(mpf(c.numerator) / c.denominator for c in poly.coeffs)
+            for poly in (problem.numerator, problem.denominator)
         )
-        den = problem.denominator
-        if isinstance(den, Polynomial):
-            den_coeffs = tuple(mpf(c.numerator) / c.denominator for c in den.coeffs)
-
-            def denom(x: mpf, omx: mpf) -> mpf:
-                return _horner(den_coeffs, x)
-
-        elif isinstance(den, KernelForm):
-            zv = mpf(den.z.numerator) / den.z.denominator
-            kk, ks = den.k, den.s
-
-            def denom(x: mpf, omx: mpf) -> mpf:
-                return zv - x**kk * omx**ks
-
-        else:
-
-            def denom(x: mpf, omx: mpf) -> mpf:
-                return mpf(1)
-
         nodes = _cache.setdefault(("tanh-sinh nodes", mp.prec), {})
 
         if max(problem.a.denominator, problem.b.denominator) > 2:
@@ -198,7 +150,11 @@ def integrate(
         def weighted(x: mpf, omx: mpf, pc: mpf, nlx: mpf, nlomx: mpf) -> mpf:
             """Transformed integrand times dx/dt at the node ``(x, 1-x)``."""
             weight = pc * x * omx
-            val = powers(x, omx, nlx, nlomx) * _horner(num_coeffs, x) / denom(x, omx)
+            val = (
+                powers(x, omx, nlx, nlomx)
+                * _horner(num_coeffs, x)
+                / _horner(den_coeffs, x)
+            )
             return val * weight
 
         trunc_tol = mpf(10) ** (-(wp + 5))

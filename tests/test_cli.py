@@ -280,7 +280,7 @@ class TestUsage:
             "integrate", "--a", "0", "--b", "0", "--kernel", "1/8,1,1", "--digits", "10"
         )
         assert proc.returncode == 1
-        assert "kernel denominator vanishes on [0, 1]" in proc.stderr
+        assert "denominator has a root on [0, 1]" in proc.stderr
 
     def test_no_command(self):
         assert run_cli().returncode == 2

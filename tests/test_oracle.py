@@ -7,12 +7,10 @@ import pytest
 from mpmath import gamma as mp_gamma
 from mpmath import mp, mpf
 
-from betaseries.polynomials import Polynomial
-from betaseries.quadrature import (
-    KernelForm,
-    QuadratureProblem,
-    integrate,
-)
+from betaseries import cli
+from betaseries.catalog import _quadrature_problem, load_catalog
+from betaseries.polynomials import Polynomial, convergence_bound, kernel_polynomial
+from betaseries.quadrature import QuadratureProblem, integrate
 from betaseries.references import (
     asin_of,
     atan_of,
@@ -28,6 +26,29 @@ from betaseries.references import (
 )
 
 
+KERNEL_EXPONENTS = [(1, 0), (0, 2), (1, 1), (1, 2), (2, 4), (3, 3)]
+KERNEL_POINTS = [F(0), F(1, 7), F(1, 2), F(5, 6), F(1)]
+
+
+def assert_is_kernel(poly, z, k, s):
+    """``poly`` is ``z - x^k (1-x)^s``, checked exactly at rational points."""
+    for x in KERNEL_POINTS:
+        assert poly(x) == z - x**k * (1 - x) ** s, (z, k, s, x)
+
+
+def integral_leaves(node):
+    """Every ``integral`` argument in a catalog recipe tree."""
+    if isinstance(node, dict):
+        for key, arg in node.items():
+            if key == "integral":
+                yield arg
+            else:
+                yield from integral_leaves(arg)
+    elif isinstance(node, list):
+        for item in node:
+            yield from integral_leaves(item)
+
+
 class TestQuadratureValidation:
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
@@ -41,13 +62,55 @@ class TestQuadratureValidation:
 
     def test_kernel_vanishing_rejected(self):
         # 0 <= z <= sup x(1-x) = 1/4 vanishes inside [0, 1]
-        with pytest.raises(ValueError, match="vanishes"):
+        with pytest.raises(ValueError, match="root"):
             QuadratureProblem(
-                a=F(0), b=F(0), denominator=KernelForm(z=F(1, 8), k=1, s=1)
+                a=F(0), b=F(0), denominator=kernel_polynomial(F(1, 8), 1, 1)
             )
 
     def test_negative_kernel_ok(self):
-        QuadratureProblem(a=F(0), b=F(0), denominator=KernelForm(z=F(-2), k=1, s=1))
+        QuadratureProblem(a=F(0), b=F(0), denominator=kernel_polynomial(F(-2), 1, 1))
+
+    @pytest.mark.parametrize("k, s", KERNEL_EXPONENTS)
+    def test_root_scan_rejects_exactly_the_vanishing_kernels(self, k, s):
+        # x^k (1-x)^s covers [0, M] on [0, 1], so z - x^k (1-x)^s vanishes
+        # there iff 0 <= z <= M; z = M is a tangent double root
+        bound = convergence_bound(k, s)
+        eps = F(1, 10**6)
+        vanishing = [F(0), eps, bound / 2, bound - eps, bound]
+        root_free = [F(-48), F(-1), -eps, bound + eps, 2 * bound, F(48)]
+        for z in vanishing:
+            with pytest.raises(ValueError, match="root"):
+                QuadratureProblem(
+                    a=F(0), b=F(0), denominator=kernel_polynomial(z, k, s)
+                )
+        for z in root_free:
+            QuadratureProblem(a=F(0), b=F(0), denominator=kernel_polynomial(z, k, s))
+
+
+class TestKernelPolynomial:
+    @pytest.mark.parametrize("k, s", KERNEL_EXPONENTS)
+    def test_kernel_polynomial(self, k, s):
+        for z in (F(-48), F(-2, 7), F(0), F(5, 2)):
+            assert_is_kernel(kernel_polynomial(z, k, s), z, k, s)
+
+    @pytest.mark.parametrize("k, s", KERNEL_EXPONENTS)
+    def test_cli_kernel(self, k, s):
+        for z in (F(-48), F(-2, 7), F(5, 2)):
+            assert_is_kernel(cli._kernel(f"{z},{k},{s}"), z, k, s)
+
+    def test_catalog_den_kernel_leaves(self):
+        leaves = [
+            leaf
+            for record in load_catalog()
+            for side in (record.lhs, record.rhs)
+            for leaf in integral_leaves(side)
+            if "den_kernel" in leaf
+        ]
+        assert leaves
+        for leaf in leaves:
+            kd = leaf["den_kernel"]
+            z, k, s = F(kd["z"]), int(kd["k"]), int(kd["s"])
+            assert_is_kernel(_quadrature_problem(leaf).denominator, z, k, s)
 
 
 class TestIntegrate:
@@ -87,7 +150,7 @@ class TestIntegrate:
                 a=F(-1, 2),
                 b=F(0),
                 numerator=Polynomial([16, -5, 1]),
-                denominator=KernelForm(z=F(-48), k=1, s=2),
+                denominator=kernel_polynomial(F(-48), 1, 2),
             ),
             30,
         )

@@ -19,13 +19,8 @@ import pytest
 from mpmath import mp, mpf
 
 from betaseries import references
-from betaseries.polynomials import Polynomial
-from betaseries.quadrature import (
-    KernelForm,
-    QuadratureError,
-    QuadratureProblem,
-    integrate,
-)
+from betaseries.polynomials import Polynomial, kernel_polynomial
+from betaseries.quadrature import QuadratureError, QuadratureProblem, integrate
 
 
 def _horner(coeffs, x):
@@ -46,25 +41,9 @@ def reference_integrate(problem, target_digits, max_levels=20):
         num_coeffs = tuple(
             mpf(c.numerator) / c.denominator for c in problem.numerator.coeffs
         )
-        den = problem.denominator
-        if isinstance(den, Polynomial):
-            den_coeffs = tuple(mpf(c.numerator) / c.denominator for c in den.coeffs)
-
-            def denom(x, omx):
-                return _horner(den_coeffs, x)
-
-        elif isinstance(den, KernelForm):
-            zv = mpf(den.z.numerator) / den.z.denominator
-            kk, ks = den.k, den.s
-
-            def denom(x, omx):
-                return zv - x**kk * omx**ks
-
-        else:
-
-            def denom(x, omx):
-                return mpf(1)
-
+        den_coeffs = tuple(
+            mpf(c.numerator) / c.denominator for c in problem.denominator.coeffs
+        )
         pi_half = mp.pi / 2
 
         def node(t):
@@ -80,7 +59,7 @@ def reference_integrate(problem, target_digits, max_levels=20):
             if x == 0 or omx == 0:
                 return mpf(0)
             weight = mp.pi * mp.cosh(t) * x * omx
-            val = x**a * omx**b * _horner(num_coeffs, x) / denom(x, omx)
+            val = x**a * omx**b * _horner(num_coeffs, x) / _horner(den_coeffs, x)
             return val * weight
 
         trunc_tol = mpf(10) ** (-(wp + 5))
@@ -133,7 +112,8 @@ NUMERATOR = Polynomial((16, -5, 1))
 DENOMINATORS = {
     "none": None,
     "poly": Polynomial((3, F(-1, 2), 1)),
-    "kernel": KernelForm(z=F(-48), k=1, s=2),
+    # z - x^k (1-x)^s with (z, k, s) = (-48, 1, 2), expanded
+    "kernel": kernel_polynomial(F(-48), 1, 2),
 }
 
 
