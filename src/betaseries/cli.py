@@ -265,25 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG = re.compile(r"^--[^=]+$")
-_NEG_VALUE = re.compile(r"^-\d[\d/,.:]*$")
+#: a token that starts with one ``-`` is a value, such as ``-1/2`` or
+#: ``-(1/2)^n``: every option is long, except ``-h``
+_DASH_VALUE = re.compile(r"^-(?!-|h$)")
 
 
 def _merge_negative_values(argv):
     """Join ``--flag -1/2`` into ``--flag=-1/2`` so argparse takes the value."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            _FLAG.match(tok)
-            and i + 1 < len(argv)
-            and _NEG_VALUE.match(argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and _FLAG.match(out[-1]) and _DASH_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -295,7 +289,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -25,14 +25,12 @@ Only the value needs the working precision, so each step runs at the
 precision it needs:
 
 - the terms and the running sum: working precision;
-- tail control: term ratios and the tail bound are first computed at 64
-  bits.  Where that filter leaves the outcome open (a ratio that may reach
-  1, a bound that may fall below the target), the same quantity is
-  recomputed at working precision from the last six nonzero ``|t|``, so the
-  stop index, the divergence verdict and the reported bound are those of
-  the policy computed wholly at working precision;
+- tail control: a float filter on ``log2 |t|`` (``_log2``) decides the
+  term ratios and the tail bound; what it leaves open is computed at working
+  precision from the last six nonzero ``|t|``, so the stop index, the
+  divergence verdict and the bound are those of the working-precision policy;
 - the rate fit: ``|S_n - S|`` at working precision (it cancels), its
-  logarithm at 53 bits, since the fitted slope is a float;
+  logarithm as the float ``_log2``, since the fitted slope is a float;
 - ``EvalResult.partial_sums``: scaled by the prefactor when first read.
 """
 
@@ -58,9 +56,6 @@ GUARD_DIGITS = 15
 ZERO_RUN_LIMIT = 5
 
 DEFAULT_MAX_TERMS = 100_000
-
-#: bits of the tail-control filter; see ``_TailControl``
-FILTER_PREC = 64
 
 
 class EvaluationError(ArithmeticError):
@@ -124,10 +119,20 @@ def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
     return (n * sxy - sx * sy) / denom
 
 
-def _log10_float(x: mpf) -> float:
-    """``log10`` of a positive mpf to float accuracy."""
-    with mp.workprec(53):
-        return float(mp.log10(x))
+def _log2(x: mpf) -> float:
+    """``log2 |x|`` of a nonzero mpf, from the top 53 bits of its mantissa.
+
+    Truncating the mantissa to ``m = man >> shift`` moves the log by less than
+    ``2^-51``; ``math.log2(m) < 54`` rounds by less than ``2^-47``, and adding
+    the exponent by half an ulp.  So the error is below
+    ``2^-45 max(1, |log2 x|)``, and no mantissa width overflows a float.
+    """
+    _, man, exp, bc = x._mpf_
+    shift = max(bc - 53, 0)
+    return math.log2(man >> shift) + (exp + shift)
+
+
+_LOG10_2 = math.log10(2)
 
 
 def _fit_errors(
@@ -141,7 +146,7 @@ def _fit_errors(
     for i, s in enumerate(partial_sums):
         d = abs(s - reference)
         if d > floor:
-            pts.append((i, -_log10_float(d)))
+            pts.append((i, -_log2(d) * _LOG10_2))
     return _fit_rate(pts[len(pts) // 2 :])
 
 
@@ -164,44 +169,43 @@ class _TailControl:
     """The tail policy of the module docstring, fed one ``|t_n|`` at a time.
 
     Every decision equals the one computed wholly at working precision (the
-    precision current when ``push`` is called).  The ratios and the tail
-    bound are computed first from 64-bit copies of the ``|t|``.  While the
-    inflated ratio ``rhat`` is at most ``1 - 2^-8``, the 64-bit bound is
-    within a relative ``2^-53`` of the exact one, and the working-precision
-    bound within ``2^-46`` (working precision has at least 56 bits).  The
-    filter decides only outside the slack those errors need; otherwise the
-    working-precision quantity is recomputed from the last six nonzero
-    ``|t|``, which determine the last five ratios.
+    precision current when ``push`` is called).  A float filter decides
+    first, in log2: a ratio is ``2^step`` for a step between two ``_log2``,
+    and the bound's log is ``log2 |t| + log2 rhat - log2(1 - rhat)``.  With
+    ``scale`` the largest ``max(1, |log2|)`` seen, steps and ``log2 rhat``
+    are within ``2^-43 scale``; the bound's log, formed only for
+    ``rhat <= 1 - 2^-8``, is within ``2^-33 scale``, and working precision
+    (56 bits or more) adds ``2^-44`` relative.  What the filter does not
+    clear by ``slack = 2^-30 scale`` is computed at working precision from
+    the last six nonzero ``|t|``, which determine the last five ratios.
     """
+
+    SLACK = 2.0**-30
+    LOG2_INFLATION = math.log2(1.1)
+    #: the largest ``log2 rhat`` whose bound the filter may reject
+    LOG2_FILTERED = math.log2(1 - 2.0**-8)
 
     def __init__(self, tol: mpf, apref: mpf):
         self.tol = tol
         self.apref = apref
+        self.log2_target = _log2(tol / apref)
+        self.scale = max(1.0, abs(self.log2_target))
         self.diverging = 0
-        self.mags: deque = deque(maxlen=6)  # last nonzero |t|, full precision
-        self.last64: Optional[mpf] = None  # the last of them, at 64 bits
-        self.ratios: deque = deque(maxlen=5)  # their ratios, at 64 bits
-        with mp.workprec(FILTER_PREC):
-            self.inflation = mpf("1.1")
-            # a 64-bit ratio below this is below 1 at working precision
-            self.ratio_below_one = 1 - mpf(2) ** -50
-            # a 64-bit rhat at or above this is above 1 at working precision
-            self.rhat_above_one = 1 + mpf(2) ** -40
-            # the largest 64-bit rhat whose bound the filter may reject
-            self.rhat_filtered = 1 - mpf(2) ** -8
-            self.filter_tol = tol * (1 + mpf(2) ** -40)
+        self.mags: deque = deque(maxlen=6)  # last nonzero |t|, working precision
+        self.log2_last = 0.0  # _log2 of the last of them
+        self.steps: deque = deque(maxlen=5)  # log2 of their ratios
 
     def push(self, at: mpf) -> Optional[mpf]:
         """Take the next nonzero ``|t|``; the tail bound once it meets the target.
 
         Raises ``SeriesDivergenceError`` on the eighth consecutive ratio >= 1.
         """
-        with mp.workprec(FILTER_PREC):
-            at64 = +at
-            r = None if self.last64 is None else at64 / self.last64
-        self.last64 = at64
-        if r is not None:
-            if r < self.ratio_below_one or at / self.mags[-1] < 1:
+        lg = _log2(at)
+        self.scale = max(self.scale, abs(lg))
+        slack = self.SLACK * self.scale
+        if self.mags:
+            step = lg - self.log2_last
+            if step < -slack or (step <= slack and at / self.mags[-1] < 1):
                 self.diverging = 0
             else:
                 self.diverging += 1
@@ -209,32 +213,25 @@ class _TailControl:
                     raise SeriesDivergenceError(
                         "term ratio stayed >= 1 for 8 consecutive terms"
                     )
-            self.ratios.append(r)
+            self.steps.append(step)
         self.mags.append(at)
-        if not self.ratios or not self._may_meet_target(at64):
+        self.log2_last = lg
+        if not self.steps:
             return None
-        candidate = self._candidate()
-        if candidate is not None and candidate < self.tol:
-            return candidate
-        return None
-
-    def _may_meet_target(self, at64: mpf) -> bool:
-        """False only if the working-precision bound is not below ``tol``."""
-        with mp.workprec(FILTER_PREC):
-            rhat = self.inflation * max(self.ratios)
-            if rhat >= self.rhat_above_one:
-                return False
-            if rhat > self.rhat_filtered:
-                return True
-            return at64 * rhat / (1 - rhat) * self.apref < self.filter_tol
-
-    def _candidate(self) -> Optional[mpf]:
-        """The tail bound at working precision; None while ``rhat >= 1``."""
+        log2_rhat = self.LOG2_INFLATION + max(self.steps)
+        if log2_rhat > slack:
+            return None
+        if log2_rhat <= self.LOG2_FILTERED:
+            # 2.0**log2_rhat may underflow to 0 on a steep drop; the log stays
+            log2_bound = lg + log2_rhat - math.log2(1 - 2.0**log2_rhat)
+            if log2_bound > self.log2_target + slack:
+                return None
         mags = list(self.mags)
         rhat = mpf("1.1") * max(b / a for a, b in zip(mags, mags[1:]))
         if rhat >= 1:
             return None
-        return mags[-1] * rhat / (1 - rhat) * self.apref
+        bound = mags[-1] * rhat / (1 - rhat) * self.apref
+        return bound if bound < self.tol else None
 
 
 def sum_terms(
@@ -363,10 +360,9 @@ class HypTerms:
         the limit of ``r(n)`` (the lengths in ``num`` and ``den`` add up alike)."""
         if self.c == 0:
             raise ValueError("z = 0 has no geometric rate")
-        limit = self.c * math.prod(p**p for p, _ in self.num)
+        limit = abs(self.c) * math.prod(p**p for p, _ in self.num)
         limit /= math.prod(p**p for p, _ in self.den)
-        with mp.workdps(30):
-            return float(mp.log10(to_mpf(1 / abs(limit))))
+        return math.log10(limit.denominator) - math.log10(limit.numerator)
 
 
 def derived_core(ds: DerivedSeries) -> HypTerms:

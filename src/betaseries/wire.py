@@ -47,7 +47,14 @@ def series_spec_to_dict(ds: DerivedSeries) -> dict:
     }
 
 
+def _require(doc: dict, kind: str, *fields: str) -> None:
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise ValueError(f"{kind} spec is missing {', '.join(map(repr, missing))}")
+
+
 def series_spec_from_dict(doc: dict) -> DerivedSeries:
+    _require(doc, "derived series", "a", "b", "k", "s", "z", "qcoeffs")
     return DerivedSeries(
         a=rational(doc["a"]),
         b=rational(doc["b"]),
@@ -89,6 +96,7 @@ def hyp_spec_to_dict(spec) -> dict:
 
 
 def hyp_spec_from_dict(doc: dict):
+    _require(doc, "hypergeometric", "upper", "lower", "z")
     base = HypSeriesSpec(
         upper=tuple(rational(x) for x in doc["upper"]),
         lower=tuple(rational(y) for y in doc["lower"]),

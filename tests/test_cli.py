@@ -92,6 +92,13 @@ class TestEval:
         # pi sqrt(3) / 3
         assert doc["value"].startswith("1.81379936423421785")
 
+    @pytest.mark.parametrize("expr", ["-(1/2)^n", "-n*(1/2)^n"])
+    def test_expr_may_start_with_a_minus(self, expr):
+        # argparse alone reads a value that starts with "-" as an option
+        proc = run_cli("eval", "--expr", expr, "--digits", "5")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == "-2.0000"
+
     def test_requires_exactly_one_input(self):
         assert run_cli("eval", "--digits", "10").returncode == 2
         proc = run_cli("eval", "--digits", "10", "--expr", "1", "--spec", "x.json")
@@ -169,6 +176,7 @@ class TestVerify:
         proc = run_cli("verify", "--id", "eq-0.0")
         assert proc.returncode == 1
         assert "eq-0.0" in proc.stderr
+        assert proc.stderr.strip() == "error: unknown identity 'eq-0.0'"
 
     def test_filtered_all(self):
         proc = run_cli("verify", "--all", "--only", "eq-3.2*", "--digits", "10")
@@ -281,6 +289,40 @@ class TestUsage:
         )
         assert proc.returncode == 1
         assert "denominator has a root on [0, 1]" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (
+                ("eval", "--digits", "5", "--spec"),
+                {"b": "0", "k": 1, "s": 2, "z": "1", "qcoeffs": ["1"]},
+                "derived series spec is missing 'a'",
+            ),
+            (
+                ("rate", "--spec"),
+                {"a": "0", "b": "0", "k": 1, "s": 2, "qcoeffs": ["1"]},
+                "derived series spec is missing 'z'",
+            ),
+            (
+                ("accelerate", "--m", "2", "--hyp"),
+                {"lower": ["2"], "z": "1/2"},
+                "hypergeometric spec is missing 'upper'",
+            ),
+        ],
+        ids=["eval", "rate", "accelerate"],
+    )
+    def test_spec_missing_a_field_is_named(self, tmp_path, argv, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: {message}"
+
+    def test_help_after_a_flag(self):
+        proc = run_cli("verify", "--all", "-h")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: betaseries verify")
 
     def test_no_command(self):
         assert run_cli().returncode == 2

@@ -10,6 +10,7 @@ the same rate to float accuracy.
 
 import itertools
 import operator
+import random
 import re
 from collections import deque
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from betaseries.engine import (
     EvaluationError,
     SeriesDivergenceError,
     _fit_rate,
+    _log2,
     derived_terms,
     evaluate_derived,
     sum_terms,
@@ -162,8 +164,55 @@ def expr_terms(text):
     return lambda: (evaluate(expr, n) for n in itertools.count())
 
 
-def geometric(r):
-    return lambda: itertools.accumulate(itertools.repeat(r), operator.mul, initial=F(1))
+def geometric(r, t0=F(1)):
+    return lambda: itertools.accumulate(itertools.repeat(r), operator.mul, initial=t0)
+
+
+def at_target(delta):
+    """A prefactor that puts the bound of ``geometric(-1/5)`` at 50 digits on
+    ``tol * (1 + delta)`` at term 40: ``rhat = 11/50`` and ``rhat / (1 - rhat)
+    = 11/39``."""
+    return F(39, 11) * 5**40 / 10**50 * (1 + delta)
+
+
+#: base ratios of the random streams: decay, rhat near 1, ratios near 1
+BASES = [
+    F(1, 2),
+    F(9, 10),
+    F(10, 11),
+    F(907, 1000),
+    1 - F(1, 2**40),
+    F(1),
+    1 + F(1, 2**40),
+    F(11, 10),
+    F(1, 10**5),
+]
+
+
+def random_stream(seed):
+    """Terms of ratio ``base * (1 + e)``, ``e`` from ``2^-3`` down to
+    ``2^-60``, with random signs, zeros, jumps and ``2^-3000`` drops."""
+
+    def terms():
+        rng = random.Random(seed)
+        base = rng.choice(BASES)
+        t = F(rng.choice([1, -1]) * rng.randint(1, 999), rng.randint(1, 999))
+        t *= F(10) ** rng.randint(-450, 40)
+        while True:
+            p = rng.random()
+            if p < 0.05:
+                yield F(0)
+                continue
+            yield t
+            if p < 0.08:
+                r = F(1, 2**3000)
+            elif p < 0.12:
+                r = F(rng.randint(1, 40), 10)
+            else:
+                r = base * (1 + F(rng.randint(-8, 8), 2 ** rng.choice([3, 20, 45, 60])))
+            t *= r * rng.choice([1, -1])
+
+    return terms
 
 
 class TestDerivedPiSeries:
@@ -247,15 +296,83 @@ class TestPolicyEdges:
     @pytest.mark.parametrize("digits", [1, 30, 60])
     @pytest.mark.parametrize(
         "ratio",
-        [F(9, 10), F(907, 1000), F(10, 11), F(11, 12)],
-        ids=["rhat-0.99", "rhat-0.9977", "rhat-1", "rhat-1.008"],
+        [
+            F(9, 10),
+            F(907, 1000),
+            F(10, 11),
+            F(11, 12),
+            1 + F(1, 2**40),
+        ],
+        ids=[
+            "rhat-0.99",
+            "rhat-0.9977",
+            "rhat-1",
+            "rhat-1.008",
+            "ratio-1+2^-40",
+        ],
     )
     def test_inflated_ratio_near_one(self, ratio, digits):
-        # rhat = 1.1 * ratio at or near 1, where the 64-bit filter defers
-        # to working precision
+        # rhat = 1.1 * ratio at or near 1, or a ratio within the float
+        # filter's slack of 1, where the filter defers to working precision
         assert_same(geometric(ratio), digits, max_terms=2000)
 
-    @pytest.mark.parametrize("prefactor", [F(-3, 7), mpf(2) ** -300, 10**40])
+    @pytest.mark.parametrize(
+        "prefactor",
+        [
+            F(-3, 7),
+            mpf(2) ** -300,
+            10**40,
+            pytest.param(10**400, id="1e400"),
+            pytest.param(at_target(0), id="bound-at-tol"),
+            pytest.param(at_target(F(1, 2**42)), id="bound-above-tol"),
+            pytest.param(at_target(-F(1, 2**42)), id="bound-below-tol"),
+        ],
+    )
     def test_prefactor_scales_the_target(self, prefactor):
         result, scaled = assert_same(geometric(F(-1, 5)), 50, prefactor)
         assert all(a == b for a, b in zip(result.partial_sums, scaled))
+
+    @pytest.mark.parametrize(
+        "terms, prefactor",
+        [
+            (geometric(1 - F(1, 2**40)), None),
+            (lambda: iter([F(1), F(1, 2**3000), F(1, 2**3001)]), None),
+            (lambda: itertools.chain([F(1)] * 3, [F(1, 2**3000)]), None),
+            (geometric(F(-1, 3), F(1, 10**400)), None),
+            (geometric(F(-1, 5), F(7, 10**401)), 10**400),
+        ],
+        ids=[
+            "ratio-1-2^-40",
+            "drop-2^-3000",
+            "drop-after-ones",
+            "below-1e-400",
+            "below-1e-400-scaled",
+        ],
+    )
+    def test_filter_edges(self, terms, prefactor):
+        # a ratio within the float filter's slack of 1, and log2 |t| far
+        # from 0, where the slack grows with it
+        assert_same(terms, 40, prefactor, max_terms=100)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_streams(self, chunk):
+        for seed in range(25 * chunk, 25 * chunk + 25):
+            rng = random.Random(-seed - 1)
+            digits = rng.choice([1, 5, 20, 40])
+            prefactor = rng.choice([None, F(-3, 7), 10**40, F(1, 10**40)])
+            assert_same(random_stream(seed), digits, prefactor, max_terms=300)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 52, 53, 54, 64, 1024, 1025, 20_000])
+@pytest.mark.parametrize("exp", [-(10**6), -1000, -1, 0, 1, 10**6])
+def test_log2_is_within_its_error_bound(bits, exp):
+    rng = random.Random(bits * 7 + exp)
+    for _ in range(20):
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        with mp.workprec(bits):
+            x = mp.ldexp(mpf(man), exp)
+            negative = -x
+        with mp.workprec(120):
+            exact = mp.log(x, 2)
+        assert abs(_log2(x) - exact) <= 2.0**-45 * max(1, abs(exact))
+        assert _log2(negative) == _log2(x)
