@@ -118,7 +118,15 @@ def _cmd_derive(args) -> int:
 
 def _load_spec_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec file {path} must hold a JSON object")
+    return doc
+
+
+def _is_hyp_spec(doc: dict) -> bool:
+    """A spec with any field only hypergeometric specs have."""
+    return "upper" in doc or "lower" in doc
 
 
 def _cmd_eval(args) -> int:
@@ -128,7 +136,7 @@ def _cmd_eval(args) -> int:
         doc = _load_spec_file(args.spec)
         if "expr" in doc:
             result = evaluate_expr(doc["expr"], args.digits)
-        elif "upper" in doc:
+        elif _is_hyp_spec(doc):
             result = eval_hyp(hyp_spec_from_dict(doc), args.digits)
         else:
             result = evaluate_derived(series_spec_from_dict(doc), args.digits)
@@ -148,7 +156,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rate(args) -> int:
     doc = _load_spec_file(args.spec)
-    if "upper" in doc:
+    if _is_hyp_spec(doc):
         spec = hyp_spec_from_dict(doc)
         _emit({"predicted_rate": round(hyp_rate(spec), 4)})
         return 0

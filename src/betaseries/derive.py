@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
-from .expressions import pochhammer
 from .polynomials import (
     ParamPolynomial,
     Polynomial,
@@ -26,6 +26,8 @@ from .polynomials import (
     convergence_bound,
     expand_kernel,
     has_root_on_unit_interval,
+    horner,
+    integer_forms,
     kernel_polynomial,
     poly_divmod,
     rational,
@@ -121,6 +123,19 @@ class DerivedSeries:
     @property
     def q(self) -> Polynomial:
         return Polynomial(self.qcoeffs)
+
+    @cached_property
+    def integer_weight(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(A, B)``: integer coefficients of ``w = A / B`` (``weight_values``)."""
+        top, bottom, ks = self.a + 1, self.a + self.b + 2, self.k + self.s
+        last = len(self.qcoeffs) - 1
+        return integer_forms(
+            [
+                (c, [(top, self.k, j), (bottom + j, ks, last - j)])
+                for j, c in enumerate(self.qcoeffs)
+            ],
+            [(1, [(bottom, ks, last)])],
+        )
 
     def __str__(self) -> str:
         return (
@@ -262,14 +277,13 @@ def solve_seed_param(
 def weight_values(ds: DerivedSeries, n: int) -> Fraction:
     """Exact weight ``w(n)`` contributed by Q's coefficients ``a_j``.
 
-    ``w(n) = sum_j a_j (a + 1 + kn)_j / (a + b + 2 + (k+s)n)_j``.  Every
-    lower symbol is positive, since ``a, b > -1``.
+    ``w(n) = sum_j a_j (a + 1 + kn)_j / (a + b + 2 + (k+s)n)_j`` is
+    ``A(n) / B(n)`` for the integer polynomials ``ds.integer_weight``, built
+    once per series: ``B = (a + b + 2 + (k+s)n)_J`` with ``J = deg Q``, and
+    ``A = sum_j a_j (a + 1 + kn)_j (a + b + 2 + j + (k+s)n)_{J-j}``, both over
+    one integer scale.  Every lower symbol is positive, since ``a, b > -1``.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    top = ds.a + 1 + ds.k * n
-    bottom = ds.a + ds.b + 2 + (ds.k + ds.s) * n
-    return sum(
-        coeff * pochhammer(top, j) / pochhammer(bottom, j)
-        for j, coeff in enumerate(ds.qcoeffs)
-    )
+    top, bottom = ds.integer_weight
+    return Fraction(horner(top, n), horner(bottom, n))

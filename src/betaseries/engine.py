@@ -2,9 +2,13 @@
 
 Derived and hypergeometric series share one term core, ``HypTerms``: a first
 term, a constant, Pochhammer symbols ``(q)_{pn}`` above and below, and an
-optional weight.  Grouping ``m`` terms at a time is a transform of it that
-maps each symbol ``(p, q)`` to ``(pm, q)``, and the predicted rate is read
-off the term ratio's limit.
+optional weight.  Its term ratio is ``N(n) / D(n)`` for two integer
+polynomials built once per core (``polynomials.integer_forms``), and a
+derived weight is ``A(n) / B(n)``, built once per series
+(``derive.weight_values``).  So each term costs integer Horner evaluations
+and one ``Fraction`` each for the ratio and the weight.  Grouping ``m``
+terms at a time is a transform of the core that maps each symbol ``(p, q)``
+to ``(pm, q)``, and the predicted rate is read off the term ratio's limit.
 
 Terms are computed as exact rationals (by that ratio recurrence, or from
 scratch for printed expressions) and rounded once each into binary
@@ -47,8 +51,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Unio
 from mpmath import mp, mpf
 
 from .derive import DerivedSeries, weight_values
-from .expressions import TermExpr, parse_term_expr, pochhammer_pair
+from .expressions import TermExpr, parse_term_expr
 from .expressions import evaluate as expr_value
+from .polynomials import horner, integer_forms
 
 GUARD_DIGITS = 15
 
@@ -308,9 +313,11 @@ class HypTerms:
     """Exact terms ``t(n) w(n)``, ``t(n) = t0 c^n prod (q)_{pn} / prod (q')_{p'n}``.
 
     Each factor ``(p, q)`` in ``num`` and ``den`` is a Pochhammer symbol with
-    integer ``p >= 0``; the ratio ``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}``
-    is one integer fraction.  The optional weight ``w(n)`` multiplies term ``n``
-    after the recurrence, so a vanishing weight never enters a denominator.
+    integer ``p >= 0``.  The ratio ``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}``
+    is ``N(n) / D(n)`` for the integer polynomials ``integer_ratio``, built once
+    per core, so each step is integer Horner work and one ``Fraction``.  The
+    optional weight ``w(n)`` multiplies term ``n`` after the recurrence, so a
+    vanishing weight never enters a denominator.
     """
 
     t0: Fraction
@@ -319,15 +326,17 @@ class HypTerms:
     den: Tuple[Tuple[int, Fraction], ...]
     weight: Optional[Callable[[int], Fraction]] = None
 
+    @cached_property
+    def integer_ratio(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(N, D)``: integer coefficients, lowest degree first, of ``r = N / D``."""
+        return integer_forms(
+            [(self.c, [(q, p, p) for p, q in self.num])],
+            [(1, [(q, p, p) for p, q in self.den])],
+        )
+
     def ratio(self, n: int) -> Fraction:
-        top, bottom = self.c.numerator, self.c.denominator
-        for p, q in self.num:
-            u, v = pochhammer_pair(q + p * n, p)
-            top, bottom = top * u, bottom * v
-        for p, q in self.den:
-            u, v = pochhammer_pair(q + p * n, p)
-            top, bottom = top * v, bottom * u
-        return Fraction(top, bottom)
+        top, bottom = self.integer_ratio
+        return Fraction(horner(top, n), horner(bottom, n))
 
     def terms(self) -> Iterator[Fraction]:
         t = self.t0
@@ -340,16 +349,26 @@ class HypTerms:
 
         The outer term is ``t(mn)``: each symbol ``(q)_{pn}`` becomes
         ``(q)_{pmn}``, so ``(p, q)`` maps to ``(pm, q)``, and ``c`` becomes
-        ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``.
+        ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``,
+        summed as integers over the common denominator ``prod_{i<m-1} D(mn+i)``
+        (times the base weights' denominators) into one ``Fraction``.
         """
+        top, bottom = self.integer_ratio
+
+        def base_weight(j: int) -> Tuple[int, int]:
+            if self.weight is None:
+                return 1, 1
+            w = self.weight(j)
+            return w.numerator, w.denominator
 
         def weight(n: int) -> Fraction:
-            total, piece = 0, 1
-            for j in range(m):
-                if j:
-                    piece *= self.ratio(m * n + j - 1)
-                total += piece * (1 if self.weight is None else self.weight(m * n + j))
-            return total
+            # nested from the last summand: w(j) + r(j) (w(j+1) + r(j+1) (...))
+            u, v = base_weight(m * n + m - 1)
+            for j in range(m * n + m - 2, m * n - 1, -1):
+                a, b = base_weight(j)
+                d = horner(bottom, j)
+                u, v = a * d * v + b * horner(top, j) * u, b * d * v
+            return Fraction(u, v)
 
         num = tuple((p * m, q) for p, q in self.num)
         den = tuple((p * m, q) for p, q in self.den)

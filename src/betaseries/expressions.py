@@ -229,8 +229,9 @@ def evaluate(node: TermExpr, n: int) -> Fraction:
 def pochhammer_pair(x: Union[Fraction, int], m: int) -> Tuple[int, int]:
     """``(x)_m = prod_{j<m} (u + j v) / v^m`` for ``x = u/v``, as an unreduced pair.
 
-    The package's one rising-factorial product: ``pochhammer`` reduces it once,
-    and an ``engine.HypTerms`` ratio folds all its symbols into one fraction."""
+    The package's one rising-factorial product of a number: ``pochhammer``
+    reduces it once.  A term core's rising factorials in ``n`` are integer
+    polynomials instead (``polynomials.integer_forms``)."""
     if m < 0:
         raise ValueError("pochhammer length must be nonnegative")
     u, v = x.numerator, x.denominator

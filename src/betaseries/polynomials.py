@@ -11,7 +11,9 @@ every quotient inside the ring (no rational functions of ``w`` ever
 appear).  ``ParamPolynomial`` adds only exact specialization at a rational
 ``w``.  Root counting on [0, 1] (Sturm chains) works over Q.  The kernel
 facts that seed solving, the catalog and the CLI share live here too:
-``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.
+``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.  So
+does the one builder of the term cores' integer polynomials in ``n``,
+``integer_forms``, with ``horner`` to evaluate them.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
@@ -22,8 +24,8 @@ needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence, Union
+from math import comb, lcm
+from typing import Iterable, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -173,11 +175,7 @@ class Polynomial:
 
     def __call__(self, x: RationalLike):
         """Exact Horner evaluation at a rational point."""
-        x = rational(x)
-        acc = self._coefficient(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, rational(x), self._coefficient(0))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -292,6 +290,42 @@ def convergence_bound(k: int, s: int) -> Fraction:
     if k == 0 or s == 0:
         return Fraction(1)
     return Fraction(k**k * s**s, (k + s) ** (k + s))
+
+
+def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
+    """Sums of rising factorials in ``n`` as integer coefficients, lowest first.
+
+    Each sum is a sequence of terms ``(c, symbols)``: the rational ``c``
+    times the product, over its symbols ``(x, d, m)``, of the rising
+    factorials ``(x + dn)_m = prod_{j<m} (x + j + dn)``.  All the returned
+    tuples are scaled by one positive integer, so the quotient of two of them
+    at any ``n`` is the quotient of the two sums.  Term cores evaluate them
+    by ``horner``: integer work per term, and one ``Fraction`` at the end.
+    """
+    polys = []
+    for terms in sums:
+        total = Polynomial.zero()
+        for c, symbols in terms:
+            piece = Polynomial.constant(c)
+            for x, d, m in symbols:
+                for j in range(m):
+                    piece = piece * Polynomial((x + j, d))
+            total = total + piece
+        polys.append(total)
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return tuple(
+        tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
+        for p in polys
+    )
+
+
+def horner(coeffs: Sequence, x, zero=0):
+    """The polynomial ``coeffs`` (lowest degree first) at ``x``; ``zero`` is
+    the value of the empty sum in the coefficients' ring."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def derivative(p: Polynomial) -> Polynomial:

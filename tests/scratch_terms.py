@@ -4,7 +4,10 @@ The package generates every term by a ratio recurrence; these functions
 compute term ``n`` directly as closed Pochhammer products.
 """
 
+from fractions import Fraction
+
 from betaseries import pochhammer
+from betaseries.expressions import pochhammer_pair
 
 
 def _poch_ratio(spec, shift, n):
@@ -40,3 +43,17 @@ def derived_term(ds, n):
         / pochhammer(a + b + 2, (k + s) * n + j)
         for j, q in enumerate(ds.qcoeffs)
     )
+
+
+def pochhammer_ratio(core, n):
+    """``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}`` of a ``HypTerms``
+    core, one ``pochhammer_pair`` per symbol; it shares no code with
+    ``HypTerms.integer_ratio``."""
+    top, bottom = core.c.numerator, core.c.denominator
+    for p, q in core.num:
+        u, v = pochhammer_pair(q + p * n, p)
+        top, bottom = top * u, bottom * v
+    for p, q in core.den:
+        u, v = pochhammer_pair(q + p * n, p)
+        top, bottom = top * v, bottom * u
+    return Fraction(top, bottom)

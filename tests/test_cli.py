@@ -319,6 +319,43 @@ class TestUsage:
         assert proc.stdout == ""
         assert proc.stderr.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--digits", "5", "--spec"),
+            ("rate", "--spec"),
+            ("accelerate", "--m", "2", "--hyp"),
+        ],
+        ids=["eval", "rate", "accelerate"],
+    )
+    @pytest.mark.parametrize("content", ["5", '["a"]'], ids=["scalar", "list"])
+    def test_spec_must_be_an_object(self, tmp_path, argv, content):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content)
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: spec file {spec} must hold a JSON object"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--digits", "5", "--spec"), ("rate", "--spec")],
+        ids=["eval", "rate"],
+    )
+    @pytest.mark.parametrize(
+        "doc, missing",
+        [({"lower": ["1"], "z": "1/2"}, "'upper'"), ({"lower": ["1"]}, "'upper', 'z'")],
+        ids=["lower-z", "lower"],
+    )
+    def test_spec_with_lower_is_hypergeometric(self, tmp_path, argv, doc, missing):
+        # "lower" names the spec's kind even without "upper"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: hypergeometric spec is missing {missing}"
+
     def test_help_after_a_flag(self):
         proc = run_cli("verify", "--all", "-h")
         assert proc.returncode == 0

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf
 
-from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed
+from betaseries.catalog import load_catalog
+from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed, weight_values
 from betaseries.engine import (
     EvaluationError,
+    HypTerms,
     SeriesDivergenceError,
     derived_core,
     derived_terms,
@@ -23,7 +25,8 @@ from betaseries.engine import (
 from betaseries.expressions import pochhammer
 from betaseries.polynomials import Polynomial
 from betaseries.references import atan_of, pi_machin, sqrt_of
-from scratch_terms import derived_term
+from betaseries.wire import series_spec_from_dict
+from scratch_terms import derived_term, pochhammer_ratio
 
 
 def arcsine_series():
@@ -188,6 +191,81 @@ class TestEvaluateDerived:
     def test_bad_digits(self):
         with pytest.raises(ValueError):
             evaluate_derived(arcsine_series(), 0)
+
+
+def _derived_series():
+    """Every catalog derived series, and kernels with k = 0 or s = 0."""
+    cases = [
+        pytest.param(series_spec_from_dict(r.series), id=r.id)
+        for r in load_catalog()
+        if r.kind == "duality"
+    ]
+    kernels = [(0, 3, [3, 1]), (0, 1, [1, F(1, 3)]), (3, 0, [2, -1]), (1, 0, [3, 1])]
+    for k, s, p in kernels:
+        seed = SeedIntegral(a=F(-1, 2), b=F(1, 3), p=Polynomial(p))
+        cases.append(pytest.param(solve_seed(seed, k, s), id=f"k{k}-s{s}-{p}"))
+    return cases
+
+
+DERIVED_SERIES = _derived_series()
+
+
+class TestIntegerForms:
+    """The integer polynomials of a core against the formulas they replace."""
+
+    def test_edge_cases_are_covered(self):
+        series = [case.values[0] for case in DERIVED_SERIES]
+        assert any(len(ds.qcoeffs) == 1 for ds in series)  # deg Q = 0
+        assert any(ds.k == 0 for ds in series) and any(ds.s == 0 for ds in series)
+        assert any(ds.z < 0 for ds in series)
+        assert {3, 4, 5} <= {ds.a.denominator for ds in series}
+        assert {3, 2, 5} <= {ds.b.denominator for ds in series}
+
+    @pytest.mark.parametrize("ds", DERIVED_SERIES)
+    def test_weight_values_match_definition(self, ds):
+        for n in range(100):
+            top = ds.a + 1 + ds.k * n
+            bottom = ds.a + ds.b + 2 + (ds.k + ds.s) * n
+            expected = sum(
+                coeff * pochhammer(top, j) / pochhammer(bottom, j)
+                for j, coeff in enumerate(ds.qcoeffs)
+            )
+            assert weight_values(ds, n) == expected
+        with pytest.raises(ValueError):
+            weight_values(ds, -1)
+
+    @pytest.mark.parametrize("ds", DERIVED_SERIES)
+    def test_derived_ratio_matches_pochhammer_pairs(self, ds):
+        core = derived_core(ds)
+        for n in range(60):
+            assert core.ratio(n) == pochhammer_ratio(core, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_vanishing_weight(self, m):
+        # w(3) = 0 zeroes term 3 only; the recurrence never divides by it
+        def w(n):
+            return F(n - 3, n + 1)
+
+        core = HypTerms(F(2, 3), F(-1, 2), ((1, F(1, 2)),), ((1, F(5, 3)),), w)
+        unweighted = HypTerms(core.t0, core.c, core.num, core.den)
+        base = [t * w(n) for n, t in zip(range(12 * m), unweighted.terms())]
+        assert base[3] == 0 and all(base[n] for n in range(12 * m) if n != 3)
+        grouped = core.grouped(m).terms()
+        for n in range(12):
+            assert next(grouped) == sum(base[m * n : m * n + m])
+
+    @pytest.mark.parametrize("m, yielded", [(1, 4), (2, 2), (3, 1)])
+    def test_zero_denominator_factor_raises(self, m, yielded):
+        # (q')_{n} with q' = -3 has the factor q' + n = 0 at n = 3
+        core = HypTerms(F(1), F(1, 2), ((1, F(1)),), ((1, F(-3)),))
+        with pytest.raises(ZeroDivisionError):
+            pochhammer_ratio(core, 3)
+        with pytest.raises(ZeroDivisionError):
+            core.ratio(3)
+        gen = core.terms() if m == 1 else core.grouped(m).terms()
+        assert len(list(itertools.islice(gen, yielded))) == yielded
+        with pytest.raises(ZeroDivisionError):
+            next(gen)
 
 
 class TestEvaluateExpr:

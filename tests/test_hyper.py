@@ -19,7 +19,7 @@ from betaseries.hyper import (
 )
 from betaseries.references import ln2_series
 from betaseries.wire import hyp_spec_from_dict
-from scratch_terms import grouped_term, hyp_term
+from scratch_terms import grouped_term, hyp_term, pochhammer_ratio
 
 CATALAN_BASE = HypSeriesSpec(
     upper=(F(1), F(1, 2)), lower=(F(3, 2), F(3, 2)), z=F(1, 4)
@@ -91,6 +91,20 @@ class TestTermRecurrences:
         gen = grouped.terms()
         for n in range(12):
             assert next(gen) == grouped_term(grouped, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("doc", CATALOG_HYP_SPECS)
+    def test_catalog_ratio_and_weight_match_pochhammer_pairs(self, doc, m):
+        # integer forms against one pochhammer_pair per symbol and step
+        base = hyp_spec_from_dict(doc).core
+        core = group(hyp_spec_from_dict(doc), m).core
+        for n in range(60):
+            assert core.ratio(n) == pochhammer_ratio(core, n)
+            weight, piece = 0, F(1)
+            for j in range(m):
+                weight += piece
+                piece *= pochhammer_ratio(base, m * n + j)
+            assert core.weight(n) == weight
 
 
 class TestExactTelescoping:
