@@ -18,6 +18,7 @@ maps each ``(p, q)`` to ``(pm, q)``, with ``inner_n`` as the weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
 
@@ -67,7 +68,7 @@ class HypSeriesSpec:
             if balance <= 1:
                 raise ValueError("|z| = 1 requires sum(lower) - sum(upper) > 1")
 
-    @property
+    @cached_property
     def core(self) -> HypTerms:
         """Term ``n`` is ``z^n prod_g (x_g)_n / (y_g)_n``."""
         upper = tuple((1, x) for x in self.upper)
@@ -90,7 +91,7 @@ class GroupedSeries:
         if self.m < 1:
             raise GroupingError("grouping step m must be >= 1")
 
-    @property
+    @cached_property
     def core(self) -> HypTerms:
         """The base core grouped: outer block ratio and inner weight."""
         return self.base.core.grouped(self.m)

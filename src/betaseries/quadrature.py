@@ -11,43 +11,96 @@ at ``z = M`` included.
 The double-exponential substitution ``x = (1 + tanh((pi/2) sinh t)) / 2``
 turns the algebraic endpoint singularities into doubly exponential decay of
 the transformed integrand, so the trapezoid rule in ``t`` converges
-superlinearly as the step is halved.  The step is halved (reusing previous
-nodes) until two successive levels agree to ``target_digits + 5``; failure
-to converge within ``max_levels`` halvings raises.
+superlinearly as the step is halved.  Since ``dx/dt = pi cosh t x (1-x)``,
+the summand at a node is
 
-The transform of a node does not depend on the problem.  For each ``t >= 0``
-the values ``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` are computed once per
-working precision (``mp.prec``) and kept in that precision's node table;
-every later integral at that precision reads them from there.  The nodes at
-``t`` and ``-t`` are evaluated together from one entry, since the node at
-``-t`` is the node at ``t`` with ``x`` and ``1-x`` (and their logarithms)
-swapped.  Only ``x^a (1-x)^b``, the numerator and the denominator are
-evaluated per problem.  When ``a`` or ``b`` has a denominator above 2,
-``x^a (1-x)^b`` is ``exp(a ln x + b ln(1-x))``, one exponential where two
-general powers would each take a logarithm and an exponential; integer and
-half-integer exponents keep mpmath's cheaper powers.  Every value a node
-contributes is computed the same way whether its transform is fresh or
-read from a table, so results do not depend on what the tables already
-hold.  Where the exponential is taken, results are not bit-identical to
-powers rounded one by one; they agree with them to about ``10^-(d+15)``
-relative.
+    pc * x^(a+1) (1-x)^(b+1) * N(x) / D(x),    pc = pi cosh t,
 
-The node tables live in ``_cache``, the process-wide cache of
+with the weight ``x (1-x)`` folded into the powers.
+
+Fixed point.  The summands are Python ints: a real ``v`` is held as
+``floor(v * 2^W)``, with ``W = mp.prec + GUARD_BITS``.  Everything a node
+needs apart from the problem -- ``x``, ``1-x``, ``pi cosh t``, ``-ln x`` and
+``-ln(1-x)`` -- is computed once per ``W`` and kept in that ``W``'s node
+table.  ``N`` and ``D`` are scaled to integer coefficients and evaluated by
+fixed-point Horner, with one integer division per node for ``N/D``.  When
+``a`` and ``b`` are integers, ``x^(a+1) (1-x)^(b+1)`` is one exact product
+of the tabled ``x`` and ``1-x``, shifted down once.  Any other exponent
+goes through one exponential of the tabled logarithms,
+``exp(-(a+1)(-ln x) - (b+1)(-ln(1-x)))``, whose argument is <= 0, so the
+result is at most 1 and its absolute error is at most its argument's.
+Square roots are not used for half-integer exponents: near ``x -> 0`` the
+fixed-point ``x`` keeps only a few significant bits, and the square root of
+such a number has a large absolute error.  Taken as ``isqrt(x << W)``, it
+leaves a relative error of 9e-30 in ``int_0^1 dx / sqrt(x (1-x))`` at 35
+digits.  The logarithms carry their full relative precision to every node.
+A level's sum over all its nodes is one exact int, turned into one
+correctly rounded mpf.
+
+Error budget, in units of ``2^-W``.  Per node: each tabled value is within
+1; the power is within ``a + b + 4`` (the input errors scaled by the
+exponents, the exponential's own error and one truncation); Horner adds at
+most ``deg`` truncations plus ``|N'|`` or ``|D'|`` times the error of
+``x``; the division adds 1 plus the relative errors of ``N`` and ``D``
+times ``|N/D|``, which a denominator close to a pole amplifies by
+``(sum |coefficients|) / min |D|``; the final product with ``pc`` scales
+the sum by ``pc``.  Per level: ``h * sum over nodes``, at most
+``2 t_max max(pc * node error)``, with ``t_max`` a few units and ``pc``
+up to ``pi cosh t_max``: a few thousand at 300 digits.  ``GUARD_BITS = 32``
+(about 9.6 digits) keeps that whole budget below ``2^-mp.prec``, and
+``mp.prec`` already carries 15 decimal digits above the target.
+
+The step is halved (reusing previous nodes) until the level is accepted:
+two successive levels agree to ``target_digits + 5``, or the digits have
+doubled -- the last difference is at most the previous one to the power
+1.8, and its square is at most ``10^-(target_digits + 15)``, the working
+precision (the digit-doubling estimate of Bailey, Jeyabalan & Li, 2005, for
+the tanh-sinh rule of Takahasi & Mori, 1974).  Differences are relative to
+``max(1, |estimate|)``.  The square estimates the error of the level only
+roughly: measured errors are the difference to a power between about 1.9
+and 2.2.  With a bound of ``10^-(target_digits + 10)`` they reached
+``10^-(target_digits + 10.03)``; with the working precision they stay below
+``10^-(target_digits + 15)`` in the tests.
+
+Neither rule is a proof: both read the error off the convergence of the
+levels.  ``catalog.verify`` compares the quadrature with an independent
+series or closed form, so a wrong quadrature value turns a record into a
+FAIL; it could hide a wrong series only if both were wrong by the same
+amount.  The work is bounded: failure to converge within ``max_levels``
+halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
+
+Every value a node contributes is the same integer whether its transform is
+fresh or read from a table, so results do not depend on what the tables
+already hold.  The node tables live in ``_cache``, the process-wide cache of
 precision-keyed constants that ``references`` also uses for its reference
-values.  They last as long as the process, or until ``_cache.clear()``; a
-table keeps the mantissa and exponent of each value (about 0.64 MB for
-the 901 nodes of ``verify --all --digits 100``).
+values.  They last as long as the process, or until ``_cache.clear()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest, to_fixed
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .polynomials import Polynomial, has_root_on_unit_interval, rational
+
+#: Fixed-point bits kept below ``2^-mp.prec`` (see the module docstring).
+GUARD_BITS = 32
+
+#: The most integrand nodes one ``integrate`` call evaluates before it
+#: raises ``QuadratureError``; the pair at ``+-t`` counts as two.  Catalog
+#: integrals need at most 3 217 at 300 digits, so three more levels fit;
+#: ``x^0 (1-x)^0 / (x^2 - x + 2501/10000)``, with poles at ``1/2 +- i/100``,
+#: needs 16 983 at 20 digits.
+NODE_BUDGET = 2**15
+
+#: Nodes lie in ``|t| <= T_CAP``.
+T_CAP = 15
 
 
 class QuadratureError(ArithmeticError):
@@ -76,42 +129,51 @@ class QuadratureProblem:
             raise ValueError("denominator has a root on [0, 1]")
 
 
-def _horner(coeffs: Tuple[mpf, ...], x: mpf) -> mpf:
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 #: The process-wide cache of precision-keyed constants: the node tables of
 #: this module and the reference values of ``references``, which imports it.
 _cache: dict = {}
 
 
-def _node(table: dict, t: mpf) -> Tuple[mpf, mpf, mpf, mpf, mpf]:
-    """``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` of the node at ``t >= 0``.
+def _node(table: dict, j: int, level: int, w: int) -> Tuple[int, int, int, int, int]:
+    """``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` at ``t = j / 2^level >= 0``.
 
-    ``table`` is the node table of ``mp.prec``.  The values are computed on
-    the first call for ``t`` and kept there, keyed by ``float(t)`` (exact,
-    since ``t = j / 2^level``), as the mantissa and exponent of each: all
-    five are positive and normalized, so the sign is 0 and the bit count
-    is the mantissa's.  With ``u = (pi/2) sinh t`` and ``e = exp(-2u)``,
-    ``1-x = e / (1+e)`` is computed directly, not by subtraction, so it
-    keeps full relative precision as ``x`` approaches 1; likewise
-    ``-ln x = log1p(e)`` and ``-ln(1-x) = 2u - ln x``.
+    Each value is an int, ``floor(v * 2^w)``; ``table`` is the node table
+    of ``w``, keyed by ``float(t)`` (exact).  The values are computed at
+    ``w + GUARD_BITS`` bits, enough for the ``2^-w`` absolute error of
+    ``-ln(1-x) = 2u - ln x`` with ``u = (pi/2) sinh t`` below ``2^24``
+    (``t <= T_CAP``).  With ``e = exp(-2u)``, ``x = 1 / (1+e)`` and
+    ``-ln x = ln(1+e)``, so nothing cancels.
     """
-    key = float(t)
+    key = j / (1 << level)
     entry = table.get(key)
     if entry is None:
-        u = mp.pi / 2 * mp.sinh(t)
-        em = mp.exp(-2 * u)
-        nlx = mp.log1p(em)
-        values = (1 / (1 + em), em / (1 + em), mp.pi * mp.cosh(t), nlx, 2 * u + nlx)
-        entry = table[key] = tuple(part for v in values for part in v._mpf_[1:3])
-    return tuple(
-        mp.make_mpf((0, man, exp, man.bit_length()))
-        for man, exp in zip(entry[0::2], entry[1::2])
+        with mp.workprec(w + GUARD_BITS):
+            et = mp.exp(mpf(j) / (1 << level))
+            iet = 1 / et
+            u2 = mp.pi / 2 * (et - iet)
+            em = mp.exp(-u2)
+            nlx = mp.log(1 + em)
+            values = (1 / (1 + em), mp.pi / 2 * (et + iet), nlx, u2 + nlx)
+        x, pc, nlx, nlomx = (to_fixed(v._mpf_, w) for v in values)
+        entry = table[key] = (x, (1 << w) - x, pc, nlx, nlomx)
+    return entry
+
+
+def _fixed_coefficients(poly: Polynomial, w: int) -> Tuple[int, Tuple[int, ...]]:
+    """``(L, c)``: ``L * poly`` has integer coefficients, and ``c`` holds them
+    times ``2^w``, highest degree first, for ``_fixed_horner``."""
+    scale = lcm(*(c.denominator for c in poly.coeffs))
+    return scale, tuple(
+        c.numerator * (scale // c.denominator) << w for c in reversed(poly.coeffs)
     )
+
+
+def _fixed_horner(coeffs: Tuple[int, ...], x: int, w: int) -> int:
+    """The polynomial at the fixed-point ``x``, within ``len(coeffs)`` units."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x >> w) + c
+    return acc
 
 
 def integrate(
@@ -119,65 +181,74 @@ def integrate(
     target_digits: int,
     max_levels: int = 20,
 ) -> mpf:
-    """Value of the integral, correct to ``target_digits`` decimal digits."""
+    """Value of the integral, correct to ``target_digits`` decimal digits.
+
+    The rule works at ``target_digits + 15`` digits, its fixed-point
+    summands ``GUARD_BITS`` below that (see the module docstring for the
+    representation and the error budget).  A level is accepted when it
+    agrees with the previous one to ``target_digits + 5`` digits, or when
+    the digits have doubled: ``|S_k - S_{k-1}| <= |S_{k-1} - S_{k-2}|^1.8``
+    and ``|S_k - S_{k-1}|^2 <= 10^-(target_digits + 15)``, differences
+    relative to ``max(1, |S_k|)``.  Neither rule proves the digits; they
+    read the error off the convergence.  Raises ``QuadratureError`` after
+    ``max_levels`` halvings of the step or ``NODE_BUDGET`` nodes.
+    """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
     wp = target_digits + 15
     with mp.workdps(wp):
-        a = mpf(problem.a.numerator) / problem.a.denominator
-        b = mpf(problem.b.numerator) / problem.b.denominator
-        num_coeffs, den_coeffs = (
-            tuple(mpf(c.numerator) / c.denominator for c in poly.coeffs)
-            for poly in (problem.numerator, problem.denominator)
-        )
-        nodes = _cache.setdefault(("tanh-sinh nodes", mp.prec), {})
-
-        if max(problem.a.denominator, problem.b.denominator) > 2:
-            # A general power costs a logarithm and an exponential; with the
-            # logarithms tabled, x^a (1-x)^b costs one exponential.
-            na, nb = -a, -b
-
-            def powers(x: mpf, omx: mpf, nlx: mpf, nlomx: mpf) -> mpf:
-                return mp.exp(na * nlx + nb * nlomx)
-
+        w = mp.prec + GUARD_BITS
+        nodes = _cache.setdefault(("tanh-sinh nodes", w), {})
+        ka, kb = problem.a + 1, problem.b + 1
+        integer_powers = ka.denominator == kb.denominator == 1
+        if integer_powers:
+            ka, kb = int(ka), int(kb)
+            power_shift = w * (ka + kb - 1)
         else:
-            # Integer and half-integer powers take mpmath's cheaper
-            # repeated-squaring and square-root paths.
+            q = lcm(ka.denominator, kb.denominator)
+            pa = ka.numerator * (q // ka.denominator)
+            pb = kb.numerator * (q // kb.denominator)
+            ln2 = ln2_fixed(w)
+        nscale, ncoeffs = _fixed_coefficients(problem.numerator, w)
+        dscale, dcoeffs = _fixed_coefficients(problem.denominator, w)
 
-            def powers(x: mpf, omx: mpf, nlx: mpf, nlomx: mpf) -> mpf:
-                return x**a * omx**b
+        def summand(x: int, omx: int, nlx: int, nlomx: int) -> int:
+            """``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times ``nscale / dscale``."""
+            if integer_powers:
+                p = x**ka * omx**kb >> power_shift
+            else:
+                n, r = divmod(-(pa * nlx + pb * nlomx) // q, ln2)
+                p = exp_basecase(r, w) >> -n if n > -w - 2 else 0
+            return p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
 
-        def weighted(x: mpf, omx: mpf, pc: mpf, nlx: mpf, nlomx: mpf) -> mpf:
-            """Transformed integrand times dx/dt at the node ``(x, 1-x)``."""
-            weight = pc * x * omx
-            val = (
-                powers(x, omx, nlx, nlomx)
-                * _horner(num_coeffs, x)
-                / _horner(den_coeffs, x)
-            )
-            return val * weight
-
-        trunc_tol = mpf(10) ** (-(wp + 5))
+        # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5)
+        trunc_scale, trunc_bound = dscale * 10 ** (wp + 5), nscale << w
         agree_tol = mpf(10) ** (-(target_digits + 5))
-        t_cap = mpf(15)
+        doubling_tol = mpf(10) ** -wp
+        evaluated = 0
 
-        def pair_sum(h: mpf, start: int, step: int) -> mpf:
-            """Sum over j = start, start+step, ... of the nodes at +-j*h.
+        def pair_sum(level: int, start: int, step: int) -> int:
+            """Sum over j = start, start+step, ... of the nodes at +-j/2^level.
 
             The node at -t is the node at t with x and 1-x (and their
-            logarithms) swapped, so its weight is ``pc * (1-x) * x``,
-            rounded in that order.
+            logarithms) swapped.
             """
-            total = mpf(0)
+            nonlocal evaluated
+            total = 0
             small = 0
             j = start
-            while j * h <= t_cap:
-                x, omx, pc, nlx, nlomx = _node(nodes, j * h)
-                contrib = weighted(x, omx, pc, nlx, nlomx) + weighted(
-                    omx, x, pc, nlomx, nlx
-                )
+            while j <= T_CAP << level:
+                evaluated += 2
+                if evaluated > NODE_BUDGET:
+                    raise QuadratureError(
+                        f"no convergence to {target_digits} digits within the "
+                        f"quadrature budget of {NODE_BUDGET} nodes"
+                    )
+                x, omx, pc, nlx, nlomx = _node(nodes, j, level, w)
+                pair = summand(x, omx, nlx, nlomx) + summand(omx, x, nlomx, nlx)
+                contrib = pc * pair >> w
                 total += contrib
-                if abs(contrib) < trunc_tol:
+                if abs(contrib) * trunc_scale < trunc_bound:
                     small += 1
                     if small >= 3:
                         break
@@ -186,17 +257,28 @@ def integrate(
                 j += step
             return total
 
-        h = mpf(1)
-        estimate = h * (weighted(*_node(nodes, mpf(0))) + pair_sum(h, 1, 1))
-        previous = None
-        for _level in range(max_levels):
-            if previous is not None and abs(estimate - previous) <= agree_tol * max(
-                mpf(1), abs(estimate)
-            ):
-                return estimate
+        def level_value(total: int, level: int) -> mpf:
+            """``2^-level`` times the level's sum, as one rounded mpf."""
+            value = from_rational(
+                total * dscale, nscale << (w + level), mp.prec, round_nearest
+            )
+            return mp.make_mpf(value)
+
+        x, omx, pc, nlx, nlomx = _node(nodes, 0, 0, w)
+        total = (pc * summand(x, omx, nlx, nlomx) >> w) + pair_sum(0, 1, 1)
+        evaluated += 1
+        estimate = level_value(total, 0)
+        previous = last_diff = None
+        for level in range(max_levels):
+            if previous is not None:
+                diff = abs(estimate - previous) / max(mpf(1), abs(estimate))
+                doubled = last_diff is not None and diff <= last_diff**1.8
+                if diff <= agree_tol or (doubled and diff * diff <= doubling_tol):
+                    return estimate
+                last_diff = diff
             previous = estimate
-            h = h / 2
-            estimate = previous / 2 + h * pair_sum(h, 1, 2)
+            total += pair_sum(level + 1, 1, 2)
+            estimate = level_value(total, level + 1)
         raise QuadratureError(
             f"no convergence to {target_digits} digits after {max_levels} levels"
         )

@@ -134,6 +134,28 @@ class TestRateAndIntegrate:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"].startswith("-0.604599788078")
 
+    def test_integrate_near_pole(self):
+        # a complex pole pair 1/2 +- i/100 next to [0, 1]
+        proc = run_cli(
+            "integrate", "--a", "0", "--b", "0", "--p", "2501/10000,-1,1",
+            "--digits", "20",
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == "310.15979856434921723"
+
+    def test_integrate_stops_at_its_budget(self):
+        # the pole pair at 1/2 +- i/1000 needs more nodes than the budget
+        proc = run_cli(
+            "integrate", "--a", "0", "--b", "0", "--p", "250001/1000000,-1,1",
+            "--digits", "20",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: no convergence to 20 digits within the quadrature budget "
+            "of 32768 nodes\n"
+        )
+
     def test_integrate_rejects_two_denominators(self):
         proc = run_cli(
             "integrate", "--a", "0", "--b", "0", "--p", "1,1",

@@ -1,26 +1,34 @@
 """``integrate`` against a frozen copy of its node-by-node predecessor.
 
 ``reference_integrate`` computes the transform of every node afresh, the
-node at ``-t`` on its own, and ``x^a (1-x)^b`` as two general powers, as
-``integrate`` did before the node tables.  The tabled ``integrate`` forms
-``x^a (1-x)^b`` as one exponential of tabled logarithms when an exponent is
-not a multiple of 1/2, which rounds differently, so the two must agree to a
-relative ``10^-(d+10)`` (10 digits inside the integrator's 15 guard digits)
-rather than bit for bit; with integer and half-integer exponents they
-still agree bit for bit.  ``integrate`` itself must return the same bits
-whatever the tables already hold: fresh, after other precisions, and after
-the cache is cleared.  Plain ``x^a (1-x)^b`` is checked against
-``mp.beta(a+1, b+1)``.
+node at ``-t`` on its own, and ``x^a (1-x)^b`` as two general mpf powers,
+as ``integrate`` did before its fixed-point kernel.  ``integrate`` rounds
+differently (it sums integers times ``2^-W``), so the two cannot agree bit
+for bit.  Instead every case must lie within a relative ``10^-(d+12)`` of
+the reference run at ``2d + 20`` digits or more: 12 of the integrator's 15
+guard digits, against a reference whose own error is far below that.  The
+plain ``x^a (1-x)^b`` must match ``mp.beta(a+1, b+1)`` to the same
+``10^-(d+12)``.  Both checks fail for a kernel that takes square roots of
+fixed-point ``x`` for half-integer powers, and for one without guard bits.
+``integrate`` itself must return the same bits whatever the tables already
+hold: fresh, after other precisions, and after the cache is cleared.
+
+Every catalog ``integral`` leaf and every duality seed integral must agree
+with its series or closed form to ``10^-d`` at 30, 100 and 300 digits.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf
 
 from betaseries import references
+from betaseries.catalog import _quadrature_problem, eval_recipe, load_catalog
+from betaseries.engine import evaluate_derived
 from betaseries.polynomials import Polynomial, kernel_polynomial
 from betaseries.quadrature import QuadratureError, QuadratureProblem, integrate
+from betaseries.wire import series_spec_from_dict
 
 
 def _horner(coeffs, x):
@@ -126,19 +134,26 @@ def problem(ab, den):
     )
 
 
+#: Digits of the one reference value per case: ``2d + 20`` for the largest
+#: ``d`` tested, so more than ``2d + 20`` for every smaller one.
+REFERENCE_DIGITS = 2 * 200 + 20
+
+
+@lru_cache(maxsize=None)
+def reference_value(problem_):
+    return reference_integrate(problem_, REFERENCE_DIGITS)
+
+
 def assert_matches_reference(problem_, digits):
     ours = integrate(problem_, digits)
-    theirs = reference_integrate(problem_, digits)
-    if max(problem_.a.denominator, problem_.b.denominator) <= 2:
-        # integer and half-integer powers are still rounded one by one
-        assert ours._mpf_ == theirs._mpf_
-    with mp.workdps(digits + 30):
-        assert abs(ours - theirs) <= mpf(10) ** -(digits + 10) * abs(theirs)
+    theirs = reference_value(problem_)
+    with mp.workdps(REFERENCE_DIGITS):
+        assert abs(ours - theirs) <= mpf(10) ** -(digits + 12) * abs(theirs)
 
 
 @pytest.mark.parametrize("den", sorted(DENOMINATORS))
 @pytest.mark.parametrize("ab", EXPONENTS, ids=lambda ab: f"a={ab[0]},b={ab[1]}")
-@pytest.mark.parametrize("digits", [10, 30, 100])
+@pytest.mark.parametrize("digits", [10, 30, 100, 200])
 def test_matches_reference(digits, ab, den):
     assert_matches_reference(problem(ab, den), digits)
 
@@ -165,7 +180,52 @@ def test_plain_powers_match_beta(digits, ab):
             mpf(a.numerator) / a.denominator + 1,
             mpf(b.numerator) / b.denominator + 1,
         )
-        assert abs(value - exact) <= mpf(10) ** -digits * exact
+        assert abs(value - exact) <= mpf(10) ** -(digits + 12) * exact
+
+
+def catalog_integrals():
+    """``(id, problem, values)`` of every catalog integral.
+
+    ``values(d)`` lists what the integral must equal to ``10^-d``: the
+    series and the closed form, if any, of a duality record, or the right
+    side of a record whose left side is an ``integral`` leaf.
+    """
+    for record in load_catalog():
+        if record.kind == "duality":
+            ds = series_spec_from_dict(record.series)
+
+            def values(d, ds=ds, rhs=record.rhs):
+                found = [evaluate_derived(ds, d + 5).value]
+                return found + ([eval_recipe(rhs, d)[0]] if rhs else [])
+
+            seed = QuadratureProblem(a=ds.a, b=ds.b, denominator=ds.seed_p)
+            yield record.id, seed, values
+        elif record.lhs and "integral" in record.lhs:
+            leaf = _quadrature_problem(record.lhs["integral"])
+            yield record.id, leaf, lambda d, rhs=record.rhs: [eval_recipe(rhs, d)[0]]
+
+
+CATALOG_INTEGRALS = list(catalog_integrals())
+
+
+@pytest.mark.parametrize(
+    "case", CATALOG_INTEGRALS, ids=[case[0] for case in CATALOG_INTEGRALS]
+)
+@pytest.mark.parametrize("digits", [30, 100, 300])
+def test_catalog_integrals(digits, case):
+    _, problem_, values = case
+    value = integrate(problem_, digits)
+    expected = values(digits)
+    with mp.workdps(digits + 20):
+        for v in expected:
+            assert abs(value - v) < mpf(10) ** -digits
+
+
+def test_catalog_integrals_are_covered():
+    kinds = {r.id: r.kind for r in load_catalog()}
+    ids = [case[0] for case in CATALOG_INTEGRALS]
+    assert len(ids) == 16
+    assert sum(kinds[i] == "duality" for i in ids) == 11
 
 
 def test_interleaved_precisions():
