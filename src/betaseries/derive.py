@@ -26,10 +26,10 @@ from .polynomials import (
     convergence_bound,
     expand_kernel,
     has_root_on_unit_interval,
-    horner,
     integer_forms,
     kernel_polynomial,
     poly_divmod,
+    quotient,
     rational,
 )
 
@@ -285,5 +285,4 @@ def weight_values(ds: DerivedSeries, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    top, bottom = ds.integer_weight
-    return Fraction(horner(top, n), horner(bottom, n))
+    return quotient(*ds.integer_weight, n)

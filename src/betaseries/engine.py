@@ -1,20 +1,25 @@
 """Arbitrary-precision series evaluation with rigorous empirical tail bounds.
 
-Derived and hypergeometric series share one term core, ``HypTerms``: a first
-term, a constant, Pochhammer symbols ``(q)_{pn}`` above and below, and an
-optional weight.  Its term ratio is ``N(n) / D(n)`` for two integer
-polynomials built once per core (``polynomials.integer_forms``), and a
-derived weight is ``A(n) / B(n)``, built once per series
-(``derive.weight_values``).  So each term costs integer Horner evaluations
-and one ``Fraction`` each for the ratio and the weight.  Grouping ``m``
-terms at a time is a transform of the core that maps each symbol ``(p, q)``
-to ``(pm, q)``, and the predicted rate is read off the term ratio's limit.
+Derived, hypergeometric, grouped and printed series share one term core,
+``HypTerms``: a first term, a constant, Pochhammer symbols ``(q)_{pn}``
+above and below, and an optional weight.  Its term ratio is ``N(n) / D(n)``
+for two integer polynomials built once per core
+(``polynomials.integer_forms``), and a derived weight is ``A(n) / B(n)``,
+built once per series (``derive.weight_values``).  So each term costs
+integer Horner evaluations and one ``Fraction`` each for the ratio and the
+weight.  Grouping ``m`` terms at a time is a transform of the core that
+maps each symbol ``(p, q)`` to ``(pm, q)``, and the predicted rate is read
+off the term ratio's limit.  Each product of a printed summand
+(``expressions.Product``) is one core, with ``a(n) / b(n)`` as its weight.
+Before its first term a core rejects a ratio limit that is not below 1 in
+absolute value, unless its terms end; they end after the last nonzero
+``t(n)``, and ``sum_terms`` takes a stream that ends as an exact finite sum.
 
-Terms are computed as exact rationals (by that ratio recurrence, or from
-scratch for printed expressions) and rounded once each into binary
-floats at a working precision of ``target_digits + 15``; the guard combined
-with a single final rounding keeps accumulated rounding far below the
-reported tail bound for any realistic term count (< 10^5 terms).
+Terms are computed as exact rationals by that ratio recurrence and rounded
+once each into binary floats at a working precision of
+``target_digits + 15``; the guard combined with a single final rounding
+keeps accumulated rounding far below the reported tail bound for any
+realistic term count (< 10^5 terms).
 
 Tail policy: once the absolute term ratio has stayed below 1, the tail of
 a geometrically dominated series is bounded by ``|t_N| * r / (1 - r)``
@@ -51,14 +56,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Unio
 from mpmath import mp, mpf
 
 from .derive import DerivedSeries, weight_values
-from .expressions import TermExpr, parse_term_expr
-from .expressions import evaluate as expr_value
-from .polynomials import horner, integer_forms
+from .expressions import Product, TermExpr, parse_term_expr
+from .polynomials import horner, integer_coefficients, integer_forms, quotient
+
+# Nothing here calls the closed form.  ``expr_value`` stays importable from
+# this module only because the benchmark's tracer (``bench/layers.py``)
+# patches ``engine.expr_value`` as a layer boundary; remove both together.
+from .expressions import evaluate as expr_value  # noqa: F401
 
 GUARD_DIGITS = 15
-
-#: terms treated as a terminated series after this many consecutive exact zeros
-ZERO_RUN_LIMIT = 5
 
 DEFAULT_MAX_TERMS = 100_000
 
@@ -68,7 +74,7 @@ class EvaluationError(ArithmeticError):
 
 
 class SeriesDivergenceError(EvaluationError):
-    """Empirical term ratios stayed at or above 1."""
+    """The term ratio tends to a limit above 1, or stayed at or above 1."""
 
 
 def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
@@ -248,7 +254,8 @@ def sum_terms(
     """Sum exact terms until the tail bound falls below ``10^-target_digits``.
 
     ``prefactor`` scales both the returned value and the tolerance target,
-    so the tail bound always refers to the final reported value.
+    so the tail bound always refers to the final reported value.  A stream
+    that ends is an exact finite sum; its tail bound is the rounding floor.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
@@ -263,8 +270,6 @@ def sum_terms(
         control = _TailControl(tol, apref)
         total = mpf(0)
         partials = []
-        zero_run = 0
-        tail: Optional[mpf] = None
 
         for n, term in enumerate(terms):
             if n >= max_terms:
@@ -274,21 +279,12 @@ def sum_terms(
             t = to_mpf(term)
             total += t
             partials.append(total)
-            at = abs(t)
-            if at == 0:
-                zero_run += 1
-                if zero_run >= ZERO_RUN_LIMIT:
-                    # treated as a terminated (finite) series
-                    tail = floor
+            if t:
+                tail = control.push(abs(t))
+                if tail is not None:
                     break
-                continue
-            zero_run = 0
-            tail = control.push(at)
-            if tail is not None:
-                break
-
-        if tail is None:
-            raise EvaluationError("term stream ended before the tail target was met")
+        else:
+            tail = floor  # the stream ended: the sum is exact
         # rate fit against the final value, ignoring points at rounding noise
         noise = mpf(10) ** (-(wp - 3)) * max(mpf(1), abs(total))
         rate = _fit_errors(partials[:-1], total, noise)
@@ -317,7 +313,8 @@ class HypTerms:
     is ``N(n) / D(n)`` for the integer polynomials ``integer_ratio``, built once
     per core, so each step is integer Horner work and one ``Fraction``.  The
     optional weight ``w(n)`` multiplies term ``n`` after the recurrence, so a
-    vanishing weight never enters a denominator.
+    vanishing weight never enters a denominator.  The terms end after the
+    last nonzero ``t(n)``.
     """
 
     t0: Fraction
@@ -335,12 +332,35 @@ class HypTerms:
         )
 
     def ratio(self, n: int) -> Fraction:
-        top, bottom = self.integer_ratio
-        return Fraction(horner(top, n), horner(bottom, n))
+        """``t(n + 1) / t(n)``; a lower symbol that is 0 at ``n + 1`` raises."""
+        return quotient(*self.integer_ratio, n, 1)
+
+    def limit(self) -> Fraction:
+        """``|L| = |c| prod p^p / prod p'^p'``: the limit of ``|r(n)|`` when the
+        lengths in ``num`` and ``den`` add up alike."""
+        limit = abs(self.c) * math.prod(p**p for p, _ in self.num)
+        return limit / math.prod(p**p for p, _ in self.den)
+
+    def check_convergence(self) -> None:
+        """Raise unless ``|r(n)|`` tends to a limit below 1 or the terms end,
+        as they do once a numerator symbol ``(q)_{pn}`` with an integer
+        ``q <= 0`` is 0."""
+        excess = sum(p for p, _ in self.num) - sum(p for p, _ in self.den)
+        ends = any(p and q.denominator == 1 and q <= 0 for p, q in self.num)
+        if self.c == 0 or not self.t0 or excess < 0 or ends:
+            return
+        limit = self.limit() if excess == 0 else math.inf
+        if limit > 1:
+            raise SeriesDivergenceError(f"|term ratio| -> {limit} > 1: diverges")
+        if limit == 1:
+            raise EvaluationError("|term ratio| -> 1: not geometrically convergent")
 
     def terms(self) -> Iterator[Fraction]:
+        self.check_convergence()
         t = self.t0
         for n in itertools.count():
+            if not t:
+                return
             yield t if self.weight is None else t * self.weight(n)
             t *= self.ratio(n)
 
@@ -379,8 +399,7 @@ class HypTerms:
         the limit of ``r(n)`` (the lengths in ``num`` and ``den`` add up alike)."""
         if self.c == 0:
             raise ValueError("z = 0 has no geometric rate")
-        limit = abs(self.c) * math.prod(p**p for p, _ in self.num)
-        limit /= math.prod(p**p for p, _ in self.den)
+        limit = self.limit()
         return math.log10(limit.denominator) - math.log10(limit.numerator)
 
 
@@ -410,19 +429,29 @@ def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     return sum_terms(derived_terms(ds), target_digits, prefactor=pref)
 
 
+def product_core(p: Product) -> HypTerms:
+    """The core of one printed product, with ``a / b`` as its weight, or as
+    its first term when that is a constant."""
+    if p.a.degree == 0 and p.b.degree == 0:
+        return HypTerms(p.a.coeffs[0], p.c, p.num, p.den)
+    weight = partial(quotient, *integer_coefficients(p.a, p.b))
+    return HypTerms(Fraction(1), p.c, p.num, p.den, weight)
+
+
 def evaluate_expr(
     expr: Union[TermExpr, str], target_digits: int
 ) -> EvalResult:
     """Sum a printed-form summand ``e(0) + e(1) + ...`` to target accuracy.
 
-    Terms are exact rationals; geometric decay is detected empirically and
-    non-convergence raises.  Accepts either an AST or grammar text.
+    Term ``n`` is the sum of term ``n`` of each product's core.  Accepts
+    either the parsed normal form or grammar text.
     """
     if isinstance(expr, str):
         expr = parse_term_expr(expr)
-    return sum_terms(
-        (expr_value(expr, n) for n in itertools.count()), target_digits
-    )
+    streams = [product_core(p).terms() for p in expr]
+    if len(streams) != 1:
+        streams = [map(sum, itertools.zip_longest(*streams, fillvalue=0))]
+    return sum_terms(streams[0], target_digits)
 
 
 def predicted_rate(ds: DerivedSeries) -> float:

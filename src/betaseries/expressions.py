@@ -1,10 +1,9 @@
 """Term expressions: the little language for printed series summands.
 
-A ``TermExpr`` is a small AST over a single integer index ``n`` with exact
-rational literals and the combinatorial building blocks that printed
-binomial-sum formulas use: factorials, binomial coefficients, rising
-factorials (``poch``), and powers with an index-linear exponent.  Every
-expression evaluates to an exact ``Fraction`` at each ``n >= 0``.
+A summand is text over one integer index ``n`` with exact rational
+literals and the building blocks of printed binomial-sum formulas:
+factorials, binomial coefficients, rising factorials (``poch``), and
+powers with an index-linear exponent.
 
 Grammar (whitespace insignificant)::
 
@@ -17,37 +16,39 @@ Grammar (whitespace insignificant)::
             | 'binom' '(' expr ',' expr ')'
             | 'poch' '(' expr ',' expr ')'
 
-Operators associate left within a precedence level.  Every polynomial
-subexpression in ``n`` folds at parse time into one node, ``Poly``, that
-holds an exact ``polynomials.Polynomial``: integer literals and ``n`` are
-polynomials, and so are their sums, differences, products, negations,
-quotients by a constant and powers with a constant exponent ``k >= 0``.
-So ``7/6`` is one constant, ``(-1296)^n`` has a plain rational base, and
-``(2*n+1)^2`` is the single polynomial ``4n^2 + 4n + 1``.  A constant
-raised to a negative integer power folds too.  Expressions are parsed and
-evaluated only; there is no serializer.
+Operators associate left within a precedence level.  The parser folds the
+whole summand, as it reads it, into its normal form ``TermExpr``: a tuple of
+hypergeometric ``Product``s
 
-Two kinds of power survive parsing: ``expr ^ INT`` (constant integer
-exponent) and ``RATIONAL ^ linear-in-n``.  Arguments of ``fact``/``binom``
-and the length argument of ``poch`` must be linear forms ``c1*n + c0``
-with nonnegative integer ``c1, c0`` so they are nonnegative integers for
-every ``n >= 0``.
+    c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n),
 
-The parser checks each node as it builds it, so a parsed expression needs
-no second pass.  A violation is a semantic error at the position of the
-offending function name or operator: ``fact(n/2)`` fails at ``1:1``,
-``0^(n-1)`` at the ``^``, and ``n/0`` at the ``/``.  Only a zero that
-appears at some index ``n`` (``1/(n-1)``) is left to evaluation, which
-raises ``ZeroDivisionError`` naming that ``n``.
+with Pochhammer symbols ``(p, q)`` as in ``engine.HypTerms`` and polynomials
+``a``, ``b``.  Products that share ``(c, num, den)`` are merged, so every
+catalog summand is one product.  ``fact(pn+q)`` is ``q! (q+1)_{pn}``,
+``poch(x, pn+q)`` is ``(x)_q (x+q)_{pn}``, ``c^(pn+q)`` is ``c^q (c^p)^n``,
+and ``binom`` is a quotient of factorials whose last factorial is rewritten
+so that the product is 0 exactly where the binomial is.  Each product is
+one term core to the engine; ``evaluate`` is its closed form, kept as an
+independent check.
+
+Arguments of ``fact`` and ``binom``, and the length of ``poch``, must be
+``c1*n + c0`` with nonnegative integers ``c1, c0``; a ``poch`` base and the
+base of a variable power must be constant rationals.  The parser checks
+each node as it folds it.  A violation is a semantic error at the position
+of the offending function name or operator: ``fact(n/2)`` fails at ``1:1``,
+``0^(n-1)`` at the ``^``, and ``n/0`` at the ``/``.  So does a divisor, or a
+base with a negative exponent, that is a sum of unlike products, such as
+``1/(2^n+1)``: it is not hypergeometric.  Only a zero that appears at some
+index ``n`` (``1/(n-1)``) is left to evaluation, which raises
+``ZeroDivisionError`` naming that ``n``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .polynomials import Polynomial
 
@@ -71,159 +72,41 @@ class ExprSemanticError(ExprError):
 
 
 # --------------------------------------------------------------------------
-# AST node types
+# The normal form and its closed form
 # --------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial in the index n with rational coefficients."""
-
-    p: Polynomial
+Symbol = Tuple[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "TermExpr"
-    right: "TermExpr"
+class Product(NamedTuple):
+    """``c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n)``.
+
+    ``num`` and ``den`` are sorted tuples of symbols ``(p, q)`` with
+    ``p >= 1``, and no symbol is in both.  ``a`` is nonzero and ``b`` is
+    monic: the constant 1 unless ``a / b`` has a nonconstant denominator.
+    """
+
+    c: Fraction
+    num: Tuple[Symbol, ...]
+    den: Tuple[Symbol, ...]
+    a: Polynomial
+    b: Polynomial
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "TermExpr"
-    right: "TermExpr"
+#: a parsed summand: the sum of its products (the empty sum is 0)
+TermExpr = Tuple[Product, ...]
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "TermExpr"
-    right: "TermExpr"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "TermExpr"
-    right: "TermExpr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "TermExpr"
-
-
-@dataclass(frozen=True)
-class PowInt:
-    """base ^ constant integer exponent."""
-
-    base: "TermExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class PowN:
-    """rational base ^ (linear-in-n exponent)."""
-
-    base: Fraction
-    exponent: "TermExpr"
-
-
-@dataclass(frozen=True)
-class Fact:
-    arg: "TermExpr"
-
-
-@dataclass(frozen=True)
-class Binom:
-    top: "TermExpr"
-    bottom: "TermExpr"
-
-
-@dataclass(frozen=True)
-class Poch:
-    base: Fraction
-    length: "TermExpr"
-
-
-TermExpr = Union[Poly, Add, Sub, Mul, Div, Neg, PowInt, PowN, Fact, Binom, Poch]
-
-
-# --------------------------------------------------------------------------
-# Linear-form extraction and evaluation
-# --------------------------------------------------------------------------
-
-
-def linear_form(node: TermExpr) -> Optional[Tuple[Fraction, Fraction]]:
-    """Return (slope, intercept) if ``node`` is linear in n, else None."""
-    if isinstance(node, Poly) and node.p.degree <= 1:
-        return node.p.coefficient(1), node.p.coefficient(0)
-    return None
-
-
-def _const_value(node: TermExpr) -> Optional[Fraction]:
-    if isinstance(node, Poly) and node.p.degree <= 0:
-        return node.p.coefficient(0)
-    return None
-
-
-def _nonneg_integer_linear(node: TermExpr, what: str, tok: _Token) -> None:
-    """Reject ``node`` at ``tok`` unless it is ``c1*n + c0``, c1, c0 integers >= 0."""
-    f = linear_form(node)
-    if f is None:
-        message = f"{what} must be linear in n"
-    elif f[0].denominator != 1 or f[1].denominator != 1:
-        message = f"{what} must have integer coefficients"
-    elif f[0] < 0 or f[1] < 0:
-        message = f"{what} must be a nonnegative integer for all n >= 0"
-    else:
-        return
-    raise ExprSemanticError(message, tok.line, tok.column)
-
-
-def _index(node: Poly, n: int) -> int:
-    """Value at ``n`` of a polynomial the parser proved integer-coefficient."""
-    acc = 0
-    for c in reversed(node.p.coeffs):
-        acc = acc * n + c.numerator
-    return acc
-
-
-def evaluate(node: TermExpr, n: int) -> Fraction:
-    """Exact value of the expression at index ``n``."""
-    if isinstance(node, Poly):
-        # Horner in integers over the running common denominator: one
-        # reduction per polynomial instead of one per Fraction operation
-        num, den = 0, 1
-        for c in reversed(node.p.coeffs):
-            num = num * n * c.denominator + c.numerator * den
-            den *= c.denominator
-        return Fraction(num, den)
-    if isinstance(node, Add):
-        return evaluate(node.left, n) + evaluate(node.right, n)
-    if isinstance(node, Sub):
-        return evaluate(node.left, n) - evaluate(node.right, n)
-    if isinstance(node, Mul):
-        return evaluate(node.left, n) * evaluate(node.right, n)
-    if isinstance(node, Div):
-        denom = evaluate(node.right, n)
-        if denom == 0:
+def evaluate(expr: TermExpr, n: int) -> Fraction:
+    """Exact value at index ``n``, each product from its closed form."""
+    total = Fraction(0)
+    for p in expr:
+        top = p.c**n * p.a(n) * math.prod(pochhammer(q, k * n) for k, q in p.num)
+        bottom = p.b(n) * math.prod(pochhammer(q, k * n) for k, q in p.den)
+        if bottom == 0:
             raise ZeroDivisionError(f"division by zero at n={n}")
-        return evaluate(node.left, n) / denom
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, n)
-    if isinstance(node, PowInt):
-        base = evaluate(node.base, n)
-        if node.exponent < 0 and base == 0:
-            raise ZeroDivisionError(f"zero base with negative exponent at n={n}")
-        return base ** node.exponent
-    if isinstance(node, PowN):
-        return node.base ** _index(node.exponent, n)
-    if isinstance(node, Fact):
-        return Fraction(math.factorial(_index(node.arg, n)))
-    if isinstance(node, Binom):
-        return Fraction(math.comb(_index(node.top, n), _index(node.bottom, n)))
-    if isinstance(node, Poch):
-        return pochhammer(node.base, _index(node.length, n))
-    raise TypeError(f"not a TermExpr node: {node!r}")
+        total += top / bottom
+    return total
 
 
 def pochhammer_pair(x: Union[Fraction, int], m: int) -> Tuple[int, int]:
@@ -244,72 +127,170 @@ def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
+# Folding: sums and products of products
+# --------------------------------------------------------------------------
+
+_ONE = Polynomial.one()
+
+
+def _semantic(message: str, tok: _Token) -> ExprSemanticError:
+    return ExprSemanticError(message, tok.line, tok.column)
+
+
+def _single(c=Fraction(1), num=(), den=(), a: Polynomial = _ONE) -> TermExpr:
+    """The one product ``c^n num/den a``, or the empty sum when ``a`` is 0."""
+    return (Product(c, num, den, a, _ONE),) if a else ()
+
+
+def _add(products: Iterable[Product]) -> TermExpr:
+    """The sum, with the products that share ``(c, num, den)`` merged."""
+    merged = {}
+    for p in products:
+        key = p[:3]
+        if key in merged:
+            a, b = merged[key]
+            if b == p.b:
+                merged[key] = a + p.a, b
+            else:  # a product of monic polynomials is monic
+                merged[key] = a * p.b + p.a * b, b * p.b
+        else:
+            merged[key] = p.a, p.b
+    return tuple(Product(*key, a, b) for key, (a, b) in merged.items() if a)
+
+
+def _times(x: Polynomial, y: Polynomial) -> Polynomial:
+    return y if x.coeffs == (1,) else x if y.coeffs == (1,) else x * y
+
+
+def _mul(left: TermExpr, right: TermExpr) -> TermExpr:
+    products = []
+    for x in left:
+        for y in right:
+            den = sorted(x.den + y.den)
+            num = []
+            for s in sorted(x.num + y.num):
+                if s in den:
+                    den.remove(s)
+                else:
+                    num.append(s)
+            a, b = _times(x.a, y.a), _times(x.b, y.b)
+            products.append(Product(x.c * y.c, tuple(num), tuple(den), a, b))
+    return _add(products) if len(products) > 1 else tuple(products)
+
+
+def _inverse(x: TermExpr, zero: str, tok: _Token) -> TermExpr:
+    """``1 / x`` for one product ``x``; ``zero`` names the error of ``x = 0``."""
+    if not x or x[0].c == 0:
+        raise _semantic(zero, tok)
+    if len(x) > 1:
+        raise _semantic("not hypergeometric: 1 / a sum of unlike products", tok)
+    (p,) = x
+    scale = 1 / p.a.coeffs[-1]  # makes the new denominator monic
+    a, b = (p.b, p.a) if scale == 1 else (p.b * scale, p.a * scale)
+    return (Product(1 / p.c, p.den, p.num, a, b),)
+
+
+def _power(x: TermExpr, k: int, tok: _Token) -> TermExpr:
+    if k < 0:
+        x, k = _inverse(x, "zero base with negative exponent", tok), -k
+    result = _single()
+    while k:
+        if k & 1:
+            result = _mul(result, x)
+        k >>= 1
+        if k:
+            x = _mul(x, x)
+    return result
+
+
+def _polynomial(x: TermExpr) -> Optional[Polynomial]:
+    """The value of ``x`` if it is a polynomial in n."""
+    if not x:
+        return Polynomial.zero()
+    if len(x) == 1:
+        c, num, den, a, b = x[0]
+        if c == 1 and not num and not den and b.degree == 0:
+            return a
+    return None
+
+
+def _const_value(x: TermExpr) -> Optional[Fraction]:
+    p = _polynomial(x)
+    return p.coefficient(0) if p is not None and p.degree <= 0 else None
+
+
+def _linear(x: TermExpr, what: str, tok: _Token) -> Tuple[int, int]:
+    """``(c1, c0)`` of ``x = c1*n + c0`` for integers ``c1, c0 >= 0``, else
+    an error at ``tok``."""
+    p = _polynomial(x)
+    if p is None or p.degree > 1:
+        message = f"{what} must be linear in n"
+    elif any(c.denominator != 1 for c in p.coeffs):
+        message = f"{what} must have integer coefficients"
+    elif any(c < 0 for c in p.coeffs):
+        message = f"{what} must be a nonnegative integer for all n >= 0"
+    else:
+        return int(p.coefficient(1)), int(p.coefficient(0))
+    raise _semantic(message, tok)
+
+
+def _factorial(p: int, q: int) -> TermExpr:
+    """``(pn + q)! = q! (q + 1)_{pn}``."""
+    num = ((p, Fraction(q + 1)),) if p else ()
+    return _single(num=num, a=Polynomial.constant(math.factorial(q)))
+
+
+def _reciprocal_factorial(e: int, f: int) -> TermExpr:
+    """``1 / (en + f)!``, taken as 0 wherever ``en + f < 0``."""
+    if f >= 0:
+        inverse = Polynomial.constant(Fraction(1, math.factorial(f)))
+        if e >= 0:
+            return _single(den=((e, Fraction(f + 1)),) if e else (), a=inverse)
+        # 1/(f - kn)! = (f - kn + 1) ... (f) / f! = (-1)^{kn} (-f)_{kn} / f!
+        return _single(Fraction((-1) ** -e), num=((-e, Fraction(-f)),), a=inverse)
+    if e > 0:
+        # 1/(en + f)! = (en + f + 1) ... (en) / (en)!, where one factor is 0
+        # wherever 0 <= en < -f
+        a = math.prod((Polynomial((j, e)) for j in range(f + 1, 1)), start=_ONE)
+        return _single(den=((e, Fraction(1)),), a=a)
+    return ()  # en + f < 0 for every n >= 0
+
+
+def _negate(x: TermExpr) -> TermExpr:
+    return tuple(p._replace(a=-p.a) for p in x)
+
+
+# --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------
 
 _FUNRS = ("fact", "binom", "poch")
-_NODES = {"+": Add, "-": Sub, "*": Mul, "/": Div}
-_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _binary(op: str, left: TermExpr, right: TermExpr) -> TermExpr:
-    """``left op right``, folded into one ``Poly`` when both sides are
-    polynomials (for ``/``, when the divisor is a constant)."""
-    if isinstance(left, Poly) and isinstance(right, Poly):
-        if op in _FOLDS:
-            return Poly(_FOLDS[op](left.p, right.p))
-        divisor = _const_value(right)
-        if divisor is not None:
-            return Poly(left.p * (1 / divisor))
-    return _NODES[op](left, right)
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int', 'name', 'op', 'end'
     text: str
     line: int
     column: int
 
 
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])|(?P<space>\s)|(?P<bad>.)",
+    re.S,
+)
+
+
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    tokens, line, start = [], 1, 0  # start: the offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind, column = m.lastgroup, m.start() - start + 1
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", line, column)
+        if kind != "space":
+            tokens.append(_Token(kind, m.group(), line, column))
+        elif m.group() == "\n":
+            line, start = line + 1, m.end()
+    tokens.append(_Token("end", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -351,7 +332,8 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                node = _binary(tok.text, node, self.term())
+                rhs = self.term()
+                node = _add(node + (rhs if tok.text == "+" else _negate(rhs)))
             else:
                 return node
 
@@ -362,11 +344,9 @@ class _Parser:
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
                 rhs = self.unary()
-                if tok.text == "/" and _const_value(rhs) == 0:
-                    raise ExprSemanticError(
-                        "division by zero constant", tok.line, tok.column
-                    )
-                node = _binary(tok.text, node, rhs)
+                if tok.text == "/":
+                    rhs = _inverse(rhs, "division by zero constant", tok)
+                node = _mul(node, rhs)
             else:
                 return node
 
@@ -374,8 +354,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            operand = self.unary()
-            return Poly(-operand.p) if isinstance(operand, Poly) else Neg(operand)
+            return _negate(self.unary())
         return self.power()
 
     def power(self) -> TermExpr:
@@ -390,70 +369,49 @@ class _Parser:
                 return node
 
     def _make_pow(self, base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
-        c, k = _const_value(base), _const_value(exponent)
+        k = _const_value(exponent)
         if k is not None:
             if k.denominator != 1:
-                raise ExprSemanticError(
-                    "constant exponent must be an integer", tok.line, tok.column
-                )
-            if k < 0 and c == 0:
-                raise ExprSemanticError(
-                    "zero base with negative exponent", tok.line, tok.column
-                )
-            if c is not None:
-                return Poly(Polynomial.constant(c ** int(k)))
-            if isinstance(base, Poly) and k >= 0:
-                return Poly(base.p ** int(k))
-            return PowInt(base, int(k))
+                raise _semantic("constant exponent must be an integer", tok)
+            return _power(base, int(k), tok)
+        c = _const_value(base)
         if c is None:
-            raise ExprSemanticError(
-                "variable exponent requires a constant rational base",
-                tok.line,
-                tok.column,
-            )
-        f = linear_form(exponent)
-        if f is None or f[0].denominator != 1 or f[1].denominator != 1:
-            raise ExprSemanticError(
-                "exponent must be an integer-valued linear form in n",
-                tok.line,
-                tok.column,
-            )
-        if c == 0 and (f[0] < 0 or f[1] < 0):
-            raise ExprSemanticError(
-                "zero base with possibly negative exponent", tok.line, tok.column
-            )
-        return PowN(c, exponent)
+            raise _semantic("variable exponent requires a constant rational base", tok)
+        f = _polynomial(exponent)
+        if f is None or f.degree > 1 or any(e.denominator != 1 for e in f.coeffs):
+            raise _semantic("exponent must be an integer-valued linear form in n", tok)
+        p, q = int(f.coefficient(1)), int(f.coefficient(0))
+        if c == 0 and (p < 0 or q < 0):
+            raise _semantic("zero base with possibly negative exponent", tok)
+        return _single(c**p, a=Polynomial.constant(c**q))
 
     def atom(self) -> TermExpr:
         tok = self.advance()
         if tok.kind == "int":
-            return Poly(Polynomial.constant(int(tok.text)))
+            return _single(a=Polynomial.constant(int(tok.text)))
         if tok.kind == "name":
             if tok.text == "n":
-                return Poly(Polynomial.x())
+                return _single(a=Polynomial.x())
             if tok.text in _FUNRS:
                 self.expect("(")
                 first = self.expr()
                 if tok.text == "fact":
                     self.expect(")")
-                    _nonneg_integer_linear(first, "factorial argument", tok)
-                    return Fact(first)
+                    return _factorial(*_linear(first, "factorial argument", tok))
                 self.expect(",")
                 second = self.expr()
                 self.expect(")")
                 if tok.text == "binom":
-                    _nonneg_integer_linear(first, "binomial argument", tok)
-                    _nonneg_integer_linear(second, "binomial argument", tok)
-                    return Binom(first, second)
-                base = _const_value(first)
-                if base is None:
-                    raise ExprSemanticError(
-                        "poch base must be a constant rational",
-                        tok.line,
-                        tok.column,
-                    )
-                _nonneg_integer_linear(second, "pochhammer length", tok)
-                return Poch(base, second)
+                    a, b = _linear(first, "binomial argument", tok)
+                    c, d = _linear(second, "binomial argument", tok)
+                    top = _mul(_factorial(a, b), _reciprocal_factorial(c, d))
+                    return _mul(top, _reciprocal_factorial(a - c, b - d))
+                x = _const_value(first)
+                if x is None:
+                    raise _semantic("poch base must be a constant rational", tok)
+                p, q = _linear(second, "pochhammer length", tok)
+                num = ((p, x + q),) if p else ()
+                return _single(num=num, a=Polynomial.constant(pochhammer(x, q)))
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
@@ -467,5 +425,5 @@ class _Parser:
 
 
 def parse_term_expr(text: str) -> TermExpr:
-    """Parse a term expression in the summand grammar, checking it on the way."""
+    """Parse a summand in the grammar into its normal form, checking it on the way."""
     return _Parser(text).parse()

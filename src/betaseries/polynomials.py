@@ -13,7 +13,8 @@ appear).  ``ParamPolynomial`` adds only exact specialization at a rational
 facts that seed solving, the catalog and the CLI share live here too:
 ``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.  So
 does the one builder of the term cores' integer polynomials in ``n``,
-``integer_forms``, with ``horner`` to evaluate them.
+``integer_forms`` (over ``integer_coefficients``), with ``horner`` and
+``quotient`` to evaluate them.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
@@ -312,6 +313,11 @@ def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
                     piece = piece * Polynomial((x + j, d))
             total = total + piece
         polys.append(total)
+    return integer_coefficients(*polys)
+
+
+def integer_coefficients(*polys: Polynomial) -> Tuple[Tuple[int, ...], ...]:
+    """The coefficients, lowest first, times one common denominator."""
     scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
     return tuple(
         tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
@@ -326,6 +332,17 @@ def horner(coeffs: Sequence, x, zero=0):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def quotient(
+    top: Sequence[int], bottom: Sequence[int], n: int, shift: int = 0
+) -> Fraction:
+    """``top(n) / bottom(n)`` for integer coefficients; a zero ``bottom(n)`` is
+    a division by zero at the term ``n + shift``."""
+    d = horner(bottom, n)
+    if d == 0:
+        raise ZeroDivisionError(f"division by zero at n={n + shift}")
+    return Fraction(horner(top, n), d)
 
 
 def derivative(p: Polynomial) -> Polynomial:

@@ -99,6 +99,40 @@ class TestEval:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == "-2.0000"
 
+    @pytest.mark.parametrize(
+        "expr, value, terms",
+        [
+            ("binom(n,5)*(1/2)^n", "2.0000000000000000000", None),
+            (
+                "(n-3)*(n-4)*(n-5)*(n-6)*(n-7)*(1/2)^n",
+                "-2880.0000000000000000",
+                None,
+            ),
+            ("binom(5,n)*2^n", "243.00000000000000000", 6),
+            ("n-n", "0.0", 0),
+        ],
+    )
+    def test_zero_terms_do_not_end_the_sum(self, expr, value, terms):
+        proc = run_cli("eval", "--expr", expr, "--digits", "20")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["value"] == value
+        if terms is not None:
+            assert doc["terms"] == terms
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("fact(n)^2/fact(n+60)^2*1000^n", "-> 1000 > 1: diverges"),
+            ("1/(n+1)^2", "not geometrically convergent"),
+        ],
+    )
+    def test_ratio_limit_checked_before_summing(self, expr, message):
+        proc = run_cli("eval", "--expr", expr, "--digits", "20")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
     def test_requires_exactly_one_input(self):
         assert run_cli("eval", "--digits", "10").returncode == 2
         proc = run_cli("eval", "--digits", "10", "--expr", "1", "--spec", "x.json")
@@ -273,8 +307,10 @@ class TestUsage:
             ("1 + * 2", "syntax error at 1:5"),
             ("fact(n/2)", "semantic error at 1:1"),
             ("n/0", "semantic error at 1:2: division by zero"),
+            ("1/(2^n+1)", "semantic error at 1:2: not hypergeometric"),
+            ("(1/2)^n*(n+2^n)^(-1)", "semantic error at 1:16: not hypergeometric"),
         ],
-        ids=["syntax", "semantic", "zero-divisor"],
+        ids=["syntax", "semantic", "zero-divisor", "sum-divisor", "sum-power"],
     )
     def test_malformed_expr_is_a_usage_error(self, expr, message):
         proc = run_cli("eval", "--expr", expr, "--digits", "5")
@@ -285,13 +321,15 @@ class TestUsage:
     @pytest.mark.parametrize(
         "expr, message",
         [
-            ("1/(n-1)^2", "error: division by zero at n=1"),
-            ("1 + (n-2)^(-1)", "error: zero base with negative exponent at n=2"),
+            ("(1/2)^n/(n-1)^2", "error: division by zero at n=1"),
+            ("(1/2)^n*(1 + (n-2)^(-1))", "error: division by zero at n=2"),
+            ("(1/2)^n/poch(-2,n)", "error: division by zero at n=3"),
         ],
-        ids=["division", "power"],
+        ids=["division", "power", "lower-symbol"],
     )
     def test_zero_at_an_index_is_a_failure_without_position(self, expr, message):
-        # the zero is found only when evaluating term n: no source position
+        # the zero is found only when evaluating term n: no source position.
+        # The series are geometric, so that they pass the ratio check first
         proc = run_cli("eval", "--expr", expr, "--digits", "5")
         assert proc.returncode == 1
         assert proc.stdout == ""

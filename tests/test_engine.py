@@ -80,14 +80,23 @@ class TestSumTerms:
         with pytest.raises(SeriesDivergenceError):
             sum_terms((F(2) ** n for n in itertools.count()), 10)
 
-    def test_finite_stream_without_convergence(self):
-        with pytest.raises(EvaluationError):
-            sum_terms(iter([F(1), F(1, 2)]), 30)
+    def test_finite_stream_is_an_exact_sum(self):
+        result = sum_terms(iter([F(1), F(1, 2)]), 30)
+        assert result.value == mpf(3) / 2
+        assert result.terms_used == 2
+        with mp.workdps(45):
+            assert result.tail_bound == mpf(10) ** -40
 
-    def test_zero_run_terminates(self):
+    def test_trailing_zeros_end_an_exact_sum(self):
         terms = iter([F(5)] + [F(0)] * 10)
         result = sum_terms(terms, 20)
         assert result.value == 5
+        assert result.terms_used == 11
+
+    def test_empty_stream_sums_to_zero(self):
+        result = sum_terms(iter([]), 20)
+        assert result.value == 0 and result.terms_used == 0
+        assert result.measured_rate is None
 
     def test_interior_zero_terms(self):
         # zeros mid-stream must not poison ratios or the tail bound
@@ -254,13 +263,40 @@ class TestIntegerForms:
         for n in range(12):
             assert next(grouped) == sum(base[m * n : m * n + m])
 
+    @pytest.mark.parametrize(
+        "num, den, c",
+        [
+            (((1, F(1)),), (), F(1, 100)),  # ratio ~ n/100
+            (((2, F(1)),), ((1, F(1)), (1, F(1))), F(1, 3)),  # L = 4/3
+            (((1, F(1, 2)),), ((1, F(3, 2)),), F(-5, 4)),
+        ],
+    )
+    def test_divergent_ratio_raises_before_the_first_term(self, num, den, c):
+        terms = HypTerms(F(1), c, num, den).terms()
+        with pytest.raises(SeriesDivergenceError):
+            next(terms)
+
+    @pytest.mark.parametrize("c", [F(1), F(-1)])
+    def test_unit_ratio_limit_is_not_geometric(self, c):
+        # 1/(n+1)^2 and its alternating form: |L| = 1 exactly
+        core = HypTerms(F(1), c, ((1, F(1)), (1, F(1))), ((1, F(2)), (1, F(2))))
+        with pytest.raises(EvaluationError, match="not geometrically convergent"):
+            next(core.terms())
+        assert not issubclass(EvaluationError, SeriesDivergenceError)
+
+    def test_terminating_core_ends_after_its_last_nonzero_term(self):
+        # (-5)_n (-2)^n / n! = binom(5, n) 2^n: |L| = 2, but the terms end
+        core = HypTerms(F(1), F(-2), ((1, F(-5)),), ((1, F(1)),))
+        assert list(core.terms()) == [1, 10, 40, 80, 80, 32]
+        assert list(core.grouped(4).terms()) == [131, 112]
+
     @pytest.mark.parametrize("m, yielded", [(1, 4), (2, 2), (3, 1)])
     def test_zero_denominator_factor_raises(self, m, yielded):
         # (q')_{n} with q' = -3 has the factor q' + n = 0 at n = 3
         core = HypTerms(F(1), F(1, 2), ((1, F(1)),), ((1, F(-3)),))
         with pytest.raises(ZeroDivisionError):
             pochhammer_ratio(core, 3)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="at n=4$"):
             core.ratio(3)
         gen = core.terms() if m == 1 else core.grouped(m).terms()
         assert len(list(itertools.islice(gen, yielded))) == yielded
@@ -286,6 +322,25 @@ class TestEvaluateExpr:
     def test_divergent_expression(self):
         with pytest.raises(SeriesDivergenceError):
             evaluate_expr("binom(8*n,4*n)/9^n", 10)
+        # |L| = 1000: once a value after two terms
+        with pytest.raises(SeriesDivergenceError):
+            evaluate_expr("fact(n)^2/fact(n+60)^2*1000^n", 20)
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("binom(n,5)*(1/2)^n", 2),  # zero for n < 5
+            ("(n-3)*(n-4)*(n-5)*(n-6)*(n-7)*(1/2)^n", -2880),  # zero for 3..7
+            ("binom(5,n)*2^n", 243),  # a finite sum
+            ("(1/2)^n + (1/3)^n - (1/3)^n*3", -1),  # two cores
+            ("binom(3,n) + (1/2)^n", 10),  # a finite and an infinite core
+            ("n - n", 0),  # the empty sum
+        ],
+    )
+    def test_sums_of_cores(self, expr, value):
+        result = evaluate_expr(expr, 25)
+        with mp.workdps(40):
+            assert abs(result.value - value) <= result.tail_bound
 
     def test_accepts_ast(self):
         from betaseries.expressions import parse_term_expr

@@ -1,6 +1,6 @@
 """``integrate`` against a frozen copy of its node-by-node predecessor.
 
-``reference_integrate`` computes the transform of every node afresh, the
+``reference_integrate`` computes the transform of every node in mpf, the
 node at ``-t`` on its own, and ``x^a (1-x)^b`` as two general mpf powers,
 as ``integrate`` did before its fixed-point kernel.  ``integrate`` rounds
 differently (it sums integers times ``2^-W``), so the two cannot agree bit
@@ -12,6 +12,10 @@ plain ``x^a (1-x)^b`` must match ``mp.beta(a+1, b+1)`` to the same
 fixed-point ``x`` for half-integer powers, and for one without guard bits.
 ``integrate`` itself must return the same bits whatever the tables already
 hold: fresh, after other precisions, and after the cache is cleared.
+
+The reference keeps each node's transform, and ``x^a (1-x)^b`` per exponent
+pair, between cases at one precision; a kept value has the same bits as a
+fresh one, so only the cost of the 420-digit references changes.
 
 Every catalog ``integral`` leaf and every duality seed integral must agree
 with its series or closed form to ``10^-d`` at 30, 100 and 300 digits.
@@ -38,6 +42,33 @@ def _horner(coeffs, x):
     return acc
 
 
+#: ``(prec, t) -> (x, 1 - x, weight)`` of ``reference_integrate``'s nodes
+_TRANSFORMS = {}
+#: ``(prec, t, a, b) -> x^a (1-x)^b``
+_POWERS = {}
+
+
+def _transform(t):
+    """``(x, 1 - x, pi cosh t x (1 - x))`` at the node ``t``, or None at the
+    ends, where ``x`` or ``1 - x`` rounds to 0."""
+    key = (mp.prec, t)
+    if key not in _TRANSFORMS:
+        u = mp.pi / 2 * mp.sinh(t)
+        if u >= 0:
+            em = mp.exp(-2 * u)
+            x = 1 / (1 + em)
+            omx = em / (1 + em)
+        else:
+            ep = mp.exp(2 * u)
+            x = ep / (1 + ep)
+            omx = 1 / (1 + ep)
+        if x == 0 or omx == 0:
+            _TRANSFORMS[key] = None
+        else:
+            _TRANSFORMS[key] = x, omx, mp.pi * mp.cosh(t) * x * omx
+    return _TRANSFORMS[key]
+
+
 def reference_integrate(problem, target_digits, max_levels=20):
     """The tanh-sinh rule with every node's transform computed on its own."""
     if target_digits < 1:
@@ -52,22 +83,16 @@ def reference_integrate(problem, target_digits, max_levels=20):
         den_coeffs = tuple(
             mpf(c.numerator) / c.denominator for c in problem.denominator.coeffs
         )
-        pi_half = mp.pi / 2
 
         def node(t):
-            u = pi_half * mp.sinh(t)
-            if u >= 0:
-                em = mp.exp(-2 * u)
-                x = 1 / (1 + em)
-                omx = em / (1 + em)
-            else:
-                ep = mp.exp(2 * u)
-                x = ep / (1 + ep)
-                omx = 1 / (1 + ep)
-            if x == 0 or omx == 0:
+            transform = _transform(t)
+            if transform is None:
                 return mpf(0)
-            weight = mp.pi * mp.cosh(t) * x * omx
-            val = x**a * omx**b * _horner(num_coeffs, x) / _horner(den_coeffs, x)
+            x, omx, weight = transform
+            key = (mp.prec, t, a, b)
+            if key not in _POWERS:
+                _POWERS[key] = x**a * omx**b
+            val = _POWERS[key] * _horner(num_coeffs, x) / _horner(den_coeffs, x)
             return val * weight
 
         trunc_tol = mpf(10) ** (-(wp + 5))
