@@ -1,72 +1,64 @@
-"""Arbitrary-precision series evaluation with rigorous empirical tail bounds.
+"""Arbitrary-precision series evaluation with proven error bounds.
 
-Derived, hypergeometric, grouped and printed series share one term core,
-``HypTerms``: a first term, a constant, Pochhammer symbols ``(q)_{pn}``
-above and below, and an optional weight.  Its term ratio is ``N(n) / D(n)``
-for two integer polynomials built once per core
-(``polynomials.integer_forms``), and a derived weight is ``A(n) / B(n)``,
-built once per series (``derive.weight_values``).  So each term costs
-integer Horner evaluations and one ``Fraction`` each for the ratio and the
-weight.  Grouping ``m`` terms at a time is a transform of the core that
-maps each symbol ``(p, q)`` to ``(pm, q)``, and the predicted rate is read
-off the term ratio's limit.  Each product of a printed summand
-(``expressions.Product``) is one core, with ``a(n) / b(n)`` as its weight.
-Before its first term a core rejects a ratio limit that is not below 1 in
-absolute value, unless its terms end; they end after the last nonzero
-``t(n)``, and ``sum_terms`` takes a stream that ends as an exact finite sum.
+Derived, hypergeometric, grouped and printed series all compile onto one
+term core, ``HypTerms``, whose ratio ``N(n) / D(n)`` and weight
+``A(n) / B(n)`` are integer polynomials built once per core.
 
-Terms are computed as exact rationals by that ratio recurrence and rounded
-once each into binary floats at a working precision of
-``target_digits + 15``; the guard combined with a single final rounding
-keeps accumulated rounding far below the reported tail bound for any
-realistic term count (< 10^5 terms).
+``sum_terms`` is the one summation loop, in fixed point: ``v`` is held as
+``floor(v 2^W)``.  Each core steps ``T <- T N(n) // D(n)`` and adds
+``T A(n) // B(n)`` to the sum, with integer rounding bounds in units of
+``2^-W``: ``E <- ceil(E |N| / |D|) + 1`` for ``T``, and ``ceil(E |A| / |B|)
++ 1`` added to the sum's ``E_S`` (each ``+ 1`` only for an inexact
+division).  One unit more covers the value: ``prefactor * S / 2^W``
+rounded once to an mpf.  The tail bound is proven from the core
+(``HypTerms.tail_forms``), and summation stops at the first ``N`` where it
+plus ``E_S``, times ``|prefactor| 2^-W``, is below ``10^-target_digits``:
+``EvalResult.tail_bound`` covers the truncation and every rounding.
 
-Tail policy: once the absolute term ratio has stayed below 1, the tail of
-a geometrically dominated series is bounded by ``|t_N| * r / (1 - r)``
-with ``r`` the maximum of the last five observed ratios inflated by 10%.
-The inflation absorbs the preasymptotic window where ratios still drift
-upward toward their limit; soundness is additionally validated by the
-re-evaluate-at-higher-precision checks in the test suite.  Summation stops
-when that bound (including any prefactor) drops below ``10^-target_digits``.
-Eight consecutive ratios at or above 1 are treated as divergence.
-
-Only the value needs the working precision, so each step runs at the
-precision it needs:
-
-- the terms and the running sum: working precision;
-- tail control: a float filter on ``log2 |t|`` (``_log2``) decides the
-  term ratios and the tail bound; what it leaves open is computed at working
-  precision from the last six nonzero ``|t|``, so the stop index, the
-  divergence verdict and the bound are those of the working-precision policy;
-- the rate fit: ``|S_n - S|`` at working precision (it cancels), its
-  logarithm as the float ``_log2``, since the fitted slope is a float;
-- ``EvalResult.partial_sums``: scaled by the prefactor when first read.
+``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
+``GUARD_BITS``.  Where ``E_S`` exceeds half the budget, as when the terms
+grow for a long stretch (``(200)_n / n! 3^-n``), the sum is redone once
+with ``W`` raised by the missing bits; ``E_S`` does not grow with ``W``, so
+a second miss is an ``EvaluationError``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+import statistics
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest, round_up, to_rational
 
-from .derive import DerivedSeries, weight_values
+from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr
-from .polynomials import horner, integer_coefficients, integer_forms, quotient
+from .polynomials import (
+    Polynomial,
+    horner,
+    integer_coefficients,
+    integer_forms,
+    quotient,
+)
 
-# Nothing here calls the closed form.  ``expr_value`` stays importable from
-# this module only because the benchmark's tracer (``bench/layers.py``)
-# patches ``engine.expr_value`` as a layer boundary; remove both together.
+# Nothing here calls these.  They stay importable from this module only
+# because the benchmark's tracer (``bench/layers.py``) patches
+# ``engine.expr_value`` and ``engine.weight_values`` as layer boundaries;
+# remove them together with those patches.
+from .derive import weight_values  # noqa: F401
 from .expressions import evaluate as expr_value  # noqa: F401
 
-GUARD_DIGITS = 15
+#: fixed-point bits beyond the target; the rounding bound must fit in them
+GUARD_BITS = 64
 
 DEFAULT_MAX_TERMS = 100_000
+
+#: integer coefficients, lowest degree first, of ``A`` and ``B`` in ``A / B``
+IntegerForm = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class EvaluationError(ArithmeticError):
@@ -74,7 +66,7 @@ class EvaluationError(ArithmeticError):
 
 
 class SeriesDivergenceError(EvaluationError):
-    """The term ratio tends to a limit above 1, or stayed at or above 1."""
+    """The term ratio tends to a limit above 1."""
 
 
 def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
@@ -86,48 +78,43 @@ def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
     return mpf(x)
 
 
+def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
+    """``num / den`` rounded once to ``prec`` bits."""
+    return mp.make_mpf(from_rational(num, den, prec, rnd))
+
+
+def _from_fixed(pref: Fraction, s: int, bits: int) -> mpf:
+    """``pref * s / 2^bits`` rounded once, within ``|pref| 2^-bits`` of it."""
+    num, den = pref.numerator * s, pref.denominator << bits
+    return _rounded(num, den, max(bits, s.bit_length()))
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of a series evaluation.
 
-    ``tail_bound`` is a rigorous bound on ``|value - true sum|`` under the
-    geometric-domination assumption validated during summation.
-    ``measured_rate`` is the decimal-digits-per-term slope fitted over the
-    trailing half of the partial sums (None when too few usable points).
-
-    ``partial_sums`` (prefactor included) is computed on first read from the
-    running sums kept unscaled, at the working precision ``working_prec``
-    (bits) of the evaluation, whatever the precision at the time of reading,
-    and then cached.
+    ``tail_bound`` is a proven bound on ``|value - prefactor * sum|``, the
+    truncated tail and every rounding included.  ``measured_rate`` is the
+    digits-per-term slope fitted over the trailing half of the partial sums
+    (None when too few usable points).  The partial sums are kept unscaled,
+    as integers in units of ``2^-working_prec``; ``partial_sums`` rounds
+    them like the value on first read, whatever the precision then.
     """
 
     value: mpf
     terms_used: int
     tail_bound: mpf
     measured_rate: Optional[float]
-    unscaled_partial_sums: Tuple[mpf, ...] = field(repr=False, default=())
-    prefactor: mpf = field(repr=False, default=mpf(1))
+    fixed_partial_sums: Tuple[int, ...] = field(repr=False, default=())
+    prefactor: Fraction = field(repr=False, default=Fraction(1))
     working_prec: int = field(repr=False, default=53)
 
     @cached_property
     def partial_sums(self) -> Tuple[mpf, ...]:
-        with mp.workprec(self.working_prec):
-            return tuple(self.prefactor * s for s in self.unscaled_partial_sums)
-
-
-def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
-    """Least-squares slope of digits-of-accuracy against index."""
-    if len(points) < 3:
-        return None
-    n = len(points)
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    sxx = sum(p[0] * p[0] for p in points)
-    sxy = sum(p[0] * p[1] for p in points)
-    denom = n * sxx - sx * sx
-    if denom == 0:
-        return None
-    return (n * sxy - sx * sy) / denom
+        return tuple(
+            _from_fixed(self.prefactor, s, self.working_prec)
+            for s in self.fixed_partial_sums
+        )
 
 
 def _log2(x: mpf) -> float:
@@ -146,19 +133,14 @@ def _log2(x: mpf) -> float:
 _LOG10_2 = math.log10(2)
 
 
-def _fit_errors(
-    partial_sums: Sequence[mpf], reference: mpf, floor: mpf
-) -> Optional[float]:
-    """``_fit_rate`` of the points ``(i, -log10 |S_i - reference|)``.
-
-    Fits the back half of the points whose error is above ``floor``.
-    """
-    pts = []
-    for i, s in enumerate(partial_sums):
-        d = abs(s - reference)
-        if d > floor:
-            pts.append((i, -_log2(d) * _LOG10_2))
-    return _fit_rate(pts[len(pts) // 2 :])
+def _fit_errors(points: Iterable[Tuple[int, float]]) -> Optional[float]:
+    """Least-squares slope of ``-log10 |S_i - S|`` against ``i`` over the back
+    half of the points ``(i, log2 |S_i - S|)``; None for fewer than 3."""
+    points = list(points)
+    back = points[len(points) // 2 :]
+    if len(back) < 3:
+        return None
+    return -statistics.linear_regression(*zip(*back)).slope * _LOG10_2
 
 
 def measured_rate(partial_sums: Sequence[mpf], reference: mpf) -> float:
@@ -170,137 +152,16 @@ def measured_rate(partial_sums: Sequence[mpf], reference: mpf) -> float:
     """
     if len(partial_sums) < 10:
         raise ValueError("need at least 10 partial sums")
-    slope = _fit_errors(partial_sums, reference, mpf(0))
+    slope = _fit_errors(
+        (i, _log2(d)) for i, s in enumerate(partial_sums) if (d := abs(s - reference))
+    )
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")
     return slope
 
 
-class _TailControl:
-    """The tail policy of the module docstring, fed one ``|t_n|`` at a time.
-
-    Every decision equals the one computed wholly at working precision (the
-    precision current when ``push`` is called).  A float filter decides
-    first, in log2: a ratio is ``2^step`` for a step between two ``_log2``,
-    and the bound's log is ``log2 |t| + log2 rhat - log2(1 - rhat)``.  With
-    ``scale`` the largest ``max(1, |log2|)`` seen, steps and ``log2 rhat``
-    are within ``2^-43 scale``; the bound's log, formed only for
-    ``rhat <= 1 - 2^-8``, is within ``2^-33 scale``, and working precision
-    (56 bits or more) adds ``2^-44`` relative.  What the filter does not
-    clear by ``slack = 2^-30 scale`` is computed at working precision from
-    the last six nonzero ``|t|``, which determine the last five ratios.
-    """
-
-    SLACK = 2.0**-30
-    LOG2_INFLATION = math.log2(1.1)
-    #: the largest ``log2 rhat`` whose bound the filter may reject
-    LOG2_FILTERED = math.log2(1 - 2.0**-8)
-
-    def __init__(self, tol: mpf, apref: mpf):
-        self.tol = tol
-        self.apref = apref
-        self.log2_target = _log2(tol / apref)
-        self.scale = max(1.0, abs(self.log2_target))
-        self.diverging = 0
-        self.mags: deque = deque(maxlen=6)  # last nonzero |t|, working precision
-        self.log2_last = 0.0  # _log2 of the last of them
-        self.steps: deque = deque(maxlen=5)  # log2 of their ratios
-
-    def push(self, at: mpf) -> Optional[mpf]:
-        """Take the next nonzero ``|t|``; the tail bound once it meets the target.
-
-        Raises ``SeriesDivergenceError`` on the eighth consecutive ratio >= 1.
-        """
-        lg = _log2(at)
-        self.scale = max(self.scale, abs(lg))
-        slack = self.SLACK * self.scale
-        if self.mags:
-            step = lg - self.log2_last
-            if step < -slack or (step <= slack and at / self.mags[-1] < 1):
-                self.diverging = 0
-            else:
-                self.diverging += 1
-                if self.diverging >= 8:
-                    raise SeriesDivergenceError(
-                        "term ratio stayed >= 1 for 8 consecutive terms"
-                    )
-            self.steps.append(step)
-        self.mags.append(at)
-        self.log2_last = lg
-        if not self.steps:
-            return None
-        log2_rhat = self.LOG2_INFLATION + max(self.steps)
-        if log2_rhat > slack:
-            return None
-        if log2_rhat <= self.LOG2_FILTERED:
-            # 2.0**log2_rhat may underflow to 0 on a steep drop; the log stays
-            log2_bound = lg + log2_rhat - math.log2(1 - 2.0**log2_rhat)
-            if log2_bound > self.log2_target + slack:
-                return None
-        mags = list(self.mags)
-        rhat = mpf("1.1") * max(b / a for a, b in zip(mags, mags[1:]))
-        if rhat >= 1:
-            return None
-        bound = mags[-1] * rhat / (1 - rhat) * self.apref
-        return bound if bound < self.tol else None
-
-
-def sum_terms(
-    terms: Iterable[Fraction],
-    target_digits: int,
-    prefactor: Union[Fraction, mpf, int, None] = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> EvalResult:
-    """Sum exact terms until the tail bound falls below ``10^-target_digits``.
-
-    ``prefactor`` scales both the returned value and the tolerance target,
-    so the tail bound always refers to the final reported value.  A stream
-    that ends is an exact finite sum; its tail bound is the rounding floor.
-    """
-    if target_digits < 1:
-        raise ValueError("target_digits must be >= 1")
-    wp = target_digits + GUARD_DIGITS
-    with mp.workdps(wp):
-        pref = to_mpf(prefactor) if prefactor is not None else mpf(1)
-        apref = abs(pref)
-        if apref == 0:
-            raise ValueError("prefactor must be nonzero")
-        tol = mpf(10) ** (-target_digits)
-        floor = mpf(10) ** (-(target_digits + GUARD_DIGITS - 5))
-        control = _TailControl(tol, apref)
-        total = mpf(0)
-        partials = []
-
-        for n, term in enumerate(terms):
-            if n >= max_terms:
-                raise EvaluationError(
-                    f"tail target not reached within {max_terms} terms"
-                )
-            t = to_mpf(term)
-            total += t
-            partials.append(total)
-            if t:
-                tail = control.push(abs(t))
-                if tail is not None:
-                    break
-        else:
-            tail = floor  # the stream ended: the sum is exact
-        # rate fit against the final value, ignoring points at rounding noise
-        noise = mpf(10) ** (-(wp - 3)) * max(mpf(1), abs(total))
-        rate = _fit_errors(partials[:-1], total, noise)
-        return EvalResult(
-            value=pref * total,
-            terms_used=len(partials),
-            tail_bound=max(tail, floor),
-            measured_rate=rate,
-            unscaled_partial_sums=tuple(partials),
-            prefactor=pref,
-            working_prec=mp.prec,
-        )
-
-
 # --------------------------------------------------------------------------
-# The hypergeometric term core and the derived-series front end
+# The hypergeometric term core
 # --------------------------------------------------------------------------
 
 
@@ -311,9 +172,9 @@ class HypTerms:
     Each factor ``(p, q)`` in ``num`` and ``den`` is a Pochhammer symbol with
     integer ``p >= 0``.  The ratio ``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}``
     is ``N(n) / D(n)`` for the integer polynomials ``integer_ratio``, built once
-    per core, so each step is integer Horner work and one ``Fraction``.  The
-    optional weight ``w(n)`` multiplies term ``n`` after the recurrence, so a
-    vanishing weight never enters a denominator.  The terms end after the
+    per core.  ``weight`` holds the integer coefficients ``(A, B)`` of
+    ``w(n) = A(n) / B(n)``; it multiplies term ``n`` after the recurrence, so
+    a vanishing weight never enters a denominator.  The terms end after the
     last nonzero ``t(n)``.
     """
 
@@ -321,10 +182,10 @@ class HypTerms:
     c: Fraction
     num: Tuple[Tuple[int, Fraction], ...]
     den: Tuple[Tuple[int, Fraction], ...]
-    weight: Optional[Callable[[int], Fraction]] = None
+    weight: IntegerForm = ((1,), (1,))
 
     @cached_property
-    def integer_ratio(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def integer_ratio(self) -> IntegerForm:
         """``(N, D)``: integer coefficients, lowest degree first, of ``r = N / D``."""
         return integer_forms(
             [(self.c, [(q, p, p) for p, q in self.num])],
@@ -356,13 +217,50 @@ class HypTerms:
             raise EvaluationError("|term ratio| -> 1: not geometrically convergent")
 
     def terms(self) -> Iterator[Fraction]:
+        """The exact terms ``t(n) w(n)``, as ``Fraction``s."""
         self.check_convergence()
         t = self.t0
         for n in itertools.count():
             if not t:
                 return
-            yield t if self.weight is None else t * self.weight(n)
+            yield t * quotient(*self.weight, n)
             t *= self.ratio(n)
+
+    @cached_property
+    def tail_forms(self) -> Optional[tuple]:
+        """``(n0, P, Q, Ah, Bv)``: integer polynomials such that, for every
+        ``N >= n0`` with ``P(N) < Q(N)`` and ``Bv(N) > 0``::
+
+            sum_{n >= N} |t(n) w(n)| <= |t(N)| Ah(N) Q(N) / (Bv(N) (Q(N) - P(N)))
+
+        ``r(n) = +-L prod (n + a_i) / prod (n + b_j)`` with ``L = limit()``,
+        every factor positive for ``n >= n0``.  Paired in sorted order, over
+        ``n >= N``, ``a > b`` gives at most ``(N + a) / (N + b)``, ``a <= b``
+        at most 1, and an unpaired ``1 / (n + b)`` at most ``1 / (N + b)``.
+        ``|A(n)| <= (n/N)^dA Ah(N)`` and ``|B(n)| >= (n/N)^dB Bv(N)`` from
+        the coefficients' sizes, and ``(n/N)^d <= (1 + 1/N)^(d (n-N))`` joins
+        the ratio for ``d = dA - dB > 0``.  None when the numerator has more
+        factors: such terms end (``check_convergence``).
+        """
+        above, below = (
+            sorted((q + j) / p for p, q in side for j in range(p))
+            for side in (self.num, self.den)
+        )
+        if len(above) > len(below):
+            return None
+        n0 = max([1] + [math.floor(-x) + 1 for x in above + below])
+        top, bottom = self.weight
+        d = max(len(top) - len(bottom), 0)
+        p = Polynomial.constant(self.limit()) * Polynomial((1, 1)) ** d
+        q = Polynomial((0, 1)) ** d
+        for a, b in itertools.zip_longest(above, below):
+            if a is None or a > b:  # an unpaired lower factor, or a pair above 1
+                q = q * Polynomial((b, 1))
+                if a is not None:
+                    p = p * Polynomial((a, 1))
+        magnitude = tuple(map(abs, top))
+        floor = tuple(-abs(c) for c in bottom[:-1]) + (abs(bottom[-1]),)
+        return (n0, *integer_coefficients(p, q), magnitude, floor)
 
     def grouped(self, m: int) -> "HypTerms":
         """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
@@ -370,29 +268,26 @@ class HypTerms:
         The outer term is ``t(mn)``: each symbol ``(q)_{pn}`` becomes
         ``(q)_{pmn}``, so ``(p, q)`` maps to ``(pm, q)``, and ``c`` becomes
         ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``,
-        summed as integers over the common denominator ``prod_{i<m-1} D(mn+i)``
-        (times the base weights' denominators) into one ``Fraction``.
+        composed once at ``mn + j`` into one ``U(n) / V(n)`` over the common
+        denominator ``prod_{i<m-1} D(mn+i)`` times the base weights'
+        denominators.
         """
+        if m == 1:
+            return self
         top, bottom = self.integer_ratio
+        a, b = self.weight
 
-        def base_weight(j: int) -> Tuple[int, int]:
-            if self.weight is None:
-                return 1, 1
-            w = self.weight(j)
-            return w.numerator, w.denominator
+        def at(coeffs: Sequence[int], j: int) -> Polynomial:
+            return horner(coeffs, Polynomial((j, m)), Polynomial.zero())
 
-        def weight(n: int) -> Fraction:
-            # nested from the last summand: w(j) + r(j) (w(j+1) + r(j+1) (...))
-            u, v = base_weight(m * n + m - 1)
-            for j in range(m * n + m - 2, m * n - 1, -1):
-                a, b = base_weight(j)
-                d = horner(bottom, j)
-                u, v = a * d * v + b * horner(top, j) * u, b * d * v
-            return Fraction(u, v)
-
+        # nested from the last summand: w(j) + r(j) (w(j+1) + r(j+1) (...))
+        u, v = at(a, m - 1), at(b, m - 1)
+        for j in range(m - 2, -1, -1):
+            d, bj = at(bottom, j), at(b, j)
+            u, v = at(a, j) * d * v + bj * at(top, j) * u, bj * d * v
         num = tuple((p * m, q) for p, q in self.num)
         den = tuple((p * m, q) for p, q in self.den)
-        return HypTerms(self.t0, self.c**m, num, den, weight)
+        return HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v))
 
     def rate(self) -> float:
         """Digits per term ``log10(1/|L|)``, with ``L = c prod p^p / prod p'^p'``
@@ -403,11 +298,119 @@ class HypTerms:
         return math.log10(limit.denominator) - math.log10(limit.numerator)
 
 
+def _tail(states: List[list], n: int) -> Optional[int]:
+    """Bound, in units, on the cores' terms from ``n`` on; None while a
+    core's ``tail_forms`` do not yet apply at ``n``."""
+    total = 0
+    for t, e, core in states:
+        if not (t or e):
+            continue  # exactly zero: the terms ended
+        forms = core.tail_forms
+        if forms is None or n < forms[0]:
+            return None
+        _, p, q, top, bottom = forms
+        p, q, low = horner(p, n), horner(q, n), horner(bottom, n)
+        if p >= q or low <= 0:
+            return None
+        total += -(-(abs(t) + e) * horner(top, n) * q // (low * (q - p)))
+    return total
+
+
+def _sum_fixed(
+    cores: Sequence[HypTerms], bits: int, budget: int, max_terms: int
+) -> Tuple[List[int], int, int]:
+    """Partial sums, tail bound and rounding bound, in units of ``2^-bits``,
+    at the first ``N`` where the bounds add up to less than ``budget``; a
+    rounding bound past half the budget holds the tail to the other half."""
+    states = []
+    for core in cores:
+        t, rem = divmod(core.t0.numerator << bits, core.t0.denominator)
+        states.append([t, int(rem != 0), core])
+    half = budget // 2
+    total, rounding, partials = 0, 1, []  # 1 unit for the final rounding
+    for n in itertools.count():
+        tail = _tail(states, n)
+        if tail is not None and tail + min(rounding, half) < budget:
+            return partials, tail, rounding
+        if n == max_terms:
+            raise EvaluationError(f"tail target not reached within {max_terms} terms")
+        for state in states:
+            t, e, core = state
+            if not (t or e):
+                continue
+            a, b = (horner(c, n) for c in core.weight)
+            if not b:
+                raise ZeroDivisionError(f"division by zero at n={n}")
+            u, rem = divmod(t * a, b)
+            total += u
+            rounding += -(-e * abs(a) // abs(b)) + (rem != 0)
+            top, bottom = (horner(c, n) for c in core.integer_ratio)
+            if not bottom:
+                raise ZeroDivisionError(f"division by zero at n={n + 1}")
+            t, rem = divmod(t * top, bottom)
+            state[0] = t
+            state[1] = -(-e * abs(top) // abs(bottom)) + (rem != 0)
+        partials.append(total)
+
+
+def sum_terms(
+    cores: Sequence[HypTerms],
+    target_digits: int,
+    prefactor: Union[Fraction, mpf, int, None] = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> EvalResult:
+    """Sum the cores, term ``n`` being the sum of their terms ``n``, until the
+    proven error bound falls below ``10^-target_digits``.
+
+    ``prefactor`` scales both the returned value and the tolerance target,
+    so the tail bound always refers to the final reported value.  Terms that
+    end make an exact sum, whose bound is its rounding alone.
+    """
+    if target_digits < 1:
+        raise ValueError("target_digits must be >= 1")
+    if isinstance(prefactor, mpf):
+        prefactor = Fraction(*to_rational(prefactor._mpf_))
+    pref = Fraction(1 if prefactor is None else prefactor)
+    if not pref:
+        raise ValueError("prefactor must be nonzero")
+    for core in cores:
+        core.check_convergence()
+    # budget = 10^-d / |pref| in units of 2^-bits, and at least 10^-d
+    scale = 10**target_digits * abs(pref.numerator)
+    wide = 10**target_digits * max(abs(pref.numerator), pref.denominator)
+    bits = wide.bit_length() - pref.denominator.bit_length() + 1 + GUARD_BITS
+    for attempt in (1, 2):
+        budget = (pref.denominator << bits) // scale
+        partials, tail, rounding = _sum_fixed(cores, bits, budget, max_terms)
+        if 2 * rounding <= budget:
+            break
+        if attempt == 2:
+            raise EvaluationError(f"rounding above half the target at {bits} bits")
+        bits += rounding.bit_length() - budget.bit_length() + 2
+    total = partials[-1] if partials else 0
+    # the fit ignores errors within 10^-(d+12) of the sum, relative
+    floor = max(1 << bits, abs(total)) // 10 ** (target_digits + 12)
+    bound = abs(pref.numerator) * (tail + rounding), pref.denominator << bits
+    return EvalResult(
+        value=_from_fixed(pref, total, bits),
+        terms_used=len(partials),
+        tail_bound=_rounded(*bound, 53, round_up),
+        measured_rate=_fit_errors(
+            (i, math.log2(d) - bits)
+            for i, s in enumerate(partials[:-1])
+            if (d := abs(s - total)) > floor
+        ),
+        fixed_partial_sums=tuple(partials),
+        prefactor=pref,
+        working_prec=bits,
+    )
+
+
 def derived_core(ds: DerivedSeries) -> HypTerms:
     """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
     a, b, k, s = ds.a, ds.b, ds.k, ds.s
     num, den = ((k, a + 1), (s, b + 1)), ((k + s, a + b + 2),)
-    return HypTerms(Fraction(1), 1 / ds.z, num, den, partial(weight_values, ds))
+    return HypTerms(Fraction(1), 1 / ds.z, num, den, ds.integer_weight)
 
 
 def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
@@ -419,23 +422,19 @@ def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     """Value of the bound seed integral: prefactor times the series sum.
 
     The prefactor ``B(a+1, b+1) / z`` is computed with the float library's
-    Beta at working precision; everything series-shaped stays exact until
-    the one rounding per term.
+    Beta at ``GUARD_BITS`` beyond the target; the sum takes that mpf as
+    exact, and its bound covers everything after it.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    with mp.workdps(target_digits + GUARD_DIGITS):
+    with mp.workprec((10**target_digits).bit_length() + GUARD_BITS):
         pref = mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
-    return sum_terms(derived_terms(ds), target_digits, prefactor=pref)
+    return sum_terms([derived_core(ds)], target_digits, prefactor=pref)
 
 
 def product_core(p: Product) -> HypTerms:
-    """The core of one printed product, with ``a / b`` as its weight, or as
-    its first term when that is a constant."""
-    if p.a.degree == 0 and p.b.degree == 0:
-        return HypTerms(p.a.coeffs[0], p.c, p.num, p.den)
-    weight = partial(quotient, *integer_coefficients(p.a, p.b))
-    return HypTerms(Fraction(1), p.c, p.num, p.den, weight)
+    """The core of one printed product, with ``a / b`` as its weight."""
+    return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a, p.b))
 
 
 def evaluate_expr(
@@ -448,10 +447,7 @@ def evaluate_expr(
     """
     if isinstance(expr, str):
         expr = parse_term_expr(expr)
-    streams = [product_core(p).terms() for p in expr]
-    if len(streams) != 1:
-        streams = [map(sum, itertools.zip_longest(*streams, fillvalue=0))]
-    return sum_terms(streams[0], target_digits)
+    return sum_terms([product_core(p) for p in expr], target_digits)
 
 
 def predicted_rate(ds: DerivedSeries) -> float:

@@ -41,9 +41,9 @@ class HypSeriesSpec:
     """Series ``sum_n prod_g (upper_g)_n / (lower_g)_n * z^n``.
 
     The implicit extra upper parameter 1 makes terms purely rational
-    products.  Lower parameters must avoid nonpositive integers; the
-    argument must satisfy ``|z| < 1``, or ``|z| = 1`` with
-    ``sum(lower) - sum(upper) > 1`` for convergence.
+    products.  Lower parameters must avoid nonpositive integers.  The term
+    ratio tends to ``z``, and the engine proves its tail bound from a limit
+    below 1, so ``|z| = 1`` is rejected as not geometrically convergent.
     """
 
     upper: Tuple[Fraction, ...]
@@ -64,9 +64,7 @@ class HypSeriesSpec:
         if abs(self.z) > 1:
             raise ValueError("|z| > 1: series diverges")
         if abs(self.z) == 1:
-            balance = sum(self.lower) - sum(self.upper)
-            if balance <= 1:
-                raise ValueError("|z| = 1 requires sum(lower) - sum(upper) > 1")
+            raise ValueError("|z| = 1: not geometrically convergent")
 
     @cached_property
     def core(self) -> HypTerms:
@@ -113,8 +111,8 @@ def group(base: HypSeriesSpec, m: int) -> GroupedSeries:
 def eval_hyp(
     spec: Union[HypSeriesSpec, GroupedSeries], target_digits: int
 ) -> EvalResult:
-    """Evaluate either form with the shared tail-bound policy."""
-    return sum_terms(spec.terms(), target_digits)
+    """Evaluate either form's core with the engine's one summation loop."""
+    return sum_terms([spec.core], target_digits)
 
 
 def hyp_rate(spec: Union[HypSeriesSpec, GroupedSeries]) -> float:

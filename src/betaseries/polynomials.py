@@ -301,7 +301,7 @@ def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
     factorials ``(x + dn)_m = prod_{j<m} (x + j + dn)``.  All the returned
     tuples are scaled by one positive integer, so the quotient of two of them
     at any ``n`` is the quotient of the two sums.  Term cores evaluate them
-    by ``horner``: integer work per term, and one ``Fraction`` at the end.
+    by ``horner`` and divide by them in fixed point: integer work per term.
     """
     polys = []
     for terms in sums:

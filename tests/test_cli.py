@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -132,6 +133,36 @@ class TestEval:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "source, power",
+        [
+            (("--expr", "poch(100,n)/fact(n)*(1/2)^n"), 100),
+            (("--spec", {"upper": ["20"], "lower": ["1"], "z": "1/2"}), 20),
+        ],
+        ids=["expr", "spec"],
+    )
+    def test_growth_phase_is_summed(self, tmp_path, source, power):
+        # sum (x)_n / n! 2^-n = 2^x: the terms grow for about x terms first
+        flag, arg = source
+        if flag == "--spec":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(arg))
+            arg = str(spec)
+        proc = run_cli("eval", flag, arg, "--digits", "30")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["value"] == mp.nstr(mpf(2) ** power, 30, strip_zeros=False)
+        assert float(doc["tail_bound"]) < 1e-30
+
+    def test_unit_argument_is_refused(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"upper": ["1/2"], "lower": ["5/2"], "z": "1"}))
+        for argv in (("eval", "--digits", "10", "--spec"), ("rate", "--spec")):
+            proc = run_cli(*argv, str(spec))
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr.strip() == "error: |z| = 1: not geometrically convergent"
 
     def test_requires_exactly_one_input(self):
         assert run_cli("eval", "--digits", "10").returncode == 2

@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 from betaseries.catalog import load_catalog
 from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed, weight_values
 from betaseries.engine import (
+    GUARD_BITS,
     EvaluationError,
     HypTerms,
     SeriesDivergenceError,
@@ -23,7 +24,7 @@ from betaseries.engine import (
     to_mpf,
 )
 from betaseries.expressions import pochhammer
-from betaseries.polynomials import Polynomial
+from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.references import atan_of, pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
 from scratch_terms import derived_term, pochhammer_ratio
@@ -69,52 +70,108 @@ class TestPochhammer:
             assert lhs == rhs
 
 
+def geometric(c, t0=F(1)):
+    """The core of ``t0 c^n``."""
+    return HypTerms(F(t0), F(c), (), ())
+
+
+def polynomial_weight(*roots, scale=F(1)):
+    """``scale * prod (n - root)`` as a core's integer weight."""
+    top = Polynomial.constant(scale)
+    for root in roots:
+        top = top * Polynomial((-root, 1))
+    return integer_coefficients(top, Polynomial.one())
+
+
 class TestSumTerms:
     def test_geometric(self):
-        result = sum_terms((F(1, 10) ** n for n in itertools.count()), 30)
-        with mp.workdps(40):
-            assert abs(result.value - mpf(10) / 9) < mpf(10) ** -30
-        assert result.tail_bound > 0
+        result = sum_terms([geometric(F(1, 10))], 30)
+        with mp.workdps(60):  # the bound of a geometric tail is exact
+            assert abs(result.value - mpf(10) / 9) <= result.tail_bound
+        assert 0 < result.tail_bound < mpf(10) ** -30
 
     def test_divergence_detected(self):
         with pytest.raises(SeriesDivergenceError):
-            sum_terms((F(2) ** n for n in itertools.count()), 10)
+            sum_terms([geometric(2)], 10)
 
     def test_finite_stream_is_an_exact_sum(self):
-        result = sum_terms(iter([F(1), F(1, 2)]), 30)
+        # (-1)_n (-1/2)^n / n!: the terms 1, 1/2, then exactly 0
+        core = HypTerms(F(1), F(-1, 2), ((1, F(-1)),), ((1, F(1)),))
+        result = sum_terms([core], 30)
         assert result.value == mpf(3) / 2
         assert result.terms_used == 2
-        with mp.workdps(45):
-            assert result.tail_bound == mpf(10) ** -40
+        # no term rounds: the bound is the one unit of the final rounding
+        assert result.tail_bound == mpf(2) ** -result.working_prec
 
     def test_trailing_zeros_end_an_exact_sum(self):
-        terms = iter([F(5)] + [F(0)] * 10)
-        result = sum_terms(terms, 20)
+        # 5 binom(10, n) w(n) with w(n) = prod_{j=1..10} (n - j) / 10!: the
+        # weight zeroes every term but the first until the terms end
+        core = HypTerms(
+            F(5),
+            F(-1),
+            ((1, F(-10)),),
+            ((1, F(1)),),
+            polynomial_weight(*range(1, 11), scale=F(1, 3628800)),
+        )
+        result = sum_terms([core], 20)
         assert result.value == 5
         assert result.terms_used == 11
 
     def test_empty_stream_sums_to_zero(self):
-        result = sum_terms(iter([]), 20)
+        result = sum_terms([], 20)
         assert result.value == 0 and result.terms_used == 0
         assert result.measured_rate is None
+        assert sum_terms([geometric(F(1, 2), t0=0)], 20).terms_used == 0
 
     def test_interior_zero_terms(self):
-        # zeros mid-stream must not poison ratios or the tail bound
-        def terms():
-            for n in itertools.count():
-                yield F(0) if n % 2 else F(1, 16) ** n
-
-        result = sum_terms(terms(), 25)
-        with mp.workdps(40):
-            expected = mpf(256) / 255  # sum 16^-2j
-            assert abs(result.value - expected) < mpf(10) ** -25
+        # (n - 1)(n - 3) / 16^n: zero weights mid-series must not stop the sum
+        core = HypTerms(F(1), F(1, 16), (), (), polynomial_weight(1, 3))
+        result = sum_terms([core], 25)
+        x = F(1, 16)
+        exact = x * (1 + x) / (1 - x) ** 3 - 4 * x / (1 - x) ** 2 + 3 / (1 - x)
+        with mp.workdps(60):
+            assert abs(result.value - to_mpf(exact)) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -25
 
     def test_prefactor_scales_value_and_tolerance(self):
-        result = sum_terms(
-            (F(1, 10) ** n for n in itertools.count()), 25, prefactor=F(3)
-        )
-        with mp.workdps(40):
-            assert abs(result.value - mpf(10) / 3) < mpf(10) ** -25
+        result = sum_terms([geometric(F(1, 10))], 25, prefactor=F(3))
+        with mp.workdps(60):
+            assert abs(result.value - mpf(10) / 3) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -25
+
+    @pytest.mark.parametrize(
+        "expr, power, value",
+        [
+            ("poch(100,n)/fact(n)*(1/2)^n", 100, F(2) ** 100),
+            ("poch(20,n)/fact(n)*(1/2)^n", 20, F(2) ** 20),
+            ("poch(200,n)/fact(n)*(1/3)^n", 200, F(3, 2) ** 200),
+        ],
+        ids=["2^100", "2^20", "(3/2)^200"],
+    )
+    def test_growth_phase_within_its_bound(self, expr, power, value):
+        # sum (x)_n z^n / n! = (1 - z)^-x; with z = 1/2 every term is exact
+        # in binary, with z = 1/3 the rounding grows with the terms, past
+        # half the budget, and the sum is redone with more bits
+        result = evaluate_expr(expr, 30)
+        with mp.workdps(120):
+            assert abs(result.value - to_mpf(value)) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -30
+        first = (10**30).bit_length() + 1 + GUARD_BITS
+        assert (result.working_prec > first) == (power == 200)
+
+    @pytest.mark.parametrize(
+        "core, n",
+        [
+            # (-3)_n below: D(3) = 0, so term 4 divides by zero
+            (HypTerms(F(1), F(1, 2), ((1, F(1)),), ((1, F(-3)),)), 4),
+            # weight 1 / (n - 3)
+            (HypTerms(F(1), F(1, 2), (), (), ((1,), (-3, 1))), 3),
+        ],
+        ids=["ratio", "weight"],
+    )
+    def test_zero_denominator_names_the_term(self, core, n):
+        with pytest.raises(ZeroDivisionError, match=f"^division by zero at n={n}$"):
+            sum_terms([core], 20)
 
 
 class TestEvaluateDerived:
@@ -252,12 +309,11 @@ class TestIntegerForms:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_vanishing_weight(self, m):
         # w(3) = 0 zeroes term 3 only; the recurrence never divides by it
-        def w(n):
-            return F(n - 3, n + 1)
-
-        core = HypTerms(F(2, 3), F(-1, 2), ((1, F(1, 2)),), ((1, F(5, 3)),), w)
+        core = HypTerms(
+            F(2, 3), F(-1, 2), ((1, F(1, 2)),), ((1, F(5, 3)),), ((-3, 1), (1, 1))
+        )
         unweighted = HypTerms(core.t0, core.c, core.num, core.den)
-        base = [t * w(n) for n, t in zip(range(12 * m), unweighted.terms())]
+        base = [t * F(n - 3, n + 1) for n, t in zip(range(12 * m), unweighted.terms())]
         assert base[3] == 0 and all(base[n] for n in range(12 * m) if n != 3)
         grouped = core.grouped(m).terms()
         for n in range(12):

@@ -1,18 +1,14 @@
-"""``sum_terms`` against a plain full-precision copy of its summation policy.
+"""``sum_terms`` against mpmath: every reported bound holds and meets its target.
 
-``reference_sum_terms`` computes every step (term ratios, the tail bound,
-the rate fit's logarithms, the scaled partial sums) at working precision,
-as the engine did before tail control and the rate fit moved to lower
-precision.  The engine must stop at the same term, report the same bits for
-the value and the tail bound, raise after the same number of terms, and fit
-the same rate to float accuracy.
+Each case checks ``|value - reference| <= tail_bound < 10^-d``, with the
+reference computed by mpmath at ``d + 30`` digits, apart from the package:
+``mp.hyper`` for the series (a Pochhammer symbol ``(q)_{pn}`` is
+``p^{pn} prod_{y<p} ((q + y) / p)_n``), ``mp.beta`` for the derived
+prefactor, ``mp.pi`` for the pi series, and a direct mpmath sum of the
+closed-form terms (``expressions.evaluate``) for the printed summands.
 """
 
-import itertools
-import operator
 import random
-import re
-from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -20,272 +16,285 @@ from mpmath import mp, mpf
 
 from betaseries.catalog import load_catalog
 from betaseries.engine import (
-    GUARD_DIGITS,
     EvaluationError,
+    HypTerms,
     SeriesDivergenceError,
-    _fit_rate,
     _log2,
-    derived_terms,
+    derived_core,
     evaluate_derived,
+    evaluate_expr,
     sum_terms,
-    to_mpf,
 )
 from betaseries.expressions import evaluate, parse_term_expr
-from betaseries.hyper import group
+from betaseries.hyper import eval_hyp, group
+from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.wire import hyp_spec_from_dict, series_spec_from_dict
 
-
-def reference_sum_terms(terms, target_digits, prefactor=None, max_terms=100_000):
-    """The summation policy with every step at working precision.
-
-    Returns ``(value, terms_used, tail_bound, measured_rate, partial_sums)``
-    with the partial sums scaled eagerly.
-    """
-    wp = target_digits + GUARD_DIGITS
-    with mp.workdps(wp):
-        pref = to_mpf(prefactor) if prefactor is not None else mpf(1)
-        apref = abs(pref)
-        tol = mpf(10) ** (-target_digits)
-        floor = mpf(10) ** (-(target_digits + GUARD_DIGITS - 5))
-        total = mpf(0)
-        partials = []
-        ratios = deque(maxlen=5)
-        diverging = 0
-        prev_abs = None
-        tail = None
-        for n, term in enumerate(terms):
-            if n >= max_terms:
-                raise EvaluationError(
-                    f"tail target not reached within {max_terms} terms"
-                )
-            t = to_mpf(term)
-            total += t
-            partials.append(total)
-            at = abs(t)
-            if at == 0:
-                continue
-            if prev_abs is not None:
-                r = at / prev_abs
-                if r >= 1:
-                    diverging += 1
-                    if diverging >= 8:
-                        raise SeriesDivergenceError(
-                            "term ratio stayed >= 1 for 8 consecutive terms"
-                        )
-                else:
-                    diverging = 0
-                ratios.append(r)
-            prev_abs = at
-            if ratios:
-                rhat = mpf("1.1") * max(ratios)
-                if rhat < 1:
-                    candidate = at * rhat / (1 - rhat) * apref
-                    if candidate < tol:
-                        tail = candidate
-                        break
-        if tail is None:
-            tail = floor  # the stream ended: an exact finite sum
-        noise = mpf(10) ** (-(wp - 3)) * max(mpf(1), abs(total))
-        pts = []
-        for i, s in enumerate(partials[:-1]):
-            d = abs(s - total)
-            if d <= noise:
-                continue
-            pts.append((i, -float(mp.log10(d))))
-        rate = _fit_rate(pts[len(pts) // 2 :])
-        scaled = tuple(pref * s for s in partials)
-        return pref * total, len(partials), max(tail, floor), rate, scaled
-
-
-class Counted:
-    """A term iterator that counts the terms taken from it."""
-
-    def __init__(self, terms):
-        self.terms = iter(terms)
-        self.taken = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        term = next(self.terms)
-        self.taken += 1
-        return term
-
-
-def assert_same(make_terms, digits, prefactor=None, max_terms=100_000):
-    """Same result, or the same exception after the same number of terms."""
-    ref_terms, new_terms = Counted(make_terms()), Counted(make_terms())
-    try:
-        expected = reference_sum_terms(ref_terms, digits, prefactor, max_terms)
-    except EvaluationError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            sum_terms(new_terms, digits, prefactor, max_terms)
-        assert new_terms.taken == ref_terms.taken
-        return None
-    result = sum_terms(new_terms, digits, prefactor, max_terms)
-    value, terms_used, tail_bound, rate, scaled = expected
-    assert result.value == value
-    assert result.terms_used == terms_used
-    assert result.tail_bound == tail_bound
-    if rate is None:
-        assert result.measured_rate is None
-    else:
-        assert result.measured_rate == pytest.approx(rate, abs=1e-9)
-    assert new_terms.taken == ref_terms.taken
-    return result, scaled
-
-
 RECORDS = {r.id: r for r in load_catalog()}
+
+
+def num(q):
+    return mpf(q.numerator) / q.denominator
+
+
+def assert_sound(result, reference, digits):
+    """``|value - reference| <= tail_bound < 10^-digits``; ``reference`` is
+    called at ``digits + 30`` digits after the point."""
+    with mp.workdps(digits + 30 + max(0, int(mp.log10(abs(result.value) + 1)))):
+        err = abs(result.value - reference())
+        assert err <= result.tail_bound, (mp.nstr(err, 5), result.tail_bound)
+        assert result.tail_bound < mpf(10) ** -digits
+
+
+def core_reference(cores):
+    """``sum_n sum_cores t(n) w(n)`` by ``mp.hyper``, for cores whose weight
+    is a product ``k prod (n + a) / prod (n + b)`` given as ``(k, a's, b's)``
+    (``(n + a) = a (a + 1)_n / (a)_n``)."""
+
+    def value():
+        total = mpf(0)
+        for core, (k, tops, bottoms) in cores:
+            upper, lower, x = [], [], core.c
+            for side, params in ((core.num, upper), (core.den, lower)):
+                for p, q in side:
+                    params.extend(num((q + y) / p) for y in range(p))
+                    x = x * p**p if side is core.num else x / p**p
+            upper += [num(a + 1) for a in tops] + [num(b) for b in bottoms]
+            lower += [num(a) for a in tops] + [num(b + 1) for b in bottoms]
+            scale = k * core.t0
+            for a in tops:
+                scale *= a
+            for b in bottoms:
+                scale /= b
+            total += num(scale) * mp.hyper(upper + [1], lower, num(x))
+        return total
+
+    return value
+
+
+def weighted(core, k=F(1), tops=(), bottoms=()):
+    """``core`` with the weight ``k prod (n + a) / prod (n + b)``, and the
+    data ``core_reference`` needs."""
+    top, bottom = Polynomial.constant(k), Polynomial.one()
+    for a in tops:
+        top = top * Polynomial((a, 1))
+    for b in bottoms:
+        bottom = bottom * Polynomial((b, 1))
+    weight = integer_coefficients(top, bottom)
+    core = HypTerms(core.t0, core.c, core.num, core.den, weight)
+    return core, (k, tuple(tops), tuple(bottoms))
+
+
+def geometric(c, t0=F(1)):
+    return weighted(HypTerms(F(t0), F(c), (), ()))
+
+
+def at_target(delta):
+    """A prefactor that puts the tail bound of ``geometric(-1/5)`` after 40
+    terms, ``|t_40| / (1 - 1/5)``, at ``10^-50 (1 + delta)``."""
+    return F(4, 5) * 5**40 / 10**50 * (1 + delta)
+
+
+# --------------------------------------------------------------------------
+# Catalog series
+# --------------------------------------------------------------------------
+
+
+DERIVED_IDS = sorted(rid for rid, r in RECORDS.items() if r.kind == "duality")
+
+
+def derived_reference(ds):
+    """``B(a+1, b+1) / z * sum_j q_j (a+1)_j / (a+b+2)_j * F_j``, ``F_j`` the
+    hypergeometric series of ``(a+1+j)_{kn} (b+1)_{sn} / ((a+b+2+j)_{(k+s)n} z^n)``."""
+
+    def value():
+        a, b, k, s = ds.a, ds.b, ds.k, ds.s
+        x = F(k**k * s**s, (k + s) ** (k + s)) / ds.z
+        total = mpf(0)
+        for j, q in enumerate(ds.qcoeffs):
+            upper = [num((a + 1 + j + y) / k) for y in range(k)]
+            upper += [num((b + 1 + y) / s) for y in range(s)]
+            lower = [num((a + b + 2 + j + y) / (k + s)) for y in range(k + s)]
+            lead = mp.rf(num(a + 1), j) / mp.rf(num(a + b + 2), j)
+            total += num(q) * lead * mp.hyper(upper + [1], lower, num(x))
+        return mp.beta(num(a + 1), num(b + 1)) / num(ds.z) * total
+
+    return value
+
+
+def summands(recipe):
+    """Every printed summand in a catalog recipe."""
+    if isinstance(recipe, dict):
+        if "expr" in recipe:
+            yield recipe["expr"]
+        for value in recipe.values():
+            yield from summands(value)
+    elif isinstance(recipe, list):
+        for value in recipe:
+            yield from summands(value)
+
+
+class TestCatalogSeries:
+    def test_eleven_derived_records(self):
+        assert len(DERIVED_IDS) == 11
+
+    @pytest.mark.parametrize("digits", [None, 100, 300])
+    @pytest.mark.parametrize("rid", DERIVED_IDS)
+    def test_derived_records(self, rid, digits):
+        digits = digits or RECORDS[rid].digits
+        ds = series_spec_from_dict(RECORDS[rid].series)
+        assert_sound(evaluate_derived(ds, digits), derived_reference(ds), digits)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "rid",
+        sorted(
+            rid
+            for rid, r in RECORDS.items()
+            if r.kind == "grouping" or isinstance(r.lhs, dict) and "hyp" in r.lhs
+        ),
+    )
+    def test_hyp_specs(self, rid, m):
+        record = RECORDS[rid]
+        doc = record.base if record.kind == "grouping" else record.lhs["hyp"]
+        spec = hyp_spec_from_dict(doc)
+        reference = core_reference([(spec.core, (1, (), ()))])
+        for digits in (record.digits, 300):
+            assert_sound(eval_hyp(group(spec, m), digits), reference, digits)
+
+    @pytest.mark.parametrize(
+        "rid", sorted(rid for rid, r in RECORDS.items() if any(summands(r.lhs)))
+    )
+    def test_printed_summands(self, rid):
+        record = RECORDS[rid]
+        for text in summands(record.lhs):
+            result = evaluate_expr(text, record.digits)
+            reference = closed_form_sum(text, result, record.digits)
+            assert_sound(result, reference, record.digits)
+
+    @pytest.mark.parametrize("digits", [10, 20, 40])
+    def test_poch3(self, digits):
+        # the ratios rise toward 1/2 for a long stretch: (n+1)^3 / (n+50)^3 / 2
+        result = evaluate_expr("poch(1,n)^3/poch(50,n)^3*(1/2)^n", digits)
+        reference = lambda: mp.hyper([1, 1, 1, 1], [50, 50, 50], mpf(1) / 2)
+        assert_sound(result, reference, digits)
+
+
+def closed_form_sum(text, result, digits):
+    """The closed-form terms summed in mpmath, on to where the last ten are
+    below ``10^-(digits + 40)`` and at least twice as far as the engine went."""
+    expr = parse_term_expr(text)
+
+    def value():
+        total, small, n = mpf(0), 0, 0
+        while small < 10 or n < 2 * result.terms_used + 10:
+            term = evaluate(expr, n)
+            total += num(term)
+            small = small + 1 if abs(term) < F(1, 10 ** (digits + 40)) else 0
+            n += 1
+        return total
+
+    return value
+
+
+# --------------------------------------------------------------------------
+# The pi series and their partial sums
+# --------------------------------------------------------------------------
+
+
+PI_SERIES = {
+    "eq-1.1-derived": lambda: mp.pi * mp.sqrt(3) / 3,
+    "eq-2.11-derived": lambda: mp.pi * mp.sqrt(3) / 9,
+}
 
 
 def derived(rid):
     return series_spec_from_dict(RECORDS[rid].series)
 
 
-def derived_prefactor(ds, digits):
-    with mp.workdps(digits + GUARD_DIGITS):
-        return mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
-
-
-def hyp(rid):
-    return hyp_spec_from_dict(RECORDS[rid].lhs["hyp"])
-
-
-def expr_terms(text):
-    expr = parse_term_expr(text)
-    return lambda: (evaluate(expr, n) for n in itertools.count())
-
-
-def geometric(r, t0=F(1)):
-    return lambda: itertools.accumulate(itertools.repeat(r), operator.mul, initial=t0)
-
-
-def at_target(delta):
-    """A prefactor that puts the bound of ``geometric(-1/5)`` at 50 digits on
-    ``tol * (1 + delta)`` at term 40: ``rhat = 11/50`` and ``rhat / (1 - rhat)
-    = 11/39``."""
-    return F(39, 11) * 5**40 / 10**50 * (1 + delta)
-
-
-#: base ratios of the random streams: decay, rhat near 1, ratios near 1
-BASES = [
-    F(1, 2),
-    F(9, 10),
-    F(10, 11),
-    F(907, 1000),
-    1 - F(1, 2**40),
-    F(1),
-    1 + F(1, 2**40),
-    F(11, 10),
-    F(1, 10**5),
-]
-
-
-def random_stream(seed):
-    """Terms of ratio ``base * (1 + e)``, ``e`` from ``2^-3`` down to
-    ``2^-60``, with random signs, zeros, jumps and ``2^-3000`` drops."""
-
-    def terms():
-        rng = random.Random(seed)
-        base = rng.choice(BASES)
-        t = F(rng.choice([1, -1]) * rng.randint(1, 999), rng.randint(1, 999))
-        t *= F(10) ** rng.randint(-450, 40)
-        while True:
-            p = rng.random()
-            if p < 0.05:
-                yield F(0)
-                continue
-            yield t
-            if p < 0.08:
-                r = F(1, 2**3000)
-            elif p < 0.12:
-                r = F(rng.randint(1, 40), 10)
-            else:
-                r = base * (1 + F(rng.randint(-8, 8), 2 ** rng.choice([3, 20, 45, 60])))
-            t *= r * rng.choice([1, -1])
-
-    return terms
-
-
 class TestDerivedPiSeries:
     @pytest.mark.parametrize("rid", ["eq-1.1-derived", "eq-2.11-derived"])
     @pytest.mark.parametrize("digits", [300, 1000])
     def test_matches_reference(self, rid, digits):
-        ds = derived(rid)
-        pref = derived_prefactor(ds, digits)
-        expected, _ = assert_same(lambda: derived_terms(ds), digits, pref)
-        # evaluate_derived is the same call with the same prefactor
-        result = evaluate_derived(ds, digits)
-        assert (result.value, result.terms_used, result.tail_bound) == (
-            expected.value,
-            expected.terms_used,
-            expected.tail_bound,
-        )
+        assert_sound(evaluate_derived(derived(rid), digits), PI_SERIES[rid], digits)
 
     def test_partial_sums_are_the_eagerly_scaled_ones(self):
+        # prefactor times the exact partial sums, to within the bound
         ds = derived("eq-1.1-derived")
-        expected = reference_sum_terms(
-            derived_terms(ds), 300, derived_prefactor(ds, 300)
-        )[4]
+        result = evaluate_derived(ds, 300)
         assert mp.prec == 53
-        partials = evaluate_derived(ds, 300).partial_sums
-        assert len(partials) == len(expected)
-        assert all(a == b for a, b in zip(partials, expected))
+        partials = result.partial_sums
+        assert len(partials) == result.terms_used
+        assert partials[-1] == result.value
+        exact = F(0)
+        with mp.workdps(330):
+            pref = num(result.prefactor)
+            for partial, term in zip(partials, derived_core(ds).terms()):
+                exact += term
+                assert abs(partial - pref * num(exact)) <= result.tail_bound
 
     def test_partial_sums_ignore_the_precision_at_reading(self):
-        ds = derived("eq-2.11-derived")
-        result = evaluate_derived(ds, 300)
+        result = evaluate_derived(derived("eq-2.11-derived"), 300)
         with mp.workdps(20):
             low = result.partial_sums
-        expected = reference_sum_terms(
-            derived_terms(ds), 300, derived_prefactor(ds, 300)
-        )[4]
-        assert all(a == b for a, b in zip(low, expected))
         assert result.partial_sums is low
+        fresh = evaluate_derived(derived("eq-2.11-derived"), 300).partial_sums
+        assert all(a == b for a, b in zip(low, fresh))
+        with mp.workdps(330):
+            assert abs(low[-1] - PI_SERIES["eq-2.11-derived"]()) <= result.tail_bound
 
 
 class TestHypergeometric:
     @pytest.mark.parametrize("rid", ["eq-4.4", "eq-5.8-hyp"])
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_reference(self, rid, m):
-        spec = group(hyp(rid), m)
-        assert_same(spec.terms, 200)
+        spec = hyp_spec_from_dict(RECORDS[rid].lhs["hyp"])
+        reference = core_reference([(spec.core, (1, (), ()))])
+        assert_sound(eval_hyp(group(spec, m), 200), reference, 200)
+
+
+# --------------------------------------------------------------------------
+# Edges of the proven stop
+# --------------------------------------------------------------------------
 
 
 class TestPolicyEdges:
     def test_interior_zero_terms(self):
-        def terms():
-            for n in itertools.count():
-                yield F(0) if n % 3 == 1 else F(-1, 3) ** n
-        assert_same(terms, 40)
+        # (n - 1)(n - 4)(-1/3)^n: weights that vanish mid-series
+        core, _ = weighted(HypTerms(F(1), F(-1, 3), (), ()), F(1), (-1, -4))
+        x = F(-1, 3)
+        exact = x * (1 + x) / (1 - x) ** 3 - 5 * x / (1 - x) ** 2 + 4 / (1 - x)
+        assert_sound(sum_terms([core], 40), lambda: num(exact), 40)
 
     def test_terminating_series(self):
-        # a stream that ends is an exact finite sum, trailing zeros included
-        def terms():
-            return iter([F(1), F(-1, 2), F(1, 3), F(0), F(0)])
-        result, _ = assert_same(terms, 30)
+        # (-4)_n (-1/2)^n / n! = binom(4, n) 2^-n: an exact finite sum
+        core = HypTerms(F(1), F(-1, 2), ((1, F(-4)),), ((1, F(1)),))
+        result = sum_terms([core], 30)
         assert result.terms_used == 5
-        with mp.workdps(45):
-            assert abs(result.value - mpf(5) / 6) < mpf(10) ** -40
+        assert result.value == mpf(81) / 16
+        assert result.tail_bound == mpf(2) ** -result.working_prec
 
     @pytest.mark.parametrize("digits", [1, 30, 200])
     def test_slowly_settling_ratios(self, digits):
-        assert_same(expr_terms("poch(1,n)/poch(1000,n)*(99/100)^n"), digits)
+        result = evaluate_expr("poch(1,n)/poch(1000,n)*(99/100)^n", digits)
+        reference = lambda: mp.hyper([1, 1], [1000], mpf(99) / 100)
+        assert_sound(result, reference, digits)
 
     def test_divergent_power(self):
-        assert_same(expr_terms("2^n"), 20)
+        with pytest.raises(SeriesDivergenceError):
+            evaluate_expr("2^n", 20)
 
     def test_ratio_one_then_decay(self):
-        # ratios of exactly 1 count toward divergence, then a drop resets
-        def terms():
-            return itertools.chain(
-                [F(1)] * 8, (F(1, 2) ** n for n in itertools.count(1))
-            )
-        assert_same(terms, 25)
+        # (8)_n 2^-n / n!: ratios (n + 8) / (2n + 2) above 1, at 1 (n = 6),
+        # then below; the sum is 2^8
+        core, data = weighted(HypTerms(F(1), F(1, 2), ((1, F(8)),), ((1, F(1)),)))
+        result = sum_terms([core], 25)
+        assert_sound(result, lambda: mpf(256), 25)
+        assert_sound(result, core_reference([(core, data)]), 25)
 
     def test_constant_terms_diverge(self):
-        assert_same(lambda: itertools.repeat(F(1, 7)), 10)
+        with pytest.raises(EvaluationError, match="not geometrically convergent"):
+            sum_terms([HypTerms(F(1, 7), F(1), (), ())], 10)
 
     @pytest.mark.parametrize("digits", [1, 30, 60])
     @pytest.mark.parametrize(
@@ -306,9 +315,15 @@ class TestPolicyEdges:
         ],
     )
     def test_inflated_ratio_near_one(self, ratio, digits):
-        # rhat = 1.1 * ratio at or near 1, or a ratio within the float
-        # filter's slack of 1, where the filter defers to working precision
-        assert_same(geometric(ratio), digits, max_terms=2000)
+        # geometric ratios near 1 (an id names 1.1 times the ratio); the
+        # bound |t_N| / (1 - c) is exact, so only rounding separates them
+        core, _ = geometric(ratio)
+        if ratio > 1:
+            with pytest.raises(SeriesDivergenceError):
+                sum_terms([core], digits, max_terms=2000)
+            return
+        result = sum_terms([core], digits, max_terms=2000)
+        assert_sound(result, lambda: 1 / (1 - num(ratio)), digits)
 
     @pytest.mark.parametrize(
         "prefactor",
@@ -323,17 +338,41 @@ class TestPolicyEdges:
         ],
     )
     def test_prefactor_scales_the_target(self, prefactor):
-        result, scaled = assert_same(geometric(F(-1, 5)), 50, prefactor)
-        assert all(a == b for a, b in zip(result.partial_sums, scaled))
+        core, _ = geometric(F(-1, 5))
+        result = sum_terms([core], 50, prefactor)
+        scale = lambda: prefactor if isinstance(prefactor, mpf) else num(F(prefactor))
+        assert_sound(result, lambda: scale() * 5 / 6, 50)
+        assert result.partial_sums[-1] == result.value
 
     @pytest.mark.parametrize(
-        "terms, prefactor",
+        "delta, terms", [(0, 41), (F(1, 2**42), 41), (-F(1, 2**42), 40)]
+    )
+    def test_stop_is_the_first_index_below_the_target(self, delta, terms):
+        core, _ = geometric(F(-1, 5))
+        assert sum_terms([core], 50, at_target(delta)).terms_used == terms
+
+    @pytest.mark.parametrize(
+        "cores, prefactor, reference",
         [
-            (geometric(1 - F(1, 2**40)), None),
-            (lambda: iter([F(1), F(1, 2**3000), F(1, 2**3001)]), None),
-            (lambda: itertools.chain([F(1)] * 3, [F(1, 2**3000)]), None),
-            (geometric(F(-1, 3), F(1, 10**400)), None),
-            (geometric(F(-1, 5), F(7, 10**401)), 10**400),
+            ([geometric(1 - F(1, 2**40))], None, None),
+            ([geometric(F(1, 2**3000))], None, 1 / (1 - F(1, 2**3000))),
+            (
+                [
+                    # binom(2, n) (n^2 - 2n + 2) / 2 is 1, 1, 1 and then ends;
+                    # the second core's terms drop by 2^-3000 a step
+                    (
+                        HypTerms(
+                            F(1), F(-1), ((1, F(-2)),), ((1, F(1)),), ((2, -2, 1), (2,))
+                        ),
+                        None,
+                    ),
+                    geometric(F(1, 2**3000), F(1, 2**9000)),
+                ],
+                None,
+                3 + F(1, 2**9000) / (1 - F(1, 2**3000)),
+            ),
+            ([geometric(F(-1, 3), F(1, 10**400))], None, F(3, 4) / 10**400),
+            ([geometric(F(-1, 5), F(7, 10**401))], 10**400, F(7, 12)),
         ],
         ids=[
             "ratio-1-2^-40",
@@ -343,18 +382,69 @@ class TestPolicyEdges:
             "below-1e-400-scaled",
         ],
     )
-    def test_filter_edges(self, terms, prefactor):
-        # a ratio within the float filter's slack of 1, and log2 |t| far
-        # from 0, where the slack grows with it
-        assert_same(terms, 40, prefactor, max_terms=100)
+    def test_filter_edges(self, cores, prefactor, reference):
+        # a ratio within 2^-40 of 1 runs out of terms; terms far below the
+        # target leave the fixed-point T at 0 but not its bound E
+        cores = [core for core, _ in cores]
+        if reference is None:
+            with pytest.raises(EvaluationError, match="not reached within 100 terms"):
+                sum_terms(cores, 40, prefactor, max_terms=100)
+            return
+        result = sum_terms(cores, 40, prefactor, max_terms=100)
+        assert_sound(result, lambda: num(reference), 40)
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_streams(self, chunk):
-        for seed in range(25 * chunk, 25 * chunk + 25):
-            rng = random.Random(-seed - 1)
-            digits = rng.choice([1, 5, 20, 40])
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            rng = random.Random(seed)
+            cores = [random_core(rng) for _ in range(rng.choice([1, 1, 1, 2]))]
+            digits = rng.choice([1, 5, 20, 40, 60])
             prefactor = rng.choice([None, F(-3, 7), 10**40, F(1, 10**40)])
-            assert_same(random_stream(seed), digits, prefactor, max_terms=300)
+            result = sum_terms([core for core, _ in cores], digits, prefactor)
+            scale = F(1 if prefactor is None else prefactor)
+            reference = core_reference(cores)
+            assert_sound(result, lambda: num(scale) * reference(), digits)
+
+
+def random_rational(rng, low, high, den=8):
+    return F(rng.randint(low * den, high * den), rng.randint(1, den))
+
+
+def positive(rng):
+    return random_rational(rng, 0, 4) + F(1, 16)
+
+
+def random_symbols(rng):
+    return [(rng.choice([1, 1, 2]), positive(rng)) for _ in range(rng.randint(0, 2))]
+
+
+def random_core(rng):
+    """A core with a random ratio limit below 1, and sometimes a growth phase
+    (large upper parameters), terms that end (an upper parameter a
+    nonpositive integer), a negative ``c`` or a weight."""
+    upper, lower = random_symbols(rng), random_symbols(rng)
+    kind = rng.random()
+    if kind < 0.2:
+        upper.append((1, F(rng.randint(30, 120))))  # a growth phase
+    elif kind < 0.35:
+        upper.append((1, F(-rng.randint(0, 8))))  # the terms end
+    excess = sum(p for p, _ in upper) - sum(p for p, _ in lower)
+    if excess > 0:
+        lower.append((excess, random_rational(rng, 1, 3)))
+    limit = F(1)
+    for p, _ in upper:
+        limit *= p**p
+    for p, _ in lower:
+        limit /= p**p
+    target = F(rng.randint(1, 90), 100)
+    c = target / limit * rng.choice([1, -1])
+    t0 = F(rng.choice([1, -1]) * rng.randint(1, 999), rng.randint(1, 999))
+    core = HypTerms(t0, c, tuple(upper), tuple(lower))
+    if rng.random() < 0.4:
+        tops = [positive(rng) for _ in range(rng.randint(0, 2))]
+        bottoms = [positive(rng) for _ in range(rng.randint(0, 2))]
+        return weighted(core, random_rational(rng, 1, 5), tops, bottoms)
+    return weighted(core)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 52, 53, 54, 64, 1024, 1025, 20_000])
