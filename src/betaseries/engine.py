@@ -4,22 +4,21 @@ Derived, hypergeometric, grouped and printed series all compile onto one
 term core, ``HypTerms``, whose ratio ``N(n) / D(n)`` and weight
 ``A(n) / B(n)`` are integer polynomials built once per core.
 
-``sum_terms`` is the one summation loop, in fixed point: ``v`` is held as
-``floor(v 2^W)``.  Each core steps ``T <- T N(n) // D(n)`` and adds
-``T A(n) // B(n)`` to the sum, with integer rounding bounds in units of
-``2^-W``: ``E <- ceil(E |N| / |D|) + 1`` for ``T``, and ``ceil(E |A| / |B|)
-+ 1`` added to the sum's ``E_S`` (each ``+ 1`` only for an inexact
-division).  One unit more covers the value: ``prefactor * S / 2^W``
-rounded once to an mpf.  The tail bound is proven from the core
-(``HypTerms.tail_forms``), and summation stops at the first ``N`` where it
-plus ``E_S``, times ``|prefactor| 2^-W``, is below ``10^-target_digits``:
-``EvalResult.tail_bound`` covers the truncation and every rounding.
+``sum_terms`` is the one summation loop, in fixed point at ``W`` bits: each
+core steps ``T <- T N(n) // D(n)`` and adds ``T A(n) // B(n)`` to ``S``,
+with integer rounding bounds in units of ``2^-W``, ``E <- ceil(E |N| / |D|)
++ 1`` for ``T`` and ``ceil(E |A| / |B|) + 1`` added to ``E_S`` (each ``+ 1``
+only for an inexact division; one unit more rounds ``prefactor S / 2^W``
+once to an mpf).  Summation stops at the first ``N`` where the tail bound
+proven from the core (``HypTerms.tail_forms``) plus ``E_S``, times
+``|prefactor| 2^-W``, is below ``10^-target_digits``: that sum, rounding
+included, is ``EvalResult.tail_bound``.
 
 ``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
 ``GUARD_BITS``.  Where ``E_S`` exceeds half the budget, as when the terms
 grow for a long stretch (``(200)_n / n! 3^-n``), the sum is redone once
-with ``W`` raised by the missing bits; ``E_S`` does not grow with ``W``, so
-a second miss is an ``EvaluationError``.
+with the missing bits; ``E_S`` does not grow with ``W``, so a second miss
+is an ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -28,12 +27,13 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest, round_up, to_rational
+from mpmath import iv, mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_sub
+from mpmath.libmp import round_nearest, round_up, to_rational
 
 from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr
@@ -45,10 +45,8 @@ from .polynomials import (
     quotient,
 )
 
-# Nothing here calls these.  They stay importable from this module only
-# because the benchmark's tracer (``bench/layers.py``) patches
-# ``engine.expr_value`` and ``engine.weight_values`` as layer boundaries;
-# remove them together with those patches.
+# Unused here: the benchmark's tracer (``bench/layers.py``) patches these as
+# layer boundaries; remove them together with those patches.
 from .derive import weight_values  # noqa: F401
 from .expressions import evaluate as expr_value  # noqa: F401
 
@@ -71,11 +69,7 @@ class SeriesDivergenceError(EvaluationError):
 
 def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
     """Round an exact rational (or number) to an mpf at the current precision."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return mpf(x.numerator)
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+    return mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
 
 
 def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
@@ -83,18 +77,17 @@ def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
     return mp.make_mpf(from_rational(num, den, prec, rnd))
 
 
-def _from_fixed(pref: Fraction, s: int, bits: int) -> mpf:
-    """``pref * s / 2^bits`` rounded once, within ``|pref| 2^-bits`` of it."""
-    num, den = pref.numerator * s, pref.denominator << bits
-    return _rounded(num, den, max(bits, s.bit_length()))
+def _from_fixed(pref: Fraction, s: int, w: int) -> mpf:
+    """``pref * s / 2^w`` rounded once, within ``|pref| 2^-w`` of it."""
+    return _rounded(pref.numerator * s, pref.denominator << w, max(w, s.bit_length()))
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of a series evaluation.
 
-    ``tail_bound`` is a proven bound on ``|value - prefactor * sum|``, the
-    truncated tail and every rounding included.  ``measured_rate`` is the
+    ``tail_bound`` bounds ``|value - prefactor * sum|``: the tail, every
+    rounding and an interval prefactor's radius.  ``measured_rate`` is the
     digits-per-term slope fitted over the trailing half of the partial sums
     (None when too few usable points).  The partial sums are kept unscaled,
     as integers in units of ``2^-working_prec``; ``partial_sums`` rounds
@@ -237,15 +230,17 @@ class HypTerms:
         every factor positive for ``n >= n0``.  Paired in sorted order, over
         ``n >= N``, ``a > b`` gives at most ``(N + a) / (N + b)``, ``a <= b``
         at most 1, and an unpaired ``1 / (n + b)`` at most ``1 / (N + b)``.
-        ``|A(n)| <= (n/N)^dA Ah(N)`` and ``|B(n)| >= (n/N)^dB Bv(N)`` from
-        the coefficients' sizes, and ``(n/N)^d <= (1 + 1/N)^(d (n-N))`` joins
-        the ratio for ``d = dA - dB > 0``.  None when the numerator has more
-        factors: such terms end (``check_convergence``).
+        ``|A(n)| <= (n/N)^dA Ah(N)``; ``|B(n)| >= (n/N)^dB Bv(N)``, ``Bv`` keeping
+        the coefficients of sign opposite to the leading one; ``(n/N)^d <= (1 +
+        1/N)^(d (n-N))`` joins the ratio for ``d = dA - dB > 0``.  None when
+        the numerator has more factors: such terms end.
         """
         above, below = (
             sorted((q + j) / p for p, q in side for j in range(p))
             for side in (self.num, self.den)
         )
+        # |n + a| <= n + max(a, -2 - a) for n >= 1: no n0 for a noninteger a
+        above = sorted(a if a.denominator == 1 else max(a, -2 - a) for a in above)
         if len(above) > len(below):
             return None
         n0 = max([1] + [math.floor(-x) + 1 for x in above + below])
@@ -258,9 +253,9 @@ class HypTerms:
                 q = q * Polynomial((b, 1))
                 if a is not None:
                     p = p * Polynomial((a, 1))
-        magnitude = tuple(map(abs, top))
-        floor = tuple(-abs(c) for c in bottom[:-1]) + (abs(bottom[-1]),)
-        return (n0, *integer_coefficients(p, q), magnitude, floor)
+        sign = 1 if bottom[-1] > 0 else -1
+        floor = tuple(min(sign * c, 0) for c in bottom[:-1]) + (abs(bottom[-1]),)
+        return (n0, *integer_coefficients(p, q), tuple(map(abs, top)), floor)
 
     def grouped(self, m: int) -> "HypTerms":
         """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
@@ -305,10 +300,9 @@ def _tail(states: List[list], n: int) -> Optional[int]:
     for t, e, core in states:
         if not (t or e):
             continue  # exactly zero: the terms ended
-        forms = core.tail_forms
-        if forms is None or n < forms[0]:
+        if core.tail_forms is None or n < core.tail_forms[0]:
             return None
-        _, p, q, top, bottom = forms
+        _, p, q, top, bottom = core.tail_forms
         p, q, low = horner(p, n), horner(q, n), horner(bottom, n)
         if p >= q or low <= 0:
             return None
@@ -317,21 +311,24 @@ def _tail(states: List[list], n: int) -> Optional[int]:
 
 
 def _sum_fixed(
-    cores: Sequence[HypTerms], bits: int, budget: int, max_terms: int
+    cores: Sequence[HypTerms], bits: int, budget: int, slack: Fraction, max_terms: int
 ) -> Tuple[List[int], int, int]:
-    """Partial sums, tail bound and rounding bound, in units of ``2^-bits``,
-    at the first ``N`` where the bounds add up to less than ``budget``; a
-    rounding bound past half the budget holds the tail to the other half."""
+    """Partial sums, tail bound (with ``slack`` times a bound on ``|S|``) and
+    rounding bound, in units of ``2^-bits``, at the first ``N`` where they add
+    up to less than ``budget``, a rounding bound past half of it counting half."""
     states = []
     for core in cores:
+        core.check_convergence()
         t, rem = divmod(core.t0.numerator << bits, core.t0.denominator)
         states.append([t, int(rem != 0), core])
-    half = budget // 2
     total, rounding, partials = 0, 1, []  # 1 unit for the final rounding
     for n in itertools.count():
         tail = _tail(states, n)
-        if tail is not None and tail + min(rounding, half) < budget:
-            return partials, tail, rounding
+        if tail is not None and tail + min(rounding, budget // 2) < budget:
+            spread = (abs(total) + tail + rounding) * slack.numerator
+            tail += -(-spread // slack.denominator)
+            if tail + min(rounding, budget // 2) < budget:
+                return partials, tail, rounding
         if n == max_terms:
             raise EvaluationError(f"tail target not reached within {max_terms} terms")
         for state in states:
@@ -363,25 +360,29 @@ def sum_terms(
     proven error bound falls below ``10^-target_digits``.
 
     ``prefactor`` scales both the returned value and the tolerance target,
-    so the tail bound always refers to the final reported value.  Terms that
-    end make an exact sum, whose bound is its rounding alone.
+    so the tail bound always refers to the final reported value.  An
+    interval prefactor (``iv.mpf``) is taken at its midpoint, and the bound
+    covers its radius times ``|S|``.  Terms that end make an exact sum, whose
+    bound is its rounding alone.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
+    slack = Fraction(0)  # the prefactor's radius over its midpoint
+    if isinstance(prefactor, iv.mpf):
+        low, high = (Fraction(*to_rational(end)) for end in prefactor._mpi_)
+        prefactor, slack = (low + high) / 2, (high - low) / abs(low + high)
     if isinstance(prefactor, mpf):
         prefactor = Fraction(*to_rational(prefactor._mpf_))
     pref = Fraction(1 if prefactor is None else prefactor)
     if not pref:
         raise ValueError("prefactor must be nonzero")
-    for core in cores:
-        core.check_convergence()
     # budget = 10^-d / |pref| in units of 2^-bits, and at least 10^-d
     scale = 10**target_digits * abs(pref.numerator)
     wide = 10**target_digits * max(abs(pref.numerator), pref.denominator)
     bits = wide.bit_length() - pref.denominator.bit_length() + 1 + GUARD_BITS
     for attempt in (1, 2):
         budget = (pref.denominator << bits) // scale
-        partials, tail, rounding = _sum_fixed(cores, bits, budget, max_terms)
+        partials, tail, rounding = _sum_fixed(cores, bits, budget, slack, max_terms)
         if 2 * rounding <= budget:
             break
         if attempt == 2:
@@ -406,6 +407,7 @@ def sum_terms(
     )
 
 
+@cache
 def derived_core(ds: DerivedSeries) -> HypTerms:
     """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
     a, b, k, s = ds.a, ds.b, ds.k, ds.s
@@ -421,17 +423,23 @@ def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
 def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     """Value of the bound seed integral: prefactor times the series sum.
 
-    The prefactor ``B(a+1, b+1) / z`` is computed with the float library's
-    Beta at ``GUARD_BITS`` beyond the target; the sum takes that mpf as
-    exact, and its bound covers everything after it.
+    The prefactor ``B(a+1, b+1) / z`` is the float library's Beta at
+    ``GUARD_BITS`` beyond the target and beyond ``log2 |prefactor|``, which
+    ``B(x, y) <= 2/x + 2/y`` bounds.  The bound allows that Beta ``2^32``
+    units in its last place: the sum takes the prefactor as an interval.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    with mp.workprec((10**target_digits).bit_length() + GUARD_BITS):
+    size = (2 / (ds.a + 1) + 2 / (ds.b + 1)) / abs(ds.z)
+    bits = (10**target_digits * math.ceil(size)).bit_length() + GUARD_BITS
+    with mp.workprec(bits):
         pref = mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
+    unit = from_man_exp(1, mp.mag(pref) + 32 - bits)
+    pref = iv.make_mpf((mpf_sub(pref._mpf_, unit), mpf_add(pref._mpf_, unit)))
     return sum_terms([derived_core(ds)], target_digits, prefactor=pref)
 
 
+@cache
 def product_core(p: Product) -> HypTerms:
     """The core of one printed product, with ``a / b`` as its weight."""
     return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a, p.b))

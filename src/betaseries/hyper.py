@@ -32,10 +32,6 @@ class GroupingError(ValueError):
     """Invalid grouping request."""
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
 @dataclass(frozen=True)
 class HypSeriesSpec:
     """Series ``sum_n prod_g (upper_g)_n / (lower_g)_n * z^n``.
@@ -59,7 +55,7 @@ class HypSeriesSpec:
         if not self.upper:
             raise ValueError("need at least one parameter pair")
         for y in self.lower:
-            if _is_nonpositive_integer(y):
+            if y.denominator == 1 and y <= 0:
                 raise ValueError(f"lower parameter {y} is a nonpositive integer")
         if abs(self.z) > 1:
             raise ValueError("|z| > 1: series diverges")
@@ -154,14 +150,10 @@ def verify_grouping(base: HypSeriesSpec, m: int, digits: int) -> GroupingReport:
         rate_ok = abs(grouped_slope - m * base_slope) < 0.05
     detail = ""
     if not value_ok:
-        detail += (
-            f"values differ by {diff}: base={rb.value}, grouped={rg.value}. "
-        )
+        detail += f"values differ by {diff}: base={rb.value}, grouped={rg.value}. "
     if not rate_ok:
-        detail += (
-            f"rate multiple off: base {base_slope:.4f} digits/term, "
-            f"grouped {grouped_slope:.4f}, expected x{m}."
-        )
+        detail += f"rate multiple off: base {base_slope:.4f} digits/term, "
+        detail += f"grouped {grouped_slope:.4f}, expected x{m}."
     return GroupingReport(
         passed=value_ok and rate_ok,
         base_value=rb.value,

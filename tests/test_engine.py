@@ -159,6 +159,39 @@ class TestSumTerms:
         first = (10**30).bit_length() + 1 + GUARD_BITS
         assert (result.working_prec > first) == (power == 200)
 
+    def test_weight_floor_keeps_same_sign_coefficients(self):
+        # B(n) = n + 10^6 is at least n for every n >= 0: the floor of the
+        # weight's denominator must not subtract the constant 10^6
+        result = evaluate_expr("(1/2)^n/(n+1000000)", 30)
+        assert result.terms_used <= 110
+        with mp.workdps(60):
+            value = mp.nsum(lambda n: mpf(2) ** -n / (n + 10**6), [0, mp.inf])
+            assert abs(result.value - value) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -30
+
+    def test_negative_upper_factor_needs_no_wait(self):
+        # (-400001/2)_n / n! 10^-6n = (1 - 10^-6)^(400001/2): |n + a| <= n - 2 - a
+        # for n >= 1 bounds the upper factor, so the stop does not wait for
+        # n > 200000.5 (past the term limit)
+        core = HypTerms(F(1), F(1, 10**6), ((1, F(-400001, 2)),), ((1, F(1)),))
+        result = sum_terms([core], 30)
+        assert result.terms_used < 30
+        with mp.workdps(60):
+            value = (1 - mpf(10) ** -6) ** (mpf(400001) / 2)
+            assert abs(result.value - value) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -30
+
+    def test_negative_lower_factor_waits_for_its_sign(self):
+        # r(n) = (n + 1) / (2 (n - 81/2)): the terms fall to 4e-19 by n = 27,
+        # then grow back to about 11 at n = 82, so no bound is read before
+        # n - 81/2 > 0; the sum is 2F1(1, 1; -81/2; 1/2)
+        result = evaluate_expr("poch(1,n)/poch(-81/2,n)*(1/2)^n", 10)
+        assert result.terms_used > 41
+        with mp.workdps(40):
+            value = mp.hyp2f1(1, 1, mpf(-81) / 2, mpf(1) / 2)
+            assert abs(result.value - value) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -10
+
     @pytest.mark.parametrize(
         "core, n",
         [
@@ -253,6 +286,20 @@ class TestEvaluateDerived:
         with mp.workdps(80):
             first = 1 / to_mpf(z)
             assert abs(result.value - first) <= first * mpf(10) ** -49
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_prefactor_error_is_within_the_bound(self, digits):
+        # a = -1 + 1/(3 10^30) makes B(a+1, b+1) about 3 10^30: the Beta is
+        # taken at bits beyond its own size, and the bound covers its error
+        ds = DerivedSeries(
+            a=F(-1) + F(1, 3 * 10**30), b=F(2, 3), k=1, s=1, z=F(4), qcoeffs=(F(1),)
+        )
+        result = evaluate_derived(ds, digits)
+        with mp.workdps(digits + 80):
+            total = sum(itertools.islice(derived_terms(ds), 4 * digits + 60))
+            pref = mp.beta(mpf(1) / (3 * 10**30), mpf(5) / 3) / 4
+            assert abs(result.value - pref * to_mpf(total)) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -digits
 
     def test_bad_digits(self):
         with pytest.raises(ValueError):
