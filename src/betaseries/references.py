@@ -8,7 +8,10 @@ and Beta values by the Gauss series of the incomplete Beta function at
 x = 1/2.  Gamma-function combinations are assembled exclusively from Beta
 values plus the reflection identity.  Each series has its own short loop
 here, so the results depend neither on the term core in ``engine`` nor on
-the quadrature they are checked against.
+the quadrature they are checked against.  The Beta series is summed on
+integers in fixed point, with a rounding bound carried next to each value:
+its tail and its rounding are both proven below ``2^-(prec+10)`` of the
+sum, and a sum whose rounding bound misses that is redone once, wider.
 
 Computed constants are cached per (name, digits) in ``_cache``, the
 process-wide cache of precision-keyed constants.  It is defined in
@@ -21,12 +24,14 @@ share.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .polynomials import rational
 from .quadrature import _cache
@@ -37,6 +42,8 @@ from .quadrature import _cache
 from .quadrature import integrate  # noqa: F401
 
 _GUARD = 10
+_GUARD_BITS = 32  # of the Beta series over its error budget
+_REDO_BITS = 16  # over the measured shortfall, when the Beta series is redone
 
 _cache_lock = threading.Lock()
 
@@ -236,31 +243,68 @@ def catalan_accelerated(digits: int) -> mpf:
     return _cached("catalan", digits, build)
 
 
+def _gauss_sum(p: Fraction, q: Fraction, bits: int, shift: int) -> Tuple[int, int, int]:
+    """``S`` of ``_half_beta`` in units of ``2^-bits``: the partial sum, a
+    bound on the tail after it and a bound on its rounding error.
+
+    ``T_n = (1-q)_n / (n! 2^n)`` steps by ``(n - q) / (2n)`` and term ``n``
+    is ``T_n / (p + n)``, each rounded down to an integer; ``e`` and
+    ``rounding`` carry bounds on the errors so made.  Past ``n >= q`` the
+    ratio of consecutive terms lies in [0, 1/2], so the tail after a term is
+    no larger than the term: the sum stops at the first such term of at
+    most ``2^-shift`` times the partial sum, or whose ``T_n`` is no larger
+    than its rounding bound.
+    """
+    pn, pd = p.numerator, p.denominator
+    qn, qd = q.numerator, q.denominator
+    t, e = 1 << bits, 0  # T_n and its rounding bound
+    total, rounding = 0, 0
+    n = 0
+    while True:
+        d = pn + n * pd
+        u, rem = divmod(t * pd, d)
+        err = -(-e * pd // d) + (rem != 0)
+        total += u
+        rounding += err
+        if n * qd >= qn and ((abs(u) + err) << shift <= abs(total) or abs(t) <= e):
+            return total, abs(u) + err, rounding
+        n += 1
+        a, b = n * qd - qn, 2 * n * qd
+        t, rem = divmod(t * a, b)
+        e = -(-e * abs(a) // b) + (rem != 0)
+
+
 def _half_beta(p: Fraction, q: Fraction) -> mpf:
     """``B_{1/2}(p, q) = 2^-p S``, ``S = sum_n (1-q)_n / (n! (p+n) 2^n)``.
 
-    This is DLMF 8.17.7 at x = 1/2.  Past ``n >= q`` the ratio of
-    consecutive terms of ``S`` lies in [0, 1/2], so the tail after a term
-    has that term's sign and is no larger than it.  The sum runs with
-    ``_GUARD`` extra bits and stops at the first such term below
-    ``2^-(prec+10)`` times the partial sum, which bounds the relative
-    truncation error by the same.  ``2^-p`` is a root of a power of two.
+    This is DLMF 8.17.7 at x = 1/2.  ``S`` is summed on integers at
+    ``prec + 10 + _GUARD_BITS`` fractional bits (``_gauss_sum``), and both
+    the tail and the carried rounding bound must be at most ``2^-(prec+10)``
+    times the partial sum.  The terms grow like ``(3/2)^q`` before they
+    fall, so for large ``q`` the rounding bound can miss that budget; the
+    sum is then done once more with the missing bits and ``_REDO_BITS``
+    added, and a second miss raises ``ArithmeticError``.  ``S`` is rounded
+    once, to ``_GUARD`` bits past the working precision; ``2^-p`` is a root
+    of a power of two.
     """
-    tol = mpf(2) ** (-(mp.prec + 10))
-    pn, pd = p.numerator, p.denominator
-    qn, qd = q.numerator, q.denominator
-    with mp.workprec(mp.prec + _GUARD):
-        power = mpf(1)  # (1-q)_n / (n! 2^n)
-        total = mpf(0)
-        n = 0
-        while True:
-            term = power * pd / (pn + n * pd)
-            total += term
-            if n >= q and abs(term) <= tol * abs(total):
-                break
-            n += 1
-            power = power * (n * qd - qn) / (2 * n * qd)
-    return nth_root(mp.ldexp(mpf(1), -pn), pd) * total
+    shift = mp.prec + 10
+    bits = shift + _GUARD_BITS
+    for attempt in (1, 2):
+        total, tail, rounding = _gauss_sum(p, q, bits, shift)
+        lost = max(tail, rounding)
+        if lost << shift <= abs(total):
+            break
+        if attempt == 2:
+            raise ArithmeticError(f"Beta series rounding above budget at {bits} bits")
+        # a floor on log2 S: S >= max(2^-max(q-1, 0), c^p / 2) / p with
+        # c = 1 / max(q-1, 1), and S > 0 is within tail + rounding of the sum
+        drop = 2 + math.ceil(p * math.log2(max(q - 1, 1)))
+        low = -min(math.ceil(max(q - 1, 0)), drop) - math.ceil(p).bit_length()
+        if total > tail + rounding:
+            low = max(low, (total - tail - rounding).bit_length() - 1 - bits)
+        bits = lost.bit_length() + shift - low + _REDO_BITS
+    s = mp.make_mpf(from_rational(total, 1 << bits, mp.prec + _GUARD, round_nearest))
+    return nth_root(mp.ldexp(mpf(1), -p.numerator), p.denominator) * s
 
 
 def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:

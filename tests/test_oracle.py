@@ -7,7 +7,7 @@ import pytest
 from mpmath import gamma as mp_gamma
 from mpmath import mp, mpf
 
-from betaseries import cli
+from betaseries import cli, references
 from betaseries.catalog import _quadrature_problem, load_catalog
 from betaseries.polynomials import Polynomial, convergence_bound, kernel_polynomial
 from betaseries.quadrature import QuadratureProblem, integrate
@@ -319,6 +319,45 @@ class TestBetaSeries:
             with mp.workdps(1030):
                 exact = mp.beta(_mpf(p), _mpf(q))
                 assert abs(value - exact) <= mpf(10) ** -1010 * exact
+
+    @pytest.mark.parametrize(
+        "pq",
+        [
+            (F(1, 2), F(201, 2)),
+            (F(1, 2), F(301, 2)),
+            (F(1, 2), F(401, 2)),
+            (F(1, 3), F(150)),
+        ],
+        ids=_pair_id,
+    )
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_large_q_against_mpmath(self, digits, pq):
+        # the terms of B_{1/2}(p, q) grow like (3/2)^q before they fall: the
+        # cancellation outgrows any fixed guard, the rounding bound does not
+        p, q = pq
+        value = beta_value(p, q, digits)
+        with mp.workdps(digits + 30):
+            exact = mp.beta(_mpf(p), _mpf(q))
+            assert abs(value - exact) <= mpf(10) ** -(digits + 5) * exact
+
+    def test_rounding_miss_is_summed_again_wider(self, monkeypatch):
+        # B_{1/2}(1/2, 2001/2) at 30 digits: the rounding bound of the first
+        # width exceeds the partial sum, so the series is summed once more
+        p, q = F(1, 2), F(2001, 2)
+        gauss_sum, widths = references._gauss_sum, []
+
+        def spy(*args):
+            if args[:2] == (p, q):
+                widths.append(args[2])
+            return gauss_sum(*args)
+
+        monkeypatch.setattr(references, "_gauss_sum", spy)
+        references._cache.clear()
+        value = beta_value(p, q, 30)
+        assert len(widths) == 2 and widths[1] > widths[0]
+        with mp.workdps(60):
+            exact = mp.beta(_mpf(p), _mpf(q))
+            assert abs(value - exact) <= mpf(10) ** -35 * exact
 
     @pytest.mark.parametrize("p", [F(1, 3), F(7, 2), F(5), F(123, 10)])
     def test_terminating(self, p):
