@@ -195,13 +195,17 @@ class HypTerms:
         limit = abs(self.c) * math.prod(p**p for p, _ in self.num)
         return limit / math.prod(p**p for p, _ in self.den)
 
+    @property
+    def ends(self) -> bool:
+        """``t0`` or ``c`` is 0, or a numerator symbol ``(q)_{pn}`` with an
+        integer ``q <= 0`` is 0 from some ``n`` on."""
+        zero = any(p and q.denominator == 1 and q <= 0 for p, q in self.num)
+        return zero or self.c == 0 or not self.t0
+
     def check_convergence(self) -> None:
-        """Raise unless ``|r(n)|`` tends to a limit below 1 or the terms end,
-        as they do once a numerator symbol ``(q)_{pn}`` with an integer
-        ``q <= 0`` is 0."""
+        """Raise unless ``|r(n)|`` tends to a limit below 1 or the terms end."""
         excess = sum(p for p, _ in self.num) - sum(p for p, _ in self.den)
-        ends = any(p and q.denominator == 1 and q <= 0 for p, q in self.num)
-        if self.c == 0 or not self.t0 or excess < 0 or ends:
+        if self.ends or excess < 0:
             return
         limit = self.limit() if excess == 0 else math.inf
         if limit > 1:
@@ -319,6 +323,10 @@ def _sum_fixed(
     states = []
     for core in cores:
         core.check_convergence()
+        # terms that do not end stop only at a tail bound, read from n0 on
+        if not core.ends and core.tail_forms[0] > max_terms:
+            n0 = core.tail_forms[0]
+            raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
         t, rem = divmod(core.t0.numerator << bits, core.t0.denominator)
         states.append([t, int(rem != 0), core])
     total, rounding, partials = 0, 1, []  # 1 unit for the final rounding

@@ -2,16 +2,16 @@
 
 Everything here is computed by classical methods that share nothing with
 the series-derivation machinery or with the quadrature: a Machin arctangent
-formula for pi, the ``atanh(1/3)`` series for ln 2, Chebyshev-accelerated
-alternating summation for Catalan's constant, Newton iteration for roots,
-and Beta values by the Gauss series of the incomplete Beta function at
-x = 1/2.  Gamma-function combinations are assembled exclusively from Beta
-values plus the reflection identity.  Each series has its own short loop
-here, so the results depend neither on the term core in ``engine`` nor on
-the quadrature they are checked against.  The Beta series is summed on
-integers in fixed point, with a rounding bound carried next to each value:
-its tail and its rounding are both proven below ``2^-(prec+10)`` of the
-sum, and a sum whose rounding bound misses that is redone once, wider.
+formula for pi, the ``atanh(1/3)`` series for ln 2, Chebyshev acceleration
+for Catalan's constant, integer roots, and Beta values by the Gauss series
+of the incomplete Beta function at x = 1/2.  Gamma-function combinations are
+assembled exclusively from Beta values plus the reflection identity.  One
+fixed-point loop on integers, ``_fixed_sum``, sums the Gauss, arctangent and
+atanh series, with a rounding bound carried next to each value and a proven
+stop; Catalan's acceleration runs on integers with a proven bound, and roots
+are integer roots of the mantissa.  Each sum and root is proven within
+``2^-(prec + _GUARD_BITS)`` of itself before it is rounded once to an mpf;
+``asin_of`` and the Gamma combinations compose such values in mpf arithmetic.
 
 Computed constants are cached per (name, digits) in ``_cache``, the
 process-wide cache of precision-keyed constants.  It is defined in
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .polynomials import rational
 from .quadrature import _cache
@@ -41,52 +41,121 @@ from .quadrature import _cache
 # ``references.integrate`` as a layer boundary; remove both together.
 from .quadrature import integrate  # noqa: F401
 
-_GUARD = 10
-_GUARD_BITS = 32  # of the Beta series over its error budget
-_REDO_BITS = 16  # over the measured shortfall, when the Beta series is redone
+_GUARD_DIGITS = 10  # past the requested digits, for each named constant
+_GUARD_BITS = 10  # past the working precision, for every error bound and rounding
+_SPARE_BITS = 32  # of a fixed-point width past its error budget
 
 _cache_lock = threading.Lock()
 
 
 def _cached(key, digits: int, builder):
+    """``builder()`` at ``_GUARD_DIGITS`` past ``digits``, cached per key."""
     with _cache_lock:
         hit = _cache.get((key, digits))
     if hit is not None:
         return hit
-    value = builder()
+    with mp.workdps(digits + _GUARD_DIGITS):
+        value = builder()
     with _cache_lock:
         _cache[(key, digits)] = value
     return value
 
 
+def _rounded(total: int, lost: int, bits: int) -> mpf:
+    """``total 2^-bits``, within ``lost`` units of the true value, rounded once
+    to ``_GUARD_BITS`` past the working precision; ``ArithmeticError`` unless
+    ``lost`` is at most ``2^-(prec + _GUARD_BITS)`` times ``|total|``."""
+    prec = mp.prec + _GUARD_BITS
+    if lost << prec > abs(total):
+        raise ArithmeticError(f"reference error bound above 2^-{prec} of the value")
+    return mp.make_mpf(from_man_exp(total, -bits, prec, round_nearest))
+
+
+def _fixed_sum(t: int, e: int, ratio, weight, settled: int, shift: int):
+    """``sum_n T_n c(n) / d(n)`` in the units of ``t``: the partial sum, a
+    bound on the tail after it and a bound on its rounding error.
+
+    ``T_0`` is ``t`` within ``e`` units, ``T_{n+1} = T_n a / (b 2^s)`` for
+    ``(a, b, s) = ratio(n + 1)`` and ``(c, d) = weight(n)``, ``b, d > 0``.
+    Each product is rounded down, and ``e`` and ``rounding`` carry bounds on
+    the errors: ``e <- ceil(e |a| / (b 2^s)) + [inexact]``.  From term
+    ``settled`` on the tail after a term must be no larger than the term: the
+    sum stops at the first such term of at most ``2^-shift`` times the
+    partial sum, or whose ``T_n`` is no larger than its rounding bound.
+    """
+    total = rounding = n = 0
+    while True:
+        c, d = weight(n)
+        u, rem = divmod(t * c, d)
+        err = -(-e * abs(c) // d) + (rem != 0)
+        total += u
+        rounding += err
+        if n >= settled and ((abs(u) + err) << shift <= abs(total) or abs(t) <= e):
+            return total, abs(u) + err, rounding
+        n += 1
+        a, b, s = ratio(n)
+        p = t * a
+        t, rem = divmod(p >> s, b)
+        e = -(-e * abs(a) // (b << s)) + (rem != 0 or p & ((1 << s) - 1) != 0)
+
+
+def _odd_series(sign: int, terms, bits: int, shift: int) -> Tuple[int, int]:
+    """``sum c f(y/z)`` over ``(c, y, z)`` in ``terms``, with ``f`` arctan for
+    ``sign = -1`` and atanh for ``+1``, in units of ``2^-bits``: the sum and
+    a bound on its error.
+
+    ``f(x) = sum_n sign^n x^(2n+1) / (2n+1)`` is summed by ``_fixed_sum``
+    from ``T_0 = y / z`` by the ratio ``sign y^2 / z^2``, a power of two in
+    ``z`` taken by a shift.  With ``|y/z| <= 1/2`` the tail after a term is
+    no larger than the term: the arctan terms alternate and fall, and the
+    atanh terms fall by at least 4.
+    """
+    total = lost = 0
+    for c, y, z in terms:
+        s = (z & -z).bit_length() - 1
+        step = (sign * y * y, (z >> s) ** 2, 2 * s)
+        t, rem = divmod(y << bits, z)
+        part, tail, rounding = _fixed_sum(
+            t, int(rem != 0), lambda n: step, lambda n: (1, 2 * n + 1), 0, shift
+        )
+        total += c * part
+        lost += abs(c) * (tail + rounding)
+    return total, lost
+
+
 # --------------------------------------------------------------------------
-# Root extraction and elementary inverse functions
+# Roots and elementary inverse functions
 # --------------------------------------------------------------------------
+
+
+def _iroot(n: int, m: int) -> int:
+    """``floor(n^(1/m))`` for ``n >= 1``: Newton's iteration on integers,
+    which falls to the root from any start above it."""
+    if m == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 def nth_root(x: mpf, m: int) -> mpf:
-    """Newton iteration for the positive m-th root at current precision."""
+    """The positive m-th root: the integer root of the mantissa, shifted so
+    that the root has ``_GUARD_BITS + 2`` bits past the working precision."""
     if m < 1:
         raise ValueError("root order must be >= 1")
+    x = mpf(x)
     if x < 0:
         raise ValueError("nth_root requires a nonnegative argument")
     if x == 0:
         return mpf(0)
-    if m == 1:
-        return mpf(x)
-    # Float seed 2^q (x / 2^(m q))^(1/m), with q = 0 while float(x) is finite
-    # and nonzero.  Outside that range x = f 2^e (1/2 <= f < 1) is scaled by
-    # q = e // m into [1/2, 2^(m-1)), where float() is exact enough.
-    e = mp.frexp(x)[1]
-    q = 0 if -1073 <= e <= 1023 else e // m
-    y = mp.ldexp(mpf(float(mp.ldexp(x, -m * q)) ** (1.0 / m)), q)
-    tol = mpf(2) ** (-(mp.prec - 6))
-    for _ in range(60):
-        step = (x / y ** (m - 1) - y) / m
-        y = y + step
-        if abs(step) <= abs(y) * tol:
-            break
-    return y
+    # x^(1/m) = (man 2^j)^(1/m) 2^-w, with j = exp + m w >= 0 and man 2^j of
+    # at least m (prec + _GUARD_BITS + 2) bits; the floored root is 1 unit off
+    j = max(m * (mp.prec + _GUARD_BITS + 2) - x.bc, 0)
+    w = -((x.exp - j) // m)
+    return _rounded(_iroot(x.man << (x.exp + m * w), m), 1, w)
 
 
 def sqrt_of(x: Union[mpf, Fraction, int]) -> mpf:
@@ -96,24 +165,21 @@ def sqrt_of(x: Union[mpf, Fraction, int]) -> mpf:
 
 
 def atan_of(x: mpf) -> mpf:
-    """Taylor series with argument halving (``x -> x / (1 + sqrt(1+x^2))``)."""
+    """``_odd_series`` at a dyadic argument of at most 1/4, reached by
+    halvings ``y -> y / (1 + sqrt(1 + y^2))`` on integers."""
     x = mpf(x)
-    doublings = 0
-    while abs(x) > mpf(1) / 4:
-        x = x / (1 + sqrt_of(1 + x * x))
-        doublings += 1
-    if x == 0:
-        return mpf(0)
-    tol = mpf(2) ** (-(mp.prec + 10))
-    x2 = x * x
-    term = x
-    total = mpf(0)
-    j = 0
-    while abs(term) > tol:
-        total += term / (2 * j + 1) * (-1 if j % 2 else 1)
-        term *= x2
-        j += 1
-    return total * 2**doublings
+    shift = mp.prec + _GUARD_BITS
+    # wide enough for x exactly and for |atan x| >= |x| / 2 > 2^(exp + bc - 2)
+    bits = max(shift + _SPARE_BITS - min(x.exp + x.bc, 0), -x.exp)
+    one = 1 << bits
+    y, error, halvings = to_fixed(x._mpf_, bits), 0, 0
+    while abs(y) << 2 > one:
+        # the two floors move y by under 2 units, and dy'/dy <= 1/2
+        y = (y << bits) // (one + math.isqrt(one * one + y * y))
+        error = (error + 1) // 2 + 2
+        halvings += 1
+    total, lost = _odd_series(-1, [(1, y, one)], bits, shift + 1)
+    return _rounded(total, lost + error, bits - halvings)
 
 
 def asin_of(x: mpf) -> mpf:
@@ -124,27 +190,22 @@ def asin_of(x: mpf) -> mpf:
 
 
 def ln_of(x: mpf) -> mpf:
-    """atanh series for ln with square-root argument reduction."""
+    """``ln x = 2 atanh((m-1)/(m+1)) + 2 e atanh(1/3)`` for ``x = m 2^e``
+    with ``m`` in [2/3, 4/3), by ``_odd_series`` at exact rational arguments."""
     x = mpf(x)
     if x <= 0:
         raise ValueError("ln_of requires a positive argument")
-    doublings = 0
-    while abs(x - 1) > mpf(1) / 2:
-        x = sqrt_of(x)
-        doublings += 1
-    y = (x - 1) / (x + 1)
-    if y == 0:
-        return mpf(0)
-    tol = mpf(2) ** (-(mp.prec + 10))
-    y2 = y * y
-    term = y
-    total = mpf(0)
-    j = 0
-    while abs(term) > tol:
-        total += term / (2 * j + 1)
-        term *= y2
-        j += 1
-    return total * 2 ** (doublings + 1)
+    man, j = x.man, x.bc  # x = (man / 2^j) 2^e
+    if 3 * man < 2 << j:
+        j -= 1
+    e = x.exp + j
+    y, z = man - (1 << j), man + (1 << j)
+    terms = [(2, y, z), (2 * e, 1, 3)] if e else [(2, y, z)]
+    shift = mp.prec + _GUARD_BITS
+    bits = shift + _SPARE_BITS + z.bit_length() - abs(y).bit_length()
+    # |ln m| + |e| ln 2 is below 4 |ln x|: 2^-(shift + 3) per part suffices
+    total, lost = _odd_series(1, terms, bits, shift + 3)
+    return _rounded(total, lost, bits)
 
 
 # --------------------------------------------------------------------------
@@ -152,158 +213,95 @@ def ln_of(x: mpf) -> mpf:
 # --------------------------------------------------------------------------
 
 
-def _atan_inverse_int(c: int) -> mpf:
-    """arctan(1/c) by its Taylor series with exact integer denominators."""
-    total = mpf(0)
-    power = c
-    c2 = c * c
-    j = 0
-    tol = mpf(2) ** (-(mp.prec + 10))
-    while True:
-        term = mpf(1) / ((2 * j + 1) * power)
-        if term < tol:
-            break
-        total += -term if j % 2 else term
-        power *= c2
-        j += 1
-    return total
+def _odd_constant(key: str, digits: int, sign: int, terms) -> mpf:
+    def build():
+        shift = mp.prec + _GUARD_BITS
+        bits = shift + _SPARE_BITS
+        return _rounded(*_odd_series(sign, terms, bits, shift + 1), bits)
+
+    return _cached(key, digits, build)
 
 
 def pi_machin(digits: int) -> mpf:
     """pi = 16 arctan(1/5) - 4 arctan(1/239)."""
-
-    def build():
-        with mp.workdps(digits + _GUARD):
-            return 16 * _atan_inverse_int(5) - 4 * _atan_inverse_int(239)
-
-    return _cached("pi", digits, build)
+    return _odd_constant("pi", digits, -1, [(16, 1, 5), (-4, 1, 239)])
 
 
 def ln2_series(digits: int) -> mpf:
     """ln 2 = 2 atanh(1/3) = sum 2 / ((2j+1) 3^(2j+1))."""
-
-    def build():
-        with mp.workdps(digits + _GUARD):
-            total = mpf(0)
-            power = 3
-            j = 0
-            tol = mpf(2) ** (-(mp.prec + 10))
-            while True:
-                term = mpf(2) / ((2 * j + 1) * power)
-                if term < tol:
-                    break
-                total += term
-                power *= 9
-                j += 1
-            return total
-
-    return _cached("ln2", digits, build)
-
-
-def _alternating_cvz(a, n: int) -> mpf:
-    """Chebyshev-accelerated alternating sum ``sum (-1)^k a(k)``.
-
-    Standard acceleration for totally monotone term sequences; the error
-    decays like ``(3 + sqrt 8)^-n``.
-    """
-    d = (3 + sqrt_of(mpf(8))) ** n
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    total = mpf(0)
-    for k in range(n):
-        c = b - c
-        total += c * a(k)
-        b = b * (k + n) * (k - n) / ((k + mpf(1) / 2) * (k + 1))
-    return total / d
+    return _odd_constant("ln2", digits, 1, [(2, 1, 3)])
 
 
 def catalan_accelerated(digits: int) -> mpf:
-    """Catalan's constant from ``sum (-1)^n / (2n+1)^2``, accelerated.
+    """Catalan's constant ``G = sum (-1)^k / (2k+1)^2``, by the Chebyshev
+    acceleration of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9,
+    2000) on integers.
 
-    Runs the acceleration at two depths and insists on agreement, so a
-    returned value is self-validated to the requested precision.
+    ``1 / (2k+1)^2`` are the moments of a positive measure on [0, 1], so
+    ``S_n = sum_k c_k / ((2k+1)^2 d_n)``, with ``d_n = T_n(3)`` and the
+    integer coefficients ``b_k``, ``c_k`` of ``T_n(1 - 2x)``, has ``|G - S_n|
+    <= G / d_n``.  ``n`` is the first with ``d_n`` past twice the error
+    budget; each term is rounded down at ``_SPARE_BITS`` fractional bits.
     """
 
     def build():
-        with mp.workdps(digits + _GUARD):
-            needed = int((digits + 5) * 2.302585 / 1.7627) + 5
-
-            def term(k: int) -> mpf:
-                return mpf(1) / (2 * k + 1) ** 2
-
-            first = _alternating_cvz(term, needed)
-            second = _alternating_cvz(term, needed + 12)
-            if abs(first - second) > mpf(10) ** (-digits):
-                raise ArithmeticError(
-                    "catalan acceleration self-check failed"
-                )
-            return second
+        shift = mp.prec + _GUARD_BITS
+        n, d_prev, d = 1, 1, 3
+        while d >> (shift + 1) == 0:
+            n, d_prev, d = n + 1, d, 6 * d - d_prev
+        b, c, s = -1, -d, 0
+        for k in range(n):
+            c = b - c
+            s += (c << _SPARE_BITS) // (2 * k + 1) ** 2
+            b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+        bits = shift + _SPARE_BITS
+        # G <= 1 bounds G / d_n; s is below the exact sum by under n
+        lost = ((1 << bits) + (n << shift)) // d + 2
+        return _rounded((s << shift) // d, lost, bits)
 
     return _cached("catalan", digits, build)
 
 
 def _gauss_sum(p: Fraction, q: Fraction, bits: int, shift: int) -> Tuple[int, int, int]:
-    """``S`` of ``_half_beta`` in units of ``2^-bits``: the partial sum, a
-    bound on the tail after it and a bound on its rounding error.
+    """``S`` of ``_half_beta`` in units of ``2^-bits``, by ``_fixed_sum``.
 
     ``T_n = (1-q)_n / (n! 2^n)`` steps by ``(n - q) / (2n)`` and term ``n``
-    is ``T_n / (p + n)``, each rounded down to an integer; ``e`` and
-    ``rounding`` carry bounds on the errors so made.  Past ``n >= q`` the
-    ratio of consecutive terms lies in [0, 1/2], so the tail after a term is
-    no larger than the term: the sum stops at the first such term of at
-    most ``2^-shift`` times the partial sum, or whose ``T_n`` is no larger
-    than its rounding bound.
+    is ``T_n / (p + n)``.  Past ``n >= q`` the ratio of consecutive terms
+    lies in [0, 1/2], so the tail after a term is no larger than the term.
     """
     pn, pd = p.numerator, p.denominator
     qn, qd = q.numerator, q.denominator
-    t, e = 1 << bits, 0  # T_n and its rounding bound
-    total, rounding = 0, 0
-    n = 0
-    while True:
-        d = pn + n * pd
-        u, rem = divmod(t * pd, d)
-        err = -(-e * pd // d) + (rem != 0)
-        total += u
-        rounding += err
-        if n * qd >= qn and ((abs(u) + err) << shift <= abs(total) or abs(t) <= e):
-            return total, abs(u) + err, rounding
-        n += 1
-        a, b = n * qd - qn, 2 * n * qd
-        t, rem = divmod(t * a, b)
-        e = -(-e * abs(a) // b) + (rem != 0)
+    step = lambda n: (n * qd - qn, 2 * n * qd, 0)
+    weight = lambda n: (pd, pn + n * pd)
+    return _fixed_sum(1 << bits, 0, step, weight, -(-qn // qd), shift)
 
 
 def _half_beta(p: Fraction, q: Fraction) -> mpf:
     """``B_{1/2}(p, q) = 2^-p S``, ``S = sum_n (1-q)_n / (n! (p+n) 2^n)``.
 
     This is DLMF 8.17.7 at x = 1/2.  ``S`` is summed on integers at
-    ``prec + 10 + _GUARD_BITS`` fractional bits (``_gauss_sum``), and both
-    the tail and the carried rounding bound must be at most ``2^-(prec+10)``
-    times the partial sum.  The terms grow like ``(3/2)^q`` before they
-    fall, so for large ``q`` the rounding bound can miss that budget; the
-    sum is then done once more with the missing bits and ``_REDO_BITS``
-    added, and a second miss raises ``ArithmeticError``.  ``S`` is rounded
-    once, to ``_GUARD`` bits past the working precision; ``2^-p`` is a root
-    of a power of two.
+    ``_SPARE_BITS`` past its error budget (``_gauss_sum``), its tail to half
+    the budget.  The terms grow like ``(3/2)^q`` before they fall, so for
+    large ``q`` the rounding bound can miss that budget; the sum is then
+    done once more with the missing bits and ``_SPARE_BITS`` added, and a
+    second miss raises ``ArithmeticError``.  ``2^-p`` is a root of a power
+    of two.
     """
-    shift = mp.prec + 10
-    bits = shift + _GUARD_BITS
+    shift = mp.prec + _GUARD_BITS
+    bits = shift + _SPARE_BITS
     for attempt in (1, 2):
-        total, tail, rounding = _gauss_sum(p, q, bits, shift)
-        lost = max(tail, rounding)
-        if lost << shift <= abs(total):
+        total, tail, rounding = _gauss_sum(p, q, bits, shift + 1)
+        lost = tail + rounding
+        if lost << shift <= abs(total) or attempt == 2:
             break
-        if attempt == 2:
-            raise ArithmeticError(f"Beta series rounding above budget at {bits} bits")
         # a floor on log2 S: S >= max(2^-max(q-1, 0), c^p / 2) / p with
         # c = 1 / max(q-1, 1), and S > 0 is within tail + rounding of the sum
         drop = 2 + math.ceil(p * math.log2(max(q - 1, 1)))
         low = -min(math.ceil(max(q - 1, 0)), drop) - math.ceil(p).bit_length()
-        if total > tail + rounding:
-            low = max(low, (total - tail - rounding).bit_length() - 1 - bits)
-        bits = lost.bit_length() + shift - low + _REDO_BITS
-    s = mp.make_mpf(from_rational(total, 1 << bits, mp.prec + _GUARD, round_nearest))
+        if total > lost:
+            low = max(low, (total - lost).bit_length() - 1 - bits)
+        bits = lost.bit_length() + shift - low + _SPARE_BITS
+    s = _rounded(total, lost, bits)
     return nth_root(mp.ldexp(mpf(1), -p.numerator), p.denominator) * s
 
 
@@ -312,12 +310,7 @@ def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
     p, q = rational(p), rational(q)
     if p <= 0 or q <= 0:
         raise ValueError("beta_value requires positive parameters")
-
-    def build():
-        with mp.workdps(digits + _GUARD):
-            return _half_beta(p, q) + _half_beta(q, p)
-
-    return _cached(("beta", p, q), digits, build)
+    return _cached(("beta", p, q), digits, lambda: _half_beta(p, q) + _half_beta(q, p))
 
 
 _NAME_RE = re.compile(r"^(?P<fn>[a-z0-9]+)(\((?P<args>[^)]*)\))?$")
@@ -343,12 +336,7 @@ def reference(name: str, target_digits: int) -> mpf:
         r = rational(args)
         if r < 0:
             raise ValueError("sqrt of a negative rational")
-
-        def build():
-            with mp.workdps(target_digits + _GUARD):
-                return sqrt_of(r)
-
-        return _cached(("sqrt", r), target_digits, build)
+        return _cached(("sqrt", r), target_digits, lambda: sqrt_of(r))
     if fn == "beta" and args is not None:
         parts = args.split(",")
         if len(parts) != 2:
@@ -377,7 +365,7 @@ def gamma_combination(tag: str, target_digits: int) -> mpf:
     inner = digits + 5  # sub-references carry guard digits for the compositions
 
     def build():
-        with mp.workdps(inner + _GUARD):
+        with mp.workdps(inner + _GUARD_DIGITS):
             if tag == "G13cubed":
                 third = Fraction(1, 3)
                 return (

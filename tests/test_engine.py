@@ -181,6 +181,24 @@ class TestSumTerms:
             assert abs(result.value - value) <= result.tail_bound
         assert result.tail_bound < mpf(10) ** -30
 
+    def test_no_tail_bound_within_the_term_limit_fails_at_once(self):
+        # (1)_n / (-200000.5)_n 2^-n, the hyp spec upper 1, lower -200000.5,
+        # z 1/2: no bound is read before n0 = 200001, past the 100000-term
+        # limit, so the sum is refused before its first term
+        core = HypTerms(F(1), F(1, 2), ((1, F(1)),), ((1, F(-400001, 2)),))
+        with pytest.raises(EvaluationError, match="before term 200001 of 100000"):
+            sum_terms([core], 30)
+
+    def test_terms_that_end_need_no_tail_bound(self):
+        # (-5)_n / (-200000.5)_n 2^-n: (-5)_n ends the terms after n = 5,
+        # long before n0 = 200001
+        core = HypTerms(F(1), F(1, 2), ((1, F(-5)),), ((1, F(-400001, 2)),))
+        result = sum_terms([core], 30)
+        assert result.terms_used == 6
+        with mp.workdps(60):
+            assert abs(result.value - to_mpf(sum(core.terms()))) <= result.tail_bound
+        assert result.tail_bound < mpf(10) ** -30
+
     def test_negative_lower_factor_waits_for_its_sign(self):
         # r(n) = (n + 1) / (2 (n - 81/2)): the terms fall to 4e-19 by n = 27,
         # then grow back to about 11 at n = 82, so no bound is read before

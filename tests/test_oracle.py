@@ -187,7 +187,45 @@ class TestIntegrate:
             integrate(QuadratureProblem(a=F(0), b=F(0)), 0)
 
 
+DIGITS = [30, 100, 300, 1000]
+
+#: (id, reference function, its argument, mpmath's function)
+FUNCTION_CASES = [
+    ("atan(1/sqrt(3))", atan_of, lambda: 1 / sqrt_of(3), mp.atan),
+    ("atan(1/sqrt(7))", atan_of, lambda: 1 / sqrt_of(7), mp.atan),
+    ("atan(1/sqrt(12))", atan_of, lambda: 1 / sqrt_of(12), mp.atan),
+    ("asin(1/2)", asin_of, lambda: mpf(1) / 2, mp.asin),
+    ("asin(1/3)", asin_of, lambda: mpf(1) / 3, mp.asin),
+    ("asin(2/5)", asin_of, lambda: mpf(2) / 5, mp.asin),
+    ("ln(2-sqrt(3))", ln_of, lambda: 2 - sqrt_of(3), mp.log),
+    ("sqrt(3)", sqrt_of, lambda: mpf(3), mp.sqrt),
+    ("root(2,3)", lambda x: nth_root(x, 3), lambda: mpf(2), mp.cbrt),
+] + [
+    (
+        f"root(7e{e},{m})",
+        lambda x, m=m: nth_root(x, m),
+        lambda e=e: 7 * mpf(10) ** e,
+        lambda x, m=m: mp.root(x, m),
+    )
+    for e in (400, -400)
+    for m in (2, 3, 5)
+]
+
+
 class TestElementaryFunctions:
+    @pytest.mark.parametrize("case", FUNCTION_CASES, ids=lambda case: case[0])
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_against_mpmath(self, digits, case):
+        # evaluated 5 digits past the check, as catalog leaves are; mpmath
+        # gets the same mpf argument
+        _, function, argument, exact = case
+        with mp.workdps(digits + 5):
+            x = argument()
+            value = function(x)
+        with mp.workdps(digits + 30):
+            expected = exact(x)
+            assert abs(value - expected) <= mpf(10) ** -(digits + 5) * abs(expected)
+
     def test_nth_root(self):
         with mp.workdps(50):
             two = nth_root(mpf(32), 5)
@@ -238,6 +276,20 @@ class TestElementaryFunctions:
 
 
 class TestReferenceConstants:
+    @pytest.mark.parametrize(
+        "constant, exact",
+        [(pi_machin, "pi"), (ln2_series, "ln2"), (catalan_accelerated, "catalan")],
+        ids=["pi", "ln2", "catalan"],
+    )
+    # 1-10 digits: Catalan's acceleration runs 21 to 33 terms at one depth,
+    # so the error is what the CVZ bound G / d_n allows
+    @pytest.mark.parametrize("digits", [*range(1, 11), *DIGITS])
+    def test_against_mpmath(self, digits, constant, exact):
+        value = constant(digits)
+        with mp.workdps(digits + 30):
+            expected = getattr(mp, exact)
+            assert abs(value - expected) <= mpf(10) ** -(digits + 5) * expected
+
     def test_pi_two_ways(self):
         # Machin arctangents vs Beta(1/2,1/2) quadrature, 50 digits
         machin = pi_machin(50)
