@@ -50,7 +50,7 @@ from .polynomials import (
     rational,
 )
 from .quadrature import QuadratureProblem, integrate
-from .references import gamma_combination, reference
+from .references import gamma_combination
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "poly_divmod",
     "predicted_rate",
     "rational",
-    "reference",
     "run_all",
     "solve_seed",
     "solve_seed_param",

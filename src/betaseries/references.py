@@ -4,14 +4,17 @@ Everything here is computed by classical methods that share nothing with
 the series-derivation machinery or with the quadrature: a Machin arctangent
 formula for pi, the ``atanh(1/3)`` series for ln 2, Chebyshev acceleration
 for Catalan's constant, integer roots, and Beta values by the Gauss series
-of the incomplete Beta function at x = 1/2.  Gamma-function combinations are
-assembled exclusively from Beta values plus the reflection identity.  One
-fixed-point loop on integers, ``_fixed_sum``, sums the Gauss, arctangent and
-atanh series, with a rounding bound carried next to each value and a proven
-stop; Catalan's acceleration runs on integers with a proven bound, and roots
-are integer roots of the mantissa.  Each sum and root is proven within
-``2^-(prec + _GUARD_BITS)`` of itself before it is rounded once to an mpf;
-``asin_of`` and the Gamma combinations compose such values in mpf arithmetic.
+of the incomplete Beta function at x = 1/2, whose terms are all positive
+once both arguments are reduced into (0, 1] by exact rational factors.
+Gamma-function combinations are assembled exclusively from Beta values plus
+the reflection identity.  One fixed-point loop on integers, ``_fixed_sum``,
+sums the Beta, arctangent and atanh series, with a rounding bound carried
+next to each value and one proven stop: the tail after any term of these
+series is no larger than the term.  Catalan's acceleration runs on integers
+with a proven bound, and roots are integer roots of the mantissa.  Each sum
+and root is proven within ``2^-(prec + _GUARD_BITS)`` of itself before it is
+rounded once to an mpf; a Beta value is one such sum times one root, and the
+Gamma combinations compose such values in mpf arithmetic.
 
 Computed constants are cached per (name, digits) in ``_cache``, the
 process-wide cache of precision-keyed constants.  It is defined in
@@ -28,7 +31,7 @@ import math
 import re
 import threading
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -71,17 +74,17 @@ def _rounded(total: int, lost: int, bits: int) -> mpf:
     return mp.make_mpf(from_man_exp(total, -bits, prec, round_nearest))
 
 
-def _fixed_sum(t: int, e: int, ratio, weight, settled: int, shift: int):
+def _fixed_sum(t: int, e: int, ratio, weight, shift: int):
     """``sum_n T_n c(n) / d(n)`` in the units of ``t``: the partial sum, a
     bound on the tail after it and a bound on its rounding error.
 
     ``T_0`` is ``t`` within ``e`` units, ``T_{n+1} = T_n a / (b 2^s)`` for
     ``(a, b, s) = ratio(n + 1)`` and ``(c, d) = weight(n)``, ``b, d > 0``.
     Each product is rounded down, and ``e`` and ``rounding`` carry bounds on
-    the errors: ``e <- ceil(e |a| / (b 2^s)) + [inexact]``.  From term
-    ``settled`` on the tail after a term must be no larger than the term: the
-    sum stops at the first such term of at most ``2^-shift`` times the
-    partial sum, or whose ``T_n`` is no larger than its rounding bound.
+    the errors: ``e <- ceil(e |a| / (b 2^s)) + [inexact]``.  The tail after
+    any term must be no larger than the term: the sum stops at the first term
+    of at most ``2^-shift`` times the partial sum, or whose ``T_n`` is no
+    larger than its rounding bound.
     """
     total = rounding = n = 0
     while True:
@@ -90,7 +93,7 @@ def _fixed_sum(t: int, e: int, ratio, weight, settled: int, shift: int):
         err = -(-e * abs(c) // d) + (rem != 0)
         total += u
         rounding += err
-        if n >= settled and ((abs(u) + err) << shift <= abs(total) or abs(t) <= e):
+        if (abs(u) + err) << shift <= abs(total) or abs(t) <= e:
             return total, abs(u) + err, rounding
         n += 1
         a, b, s = ratio(n)
@@ -116,7 +119,7 @@ def _odd_series(sign: int, terms, bits: int, shift: int) -> Tuple[int, int]:
         step = (sign * y * y, (z >> s) ** 2, 2 * s)
         t, rem = divmod(y << bits, z)
         part, tail, rounding = _fixed_sum(
-            t, int(rem != 0), lambda n: step, lambda n: (1, 2 * n + 1), 0, shift
+            t, int(rem != 0), lambda n: step, lambda n: (1, 2 * n + 1), shift
         )
         total += c * part
         lost += abs(c) * (tail + rounding)
@@ -130,10 +133,12 @@ def _odd_series(sign: int, terms, bits: int, shift: int) -> Tuple[int, int]:
 
 def _iroot(n: int, m: int) -> int:
     """``floor(n^(1/m))`` for ``n >= 1``: Newton's iteration on integers,
-    which falls to the root from any start above it."""
+    which falls to the root from any start above it.  The start is the root
+    of the top half of the bits, rounded up, so two or three steps remain."""
     if m == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // m)
+    k = n.bit_length() // (2 * m)
+    x = (_iroot(n >> m * k, m) + 1) << k if k else 1 << -(-n.bit_length() // m)
     while True:
         y = ((m - 1) * x + n // x ** (m - 1)) // m
         if y >= x:
@@ -158,35 +163,45 @@ def nth_root(x: mpf, m: int) -> mpf:
     return _rounded(_iroot(x.man << (x.exp + m * w), m), 1, w)
 
 
-def sqrt_of(x: Union[mpf, Fraction, int]) -> mpf:
-    if isinstance(x, Fraction):
-        x = mpf(x.numerator) / x.denominator
-    return nth_root(mpf(x), 2)
+def sqrt_of(x: mpf) -> mpf:
+    return nth_root(x, 2)
 
 
-def atan_of(x: mpf) -> mpf:
-    """``_odd_series`` at a dyadic argument of at most 1/4, reached by
-    halvings ``y -> y / (1 + sqrt(1 + y^2))`` on integers."""
-    x = mpf(x)
-    shift = mp.prec + _GUARD_BITS
-    # wide enough for x exactly and for |atan x| >= |x| / 2 > 2^(exp + bc - 2)
-    bits = max(shift + _SPARE_BITS - min(x.exp + x.bc, 0), -x.exp)
+def _atan(y: int, bits: int, error: int, halvings: int) -> mpf:
+    """``2^halvings atan(y 2^-bits)`` for ``y`` within ``error`` units, by
+    ``_odd_series`` at a dyadic argument of at most 1/4, reached by halvings
+    ``y -> y / (1 + sqrt(1 + y^2))`` on integers."""
     one = 1 << bits
-    y, error, halvings = to_fixed(x._mpf_, bits), 0, 0
     while abs(y) << 2 > one:
         # the two floors move y by under 2 units, and dy'/dy <= 1/2
         y = (y << bits) // (one + math.isqrt(one * one + y * y))
         error = (error + 1) // 2 + 2
         halvings += 1
-    total, lost = _odd_series(-1, [(1, y, one)], bits, shift + 1)
+    total, lost = _odd_series(-1, [(1, y, one)], bits, mp.prec + _GUARD_BITS + 1)
     return _rounded(total, lost + error, bits - halvings)
 
 
+def _fixed(x: mpf) -> Tuple[int, int]:
+    """``(X, bits)`` with ``x = X 2^-bits`` exactly and ``bits`` wide enough
+    for ``|atan x| >= |x| / 2 > 2^(exp + bc - 2)`` past the error budget."""
+    bits = max(mp.prec + _GUARD_BITS + _SPARE_BITS - min(x.exp + x.bc, 0), -x.exp)
+    return to_fixed(x._mpf_, bits), bits
+
+
+def atan_of(x: mpf) -> mpf:
+    return _atan(*_fixed(mpf(x)), 0, 0)
+
+
 def asin_of(x: mpf) -> mpf:
+    """``asin x = 2 atan(x / (1 + sqrt(1 - x^2)))``, the quotient on integers."""
     x = mpf(x)
     if abs(x) >= 1:
         raise ValueError("asin_of requires |x| < 1")
-    return atan_of(x / sqrt_of(1 - x * x))
+    big, bits = _fixed(x)
+    one = 1 << bits
+    y, rem = divmod(big << bits, one + math.isqrt(one * one - big * big))
+    # the isqrt is within a unit of its root, which moves y by under |x| units
+    return _atan(y, bits, (big != 0) + (rem != 0), 1)
 
 
 def ln_of(x: mpf) -> mpf:
@@ -262,87 +277,44 @@ def catalan_accelerated(digits: int) -> mpf:
     return _cached("catalan", digits, build)
 
 
-def _gauss_sum(p: Fraction, q: Fraction, bits: int, shift: int) -> Tuple[int, int, int]:
-    """``S`` of ``_half_beta`` in units of ``2^-bits``, by ``_fixed_sum``.
-
-    ``T_n = (1-q)_n / (n! 2^n)`` steps by ``(n - q) / (2n)`` and term ``n``
-    is ``T_n / (p + n)``.  Past ``n >= q`` the ratio of consecutive terms
-    lies in [0, 1/2], so the tail after a term is no larger than the term.
-    """
-    pn, pd = p.numerator, p.denominator
-    qn, qd = q.numerator, q.denominator
-    step = lambda n: (n * qd - qn, 2 * n * qd, 0)
-    weight = lambda n: (pd, pn + n * pd)
-    return _fixed_sum(1 << bits, 0, step, weight, -(-qn // qd), shift)
-
-
-def _half_beta(p: Fraction, q: Fraction) -> mpf:
-    """``B_{1/2}(p, q) = 2^-p S``, ``S = sum_n (1-q)_n / (n! (p+n) 2^n)``.
-
-    This is DLMF 8.17.7 at x = 1/2.  ``S`` is summed on integers at
-    ``_SPARE_BITS`` past its error budget (``_gauss_sum``), its tail to half
-    the budget.  The terms grow like ``(3/2)^q`` before they fall, so for
-    large ``q`` the rounding bound can miss that budget; the sum is then
-    done once more with the missing bits and ``_SPARE_BITS`` added, and a
-    second miss raises ``ArithmeticError``.  ``2^-p`` is a root of a power
-    of two.
-    """
-    shift = mp.prec + _GUARD_BITS
-    bits = shift + _SPARE_BITS
-    for attempt in (1, 2):
-        total, tail, rounding = _gauss_sum(p, q, bits, shift + 1)
-        lost = tail + rounding
-        if lost << shift <= abs(total) or attempt == 2:
-            break
-        # a floor on log2 S: S >= max(2^-max(q-1, 0), c^p / 2) / p with
-        # c = 1 / max(q-1, 1), and S > 0 is within tail + rounding of the sum
-        drop = 2 + math.ceil(p * math.log2(max(q - 1, 1)))
-        low = -min(math.ceil(max(q - 1, 0)), drop) - math.ceil(p).bit_length()
-        if total > lost:
-            low = max(low, (total - lost).bit_length() - 1 - bits)
-        bits = lost.bit_length() + shift - low + _SPARE_BITS
-    s = _rounded(total, lost, bits)
-    return nth_root(mp.ldexp(mpf(1), -p.numerator), p.denominator) * s
-
-
 def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
-    """Beta(p, q) = B_{1/2}(p, q) + B_{1/2}(q, p), each by its Gauss series."""
+    """``B(p, q) = r 2^-(p'+q') (S(p', q') + S(q', p'))`` for positive
+    rationals, ``p' = p - j`` and ``q' = q - k`` in (0, 1] and the exact
+    ``r = (p')_j (q')_k / (p'+q')_{j+k}``, a ratio of integer products.
+
+    ``2^-(u+v) S(u, v)``, ``S(u, v) = sum_n (u+v)_n / ((u+1)_n 2^n) / u``, is
+    ``B_{1/2}(u, v)`` (DLMF 8.17.8).  For ``u, v <= 1`` the term ratio
+    ``(u+v+n) / (2 (u+1+n))`` is at most 1/2: the tail after any term is no
+    larger than the term, and one width always suffices.
+    """
     p, q = rational(p), rational(q)
     if p <= 0 or q <= 0:
         raise ValueError("beta_value requires positive parameters")
-    return _cached(("beta", p, q), digits, lambda: _half_beta(p, q) + _half_beta(q, p))
+    j, k, d = math.ceil(p) - 1, math.ceil(q) - 1, math.lcm(p.denominator, q.denominator)
+    a, b = int((p - j) * d), int((q - k) * d)  # p' = a / d, q' = b / d
+    s = Fraction(a + b, d)
 
+    def build():
+        bits = mp.prec + _GUARD_BITS + _SPARE_BITS
+        total = lost = 0
+        for c in (a, b):
+            t, rem = divmod(d << bits, c)
+            step = lambda n: (a + b + (n - 1) * d, 2 * (c + n * d), 0)
+            part, tail, rounding = _fixed_sum(
+                t, int(rem != 0), step, lambda n: (1, 1), bits - _SPARE_BITS + 1
+            )
+            total, lost = total + part, lost + tail + rounding
+        # r = (a/d)_j (b/d)_k / ((a+b)/d)_{j+k}: the powers of d cancel
+        rising = lambda x, m: math.prod(range(x, x + m * d, d))
+        num, den = rising(a, j) * rising(b, k), rising(a + b, j + k)
+        # r <= 1, as B falls in each argument; scaled by 2^x, r total >= total / 2
+        x = den.bit_length() - num.bit_length()
+        total, rem = divmod(total * num << x, den)
+        lost = -(-(lost * num << x) // den) + (rem != 0)
+        root = nth_root(mp.ldexp(mpf(1), -s.numerator), s.denominator)
+        return root * _rounded(total, lost, bits + x)
 
-_NAME_RE = re.compile(r"^(?P<fn>[a-z0-9]+)(\((?P<args>[^)]*)\))?$")
-
-
-def reference(name: str, target_digits: int) -> mpf:
-    """Classical reference constant by name.
-
-    Supported: ``pi``, ``ln2``, ``catalan``, ``sqrt(r)`` for rational r,
-    and ``beta(p,q)`` for positive rational p, q.
-    """
-    m = _NAME_RE.match(name.replace(" ", ""))
-    if not m:
-        raise ValueError(f"unsupported reference name {name!r}")
-    fn, args = m.group("fn"), m.group("args")
-    if fn == "pi" and args is None:
-        return pi_machin(target_digits)
-    if fn == "ln2" and args is None:
-        return ln2_series(target_digits)
-    if fn == "catalan" and args is None:
-        return catalan_accelerated(target_digits)
-    if fn == "sqrt" and args is not None:
-        r = rational(args)
-        if r < 0:
-            raise ValueError("sqrt of a negative rational")
-        return _cached(("sqrt", r), target_digits, lambda: sqrt_of(r))
-    if fn == "beta" and args is not None:
-        parts = args.split(",")
-        if len(parts) != 2:
-            raise ValueError("beta(p,q) takes two rational arguments")
-        return beta_value(rational(parts[0]), rational(parts[1]), target_digits)
-    raise ValueError(f"unsupported reference name {name!r}")
+    return _cached(("beta", p, q), digits, build)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from betaseries.references import (
     ln_of,
     nth_root,
     pi_machin,
-    reference,
     sqrt_of,
 )
 
@@ -230,7 +229,7 @@ class TestElementaryFunctions:
         with mp.workdps(50):
             two = nth_root(mpf(32), 5)
             assert abs(two - 2) < mpf(10) ** -45
-            s = sqrt_of(F(9, 4))
+            s = sqrt_of(mpf(9) / 4)
             assert abs(s - mpf(3) / 2) < mpf(10) ** -45
 
     @pytest.mark.parametrize("exponent", [400, -400])
@@ -242,11 +241,28 @@ class TestElementaryFunctions:
             assert abs(nth_root(x, m) - expected) <= abs(expected) * mpf(10) ** -45
 
     def test_sqrt_reference_outside_float_range(self):
-        big = reference("sqrt(1" + "0" * 400 + ")", 30)
-        small = reference("sqrt(1/1" + "0" * 400 + ")", 30)
+        with mp.workdps(40):
+            big = sqrt_of(mpf(10) ** 400)
+            small = sqrt_of(1 / mpf(10) ** 400)
         with mp.workdps(30):
             assert abs(big / mpf(10) ** 200 - 1) < mpf(10) ** -28
             assert abs(small * mpf(10) ** 200 - 1) < mpf(10) ** -28
+
+    def test_asin_fuzz_against_mpmath(self):
+        # |x| from 0 up to 1 - 2^-40, where 1 - x^2 cancels, at 5-120 digits
+        rng = random.Random(7)
+        draws = 0
+        while draws < 400:
+            digits = rng.randint(5, 120)
+            with mp.workdps(digits):
+                x = rng.choice((-1, 1)) * (1 - mpf(2) ** -rng.uniform(0, 40))
+                if abs(x) == 1:
+                    continue
+                value = asin_of(x)
+            draws += 1
+            with mp.workdps(digits + 30):
+                expected = mp.asin(x)
+                assert abs(value - expected) <= mpf(10) ** -(digits + 3) * abs(expected)
 
     def test_atan_known_value(self):
         with mp.workdps(50):
@@ -303,20 +319,6 @@ class TestReferenceConstants:
             known = mpf("0.91596559417721901505460351493238411077414937428167")
             assert abs(value - known) < mpf(10) ** -34
 
-    def test_reference_dispatch(self):
-        with mp.workdps(40):
-            assert abs(reference("pi", 30) - pi_machin(30)) == 0
-            assert abs(reference("sqrt(2)", 30) ** 2 - 2) < mpf(10) ** -28
-            b = reference("beta(1/2,1/2)", 30)
-            assert abs(b - pi_machin(35)) < mpf(10) ** -29
-            assert reference("ln2", 30) == ln2_series(30)
-
-    def test_reference_unknown(self):
-        with pytest.raises(ValueError):
-            reference("zeta3", 30)
-        with pytest.raises(ValueError):
-            reference("sqrt(-4)", 30)
-
     def test_cache_returns_same_object(self):
         a = pi_machin(33)
         b = pi_machin(33)
@@ -346,7 +348,8 @@ def _pair_id(pq):
 
 
 class TestBetaSeries:
-    """``beta_value`` (Gauss series) against quadrature and against mpmath."""
+    """``beta_value`` (positive Gauss series after an exact reduction of the
+    arguments into (0, 1]) against quadrature and against mpmath."""
 
     @pytest.mark.parametrize("pq", CATALOG_BETA_PAIRS, ids=_pair_id)
     @pytest.mark.parametrize("digits", [30, 100])
@@ -379,42 +382,47 @@ class TestBetaSeries:
             (F(1, 2), F(301, 2)),
             (F(1, 2), F(401, 2)),
             (F(1, 3), F(150)),
+            (F(5), F(2)),
+            (F(7, 2), F(1)),
+            (F(300), F(300)),
+            (F(99999, 7), F(3)),
+            (F(1, 7), F(5000)),
+            (F(4000, 3), F(3999, 7)),
         ],
         ids=_pair_id,
     )
     @pytest.mark.parametrize("digits", [30, 100])
     def test_large_q_against_mpmath(self, digits, pq):
-        # the terms of B_{1/2}(p, q) grow like (3/2)^q before they fall: the
-        # cancellation outgrows any fixed guard, the rounding bound does not
+        # p and q are reduced into (0, 1] by an exact rational factor
         p, q = pq
         value = beta_value(p, q, digits)
+        assert beta_value(q, p, digits) == value
         with mp.workdps(digits + 30):
             exact = mp.beta(_mpf(p), _mpf(q))
             assert abs(value - exact) <= mpf(10) ** -(digits + 5) * exact
 
-    def test_rounding_miss_is_summed_again_wider(self, monkeypatch):
-        # B_{1/2}(1/2, 2001/2) at 30 digits: the rounding bound of the first
-        # width exceeds the partial sum, so the series is summed once more
-        p, q = F(1, 2), F(2001, 2)
-        gauss_sum, widths = references._gauss_sum, []
+    def test_each_series_summed_once(self, monkeypatch):
+        # B(1/2, 2001/2) at 30 digits: the two positive series of the reduced
+        # pair (1/2, 1/2) are summed once each, at one width
+        fixed_sum, widths = references._fixed_sum, []
 
-        def spy(*args):
-            if args[:2] == (p, q):
-                widths.append(args[2])
-            return gauss_sum(*args)
+        def spy(t, *args):
+            widths.append(t.bit_length())
+            return fixed_sum(t, *args)
 
-        monkeypatch.setattr(references, "_gauss_sum", spy)
+        monkeypatch.setattr(references, "_fixed_sum", spy)
         references._cache.clear()
+        p, q = F(1, 2), F(2001, 2)
         value = beta_value(p, q, 30)
-        assert len(widths) == 2 and widths[1] > widths[0]
+        assert len(widths) == 2 and widths[0] == widths[1]
         with mp.workdps(60):
             exact = mp.beta(_mpf(p), _mpf(q))
             assert abs(value - exact) <= mpf(10) ** -35 * exact
 
     @pytest.mark.parametrize("p", [F(1, 3), F(7, 2), F(5), F(123, 10)])
     def test_terminating(self, p):
-        # B(p, 1) = 1/p and B(p, 2) = 1/(p (p+1)): one series stops after
-        # q terms, the other has the closed form's irrational parts cancel
+        # B(p, 1) = 1/p and B(p, 2) = 1/(p (p+1)): the root 2^-(p'+q') and
+        # the two series of the reduced pair combine to a rational
         with mp.workdps(80):
             for q, exact in ((F(1), 1 / p), (F(2), 1 / (p * (p + 1)))):
                 value = beta_value(p, q, 60)
