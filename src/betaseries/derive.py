@@ -105,9 +105,14 @@ class DerivedSeries:
         if self.k < 0 or self.s < 0 or self.k + self.s < 1:
             raise ValueError("need nonnegative k, s with k + s >= 1")
         if self.z == 0:
-            raise DegenerateSeriesError("z = 0 leaves the prefactor undefined")
-        if abs(self.z) <= convergence_bound(self.k, self.s):
-            raise DivergentSeriesError("derived series diverges")
+            raise DegenerateSeriesError(
+                "z = 0: kernel already divisible by P, prefactor undefined"
+            )
+        if abs(self.z) <= (bound := convergence_bound(self.k, self.s)):
+            raise DivergentSeriesError(
+                f"derived series diverges: |z| = {abs(self.z)} <= "
+                f"{bound} = sup x^k(1-x)^s"
+            )
         q = self.q
         if q.is_zero:
             raise ValueError("Q must be nonzero")
@@ -210,7 +215,8 @@ def solve_seed(seed: SeedIntegral, k: int, s: int) -> DerivedSeries:
 
     Divides the z-independent kernel part by P (``_divide_kernel``): every
     non-constant remainder coefficient must vanish, and
-    ``z = -remainder[0]``.
+    ``z = -remainder[0]``.  ``DerivedSeries`` then rejects ``z = 0`` and
+    ``|z| <= M(k, s)``.
     """
     q0, r0, bad = _divide_kernel(
         seed.p,
@@ -225,15 +231,6 @@ def solve_seed(seed: SeedIntegral, k: int, s: int) -> DerivedSeries:
             f"offending remainder {r0}"
         )
     z = -r0.coefficient(0)
-    if z == 0:
-        raise DegenerateSeriesError(
-            "solved z = 0: kernel already divisible by P, prefactor undefined"
-        )
-    if abs(z) <= convergence_bound(k, s):
-        raise DivergentSeriesError(
-            f"derived series diverges: |z| = {abs(z)} <= "
-            f"{convergence_bound(k, s)} = sup x^k(1-x)^s"
-        )
     return DerivedSeries(
         a=seed.a, b=seed.b, k=k, s=s, z=z, qcoeffs=q0.coeffs, seed_p=seed.p
     )

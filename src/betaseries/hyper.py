@@ -13,6 +13,7 @@ base series -- partial sum ``N`` of the grouped form equals partial sum
 per term.  Both forms are ``engine.HypTerms`` cores: the spec compiles to
 the Pochhammer symbols ``(1, x_g)`` over ``(1, y_g)``, and ``grouped(m)``
 maps each ``(p, q)`` to ``(pm, q)``, with ``inner_n`` as the weight.
+``verify_grouping`` compares the rates that the two sums fit themselves.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, measured_rate, sum_terms
+from .engine import EvalResult, HypTerms, sum_terms
+
+# Unused here: the benchmark's tracer (``bench/layers.py``) patches this as
+# a layer boundary; remove it together with that patch.
+from .engine import measured_rate  # noqa: F401
 from .polynomials import rational
 
 
@@ -118,47 +123,44 @@ def hyp_rate(spec: Union[HypSeriesSpec, GroupedSeries]) -> float:
 
 @dataclass(frozen=True)
 class GroupingReport:
-    """Outcome of a grouping verification."""
+    """Outcome of a grouping verification; a rate is None when not fitted."""
 
     passed: bool
     base_value: object
     grouped_value: object
-    base_rate: float
-    grouped_rate: float
+    base_rate: Optional[float]
+    grouped_rate: Optional[float]
     detail: str = ""
 
 
 def verify_grouping(base: HypSeriesSpec, m: int, digits: int) -> GroupingReport:
     """Check value agreement and the m-fold convergence speedup.
 
-    Confirms ``|eval(base) - eval(group(base, m))| < 10^-digits`` and that
-    the measured digits-per-term of the grouped series is ``m`` times the
-    base rate within 0.05 (trivially satisfied at m = 1).
+    Sums both forms once each to ``digits``: their values must agree within
+    ``10^-digits``, and the grouped sum's own measured rate must be ``m``
+    times the base sum's within 0.05.  A sum too short to fit a rate skips
+    the rate check, and ``detail`` says so.
     """
-    grouped = group(base, m)
-    reference = eval_hyp(grouped, digits + 25)
     rb = eval_hyp(base, digits)
-    rg = eval_hyp(grouped, digits)
+    rg = eval_hyp(group(base, m), digits)
     diff = abs(rb.value - rg.value)
     value_ok = diff < mpf(10) ** (-digits)
-    if m == 1:
-        rate_ok = True
-        base_slope = grouped_slope = rb.measured_rate or 0.0
-    else:
-        base_slope = measured_rate(rb.partial_sums, reference.value)
-        grouped_slope = measured_rate(rg.partial_sums, reference.value)
-        rate_ok = abs(grouped_slope - m * base_slope) < 0.05
+    base_rate, grouped_rate = rb.measured_rate, rg.measured_rate
+    fitted = base_rate is not None and grouped_rate is not None
+    rate_ok = not fitted or abs(grouped_rate - m * base_rate) < 0.05
     detail = ""
     if not value_ok:
         detail += f"values differ by {diff}: base={rb.value}, grouped={rg.value}. "
-    if not rate_ok:
-        detail += f"rate multiple off: base {base_slope:.4f} digits/term, "
-        detail += f"grouped {grouped_slope:.4f}, expected x{m}."
+    if not fitted:
+        detail += "too few terms to fit both rates."
+    elif not rate_ok:
+        detail += f"rate multiple off: base {base_rate:.4f} digits/term, "
+        detail += f"grouped {grouped_rate:.4f}, expected x{m}."
     return GroupingReport(
         passed=value_ok and rate_ok,
         base_value=rb.value,
         grouped_value=rg.value,
-        base_rate=base_slope,
-        grouped_rate=grouped_slope,
+        base_rate=base_rate,
+        grouped_rate=grouped_rate,
         detail=detail.strip(),
     )

@@ -231,11 +231,12 @@ def integrate(
             """Sum over j = start, start+step, ... of the nodes at +-j/2^level.
 
             The node at -t is the node at t with x and 1-x (and their
-            logarithms) swapped.
+            logarithms) swapped.  The walk stops after three small
+            contributions in a row once one above the cut has been met.
             """
             nonlocal evaluated
             total = 0
-            small = 0
+            small, seen = 0, False
             j = start
             while j <= T_CAP << level:
                 evaluated += 2
@@ -248,12 +249,12 @@ def integrate(
                 pair = summand(x, omx, nlx, nlomx) + summand(omx, x, nlomx, nlx)
                 contrib = pc * pair >> w
                 total += contrib
-                if abs(contrib) * trunc_scale < trunc_bound:
+                if abs(contrib) * trunc_scale >= trunc_bound:
+                    seen, small = True, 0
+                elif seen:
                     small += 1
                     if small >= 3:
                         break
-                else:
-                    small = 0
                 j += step
             return total
 

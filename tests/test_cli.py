@@ -276,6 +276,14 @@ class TestVerify:
             "eq-3.2-w2",
         }
 
+    def test_all_at_few_digits(self):
+        # grouping records at 10 digits sum only a few grouped terms
+        proc = run_cli("verify", "--all", "--digits", "10")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["passed"], doc["total"]) == (47, 47)
+        assert {r["status"] for r in doc["records"]} == {"PASS"}
+
     def test_requires_id_or_all(self):
         assert run_cli("verify").returncode == 2
         proc = run_cli("verify", "--id", "eq-1.1", "--all")

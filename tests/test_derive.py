@@ -217,6 +217,28 @@ class TestDerivedSeriesValidation:
         with pytest.raises(DegenerateSeriesError):
             DerivedSeries(a=F(0), b=F(0), k=1, s=1, z=F(0), qcoeffs=(F(1),))
 
+    def test_solve_seed_raises_the_series_message(self):
+        # P = 1/2 + x: P * (-1) = -1/2 - x, and |z| = 1/2 <= M(1, 0) = 1
+        with pytest.raises(DivergentSeriesError) as solved:
+            solve_seed(make_seed([F(1, 2), 1]), 1, 0)
+        with pytest.raises(DivergentSeriesError) as direct:
+            DerivedSeries(a=F(0), b=F(0), k=1, s=0, z=F(-1, 2), qcoeffs=(F(-1),))
+        assert str(solved.value) == str(direct.value)
+        assert str(direct.value) == (
+            "derived series diverges: |z| = 1/2 <= 1 = sup x^k(1-x)^s"
+        )
+
+    def test_specialize_raises_the_series_message(self):
+        # z(w) = w for P = x^2 - x + w and k = s = 1
+        with pytest.raises(DegenerateSeriesError) as special:
+            solve_seed_param(PXW, 1, 1).specialize(0)
+        with pytest.raises(DegenerateSeriesError) as direct:
+            DerivedSeries(a=F(0), b=F(0), k=1, s=1, z=F(0), qcoeffs=(F(1),))
+        assert str(special.value) == str(direct.value)
+        assert str(direct.value) == (
+            "z = 0: kernel already divisible by P, prefactor undefined"
+        )
+
     def test_seed_p_derived_from_q(self):
         ds = DerivedSeries(a=F(0), b=F(0), k=1, s=1, z=F(4), qcoeffs=(F(1),))
         assert ds.seed_p == P([4, -1, 1])  # 4 - x(1-x)

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf
 
+from betaseries import hyper
 from betaseries.catalog import load_catalog
-from betaseries.engine import evaluate_expr
+from betaseries.engine import evaluate_expr, sum_terms
 from betaseries.expressions import evaluate, parse_term_expr
 from betaseries.hyper import (
     GroupingError,
@@ -30,6 +31,8 @@ def weight_at(core, n):
 CATALAN_BASE = HypSeriesSpec(
     upper=(F(1), F(1, 2)), lower=(F(3, 2), F(3, 2)), z=F(1, 4)
 )
+#: the ``hyp`` side of eq-4.4
+EQ_4_4 = HypSeriesSpec(upper=(F(2, 3),), lower=(F(7, 6),), z=F(-1, 8))
 
 
 def _catalog_hyp_specs():
@@ -227,6 +230,47 @@ class TestVerifyGrouping:
     def test_m1_trivial(self):
         report = verify_grouping(CATALAN_BASE, 1, 30)
         assert report.passed
+        assert report.grouped_rate == report.base_rate
+
+    def test_sums_each_series_once(self, monkeypatch):
+        calls = []
+
+        def spy(cores, target_digits, *args, **kwargs):
+            calls.append((cores[0], target_digits))
+            return sum_terms(cores, target_digits, *args, **kwargs)
+
+        monkeypatch.setattr(hyper, "sum_terms", spy)
+        verify_grouping(CATALAN_BASE, 3, 40)
+        assert calls == [
+            (CATALAN_BASE.core, 40),
+            (group(CATALAN_BASE, 3).core, 40),
+        ]
+
+    @pytest.mark.parametrize("m, digits", [(2, 40), (3, 100)])
+    def test_rates_are_the_sums_own(self, m, digits):
+        report = verify_grouping(CATALAN_BASE, m, digits)
+        assert report.base_rate == eval_hyp(CATALAN_BASE, digits).measured_rate
+        assert (
+            report.grouped_rate
+            == eval_hyp(group(CATALAN_BASE, m), digits).measured_rate
+        )
+
+    @pytest.mark.parametrize(
+        "base, m", [(EQ_4_4, 3), (CATALAN_BASE, 5)], ids=["eq-4.4", "eq-5.8"]
+    )
+    def test_short_sums_pass(self, base, m):
+        # 8 and 6 grouped terms at 20 digits: too few for a refit from
+        # 10 partial sums, enough for the sum's own fit
+        report = verify_grouping(base, m, 20)
+        assert report.passed, report.detail
+        assert report.grouped_rate == pytest.approx(m * report.base_rate, abs=0.05)
+
+    def test_too_few_terms_to_fit(self):
+        assert eval_hyp(group(CATALAN_BASE, 9), 20).measured_rate is None
+        report = verify_grouping(CATALAN_BASE, 9, 20)
+        assert report.passed
+        assert report.base_rate is not None and report.grouped_rate is None
+        assert report.detail == "too few terms to fit both rates."
 
     def test_random_single_parameter_specs(self):
         rng = random.Random(41)

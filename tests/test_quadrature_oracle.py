@@ -195,7 +195,14 @@ def test_matches_reference_at_200_digits(ab, den):
     assert_matches_reference(problem(ab, den), 200)
 
 
-@pytest.mark.parametrize("ab", EXPONENTS, ids=lambda ab: f"a={ab[0]},b={ab[1]}")
+#: Integrands whose mass sits near an endpoint: below the cut around
+#: ``t = 0``, so a level's walk must not stop before it reaches the mass.
+ENDPOINT_MASS = [(F(200), F(0)), (F(0), F(200)), (F(1000), F(1, 2))]
+
+
+@pytest.mark.parametrize(
+    "ab", EXPONENTS + ENDPOINT_MASS, ids=lambda ab: f"a={ab[0]},b={ab[1]}"
+)
 @pytest.mark.parametrize("digits", [30, 100])
 def test_plain_powers_match_beta(digits, ab):
     a, b = ab
