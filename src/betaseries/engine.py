@@ -1,24 +1,17 @@
 """Arbitrary-precision series evaluation with proven error bounds.
 
 Derived, hypergeometric, grouped and printed series all compile onto one
-term core, ``HypTerms``, whose ratio ``N(n) / D(n)`` and weight
-``A(n) / B(n)`` are integer polynomials built once per core.
-
-``sum_terms`` is the one summation loop, in fixed point at ``W`` bits: each
-core steps ``T <- T N(n) // D(n)`` and adds ``T A(n) // B(n)`` to ``S``,
-with integer rounding bounds in units of ``2^-W``, ``E <- ceil(E |N| / |D|)
-+ 1`` for ``T`` and ``ceil(E |A| / |B|) + 1`` added to ``E_S`` (each ``+ 1``
-only for an inexact division; one unit more rounds ``prefactor S / 2^W``
-once to an mpf).  Summation stops at the first ``N`` where the tail bound
-proven from the core (``HypTerms.tail_forms``) plus ``E_S``, times
-``|prefactor| 2^-W``, is below ``10^-target_digits``: that sum, rounding
-included, is ``EvalResult.tail_bound``.
-
-``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
-``GUARD_BITS``.  Where ``E_S`` exceeds half the budget, as when the terms
-grow for a long stretch (``(200)_n / n! 3^-n``), the sum is redone once
-with the missing bits; ``E_S`` does not grow with ``W``, so a second miss
-is an ``EvaluationError``.
+term core, ``HypTerms``: ratio ``N(n) / D(n)`` and weight ``U(n) / (V(n)
+D(n))``, integer polynomials built once per core.  ``sum_terms`` sums a core
+by binary splitting (Haible and Papanikolaou, ANTS-III, 1998): leaf ``n`` is
+``(N, D, V, U)`` at ``n``, two adjacent ranges merge into ``(P1 P2, Q1 Q2, V1
+V2, V2 Q2 T1 + V1 P1 T2)``, and over ``[0, N)`` the sum is ``S_N = t0 T / (V
+Q)`` and the next term ``t(N) = t0 P / Q``, both exact.  Summation stops at
+the first ``N`` where the tail bound proven from ``HypTerms.tail_forms`` at
+``|t(N)|``, plus a rounding unit of ``|prefactor| 2^-W`` per core and one
+more, is below ``10^-target_digits``: ``S_N 2^W`` is floored once per core,
+``prefactor S / 2^W`` rounded once to an mpf.  ``W`` is the bit length of
+``10^target_digits max(1, |prefactor|)`` plus ``GUARD_BITS``.
 """
 
 from __future__ import annotations
@@ -26,10 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import iv, mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_sub
@@ -39,9 +32,11 @@ from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr
 from .polynomials import (
     Polynomial,
+    consecutive,
     horner,
     integer_coefficients,
     integer_forms,
+    leaf_forms,
     quotient,
 )
 
@@ -50,10 +45,15 @@ from .polynomials import (
 from .derive import weight_values  # noqa: F401
 from .expressions import evaluate as expr_value  # noqa: F401
 
-#: fixed-point bits beyond the target; the rounding bound must fit in them
+#: fixed-point bits beyond the target; the rounding units must fit in them
 GUARD_BITS = 64
 
+#: leaves taken at a time while floats search for the stop
+_BLOCK = 32
+
 DEFAULT_MAX_TERMS = 100_000
+
+_leaf_forms = cache(leaf_forms)  # a catalog record's cores are built anew per run
 
 #: integer coefficients, lowest degree first, of ``A`` and ``B`` in ``A / B``
 IntegerForm = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -86,28 +86,15 @@ def _from_fixed(pref: Fraction, s: int, w: int) -> mpf:
 class EvalResult:
     """Outcome of a series evaluation.
 
-    ``tail_bound`` bounds ``|value - prefactor * sum|``: the tail, every
-    rounding and an interval prefactor's radius.  ``measured_rate`` is the
-    digits-per-term slope fitted over the trailing half of the partial sums
-    (None when too few usable points).  The partial sums are kept unscaled,
-    as integers in units of ``2^-working_prec``; ``partial_sums`` rounds
-    them like the value on first read, whatever the precision then.
-    """
+    ``tail_bound`` bounds ``|value - prefactor * sum|``: the tail, every rounding
+    and an interval prefactor's radius.  ``measured_rate`` is the digits per term
+    fitted to the floats ``log2 |t(n) w(n)|`` (the largest core's) over the back
+    half of the ``terms_used`` terms, zero terms left out; None below 3 points."""
 
     value: mpf
     terms_used: int
     tail_bound: mpf
     measured_rate: Optional[float]
-    fixed_partial_sums: Tuple[int, ...] = field(repr=False, default=())
-    prefactor: Fraction = field(repr=False, default=Fraction(1))
-    working_prec: int = field(repr=False, default=53)
-
-    @cached_property
-    def partial_sums(self) -> Tuple[mpf, ...]:
-        return tuple(
-            _from_fixed(self.prefactor, s, self.working_prec)
-            for s in self.fixed_partial_sums
-        )
 
 
 def _log2(x: mpf) -> float:
@@ -123,31 +110,25 @@ def _log2(x: mpf) -> float:
     return math.log2(man >> shift) + (exp + shift)
 
 
-_LOG10_2 = math.log10(2)
-
-
-def _fit_errors(points: Iterable[Tuple[int, float]]) -> Optional[float]:
-    """Least-squares slope of ``-log10 |S_i - S|`` against ``i`` over the back
-    half of the points ``(i, log2 |S_i - S|)``; None for fewer than 3."""
-    points = list(points)
-    back = points[len(points) // 2 :]
-    if len(back) < 3:
+def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
+    """Least-squares slope of ``-log10 |x_i|`` against ``i`` over the points
+    ``(i, log2 |x_i|)``; None for fewer than 3."""
+    if len(points) < 3:
         return None
-    return -statistics.linear_regression(*zip(*back)).slope * _LOG10_2
+    return -statistics.linear_regression(*zip(*points)).slope * math.log10(2)
 
 
-def measured_rate(partial_sums: Sequence[mpf], reference: mpf) -> float:
+def measured_rate(sums: Sequence[mpf], reference: mpf) -> float:
     """Digits gained per term, measured against a more accurate reference.
 
     Fits the least-squares slope of ``-log10 |S_n - reference|`` over the
     last half of the sequence, which must hold at least 10 partial sums.
     Partial sums that exactly equal the reference are clamped out of the fit.
     """
-    if len(partial_sums) < 10:
+    if len(sums) < 10:
         raise ValueError("need at least 10 partial sums")
-    slope = _fit_errors(
-        (i, _log2(d)) for i, s in enumerate(partial_sums) if (d := abs(s - reference))
-    )
+    points = [(i, _log2(d)) for i, s in enumerate(sums) if (d := abs(s - reference))]
+    slope = _fit_rate(points[len(points) // 2 :])
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")
     return slope
@@ -184,6 +165,13 @@ class HypTerms:
             [(self.c, [(q, p, p) for p, q in self.num])],
             [(1, [(q, p, p) for p, q in self.den])],
         )
+
+    @cached_property
+    def split_forms(self) -> Tuple[Tuple[int, ...], ...]:
+        """``(N, D, V, U)`` of the binary splitting's leaves: ``r = N / D``
+        and ``w = U / (V D)``, ``V`` constant where ``B`` divides ``D`` (as in
+        every derived core), from ``polynomials.leaf_forms``."""
+        return _leaf_forms(self.integer_ratio, self.weight)
 
     def ratio(self, n: int) -> Fraction:
         """``t(n + 1) / t(n)``; a lower symbol that is 0 at ``n + 1`` raises."""
@@ -297,65 +285,93 @@ class HypTerms:
         return math.log10(limit.denominator) - math.log10(limit.numerator)
 
 
-def _tail(states: List[list], n: int) -> Optional[int]:
-    """Bound, in units, on the cores' terms from ``n`` on; None while a
-    core's ``tail_forms`` do not yet apply at ``n``."""
-    total = 0
-    for t, e, core in states:
-        if not (t or e):
-            continue  # exactly zero: the terms ended
-        if core.tail_forms is None or n < core.tail_forms[0]:
-            return None
-        _, p, q, top, bottom = core.tail_forms
-        p, q, low = horner(p, n), horner(q, n), horner(bottom, n)
-        if p >= q or low <= 0:
-            return None
-        total += -(-(abs(t) + e) * horner(top, n) * q // (low * (q - p)))
-    return total
+def _merge(left: tuple, right: tuple) -> tuple:
+    """``(P, Q, V, T)`` over ``[a, c)`` from those over ``[a, b)`` and ``[b, c)``."""
+    (p1, q1, v1, t1), (p2, q2, v2, t2) = left, right
+    return p1 * p2, q1 * q2, v1 * v2, v2 * q2 * t1 + v1 * p1 * t2
 
 
-def _sum_fixed(
-    cores: Sequence[HypTerms], bits: int, budget: int, slack: Fraction, max_terms: int
-) -> Tuple[List[int], int, int]:
-    """Partial sums, tail bound (with ``slack`` times a bound on ``|S|``) and
-    rounding bound, in units of ``2^-bits``, at the first ``N`` where they add
-    up to less than ``budget``, a rounding bound past half of it counting half."""
-    states = []
-    for core in cores:
+def _split(leaves: List[tuple]) -> tuple:
+    """``(P, Q, V, T)`` over the leaves, merged pairwise as a balanced tree."""
+    while len(leaves) > 1:
+        leaves = [*map(_merge, leaves[::2], leaves[1::2]), *leaves[len(leaves) & ~1 :]]
+    return leaves[0] if leaves else (1, 1, 1, 0)
+
+
+def _unsplit(split: tuple, leaf: tuple) -> Optional[tuple]:
+    """The split over ``[0, n)`` from those over ``[0, n + 1)`` and ``[n, n + 1)``,
+    by exact divisions; None for a last term, whose ``N(n)`` is 0."""
+    (p, q, v, t), (a, d, vn, u) = split, leaf
+    p, q, v = p // a if a else 0, q // d, v // vn
+    return (p, q, v, (t - v * p * u) // (vn * d)) if a else None
+
+
+class _Walk:
+    """A core's leaves ``(N(n), D(n), V(n), U(n))`` of ``split_forms`` up to its last
+    nonzero term, and floats ``log2 |t(n)|``, one more while the terms go on."""
+
+    def __init__(self, core: HypTerms):
         core.check_convergence()
-        # terms that do not end stop only at a tail bound, read from n0 on
-        if not core.ends and core.tail_forms[0] > max_terms:
-            n0 = core.tail_forms[0]
-            raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
-        t, rem = divmod(core.t0.numerator << bits, core.t0.denominator)
-        states.append([t, int(rem != 0), core])
-    total, rounding, partials = 0, 1, []  # 1 unit for the final rounding
-    for n in itertools.count():
-        tail = _tail(states, n)
-        if tail is not None and tail + min(rounding, budget // 2) < budget:
-            spread = (abs(total) + tail + rounding) * slack.numerator
-            tail += -(-spread // slack.denominator)
-            if tail + min(rounding, budget // 2) < budget:
-                return partials, tail, rounding
-        if n == max_terms:
-            raise EvaluationError(f"tail target not reached within {max_terms} terms")
-        for state in states:
-            t, e, core = state
-            if not (t or e):
-                continue
-            a, b = (horner(c, n) for c in core.weight)
-            if not b:
-                raise ZeroDivisionError(f"division by zero at n={n}")
-            u, rem = divmod(t * a, b)
-            total += u
-            rounding += -(-e * abs(a) // abs(b)) + (rem != 0)
-            top, bottom = (horner(c, n) for c in core.integer_ratio)
-            if not bottom:
-                raise ZeroDivisionError(f"division by zero at n={n + 1}")
-            t, rem = divmod(t * top, bottom)
-            state[0] = t
-            state[1] = -(-e * abs(top) // abs(bottom)) + (rem != 0)
-        partials.append(total)
+        self.core, self.leaves = core, []
+        self.values = [consecutive(c, _BLOCK) for c in core.split_forms]
+        t0 = core.t0  # in parts: |t0| may be out of a float's range
+        self.logs = [math.log2(abs(t0.numerator)) - math.log2(t0.denominator)] if t0 else []
+        roots = (-(q + j) / p for p, q in core.den for j in range(p))
+        self.stops = {x for x in roots if x.denominator == 1 and x >= 0}  # D(x) = 0
+
+    def extend(self, stop: int) -> None:
+        """Take the leaves up to ``stop`` or the last nonzero term."""
+        n = len(self.leaves)
+        count = max(stop - n, 0) if len(self.logs) > n else 0
+        a, d, v, u = (list(itertools.islice(g, count)) for g in self.values)
+        if 0 in a:  # t(n) = 0 after the last nonzero term
+            del a[a.index(0) + 1 :], d[len(a) :], v[len(a) :], u[len(a) :]
+        for i, x in enumerate(v):
+            if not x or n + i in self.stops:  # B(n) = 0 at term n, else D(n) = 0
+                i += horner(self.core.weight[1], n + i) != 0
+                raise ZeroDivisionError(f"division by zero at n={n + i}")
+        if a:  # log2 |t(n + 1)| = log2 |t(n)| + log2 |N(n)| - log2 |D(n)|
+            steps = (map(math.log2, map(abs, x)) for x in (a[: len(a) - (0 in a)], d))
+            steps = map(float.__sub__, *steps)
+            self.logs[-1:] = itertools.accumulate(steps, initial=self.logs[-1])
+        self.leaves += zip(a, d, v, u)
+
+    def bound(self, n: int) -> Optional[Tuple[int, int]]:
+        """``(Ah Q, Bv (Q - P))`` of ``HypTerms.tail_forms`` at ``n``, the tail from
+        ``n`` over ``|t(n)|``: ``(0, 1)`` once terms end, None where none applies."""
+        forms = self.core.tail_forms
+        if n >= len(self.logs) or forms is None or n < forms[0]:
+            return (0, 1) if n >= len(self.logs) else None
+        p, q, top, bottom = (horner(c, n) for c in forms[1:])
+        return (top * q, bottom * (q - p)) if p < q and bottom > 0 else None
+
+    def term_logs(self, start: int, stop: int) -> List[float]:
+        """``log2 |t(n) w(n)|`` for ``start <= n < stop``, ``-inf`` for a zero term."""
+        logs = [-math.inf] * (stop - start)
+        for i, (_, d, v, u) in enumerate(self.leaves[start:stop]):
+            if u:
+                logs[i] = self.logs[start + i] + math.log2(abs(u)) - math.log2(abs(v * d))
+        return logs
+
+
+def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
+    """The tail bound from term ``n`` in units of ``2^-bits``, proven on integers,
+    plus ``slack`` times ``|S_n|``; None unless below ``budget - rounding``."""
+    tail = size = 0
+    for walk, split in zip(walks, splits):
+        if split is None or (forms := walk.bound(n)) is None:
+            return None
+        (p, q, v, t), t0 = split, walk.core.t0
+        top, bottom = abs(t0.numerator * p) * forms[0] << bits, abs(t0.denominator * q) * forms[1]
+        if top.bit_length() > bottom.bit_length() + budget.bit_length() + 1:
+            return None
+        tail -= -top // bottom
+        if slack:  # |S_n| from the top 96 bits of its denominator
+            top, bottom = abs(t0.numerator * t), abs(t0.denominator * v * q)
+            shift = max(bottom.bit_length() - 96, 0)
+            size += ((top >> shift) + 1 << bits) // (bottom >> shift) + 1
+    tail -= -(size + tail + rounding) * slack.numerator // slack.denominator
+    return tail if tail + rounding < budget else None
 
 
 def sum_terms(
@@ -367,11 +383,9 @@ def sum_terms(
     """Sum the cores, term ``n`` being the sum of their terms ``n``, until the
     proven error bound falls below ``10^-target_digits``.
 
-    ``prefactor`` scales both the returned value and the tolerance target,
-    so the tail bound always refers to the final reported value.  An
-    interval prefactor (``iv.mpf``) is taken at its midpoint, and the bound
-    covers its radius times ``|S|``.  Terms that end make an exact sum, whose
-    bound is its rounding alone.
+    ``prefactor`` scales the value and the target, so the bound refers to the
+    reported value; an interval (``iv.mpf``) is taken at its midpoint, the
+    bound covering its radius times ``|S|``.  Terms that end sum exactly.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
@@ -388,31 +402,49 @@ def sum_terms(
     scale = 10**target_digits * abs(pref.numerator)
     wide = 10**target_digits * max(abs(pref.numerator), pref.denominator)
     bits = wide.bit_length() - pref.denominator.bit_length() + 1 + GUARD_BITS
-    for attempt in (1, 2):
-        budget = (pref.denominator << bits) // scale
-        partials, tail, rounding = _sum_fixed(cores, bits, budget, slack, max_terms)
-        if 2 * rounding <= budget:
+    budget = (pref.denominator << bits) // scale
+    walks = [_Walk(core) for core in cores]
+    for core in cores:  # terms that do not end stop only at a tail bound, read from n0 on
+        if not core.ends and (n0 := core.tail_forms[0]) > max_terms:
+            raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
+    rounding, room = 1 + len(walks), math.log2(budget) - bits  # a unit per floor
+
+    def small(n: int) -> bool:  # floats put the tail bound from term n in budget
+        forms = [walk.bound(n) for walk in walks]
+        terms = zip(walks, forms)
+        logs = (w.logs[n] + math.log2(a) - math.log2(b) - room for w, (a, b) in terms if a)
+        return None not in forms and sum(2.0 ** min(x, 8) for x in logs) < 1
+
+    start = n = 0  # read at the end of each block of leaves, then within it
+    while not small(n) and n < max_terms:
+        start, n = n + 1, min(n + min(max(n, 4), _BLOCK), max_terms)
+        for walk in walks:
+            walk.extend(n)
+    while start < n:  # the first in the block where it holds, if it holds from there on
+        mid = (start + n) // 2
+        start, n = (start, mid) if small(mid) else (mid + 1, n)
+    splits = [_split(walk.leaves[:n]) for walk in walks]
+    while (tail := _proof(walks, splits, n, bits, budget, slack, rounding)) is None:
+        if n == max_terms:
+            raise EvaluationError(f"tail target not reached within {max_terms} terms")
+        for walk in walks:
+            walk.extend(n + 1)
+        pairs = zip(splits, walks)
+        splits = [_merge(s, w.leaves[n]) if n < len(w.leaves) else s for s, w in pairs]
+        n += 1
+    while n:  # step back while the term before proves too
+        pairs = zip(splits, walks)
+        prior = [s if n > len(w.leaves) else _unsplit(s, w.leaves[n - 1]) for s, w in pairs]
+        if (before := _proof(walks, prior, n - 1, bits, budget, slack, rounding)) is None:
             break
-        if attempt == 2:
-            raise EvaluationError(f"rounding above half the target at {bits} bits")
-        bits += rounding.bit_length() - budget.bit_length() + 2
-    total = partials[-1] if partials else 0
-    # the fit ignores errors within 10^-(d+12) of the sum, relative
-    floor = max(1 << bits, abs(total)) // 10 ** (target_digits + 12)
+        splits, tail, n = prior, before, n - 1
+    pairs = zip((walk.core.t0 for walk in walks), splits)
+    parts = [divmod(a.numerator * t << bits, a.denominator * v * q) for a, (_, q, v, t) in pairs]
+    total, rounding = sum(part for part, _ in parts), 1 + sum(rem != 0 for _, rem in parts)
     bound = abs(pref.numerator) * (tail + rounding), pref.denominator << bits
-    return EvalResult(
-        value=_from_fixed(pref, total, bits),
-        terms_used=len(partials),
-        tail_bound=_rounded(*bound, 53, round_up),
-        measured_rate=_fit_errors(
-            (i, math.log2(d) - bits)
-            for i, s in enumerate(partials[:-1])
-            if (d := abs(s - total)) > floor
-        ),
-        fixed_partial_sums=tuple(partials),
-        prefactor=pref,
-        working_prec=bits,
-    )
+    logs = zip(range(n // 2, n), *(walk.term_logs(n // 2, n) for walk in walks))
+    rate = _fit_rate([(i, x) for i, *xs in logs if (x := max(xs)) > -math.inf])
+    return EvalResult(_from_fixed(pref, total, bits), n, _rounded(*bound, 53, round_up), rate)
 
 
 @cache
@@ -453,9 +485,7 @@ def product_core(p: Product) -> HypTerms:
     return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a, p.b))
 
 
-def evaluate_expr(
-    expr: Union[TermExpr, str], target_digits: int
-) -> EvalResult:
+def evaluate_expr(expr: Union[TermExpr, str], target_digits: int) -> EvalResult:
     """Sum a printed-form summand ``e(0) + e(1) + ...`` to target accuracy.
 
     Term ``n`` is the sum of term ``n`` of each product's core.  Accepts

@@ -112,7 +112,7 @@ def group(base: HypSeriesSpec, m: int) -> GroupedSeries:
 def eval_hyp(
     spec: Union[HypSeriesSpec, GroupedSeries], target_digits: int
 ) -> EvalResult:
-    """Evaluate either form's core with the engine's one summation loop."""
+    """Evaluate either form's core with the engine's one summation routine."""
     return sum_terms([spec.core], target_digits)
 
 

@@ -13,8 +13,9 @@ appear).  ``ParamPolynomial`` adds only exact specialization at a rational
 facts that seed solving, the catalog and the CLI share live here too:
 ``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.  So
 does the one builder of the term cores' integer polynomials in ``n``,
-``integer_forms`` (over ``integer_coefficients``), with ``horner`` and
-``quotient`` to evaluate them.
+``integer_forms`` (over ``integer_coefficients``), with ``horner``,
+``quotient`` and ``consecutive`` to evaluate them, and ``leaf_forms``
+for the binary splitting of a term core.
 
 Rationals are represented by ``fractions.Fraction`` throughout: it is
 always reduced, its denominator is positive, and its canonical zero is
@@ -25,8 +26,9 @@ needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Sequence, Tuple, Union
+from itertools import accumulate, chain
+from math import comb, gcd, lcm
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -317,12 +319,12 @@ def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
 
 
 def integer_coefficients(*polys: Polynomial) -> Tuple[Tuple[int, ...], ...]:
-    """The coefficients, lowest first, times one common denominator."""
+    """The coefficients, lowest first, times one rational scale: the least
+    that makes them all integers with no common factor."""
     scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return tuple(
-        tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
-        for p in polys
-    )
+    forms = [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
+    content = gcd(*(c for form in forms for c in form)) or 1
+    return tuple(tuple(c // content for c in form) for form in forms)
 
 
 def horner(coeffs: Sequence, x, zero=0):
@@ -343,6 +345,40 @@ def quotient(
     if d == 0:
         raise ZeroDivisionError(f"division by zero at n={n + shift}")
     return Fraction(horner(top, n), d)
+
+
+def consecutive(coeffs: Sequence[int], block: int = 32) -> Iterator[int]:
+    """The polynomial ``coeffs`` at ``0, 1, 2, ...``: forward differences from
+    ``horner`` at ``0, ..., degree``, then additions only, summed in lists of
+    ``block`` values."""
+    row, lead = [horner(coeffs, i) for i in range(max(len(coeffs), 1))], []
+    while row:
+        lead, row = lead + [row[0]], [b - a for a, b in zip(row, row[1:])]
+
+    def blocks() -> Iterator[list]:
+        while True:
+            level = [lead[-1]] * (block + 1)
+            for j in range(len(lead) - 2, -1, -1):
+                level = list(accumulate(level[:block], initial=lead[j]))
+                lead[j] = level[block]
+            yield level[:block]
+
+    return chain.from_iterable(blocks())
+
+
+def leaf_forms(ratio: Sequence, weight: Sequence) -> Tuple[Tuple[int, ...], ...]:
+    """``(N', D', V, U)`` for a ratio ``N / D`` and a weight ``A / B`` given as
+    integer coefficients: ``N' / D'`` is ``N / D`` without the common factors
+    that ``B`` does not need, and ``A / B = U / (V D')`` with ``U = A D' / g``
+    and ``V = B / g`` for ``g = gcd(B, D')``, a constant ``V`` where ``B``
+    divides ``D``.  Each pair is scaled by ``integer_coefficients``."""
+    top, bottom, a, b = (Polynomial(c) for c in (*ratio, *weight))
+    g = _poly_gcd(top, bottom)
+    g = poly_divmod(g, _poly_gcd(g, b))[0]
+    top, bottom = integer_coefficients(*(poly_divmod(x, g)[0] for x in (top, bottom)))
+    d = Polynomial(bottom)
+    g = _poly_gcd(b, d)
+    return top, bottom, *integer_coefficients(poly_divmod(b, g)[0], a * poly_divmod(d, g)[0])
 
 
 def derivative(p: Polynomial) -> Polynomial:

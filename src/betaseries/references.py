@@ -277,6 +277,14 @@ def catalan_accelerated(digits: int) -> mpf:
     return _cached("catalan", digits, build)
 
 
+def _rising(x: int, m: int, d: int) -> int:
+    """``prod_{i<m} (x + i d)``, multiplied as a balanced tree: the halves are
+    alike in size, so big products stay fast."""
+    if m < 32:
+        return math.prod(range(x, x + m * d, d))
+    return _rising(x, m // 2, d) * _rising(x + m // 2 * d, m - m // 2, d)
+
+
 def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
     """``B(p, q) = r 2^-(p'+q') (S(p', q') + S(q', p'))`` for positive
     rationals, ``p' = p - j`` and ``q' = q - k`` in (0, 1] and the exact
@@ -305,8 +313,7 @@ def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
             )
             total, lost = total + part, lost + tail + rounding
         # r = (a/d)_j (b/d)_k / ((a+b)/d)_{j+k}: the powers of d cancel
-        rising = lambda x, m: math.prod(range(x, x + m * d, d))
-        num, den = rising(a, j) * rising(b, k), rising(a + b, j + k)
+        num, den = _rising(a, j, d) * _rising(b, k, d), _rising(a + b, j + k, d)
         # r <= 1, as B falls in each argument; scaled by 2^x, r total >= total / 2
         x = den.bit_length() - num.bit_length()
         total, rem = divmod(total * num << x, den)

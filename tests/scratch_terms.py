@@ -5,9 +5,10 @@ compute term ``n`` directly as closed Pochhammer products.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from betaseries import pochhammer
-from betaseries.expressions import pochhammer_pair
+from betaseries.expressions import evaluate, parse_term_expr, pochhammer_pair
 
 
 def _poch_ratio(spec, shift, n):
@@ -57,3 +58,27 @@ def pochhammer_ratio(core, n):
         u, v = pochhammer_pair(q + p * n, p)
         top, bottom = top * v, bottom * u
     return Fraction(top, bottom)
+
+
+def core_terms(core, count):
+    """``(t(n), w(n))`` for ``n < count`` of a ``HypTerms`` core: ``t`` stepped
+    by ``pochhammer_ratio``, ``w`` summed from the weight's coefficients; it
+    shares no code with the engine's integer forms or its binary splitting."""
+    top, bottom = core.weight
+    t, pairs = core.t0, []
+    for n in range(count):
+        w = Fraction(sum(c * n**k for k, c in enumerate(top)))
+        pairs.append((t, w / sum(c * n**k for k, c in enumerate(bottom))))
+        t = t * pochhammer_ratio(core, n) if t else t
+    return pairs
+
+
+def expr_terms(text, count):
+    """The first ``count`` terms of a printed summand, each in closed form."""
+    expr = parse_term_expr(text)
+    return [evaluate(expr, n) for n in range(count)]
+
+
+def partial_sums(terms):
+    """The exact partial sums of a sequence of terms."""
+    return list(accumulate(terms))

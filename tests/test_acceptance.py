@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 
 from betaseries.catalog import eval_recipe, load_catalog, verify
 from betaseries.derive import SeedIntegral, solve_seed, solve_seed_param
-from betaseries.engine import derived_terms, evaluate_expr, measured_rate
+from betaseries.engine import derived_terms, evaluate_expr, measured_rate, to_mpf
 from betaseries.expressions import pochhammer
 from betaseries.hyper import HypSeriesSpec, group
 from betaseries.polynomials import (
@@ -26,7 +26,7 @@ from betaseries.polynomials import (
 from betaseries.quadrature import QuadratureProblem, integrate
 from betaseries.references import pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
-from scratch_terms import derived_term, hyp_term
+from scratch_terms import derived_term, expr_terms, hyp_term, partial_sums
 
 P = Polynomial
 
@@ -89,8 +89,9 @@ def test_criterion_3_pi_at_rate_log_324():
         scale = sqrt_of(mpf(3)) / 60
         pi_ref = pi_machin(120)
         err = abs(result.value * scale - pi_ref)
-        scaled_partials = [scale * s for s in result.partial_sums]
-        rate = measured_rate(scaled_partials, pi_ref)
+        # the exact partial sums of the terms the engine used
+        partials = partial_sums(expr_terms(EQ_1_1, result.terms_used))
+        rate = measured_rate([scale * to_mpf(s) for s in partials], pi_ref)
         ok = err < mpf(10) ** -100
     ok &= result.terms_used <= 45
     ok &= abs(rate - 2.51) <= 0.05
@@ -108,9 +109,8 @@ def test_criterion_4_five_digits_per_term():
         scale = sqrt_of(mpf(3)) / 6**5
         pi_ref = pi_machin(80)
         err = abs(result.value * scale - pi_ref)
-        rate = measured_rate(
-            [scale * s for s in result.partial_sums], pi_ref
-        )
+        partials = partial_sums(expr_terms(EQ_2_11, result.terms_used))
+        rate = measured_rate([scale * to_mpf(s) for s in partials], pi_ref)
         ok = err < mpf(10) ** -60
     ok &= result.terms_used <= 14
     ok &= abs(rate - 5.02) <= 0.05
@@ -176,8 +176,14 @@ def test_criterion_7_grouping_transform():
         ok &= abs(ten.value - 4 * base_45.value) < mpf(10) ** -40
         # measured rate of the grouped form doubles the base rate
         reference = evaluate_expr(EQ_5_8, 70).value
-        base_rate = measured_rate(base_45.partial_sums, reference)
-        nine_rate = measured_rate(nine.partial_sums, reference)
+        rates = [
+            measured_rate(
+                [to_mpf(s) for s in partial_sums(expr_terms(text, result.terms_used))],
+                reference,
+            )
+            for text, result in ((EQ_5_8, base_45), (EQ_5_9, nine))
+        ]
+        base_rate, nine_rate = rates
     ok &= abs(nine_rate - 2 * base_rate) <= 0.05
     report(
         7,

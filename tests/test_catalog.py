@@ -174,7 +174,8 @@ class TestVerify:
 class TestCatalogWideInvariants:
     def test_predicted_vs_measured_rate_for_every_derived_series(self):
         # past the first 10 terms the fitted slope agrees with log10(|z|/M)
-        from betaseries.engine import evaluate_derived, measured_rate, predicted_rate
+        from betaseries.engine import evaluate_derived, measured_rate, predicted_rate, to_mpf
+        from scratch_terms import derived_term, partial_sums
 
         for record in load_catalog():
             if record.kind != "duality":
@@ -184,7 +185,12 @@ class TestCatalogWideInvariants:
             digits = int(rate * 20) + 8  # enough terms to leave the window
             result = evaluate_derived(ds, digits)
             reference = evaluate_derived(ds, digits + 15)
-            fitted = measured_rate(result.partial_sums[10:], reference.value)
+            # the exact partial sums of the terms used, times the prefactor
+            terms = [derived_term(ds, n) for n in range(result.terms_used)]
+            with mp.workdps(digits + 30):
+                pref = mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
+                partials = [pref * to_mpf(s) for s in partial_sums(terms)]
+                fitted = measured_rate(partials[10:], reference.value)
             assert fitted == pytest.approx(rate, abs=0.05), record.id
 
     def test_every_catalog_expression_matches_python_eval(self):

@@ -77,9 +77,20 @@ class TestSolveSeed:
             solve_seed(make_seed([F(1, 2), 1]), 1, 0)
 
     def test_degenerate_zero_z(self):
-        # kernel -x(1-x) is divisible by x: forces z = 0
-        with pytest.raises((DegenerateSeriesError, ValueError)):
+        # z(w) = -w (1 + w) for P = x + w and k = s = 1: at w = -1 the kernel
+        # -x (1-x) is divisible by P = x - 1, so z = 0
+        pds = solve_seed_param(ParamPolynomial([P([0, 1]), P([1])]), 1, 1)
+        assert pds.z_w == P([0, -1, -1])
+        with pytest.raises(DegenerateSeriesError, match="^z = 0"):
+            pds.specialize(-1)
+
+    def test_zero_z_seed_is_refused_for_its_root(self):
+        # z = 0 needs P to divide x^k (1-x)^s, so P has a root at 0 or 1:
+        # solve_seed refuses the seed before it could reach z = 0
+        message = r"^seed denominator has a root on \[0, 1\]$"
+        with pytest.raises(ValueError, match=message) as raised:
             solve_seed(make_seed([0, 1]), 1, 1)
+        assert type(raised.value) is ValueError
 
     def test_constant_denominator_rejected(self):
         with pytest.raises(NotDivisibleError):

@@ -27,7 +27,7 @@ from betaseries.expressions import pochhammer
 from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.references import atan_of, pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
-from scratch_terms import derived_term, pochhammer_ratio
+from scratch_terms import derived_term, partial_sums, pochhammer_ratio
 
 
 def arcsine_series():
@@ -100,8 +100,21 @@ class TestSumTerms:
         result = sum_terms([core], 30)
         assert result.value == mpf(3) / 2
         assert result.terms_used == 2
-        # no term rounds: the bound is the one unit of the final rounding
-        assert result.tail_bound == mpf(2) ** -result.working_prec
+        # the sum is exact in binary: the bound is the one unit of the final
+        # rounding, 2^-W with W the bits of 10^30 plus the guard bits
+        assert result.tail_bound == mpf(2) ** -((10**30).bit_length() + GUARD_BITS)
+
+    def test_terms_that_end_stop_at_the_last_nonzero_term(self):
+        # (-3)_n / (-5)_n: 1, 3/5, 3/10, 1/10, then 0; D(n) = n - 5 is 0 at
+        # n = 5, past the end, and is never read
+        result = evaluate_expr("poch(-3,n)/poch(-5,n)", 30)
+        assert result.value == 2
+        assert result.terms_used == 4
+
+    def test_divergent_factorial_ratio(self):
+        # the ratio (n + 1)^2 / (n + 61)^2 1000 tends to 1000
+        with pytest.raises(SeriesDivergenceError):
+            evaluate_expr("fact(n)^2/fact(n+60)^2*1000^n", 20)
 
     def test_trailing_zeros_end_an_exact_sum(self):
         # 5 binom(10, n) w(n) with w(n) = prod_{j=1..10} (n - j) / 10!: the
@@ -140,24 +153,22 @@ class TestSumTerms:
         assert result.tail_bound < mpf(10) ** -25
 
     @pytest.mark.parametrize(
-        "expr, power, value",
+        "expr, value",
         [
-            ("poch(100,n)/fact(n)*(1/2)^n", 100, F(2) ** 100),
-            ("poch(20,n)/fact(n)*(1/2)^n", 20, F(2) ** 20),
-            ("poch(200,n)/fact(n)*(1/3)^n", 200, F(3, 2) ** 200),
+            ("poch(100,n)/fact(n)*(1/2)^n", F(2) ** 100),
+            ("poch(20,n)/fact(n)*(1/2)^n", F(2) ** 20),
+            ("poch(200,n)/fact(n)*(1/3)^n", F(3, 2) ** 200),
         ],
         ids=["2^100", "2^20", "(3/2)^200"],
     )
-    def test_growth_phase_within_its_bound(self, expr, power, value):
-        # sum (x)_n z^n / n! = (1 - z)^-x; with z = 1/2 every term is exact
-        # in binary, with z = 1/3 the rounding grows with the terms, past
-        # half the budget, and the sum is redone with more bits
+    def test_growth_phase_within_its_bound(self, expr, value):
+        # sum (x)_n z^n / n! = (1 - z)^-x: the terms grow for a long stretch,
+        # to about 10^34 for (200)_n / n! 3^-n, and the sum is exact until it
+        # is rounded once
         result = evaluate_expr(expr, 30)
         with mp.workdps(120):
             assert abs(result.value - to_mpf(value)) <= result.tail_bound
         assert result.tail_bound < mpf(10) ** -30
-        first = (10**30).bit_length() + 1 + GUARD_BITS
-        assert (result.working_prec > first) == (power == 200)
 
     def test_weight_floor_keeps_same_sign_coefficients(self):
         # B(n) = n + 10^6 is at least n for every n >= 0: the floor of the
@@ -529,7 +540,12 @@ class TestRates:
         for ds, digits in cases:
             result = evaluate_derived(ds, digits)
             reference = evaluate_derived(ds, digits + 20)
-            fitted = measured_rate(result.partial_sums[10:], reference.value)
+            # the exact partial sums of the terms used, times the prefactor
+            terms = [derived_term(ds, n) for n in range(result.terms_used)]
+            with mp.workdps(digits + 30):
+                pref = mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
+                partials = [pref * to_mpf(s) for s in partial_sums(terms)]
+                fitted = measured_rate(partials[10:], reference.value)
             assert fitted == pytest.approx(predicted_rate(ds), abs=0.05)
 
 

@@ -1,5 +1,6 @@
 """Quadrature and reference constants: the independent side of every check."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -400,6 +401,13 @@ class TestBetaSeries:
         with mp.workdps(digits + 30):
             exact = mp.beta(_mpf(p), _mpf(q))
             assert abs(value - exact) <= mpf(10) ** -(digits + 5) * exact
+
+    @pytest.mark.parametrize(
+        "x, m, d", [(3, 0, 7), (5, 31, 7), (99999, 14285, 7), (1, 1000, 1)]
+    )
+    def test_rising_product_tree(self, x, m, d):
+        # the balanced tree multiplies the same factors as one running product
+        assert references._rising(x, m, d) == math.prod(x + i * d for i in range(m))
 
     def test_each_series_summed_once(self, monkeypatch):
         # B(1/2, 2001/2) at 30 digits: the two positive series of the reduced

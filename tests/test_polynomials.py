@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: division, kernels, parameterized division."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,9 +9,11 @@ import pytest
 from betaseries.polynomials import (
     ParamPolynomial,
     Polynomial,
+    consecutive,
     count_distinct_roots_on_unit_interval,
     expand_kernel,
     has_root_on_unit_interval,
+    horner,
     poly_divmod,
     rational,
 )
@@ -64,6 +67,16 @@ class TestPolynomialBasics:
     def test_str(self):
         assert str(P([-48, 15, -3])) == "-3*x^2 + 15*x - 48"
         assert str(P([])) == "0"
+
+
+class TestConsecutive:
+    @pytest.mark.parametrize(
+        "coeffs", [(), (7,), (-3, 2), (5, 0, -1), (2**70, -(3**40), 17, 0, 1, -9)]
+    )
+    @pytest.mark.parametrize("block", [1, 4, 32])
+    def test_forward_differences_match_horner(self, coeffs, block):
+        values = itertools.islice(consecutive(coeffs, block), 100)
+        assert list(values) == [horner(coeffs, n) for n in range(100)]
 
 
 class TestPolyDivmod:

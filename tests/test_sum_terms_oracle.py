@@ -12,23 +12,28 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from betaseries.catalog import load_catalog
 from betaseries.engine import (
+    GUARD_BITS,
     EvaluationError,
     HypTerms,
     SeriesDivergenceError,
     _log2,
+    _split,
+    _Walk,
     derived_core,
     evaluate_derived,
     evaluate_expr,
+    product_core,
     sum_terms,
 )
 from betaseries.expressions import evaluate, parse_term_expr
 from betaseries.hyper import eval_hyp, group
 from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.wire import hyp_spec_from_dict, series_spec_from_dict
+from scratch_terms import core_terms, derived_term, expr_terms
 
 RECORDS = {r.id: r for r in load_catalog()}
 
@@ -218,30 +223,24 @@ class TestDerivedPiSeries:
     def test_matches_reference(self, rid, digits):
         assert_sound(evaluate_derived(derived(rid), digits), PI_SERIES[rid], digits)
 
-    def test_partial_sums_are_the_eagerly_scaled_ones(self):
-        # prefactor times the exact partial sums, to within the bound
+    def test_value_is_the_exact_partial_sum(self):
+        # the prefactor times the exact sum of the terms used, from closed
+        # Pochhammer products, far inside the bound: only the prefactor's
+        # last bits and one rounding separate them
         ds = derived("eq-1.1-derived")
         result = evaluate_derived(ds, 300)
-        assert mp.prec == 53
-        partials = result.partial_sums
-        assert len(partials) == result.terms_used
-        assert partials[-1] == result.value
-        exact = F(0)
-        with mp.workdps(330):
-            pref = num(result.prefactor)
-            for partial, term in zip(partials, derived_core(ds).terms()):
-                exact += term
-                assert abs(partial - pref * num(exact)) <= result.tail_bound
+        exact = sum(derived_term(ds, n) for n in range(result.terms_used))
+        with mp.workdps(340):
+            pref = mp.beta(num(ds.a + 1), num(ds.b + 1)) / num(ds.z)
+            assert abs(result.value - pref * num(exact)) <= mpf(10) ** -310
 
-    def test_partial_sums_ignore_the_precision_at_reading(self):
-        result = evaluate_derived(derived("eq-2.11-derived"), 300)
+    def test_value_ignores_the_precision_at_the_call(self):
         with mp.workdps(20):
-            low = result.partial_sums
-        assert result.partial_sums is low
-        fresh = evaluate_derived(derived("eq-2.11-derived"), 300).partial_sums
-        assert all(a == b for a, b in zip(low, fresh))
+            low = evaluate_derived(derived("eq-2.11-derived"), 300)
+        assert mp.prec == 53
+        assert low == evaluate_derived(derived("eq-2.11-derived"), 300)
         with mp.workdps(330):
-            assert abs(low[-1] - PI_SERIES["eq-2.11-derived"]()) <= result.tail_bound
+            assert abs(low.value - PI_SERIES["eq-2.11-derived"]()) <= low.tail_bound
 
 
 class TestHypergeometric:
@@ -251,6 +250,85 @@ class TestHypergeometric:
         spec = hyp_spec_from_dict(RECORDS[rid].lhs["hyp"])
         reference = core_reference([(spec.core, (1, (), ()))])
         assert_sound(eval_hyp(group(spec, m), 200), reference, 200)
+
+
+# --------------------------------------------------------------------------
+# Binary splitting against the exact oracle
+# --------------------------------------------------------------------------
+
+# a printed summand of two products: term n is the sum of both cores' terms
+TWO_PRODUCTS = "poch(1/2,n)/fact(n)*(1/4)^n+(-1/5)^n/(n+1)"
+
+
+def split_cores():
+    """Derived, hypergeometric, grouped m = 3 and two-product cores."""
+    hyp = hyp_spec_from_dict(RECORDS["eq-5.8-hyp"].lhs["hyp"])
+    return {
+        "derived": [derived_core(derived("eq-1.1-derived"))],
+        "derived-V": [derived_core(derived("eq-2.11-derived"))],
+        "hyp": [hyp.core],
+        "grouped-m3": [group(hyp, 3).core],
+        "grouped-catalan-m3": [
+            group(hyp_spec_from_dict(RECORDS["eq-5.7-grouping-m3"].base), 3).core
+        ],
+        "two-products": [product_core(p) for p in parse_term_expr(TWO_PRODUCTS)],
+    }
+
+
+def tail_bound_at(cores, n):
+    """The proven tail bound from term ``n`` (``HypTerms.tail_forms`` at the
+    exact ``|t(n)|``) in Fractions; None where the forms do not apply."""
+    total = F(0)
+    for core in cores:
+        t = core_terms(core, n + 1)[n][0]
+        if not t:
+            continue  # the terms ended
+        forms = core.tail_forms
+        if forms is None or n < forms[0]:
+            return None
+        p, q, top, bottom = (sum(c * n**k for k, c in enumerate(f)) for f in forms[1:])
+        if p >= q or bottom <= 0:
+            return None
+        total += abs(t) * top * q / (bottom * (q - p))
+    return total
+
+
+class TestBinarySplitting:
+    @pytest.mark.parametrize("name", sorted(split_cores()))
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_split_is_the_exact_partial_sum(self, name, n):
+        # t0 T / (V Q) is the sum of the first n terms, t0 P / Q is t(n)
+        for core in split_cores()[name]:
+            walk = _Walk(core)
+            walk.extend(n)
+            p, q, v, t = _split(walk.leaves[:n])
+            pairs = core_terms(core, n + 1)
+            assert core.t0 * F(t, v * q) == sum(t * w for t, w in pairs[:n])
+            assert core.t0 * F(p, q) == pairs[n][0]
+
+    def test_two_products_sum_their_terms(self):
+        cores = split_cores()["two-products"]
+        total = F(0)
+        for core in cores:
+            walk = _Walk(core)
+            walk.extend(25)
+            p, q, v, t = _split(walk.leaves)
+            total += core.t0 * F(t, v * q)
+        assert total == sum(expr_terms(TWO_PRODUCTS, 25))
+
+    @pytest.mark.parametrize("name", sorted(split_cores()))
+    @pytest.mark.parametrize("digits", [10, 35, 100])
+    def test_stop_is_the_first_proven_index(self, name, digits):
+        # the bound recomputed in Fractions holds at N and fails at N - 1
+        cores = split_cores()[name]
+        result = sum_terms(cores, digits)
+        n, target = result.terms_used, F(1, 10**digits)
+        assert tail_bound_at(cores, n) < target
+        before = tail_bound_at(cores, n - 1)
+        assert before is None or before >= target * (1 - F(1, 2**60))
+        exact = sum(t * w for core in cores for t, w in core_terms(core, n))
+        with mp.workdps(digits + 30 + max(0, int(mp.log10(abs(result.value) + 1)))):
+            assert abs(result.value - num(exact)) <= num(target) / 2**62
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +350,8 @@ class TestPolicyEdges:
         result = sum_terms([core], 30)
         assert result.terms_used == 5
         assert result.value == mpf(81) / 16
-        assert result.tail_bound == mpf(2) ** -result.working_prec
+        # exact in binary: one unit 2^-W of the final rounding
+        assert result.tail_bound == mpf(2) ** -((10**30).bit_length() + GUARD_BITS)
 
     @pytest.mark.parametrize("digits", [1, 30, 200])
     def test_slowly_settling_ratios(self, digits):
@@ -342,7 +421,11 @@ class TestPolicyEdges:
         result = sum_terms([core], 50, prefactor)
         scale = lambda: prefactor if isinstance(prefactor, mpf) else num(F(prefactor))
         assert_sound(result, lambda: scale() * 5 / 6, 50)
-        assert result.partial_sums[-1] == result.value
+        # the exact partial sum, scaled and rounded: a few units of
+        # |prefactor| 2^-W, each below 10^-50 2^-64
+        exact = sum(t * w for t, w in core_terms(core, result.terms_used))
+        with mp.workdps(80 + max(0, int(mp.log10(abs(result.value))))):
+            assert abs(result.value - scale() * num(exact)) <= mpf(10) ** -50 / 2**62
 
     @pytest.mark.parametrize(
         "delta, terms", [(0, 41), (F(1, 2**42), 41), (-F(1, 2**42), 40)]
@@ -350,6 +433,28 @@ class TestPolicyEdges:
     def test_stop_is_the_first_index_below_the_target(self, delta, terms):
         core, _ = geometric(F(-1, 5))
         assert sum_terms([core], 50, at_target(delta)).terms_used == terms
+
+    def test_interval_prefactor_radius_is_covered(self):
+        # the prefactor [1 - h, 1 + h] with h |S| = 10^-30 / 2 for S = 2: the
+        # bound covers the value at either end of the interval
+        core, _ = geometric(F(1, 2))
+        with mp.workdps(60):
+            ends = [1 + sign * mpf(10) ** -30 / 4 for sign in (-1, 1)]
+            prefactor = iv.make_mpf(tuple(end._mpf_ for end in ends))
+            result = sum_terms([core], 30, prefactor)
+            assert result.tail_bound < mpf(10) ** -30
+            for end in ends:
+                assert abs(result.value - 2 * end) <= result.tail_bound
+
+    @pytest.mark.parametrize("k", [47, 50, 56])
+    @pytest.mark.parametrize("sign, terms", [(-1, 10), (1, 11)])
+    def test_stop_within_float_error_of_the_target(self, sign, terms, k):
+        # the bound of geometric(-1/5) after 10 terms, |t_10| / (1 - 1/5), sits
+        # 2^-k of itself off 10^-30: closer than the floats that pick the stop
+        # can tell, so the integer proof steps to the first N that holds
+        core, _ = geometric(F(-1, 5))
+        prefactor = F(4, 5) * 5**10 / 10**30 * (1 + sign * F(1, 2**k))
+        assert sum_terms([core], 30, prefactor).terms_used == terms
 
     @pytest.mark.parametrize(
         "cores, prefactor, reference",
