@@ -301,9 +301,9 @@ def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
     Each sum is a sequence of terms ``(c, symbols)``: the rational ``c``
     times the product, over its symbols ``(x, d, m)``, of the rising
     factorials ``(x + dn)_m = prod_{j<m} (x + j + dn)``.  All the returned
-    tuples are scaled by one positive integer, so the quotient of two of them
-    at any ``n`` is the quotient of the two sums.  Term cores evaluate them
-    by ``horner`` and divide by them in fixed point: integer work per term.
+    tuples are scaled by one positive rational, so the quotient of two of them
+    at any ``n`` is the quotient of the two sums.  Term cores evaluate them at
+    each ``n`` and multiply the values by binary splitting: integer work.
     """
     polys = []
     for terms in sums:
