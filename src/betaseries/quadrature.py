@@ -69,11 +69,23 @@ FAIL; it could hide a wrong series only if both were wrong by the same
 amount.  The work is bounded: failure to converge within ``max_levels``
 halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
 
+Once per process.  ``integrate`` cancels ``N/D`` by the monic
+``gcd(N, D)`` and integrates the reduced problem: the catalog's
+``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  The root scan still runs
+on the ``D`` as given, so a removable root on [0, 1] is refused.  Each
+value is kept under the reduced problem, ``target_digits`` and
+``max_levels``, and a repeated call returns it without evaluating a node;
+a raised ``QuadratureError`` is not kept.  A table entry is built from
+``libmp`` calls at ``W + GUARD_BITS`` bits, each rounded to nearest: the
+calls the ``mp.workprec`` context makes, without building mpf objects.
+
 Every value a node contributes is the same integer whether its transform is
-fresh or read from a table, so results do not depend on what the tables
-already hold.  The node tables live in ``_cache``, the process-wide cache of
+fresh or read from a table, and a kept value is the one its reduced problem
+computes, so results do not depend on what ``_cache`` holds.  The node
+tables and the kept values live in ``_cache``, the process-wide cache of
 precision-keyed constants that ``references`` also uses for its reference
-values.  They last as long as the process, or until ``_cache.clear()``.
+values.  They last as long as the process, or until ``_cache.clear()``,
+which returns the process to the state of a fresh start.
 """
 
 from __future__ import annotations
@@ -84,10 +96,31 @@ from math import lcm
 from typing import Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest, to_fixed
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+)
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
-from .polynomials import Polynomial, has_root_on_unit_interval, rational
+from .polynomials import (
+    Polynomial,
+    _poly_gcd,
+    has_root_on_unit_interval,
+    poly_divmod,
+    rational,
+)
 
 #: Fixed-point bits kept below ``2^-mp.prec`` (see the module docstring).
 GUARD_BITS = 32
@@ -129,8 +162,9 @@ class QuadratureProblem:
             raise ValueError("denominator has a root on [0, 1]")
 
 
-#: The process-wide cache of precision-keyed constants: the node tables of
-#: this module and the reference values of ``references``, which imports it.
+#: The process-wide cache of precision-keyed constants: the node tables and
+#: integral values of this module and the reference values of
+#: ``references``, which imports it.
 _cache: dict = {}
 
 
@@ -142,20 +176,29 @@ def _node(table: dict, j: int, level: int, w: int) -> Tuple[int, int, int, int, 
     ``w + GUARD_BITS`` bits, enough for the ``2^-w`` absolute error of
     ``-ln(1-x) = 2u - ln x`` with ``u = (pi/2) sinh t`` below ``2^24``
     (``t <= T_CAP``).  With ``e = exp(-2u)``, ``x = 1 / (1+e)`` and
-    ``-ln x = ln(1+e)``, so nothing cancels.
+    ``-ln x = ln(1+e)``, so nothing cancels.  Each step is one ``libmp``
+    call at that precision, rounded to nearest.
     """
     key = j / (1 << level)
     entry = table.get(key)
     if entry is None:
-        with mp.workprec(w + GUARD_BITS):
-            et = mp.exp(mpf(j) / (1 << level))
-            iet = 1 / et
-            u2 = mp.pi / 2 * (et - iet)
-            em = mp.exp(-u2)
-            nlx = mp.log(1 + em)
-            values = (1 / (1 + em), mp.pi / 2 * (et + iet), nlx, u2 + nlx)
-        x, pc, nlx, nlomx = (to_fixed(v._mpf_, w) for v in values)
-        entry = table[key] = (x, (1 << w) - x, pc, nlx, nlomx)
+        prec = w + GUARD_BITS
+        rnd = round_nearest
+        half_pi = mpf_shift(mpf_pi(prec, rnd), -1)
+        et = mpf_exp(from_man_exp(j, -level), prec, rnd)
+        iet = mpf_div(fone, et, prec, rnd)
+        u2 = mpf_mul(half_pi, mpf_sub(et, iet, prec, rnd), prec, rnd)
+        ope = mpf_add(fone, mpf_exp(mpf_neg(u2), prec, rnd), prec, rnd)
+        nlx = mpf_log(ope, prec, rnd)
+        x = to_fixed(mpf_div(fone, ope, prec, rnd), w)
+        pc = mpf_mul(half_pi, mpf_add(et, iet, prec, rnd), prec, rnd)
+        entry = table[key] = (
+            x,
+            (1 << w) - x,
+            to_fixed(pc, w),
+            to_fixed(nlx, w),
+            to_fixed(mpf_add(u2, nlx, prec, rnd), w),
+        )
     return entry
 
 
@@ -183,6 +226,9 @@ def integrate(
 ) -> mpf:
     """Value of the integral, correct to ``target_digits`` decimal digits.
 
+    The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)``, once
+    per process: the value is kept in ``_cache`` (see the module docstring).
+
     The rule works at ``target_digits + 15`` digits, its fixed-point
     summands ``GUARD_BITS`` below that (see the module docstring for the
     representation and the error budget).  A level is accepted when it
@@ -195,11 +241,31 @@ def integrate(
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
+    g = _poly_gcd(problem.numerator, problem.denominator)
+    numerator = poly_divmod(problem.numerator, g)[0]
+    denominator = poly_divmod(problem.denominator, g)[0]
+    args = (problem.a, problem.b, numerator, denominator, target_digits, max_levels)
+    key = ("tanh-sinh integral",) + args
+    value = _cache.get(key)
+    if value is None:
+        value = _cache[key] = _tanh_sinh(*args)
+    return value
+
+
+def _tanh_sinh(
+    a: Fraction,
+    b: Fraction,
+    numerator: Polynomial,
+    denominator: Polynomial,
+    target_digits: int,
+    max_levels: int,
+) -> mpf:
+    """The level-halving rule of ``integrate`` on ``x^a (1-x)^b N/D``."""
     wp = target_digits + 15
     with mp.workdps(wp):
         w = mp.prec + GUARD_BITS
         nodes = _cache.setdefault(("tanh-sinh nodes", w), {})
-        ka, kb = problem.a + 1, problem.b + 1
+        ka, kb = a + 1, b + 1
         integer_powers = ka.denominator == kb.denominator == 1
         if integer_powers:
             ka, kb = int(ka), int(kb)
@@ -209,8 +275,8 @@ def integrate(
             pa = ka.numerator * (q // ka.denominator)
             pb = kb.numerator * (q // kb.denominator)
             ln2 = ln2_fixed(w)
-        nscale, ncoeffs = _fixed_coefficients(problem.numerator, w)
-        dscale, dcoeffs = _fixed_coefficients(problem.denominator, w)
+        nscale, ncoeffs = _fixed_coefficients(numerator, w)
+        dscale, dcoeffs = _fixed_coefficients(denominator, w)
 
         def summand(x: int, omx: int, nlx: int, nlomx: int) -> int:
             """``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times ``nscale / dscale``."""

@@ -11,7 +11,11 @@ plain ``x^a (1-x)^b`` must match ``mp.beta(a+1, b+1)`` to the same
 ``10^-(d+12)``.  Both checks fail for a kernel that takes square roots of
 fixed-point ``x`` for half-integer powers, and for one without guard bits.
 ``integrate`` itself must return the same bits whatever the tables already
-hold: fresh, after other precisions, and after the cache is cleared.
+hold: fresh, after other precisions, and after the cache is cleared.  It
+integrates ``N/D`` cancelled by their gcd and keeps each value in ``_cache``,
+so a repeated call evaluates no node, and the same bits must come back once
+only the kept values are dropped.  The node tables, built by ``libmp`` calls,
+must hold the bits of the ``mp.workprec`` computation they replace.
 
 The reference keeps each node's transform, and ``x^a (1-x)^b`` per exponent
 pair, between cases at one precision; a kept value has the same bits as a
@@ -26,12 +30,19 @@ from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
-from betaseries import references
+from betaseries import quadrature, references
 from betaseries.catalog import _quadrature_problem, eval_recipe, load_catalog
 from betaseries.engine import evaluate_derived
 from betaseries.polynomials import Polynomial, kernel_polynomial
-from betaseries.quadrature import QuadratureError, QuadratureProblem, integrate
+from betaseries.quadrature import (
+    GUARD_BITS,
+    T_CAP,
+    QuadratureError,
+    QuadratureProblem,
+    integrate,
+)
 from betaseries.wire import series_spec_from_dict
 
 
@@ -294,6 +305,120 @@ def test_too_few_levels_raise():
     with pytest.raises(QuadratureError) as theirs:
         reference_integrate(p, 30, max_levels=1)
     assert str(ours.value) == str(theirs.value)
+
+
+def count_node_calls(monkeypatch):
+    """Route ``quadrature._node`` through a counter; returns the call list."""
+    calls = []
+    real = quadrature._node
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_node", counting)
+    return calls
+
+
+#: The catalog integrals with ``(x - 2) / (x^2 - x - 2)``, which is
+#: ``1 / (x + 1)``.
+CANCELLING = [
+    problem_
+    for _, problem_, _ in CATALOG_INTEGRALS
+    if problem_.denominator == Polynomial((-2, -1, 1))
+]
+
+
+@pytest.mark.parametrize("p", CANCELLING, ids=lambda p: f"a={p.a},b={p.b}")
+def test_common_factor_is_cancelled(p):
+    assert p.numerator == Polynomial((-2, 1))
+    reduced = QuadratureProblem(a=p.a, b=p.b, denominator=Polynomial((1, 1)))
+    references._cache.clear()
+    ours = integrate(p, 35)
+    references._cache.clear()
+    assert ours._mpf_ == integrate(reduced, 35)._mpf_
+
+
+def test_cancelling_covers_the_catalog():
+    assert len(CANCELLING) == 3
+
+
+def test_repeated_call_evaluates_no_node(monkeypatch):
+    first = integrate(problem((F(1, 7), F(5, 2)), "kernel"), 50)
+    calls = count_node_calls(monkeypatch)
+    again = integrate(problem((F(1, 7), F(5, 2)), "kernel"), 50)
+    assert again._mpf_ == first._mpf_
+    assert not calls
+    # the counter sees the nodes of a value not kept yet
+    integrate(problem((F(1, 7), F(5, 2)), "kernel"), 51)
+    assert calls
+
+
+def test_failure_is_not_kept():
+    p = problem((F(-1, 2), F(-1, 2)), "none")
+    references._cache.clear()
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            integrate(p, 30, max_levels=1)
+    value = integrate(p, 30)
+    with mp.workdps(50):
+        assert abs(value - mp.pi) <= mpf(10) ** -42
+
+
+def test_removable_root_is_still_refused():
+    # (x - 1/2) / ((x - 1/2)(x + 1)) is 1 / (x + 1) off x = 1/2 only
+    with pytest.raises(ValueError, match="root on"):
+        QuadratureProblem(
+            a=0,
+            b=0,
+            numerator=Polynomial((F(-1, 2), 1)),
+            denominator=Polynomial((F(-1, 2), F(1, 2), 1)),
+        )
+
+
+def test_kept_values_dropped_over_warm_tables(monkeypatch):
+    p = problem((F(-2, 3), F(1, 3)), "kernel")
+    expected = {}
+    for digits in (30, 100):
+        references._cache.clear()
+        expected[digits] = integrate(p, digits)._mpf_
+    # warm both precisions' tables, then drop only the kept values
+    references._cache.clear()
+    integrate(p, 100)
+    integrate(problem((F(3), F(2)), "poly"), 30)
+    for key in [k for k in references._cache if k[0] == "tanh-sinh integral"]:
+        del references._cache[key]
+    assert references._cache
+    calls = count_node_calls(monkeypatch)
+    for digits in (30, 100):
+        del calls[:]
+        assert integrate(p, digits)._mpf_ == expected[digits]
+        assert calls
+
+
+def reference_node(j, level, w):
+    """``quadrature._node``'s entry as the mpf context computed it."""
+    with mp.workprec(w + GUARD_BITS):
+        et = mp.exp(mpf(j) / (1 << level))
+        iet = 1 / et
+        u2 = mp.pi / 2 * (et - iet)
+        em = mp.exp(-u2)
+        nlx = mp.log(1 + em)
+        values = (1 / (1 + em), mp.pi / 2 * (et + iet), nlx, u2 + nlx)
+    x, pc, nlx, nlomx = (to_fixed(v._mpf_, w) for v in values)
+    return x, (1 << w) - x, pc, nlx, nlomx
+
+
+@pytest.mark.parametrize("digits, levels", [(20, 4), (105, 4), (305, 4), (1005, 2)])
+def test_nodes_match_the_mpf_context(digits, levels):
+    with mp.workdps(digits):
+        w = mp.prec + GUARD_BITS
+    table = {}
+    for level in range(levels + 1):
+        # level 0 holds t = 0 .. T_CAP, a finer level only its new odd j
+        for j in range(level > 0, (T_CAP << level) + 1, 1 + (level > 0)):
+            assert quadrature._node(table, j, level, w) == reference_node(j, level, w)
+    assert T_CAP in table
 
 
 def test_imports_no_derivation_code():
