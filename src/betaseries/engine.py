@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_sub
+from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_shift, mpf_sub
 from mpmath.libmp import round_nearest, round_up, to_rational
 
 from .derive import DerivedSeries
@@ -73,8 +73,14 @@ def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
 
 
 def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
-    """``num / den`` rounded once to ``prec`` bits."""
-    return mp.make_mpf(from_rational(num, den, prec, rnd))
+    """``num / den`` rounded once to ``prec`` bits, for ``den > 0``.
+
+    The power of two in ``den`` is taken out first and applied as a shift
+    of the exponent, which is exact: ``from_rational`` on the whole ``den``
+    would strip its trailing zeros a byte at a time.
+    """
+    k = (den & -den).bit_length() - 1
+    return mp.make_mpf(mpf_shift(from_rational(num, den >> k, prec, rnd), -k))
 
 
 def _from_fixed(pref: Fraction, s: int, w: int) -> mpf:

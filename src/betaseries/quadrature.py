@@ -20,35 +20,50 @@ with the weight ``x (1-x)`` folded into the powers.
 
 Fixed point.  The summands are Python ints: a real ``v`` is held as
 ``floor(v * 2^W)``, with ``W = mp.prec + GUARD_BITS``.  Everything a node
-needs apart from the problem -- ``x``, ``1-x``, ``pi cosh t``, ``-ln x`` and
-``-ln(1-x)`` -- is computed once per ``W`` and kept in that ``W``'s node
-table.  ``N`` and ``D`` are scaled to integer coefficients and evaluated by
-fixed-point Horner, with one integer division per node for ``N/D``.  When
-``a`` and ``b`` are integers, ``x^(a+1) (1-x)^(b+1)`` is one exact product
-of the tabled ``x`` and ``1-x``, shifted down once.  Any other exponent
-goes through one exponential of the tabled logarithms,
-``exp(-(a+1)(-ln x) - (b+1)(-ln(1-x)))``, whose argument is <= 0, so the
-result is at most 1 and its absolute error is at most its argument's.
-Square roots are not used for half-integer exponents: near ``x -> 0`` the
-fixed-point ``x`` keeps only a few significant bits, and the square root of
-such a number has a large absolute error.  Taken as ``isqrt(x << W)``, it
-leaves a relative error of 9e-30 in ``int_0^1 dx / sqrt(x (1-x))`` at 35
-digits.  The logarithms carry their full relative precision to every node.
-A level's sum over all its nodes is one exact int, turned into one
-correctly rounded mpf.
+needs apart from the problem is computed once per ``W`` and kept in that
+``W``'s node table: ``x``, ``1-x`` and ``pi cosh t`` as fixed-point ints,
+and ``1-x`` once more as a ``libmp`` value with ``W + GUARD_BITS`` bits of
+relative precision.  With ``e = exp(-pi sinh t)`` that is ``e / (1+e)``,
+and ``x = 1 / (1+e)``: nothing cancels.  Only nodes at ``t >= 0`` are
+kept, where ``x`` lies in [1/2, 1] and its fixed-point int has full
+relative precision; ``1-x`` falls towards 0, where the int keeps only a
+few significant bits, so its roots read the ``libmp`` value.
+
+Roots.  Write ``a + 1 = na/qa`` and ``b + 1 = nb/qb`` in lowest terms.
+Then ``x^(a+1) = (x^(1/qa))^na``, and the roots of order ``q`` come from
+a table per ``(W, q)`` that maps ``t`` to ``floor(x^(1/q) 2^W)`` and
+``floor((1-x)^(1/q) 2^W)``; the node at ``-t`` swaps the pair.  Each root
+is an exact floor integer root (``_iroot``): of the fixed-point ``x``
+shifted by ``(q-1) W``, and of the mantissa of ``1-x`` shifted by
+``exp + qW``.  Entries are filled lazily, and integrals that share a
+denominator at one ``W`` share its table: the catalog's 7 distinct
+integrals with fractional powers need the orders 2 to 5 only.  Integer
+exponents are the case ``q = 1``, whose roots are ``x`` and ``1-x``
+themselves and need no table.  So every power takes one path: each root
+raised to ``na`` or ``nb`` by squaring, with a truncation after each
+product, and the two powers multiplied.  No node calls an exponential or a
+logarithm for its powers, and the cost grows with ``log(na nb)``.  ``N``
+and ``D`` are scaled to integer coefficients and evaluated by fixed-point
+Horner, with one integer division per node for ``N/D``.  A level's sum
+over all its nodes is one exact int, turned into one correctly rounded
+mpf.
 
 Error budget, in units of ``2^-W``.  Per node: each tabled value is within
-1; the power is within ``a + b + 4`` (the input errors scaled by the
-exponents, the exponential's own error and one truncation); Horner adds at
-most ``deg`` truncations plus ``|N'|`` or ``|D'|`` times the error of
-``x``; the division adds 1 plus the relative errors of ``N`` and ``D``
-times ``|N/D|``, which a denominator close to a pole amplifies by
+1; each root is within 2 (a unit of ``x >= 1/2`` moves its root by under
+one, and the floor adds one); a root within ``e`` raised to ``n`` by
+squaring is within ``(e + 1) n - 1``, as a product of two factors of at
+most 1 adds their errors and one truncation, so the power
+``x^(a+1) (1-x)^(b+1)`` is within ``3 (na + nb)``; Horner adds at most
+``deg`` truncations plus ``|N'|`` or ``|D'|`` times the error of ``x``;
+the division adds 1 plus the relative errors of ``N`` and ``D`` times
+``|N/D|``, which a denominator close to a pole amplifies by
 ``(sum |coefficients|) / min |D|``; the final product with ``pc`` scales
 the sum by ``pc``.  Per level: ``h * sum over nodes``, at most
-``2 t_max max(pc * node error)``, with ``t_max`` a few units and ``pc``
-up to ``pi cosh t_max``: a few thousand at 300 digits.  ``GUARD_BITS = 32``
-(about 9.6 digits) keeps that whole budget below ``2^-mp.prec``, and
-``mp.prec`` already carries 15 decimal digits above the target.
+``2 t_max max(pc * node error)``, with ``t_max`` a few units and ``pc`` up
+to ``pi cosh t_max``: a few thousand at 300 digits.
+``GUARD_BITS = 32`` (about 9.6 digits) keeps that whole budget below
+``2^-mp.prec``, and ``mp.prec`` already carries 15 decimal digits above
+the target.
 
 The step is halved (reusing previous nodes) until the level is accepted:
 two successive levels agree to ``target_digits + 5``, or the digits have
@@ -75,25 +90,26 @@ Once per process.  ``integrate`` cancels ``N/D`` by the monic
 on the ``D`` as given, so a removable root on [0, 1] is refused.  Each
 value is kept under the reduced problem, ``target_digits`` and
 ``max_levels``, and a repeated call returns it without evaluating a node;
-a raised ``QuadratureError`` is not kept.  A table entry is built from
+a raised ``QuadratureError`` is not kept.  A node-table entry is built from
 ``libmp`` calls at ``W + GUARD_BITS`` bits, each rounded to nearest: the
 calls the ``mp.workprec`` context makes, without building mpf objects.
 
-Every value a node contributes is the same integer whether its transform is
-fresh or read from a table, and a kept value is the one its reduced problem
-computes, so results do not depend on what ``_cache`` holds.  The node
-tables and the kept values live in ``_cache``, the process-wide cache of
-precision-keyed constants that ``references`` also uses for its reference
-values.  They last as long as the process, or until ``_cache.clear()``,
-which returns the process to the state of a fresh start.
+Every value a node contributes is the same integer whether its transform
+and roots are fresh or read from a table, and a kept value is the one its
+reduced problem computes, so results do not depend on what ``_cache``
+holds.  The node tables, the root tables and the kept values live in
+``_cache``, the process-wide cache of precision-keyed constants that
+``references`` also uses for its reference values.  They last as long as
+the process, or until ``_cache.clear()``, which returns the process to the
+state of a fresh start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Tuple
+from math import isqrt, lcm
+from typing import Optional, Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -103,7 +119,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_exp,
-    mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_pi,
@@ -112,7 +127,6 @@ from mpmath.libmp import (
     round_nearest,
     to_fixed,
 )
-from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .polynomials import (
     Polynomial,
@@ -162,22 +176,21 @@ class QuadratureProblem:
             raise ValueError("denominator has a root on [0, 1]")
 
 
-#: The process-wide cache of precision-keyed constants: the node tables and
-#: integral values of this module and the reference values of
-#: ``references``, which imports it.
+#: The process-wide cache of precision-keyed constants: the node tables,
+#: root tables and integral values of this module and the reference values
+#: of ``references``, which imports it.
 _cache: dict = {}
 
 
-def _node(table: dict, j: int, level: int, w: int) -> Tuple[int, int, int, int, int]:
-    """``(x, 1-x, pi cosh t, -ln x, -ln(1-x))`` at ``t = j / 2^level >= 0``.
+def _node(table: dict, j: int, level: int, w: int) -> tuple:
+    """``(x, 1-x, pi cosh t, 1-x)`` at ``t = j / 2^level >= 0``.
 
-    Each value is an int, ``floor(v * 2^w)``; ``table`` is the node table
-    of ``w``, keyed by ``float(t)`` (exact).  The values are computed at
-    ``w + GUARD_BITS`` bits, enough for the ``2^-w`` absolute error of
-    ``-ln(1-x) = 2u - ln x`` with ``u = (pi/2) sinh t`` below ``2^24``
-    (``t <= T_CAP``).  With ``e = exp(-2u)``, ``x = 1 / (1+e)`` and
-    ``-ln x = ln(1+e)``, so nothing cancels.  Each step is one ``libmp``
-    call at that precision, rounded to nearest.
+    The first three are ints, ``floor(v * 2^w)``; the last is a ``libmp``
+    value with ``w + GUARD_BITS`` bits of relative precision, which
+    ``_root_pair`` reads.  ``table`` is the node table of ``w``, keyed by
+    ``float(t)`` (exact).  With ``e = exp(-pi sinh t)``, ``x = 1 / (1+e)``
+    and ``1-x = e / (1+e)``, so nothing cancels.  Each step is one ``libmp``
+    call at ``w + GUARD_BITS`` bits, rounded to nearest.
     """
     key = j / (1 << level)
     entry = table.get(key)
@@ -188,18 +201,81 @@ def _node(table: dict, j: int, level: int, w: int) -> Tuple[int, int, int, int, 
         et = mpf_exp(from_man_exp(j, -level), prec, rnd)
         iet = mpf_div(fone, et, prec, rnd)
         u2 = mpf_mul(half_pi, mpf_sub(et, iet, prec, rnd), prec, rnd)
-        ope = mpf_add(fone, mpf_exp(mpf_neg(u2), prec, rnd), prec, rnd)
-        nlx = mpf_log(ope, prec, rnd)
+        e = mpf_exp(mpf_neg(u2), prec, rnd)
+        ope = mpf_add(fone, e, prec, rnd)
         x = to_fixed(mpf_div(fone, ope, prec, rnd), w)
         pc = mpf_mul(half_pi, mpf_add(et, iet, prec, rnd), prec, rnd)
         entry = table[key] = (
             x,
             (1 << w) - x,
             to_fixed(pc, w),
-            to_fixed(nlx, w),
-            to_fixed(mpf_add(u2, nlx, prec, rnd), w),
+            mpf_div(e, ope, prec, rnd),
         )
     return entry
+
+
+def _iroot(n: int, m: int) -> int:
+    """``floor(n^(1/m))`` for ``n >= 1``.
+
+    Even orders take ``math.isqrt`` first, which is exact:
+    ``floor(floor(n^(1/2))^(1/k)) = floor(n^(1/(2k)))``.  Odd orders use
+    Newton's iteration on integers, which falls to the root from any start
+    above it.  The start is the root of the top half of the bits, rounded
+    up, so two or three steps remain.
+    """
+    if m == 1:
+        return n
+    if m % 2 == 0:
+        return _iroot(isqrt(n), m // 2)
+    k = n.bit_length() // (2 * m)
+    x = (_iroot(n >> m * k, m) + 1) << k if k else 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def _root_pair(
+    table: Optional[dict], t: float, entry: tuple, q: int, w: int
+) -> Tuple[int, int]:
+    """``(floor(x^(1/q) 2^w), floor((1-x)^(1/q) 2^w))`` for the node
+    ``entry`` at ``t >= 0``; ``table`` is the root table of ``(w, q)``,
+    keyed like the node table.  Order 1 needs no table: the roots are the
+    entry's own ``x`` and ``1-x``.
+
+    The root of ``x`` is that of the fixed-point int, as ``x >= 1/2``; the
+    root of ``1-x`` is the floor root of the ``libmp`` mantissa shifted by
+    ``exp + q w``.  A right shift loses nothing, as the floor root of the
+    floor of a number is the floor root of the number.
+    """
+    if q == 1:
+        return entry[0], entry[1]
+    pair = table.get(t)
+    if pair is None:
+        _, man, exp, bc = entry[3]
+        s = exp + q * w
+        if s + bc <= 0:
+            omx = 0
+        else:
+            omx = _iroot(man << s if s >= 0 else man >> -s, q)
+        pair = table[t] = _iroot(entry[0] << (q - 1) * w, q), omx
+    return pair
+
+
+def _fixed_power(v: int, n: int, w: int) -> int:
+    """``(v 2^-w)^n 2^w`` for ``0 <= v <= 2^w`` and ``n >= 1``, by squaring
+    with a truncation after each product.  If ``v`` is within ``e`` units,
+    the power is within ``(e + 1) n - 1``: a product of two factors of at
+    most 1 adds their errors and one truncation."""
+    r = None
+    while True:
+        if n & 1:
+            r = v if r is None else r * v >> w
+        n >>= 1
+        if not n:
+            return r
+        v = v * v >> w
 
 
 def _fixed_coefficients(poly: Polynomial, w: int) -> Tuple[int, Tuple[int, ...]]:
@@ -265,26 +341,21 @@ def _tanh_sinh(
     with mp.workdps(wp):
         w = mp.prec + GUARD_BITS
         nodes = _cache.setdefault(("tanh-sinh nodes", w), {})
-        ka, kb = a + 1, b + 1
-        integer_powers = ka.denominator == kb.denominator == 1
-        if integer_powers:
-            ka, kb = int(ka), int(kb)
-            power_shift = w * (ka + kb - 1)
-        else:
-            q = lcm(ka.denominator, kb.denominator)
-            pa = ka.numerator * (q // ka.denominator)
-            pb = kb.numerator * (q // kb.denominator)
-            ln2 = ln2_fixed(w)
+        # x^(a+1) = (x^(1/qa))^na with na / qa = a + 1, and alike for 1-x
+        qa, na = (a + 1).denominator, (a + 1).numerator
+        qb, nb = (b + 1).denominator, (b + 1).numerator
+        roots_a, roots_b = (
+            _cache.setdefault(("tanh-sinh roots", w, q), {}) if q > 1 else None
+            for q in (qa, qb)
+        )
         nscale, ncoeffs = _fixed_coefficients(numerator, w)
         dscale, dcoeffs = _fixed_coefficients(denominator, w)
 
-        def summand(x: int, omx: int, nlx: int, nlomx: int) -> int:
-            """``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times ``nscale / dscale``."""
-            if integer_powers:
-                p = x**ka * omx**kb >> power_shift
-            else:
-                n, r = divmod(-(pa * nlx + pb * nlomx) // q, ln2)
-                p = exp_basecase(r, w) >> -n if n > -w - 2 else 0
+        def summand(x: int, rx: int, romx: int) -> int:
+            """``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times ``nscale / dscale``,
+            from ``x`` and the roots of ``x`` and ``1-x`` of orders ``qa``
+            and ``qb``."""
+            p = _fixed_power(rx, na, w) * _fixed_power(romx, nb, w) >> w
             return p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
 
         # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5)
@@ -297,8 +368,8 @@ def _tanh_sinh(
             """Sum over j = start, start+step, ... of the nodes at +-j/2^level.
 
             The node at -t is the node at t with x and 1-x (and their
-            logarithms) swapped.  The walk stops after three small
-            contributions in a row once one above the cut has been met.
+            roots) swapped.  The walk stops after three small contributions
+            in a row once one above the cut has been met.
             """
             nonlocal evaluated
             total = 0
@@ -311,8 +382,12 @@ def _tanh_sinh(
                         f"no convergence to {target_digits} digits within the "
                         f"quadrature budget of {NODE_BUDGET} nodes"
                     )
-                x, omx, pc, nlx, nlomx = _node(nodes, j, level, w)
-                pair = summand(x, omx, nlx, nlomx) + summand(omx, x, nlomx, nlx)
+                entry = _node(nodes, j, level, w)
+                t = j / (1 << level)
+                ra, oma = _root_pair(roots_a, t, entry, qa, w)
+                rb, omb = _root_pair(roots_b, t, entry, qb, w)
+                x, omx, pc = entry[:3]
+                pair = summand(x, ra, omb) + summand(omx, oma, rb)
                 contrib = pc * pair >> w
                 total += contrib
                 if abs(contrib) * trunc_scale >= trunc_bound:
@@ -326,13 +401,13 @@ def _tanh_sinh(
 
         def level_value(total: int, level: int) -> mpf:
             """``2^-level`` times the level's sum, as one rounded mpf."""
-            value = from_rational(
-                total * dscale, nscale << (w + level), mp.prec, round_nearest
-            )
-            return mp.make_mpf(value)
+            value = from_rational(total * dscale, nscale, mp.prec, round_nearest)
+            return mp.make_mpf(mpf_shift(value, -(w + level)))
 
-        x, omx, pc, nlx, nlomx = _node(nodes, 0, 0, w)
-        total = (pc * summand(x, omx, nlx, nlomx) >> w) + pair_sum(0, 1, 1)
+        entry = _node(nodes, 0, 0, w)
+        ra, _ = _root_pair(roots_a, 0.0, entry, qa, w)
+        _, omb = _root_pair(roots_b, 0.0, entry, qb, w)
+        total = (entry[2] * summand(entry[0], ra, omb) >> w) + pair_sum(0, 1, 1)
         evaluated += 1
         estimate = level_value(total, 0)
         previous = last_diff = None

@@ -1,11 +1,12 @@
 """Independent high-precision reference values.
 
 Everything here is computed by classical methods that share nothing with
-the series-derivation machinery or with the quadrature: a Machin arctangent
-formula for pi, the ``atanh(1/3)`` series for ln 2, Chebyshev acceleration
-for Catalan's constant, integer roots, and Beta values by the Gauss series
-of the incomplete Beta function at x = 1/2, whose terms are all positive
-once both arguments are reduced into (0, 1] by exact rational factors.
+the series-derivation machinery, and nothing with the quadrature but the
+exact floor integer root ``_iroot``: a Machin arctangent formula for pi,
+the ``atanh(1/3)`` series for ln 2, Chebyshev acceleration for Catalan's
+constant, integer roots, and Beta values by the Gauss series of the
+incomplete Beta function at x = 1/2, whose terms are all positive once both
+arguments are reduced into (0, 1] by exact rational factors.
 Gamma-function combinations are assembled exclusively from Beta values plus
 the reflection identity.  One fixed-point loop on integers, ``_fixed_sum``,
 sums the Beta, arctangent and atanh series, with a rounding bound carried
@@ -18,11 +19,11 @@ Gamma combinations compose such values in mpf arithmetic.
 
 Computed constants are cached per (name, digits) in ``_cache``, the
 process-wide cache of precision-keyed constants.  It is defined in
-``quadrature``, which keeps its tanh-sinh node tables there too, so one
-``_cache.clear()`` returns the process to the state of a fresh start.  The
-lock around its reads and writes does not make concurrent use safe: every
-computation here runs at mpmath's global ``mp`` precision, which all threads
-share.
+``quadrature``, which keeps its tanh-sinh node and root tables there too,
+so one ``_cache.clear()`` returns the process to the state of a fresh
+start.  The lock around its reads and writes does not make concurrent use
+safe: every computation here runs at mpmath's global ``mp`` precision,
+which all threads share.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .polynomials import rational
-from .quadrature import _cache
+from .quadrature import _cache, _iroot
 
 # Nothing here calls the quadrature.  ``integrate`` stays importable from this
 # module only because the benchmark's tracer (``bench/layers.py``) patches
@@ -131,21 +132,6 @@ def _odd_series(sign: int, terms, bits: int, shift: int) -> Tuple[int, int]:
 # --------------------------------------------------------------------------
 
 
-def _iroot(n: int, m: int) -> int:
-    """``floor(n^(1/m))`` for ``n >= 1``: Newton's iteration on integers,
-    which falls to the root from any start above it.  The start is the root
-    of the top half of the bits, rounded up, so two or three steps remain."""
-    if m == 2:
-        return math.isqrt(n)
-    k = n.bit_length() // (2 * m)
-    x = (_iroot(n >> m * k, m) + 1) << k if k else 1 << -(-n.bit_length() // m)
-    while True:
-        y = ((m - 1) * x + n // x ** (m - 1)) // m
-        if y >= x:
-            return x
-        x = y
-
-
 def nth_root(x: mpf, m: int) -> mpf:
     """The positive m-th root: the integer root of the mantissa, shifted so
     that the root has ``_GUARD_BITS + 2`` bits past the working precision."""
@@ -206,7 +192,13 @@ def asin_of(x: mpf) -> mpf:
 
 def ln_of(x: mpf) -> mpf:
     """``ln x = 2 atanh((m-1)/(m+1)) + 2 e atanh(1/3)`` for ``x = m 2^e``
-    with ``m`` in [2/3, 4/3), by ``_odd_series`` at exact rational arguments."""
+    with ``m`` in [2/3, 4/3), by ``_odd_series``.
+
+    ``(m-1)/(m+1)`` lies in [-1/5, 1/7) and is rounded down once to a
+    dyadic of ``bits`` fractional bits, so its series steps by shifts.
+    ``atanh' <= 25/24`` there: the rounding moves ``2 atanh`` by under 3
+    units.  ``atanh(1/3)`` is summed at its exact argument.
+    """
     x = mpf(x)
     if x <= 0:
         raise ValueError("ln_of requires a positive argument")
@@ -215,12 +207,13 @@ def ln_of(x: mpf) -> mpf:
         j -= 1
     e = x.exp + j
     y, z = man - (1 << j), man + (1 << j)
-    terms = [(2, y, z), (2 * e, 1, 3)] if e else [(2, y, z)]
     shift = mp.prec + _GUARD_BITS
     bits = shift + _SPARE_BITS + z.bit_length() - abs(y).bit_length()
+    u, rem = divmod(y << bits, z)
+    terms = [(2, u, 1 << bits), (2 * e, 1, 3)] if e else [(2, u, 1 << bits)]
     # |ln m| + |e| ln 2 is below 4 |ln x|: 2^-(shift + 3) per part suffices
     total, lost = _odd_series(1, terms, bits, shift + 3)
-    return _rounded(total, lost, bits)
+    return _rounded(total, lost + 3 * (rem != 0), bits)
 
 
 # --------------------------------------------------------------------------

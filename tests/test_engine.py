@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest, round_up
 
 from betaseries.catalog import load_catalog
 from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed, weight_values
@@ -14,6 +15,7 @@ from betaseries.engine import (
     EvaluationError,
     HypTerms,
     SeriesDivergenceError,
+    _rounded,
     derived_core,
     derived_terms,
     evaluate_derived,
@@ -333,6 +335,23 @@ class TestEvaluateDerived:
     def test_bad_digits(self):
         with pytest.raises(ValueError):
             evaluate_derived(arcsine_series(), 0)
+
+
+class TestRounded:
+    @pytest.mark.parametrize("rnd", [round_nearest, round_up])
+    def test_matches_from_rational(self, rnd):
+        # the power of two in den is a shift of the exponent, taken apart
+        rng = random.Random(7)
+        for k in [0, 1, 7, 8, 9, 64, 1000, 40_000] + rng.sample(range(40_001), 12):
+            for _ in range(4):
+                num = rng.getrandbits(rng.randrange(1, 3000)) * rng.choice((-1, 1))
+                den = (rng.getrandbits(rng.randrange(0, 500)) | 1) << k
+                prec = rng.randrange(2, 2000)
+                ours = _rounded(num, den, prec, rnd)._mpf_
+                assert ours == from_rational(num, den, prec, rnd)
+
+    def test_zero(self):
+        assert _rounded(0, 3 << 100, 53)._mpf_ == from_rational(0, 3 << 100, 53)
 
 
 def _derived_series():

@@ -209,6 +209,19 @@ FUNCTION_CASES = [
     )
     for e in (400, -400)
     for m in (2, 3, 5)
+] + [
+    # ln_of's m at both ends of [2/3, 4/3), at and just off 1, and far exponents
+    (f"ln({name})", ln_of, argument, mp.log)
+    for name, argument in [
+        ("2/3", lambda: mpf(2) / 3),
+        ("4/3-1e-8", lambda: mpf(4) / 3 - mpf(10) ** -8),
+        ("1+1e-20", lambda: 1 + mpf(10) ** -20),
+        ("1-1e-20", lambda: 1 - mpf(10) ** -20),
+        ("1", lambda: mpf(1)),
+        ("2^-300", lambda: mp.ldexp(mpf(1), -300)),
+        ("7e400", lambda: 7 * mpf(10) ** 400),
+        ("3e-400", lambda: 3 * mpf(10) ** -400),
+    ]
 ]
 
 

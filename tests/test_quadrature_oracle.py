@@ -25,6 +25,7 @@ Every catalog ``integral`` leaf and every duality seed integral must agree
 with its series or closed form to ``10^-d`` at 30, 100 and 300 digits.
 """
 
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -403,10 +404,10 @@ def reference_node(j, level, w):
         iet = 1 / et
         u2 = mp.pi / 2 * (et - iet)
         em = mp.exp(-u2)
-        nlx = mp.log(1 + em)
-        values = (1 / (1 + em), mp.pi / 2 * (et + iet), nlx, u2 + nlx)
-    x, pc, nlx, nlomx = (to_fixed(v._mpf_, w) for v in values)
-    return x, (1 << w) - x, pc, nlx, nlomx
+        x, omx = 1 / (1 + em), em / (1 + em)
+        pc = mp.pi / 2 * (et + iet)
+    fixed_x = to_fixed(x._mpf_, w)
+    return fixed_x, (1 << w) - fixed_x, to_fixed(pc._mpf_, w), omx._mpf_
 
 
 @pytest.mark.parametrize("digits, levels", [(20, 4), (105, 4), (305, 4), (1005, 2)])
@@ -431,3 +432,142 @@ def test_imports_no_derivation_code():
     tree = ast.parse(inspect.getsource(quadrature))
     modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert "derive" not in modules and "expressions" not in modules
+
+
+def _newton_root(n, m):
+    """``floor(n^(1/m))`` by plain Newton from ``2^ceil(bits / m)``, the
+    integer root ``references`` used before it moved to ``quadrature``."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 27, 55, 101])
+def test_iroot_is_the_exact_floor(m):
+    rng = random.Random(m)
+    cases = [1, 2, 3]
+    sizes = [1, 2, 5, 39, 40, 41, 53, 80, 120, 320, 321, 1000, 2500, 5000]
+    # 1025 bits and more do not fit a float
+    sizes += [1024, 1025, 1100, 40 * m - 1, 40 * m, 40 * m + 1]
+    for bits in sizes:
+        cases += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
+        r = rng.getrandbits(max(bits // m, 1)) | 1
+        cases += [r**m - 1, r**m, r**m + 1]
+    for n in cases:
+        if n >= 1:
+            root = quadrature._iroot(n, m)
+            assert root**m <= n < (root + 1) ** m
+
+
+def _root_leaves(node):
+    """Every ``root`` and ``sqrt`` subtree of a recipe tree."""
+    if isinstance(node, dict):
+        if set(node) <= {"root", "sqrt"}:
+            yield node
+        for value in node.values():
+            yield from _root_leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _root_leaves(value)
+
+
+ROOT_LEAVES = sorted(
+    {
+        repr(leaf): leaf
+        for record in load_catalog()
+        for side in (record.lhs, record.rhs)
+        for leaf in _root_leaves(side)
+    }.items()
+)
+
+
+def test_root_leaves_are_covered():
+    orders = {leaf["root"][1] for _, leaf in ROOT_LEAVES if "root" in leaf}
+    assert orders == {2, 3, 4, 5}
+    assert any("sqrt" in leaf for _, leaf in ROOT_LEAVES)
+
+
+@pytest.mark.parametrize("leaf", ROOT_LEAVES, ids=[key for key, _ in ROOT_LEAVES])
+@pytest.mark.parametrize("digits", [10, 100, 300])
+def test_nth_root_keeps_its_bits(monkeypatch, digits, leaf):
+    ours = eval_recipe(leaf[1], digits)[0]._mpf_
+    monkeypatch.setattr(references, "_iroot", _newton_root)
+    assert eval_recipe(leaf[1], digits)[0]._mpf_ == ours
+
+
+def count_iroot_calls(monkeypatch):
+    """Route ``quadrature._iroot`` through a counter; returns the call list."""
+    calls = []
+    real = quadrature._iroot
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_iroot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ab", [(F(-2, 3), F(1, 3)), (F(-1, 2), F(-1, 2))])
+def test_same_denominator_computes_no_new_root(monkeypatch, ab):
+    # the mirror x -> 1-x has the same nodes, and the same orders of root
+    a, b = ab
+    calls = count_iroot_calls(monkeypatch)
+    references._cache.clear()
+    integrate(QuadratureProblem(a=a, b=b), 40)
+    assert calls
+    del calls[:]
+    integrate(QuadratureProblem(a=b, b=a), 40)
+    assert not calls
+
+
+def test_integer_powers_compute_no_root(monkeypatch):
+    calls = count_iroot_calls(monkeypatch)
+    references._cache.clear()
+    integrate(problem((F(3), F(2)), "poly"), 40)
+    assert not calls
+    assert not [key for key in references._cache if key[0] == "tanh-sinh roots"]
+
+
+def _drop(kind):
+    for key in [k for k in references._cache if k[0] == kind]:
+        del references._cache[key]
+
+
+@pytest.mark.parametrize("ab", [(F(-2, 3), F(1, 3)), (F(-3, 4), F(1, 2))])
+@pytest.mark.parametrize("digits", [30, 100])
+def test_cold_and_warm_root_tables_agree(ab, digits):
+    p = problem(ab, "kernel")
+    references._cache.clear()
+    cold = integrate(p, digits)._mpf_
+    # warm tables of the same orders from an integral with more levels
+    references._cache.clear()
+    integrate(problem(ab, "poly"), digits + 40)
+    integrate(problem((ab[1], ab[0]), "none"), digits)
+    _drop("tanh-sinh integral")
+    assert integrate(p, digits)._mpf_ == cold
+    # root tables warm, node tables cold
+    _drop("tanh-sinh integral")
+    _drop("tanh-sinh nodes")
+    assert integrate(p, digits)._mpf_ == cold
+
+
+#: Exponents whose roots have orders 6 and 7, and integer parts above 1;
+#: orders 101 and 27, whose roots take integers of several thousand bits.
+ROOT_EXPONENTS = [
+    (F(-6, 7), F(2, 7)),
+    (F(5, 2), F(7, 3)),
+    (F(-1, 6), F(-5, 6)),
+    (F(-100, 101), F(0)),
+    (F(1, 2), F(-26, 27)),
+]
+
+
+@pytest.mark.parametrize("den", ["none", "poly"])
+@pytest.mark.parametrize("ab", ROOT_EXPONENTS, ids=lambda ab: f"a={ab[0]},b={ab[1]}")
+@pytest.mark.parametrize("digits", [10, 30, 100])
+def test_root_orders_match_reference(digits, ab, den):
+    assert_matches_reference(problem(ab, den), digits)
