@@ -8,10 +8,17 @@ by binary splitting (Haible and Papanikolaou, ANTS-III, 1998): leaf ``n`` is
 V2, V2 Q2 T1 + V1 P1 T2)``, and over ``[0, N)`` the sum is ``S_N = t0 T / (V
 Q)`` and the next term ``t(N) = t0 P / Q``, both exact.  Summation stops at
 the first ``N`` where the tail bound proven from ``HypTerms.tail_forms`` at
-``|t(N)|``, plus a rounding unit of ``|prefactor| 2^-W`` per core and one
+``|t(N)|``, plus two rounding units of ``|prefactor| 2^-W`` per core and one
 more, is below ``10^-target_digits``: ``S_N 2^W`` is floored once per core,
-``prefactor S / 2^W`` rounded once to an mpf.  ``W`` is the bit length of
-``10^target_digits max(1, |prefactor|)`` plus ``GUARD_BITS``.
+after both operands of that division are cut to 128 bits past the quotient's
+length (``_quotient``), and ``prefactor S / 2^W`` is rounded once to an mpf.
+``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
+``GUARD_BITS``.
+
+A derived series' prefactor ``B(a+1, b+1) / z`` is proven on the same cores
+(``beta_prefactor``): an exact rational where the Beta is one, else two
+positive ``HypTerms`` cores summed together times a third, each proven by
+the same splitting, so no factor of a derived value is taken on trust.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from mpmath import iv, mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_shift, mpf_sub
-from mpmath.libmp import round_nearest, round_up, to_rational
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up, to_rational
 
 from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr
@@ -45,8 +51,18 @@ from .polynomials import (
 from .derive import weight_values  # noqa: F401
 from .expressions import evaluate as expr_value  # noqa: F401
 
+
+def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
+    """Round an exact rational (or number) to an mpf at the current precision."""
+    return mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
+
+
 #: fixed-point bits beyond the target; the rounding units must fit in them
 GUARD_BITS = 64
+
+#: digits of a non-rational Beta prefactor past the target: its radius times
+#: ``|S|`` takes ``3 |S| 10^-20`` of the sum's error budget
+_BETA_DIGITS = 20
 
 #: leaves taken at a time while floats search for the stop
 _BLOCK = 32
@@ -65,11 +81,6 @@ class EvaluationError(ArithmeticError):
 
 class SeriesDivergenceError(EvaluationError):
     """The term ratio tends to a limit above 1."""
-
-
-def to_mpf(x: Union[Fraction, int, float, mpf]) -> mpf:
-    """Round an exact rational (or number) to an mpf at the current precision."""
-    return mpf(x.numerator) / mpf(x.denominator) if isinstance(x, Fraction) else mpf(x)
 
 
 def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
@@ -380,30 +391,28 @@ def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
     return tail if tail + rounding < budget else None
 
 
-def sum_terms(
-    cores: Sequence[HypTerms],
-    target_digits: int,
-    prefactor: Union[Fraction, mpf, int, None] = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> EvalResult:
-    """Sum the cores, term ``n`` being the sum of their terms ``n``, until the
-    proven error bound falls below ``10^-target_digits``.
+def _quotient(a: int, b: int) -> Tuple[int, int]:
+    """``a / b`` floored after both are cut to the bits the quotient keeps, and
+    the units it may be off by, for ``b != 0``.
 
-    ``prefactor`` scales the value and the target, so the bound refers to the
-    reported value; an interval (``iv.mpf``) is taken at its midpoint, the
-    bound covering its radius times ``|S|``.  Terms that end sum exactly.
+    ``|a / b| < 2^m`` for ``m = len(a) - len(b) + 1``; shifting both right by
+    ``s`` leaves ``b' >= 2^(m + 127)``, and ``a' / b'`` within ``(|a'| + b') /
+    b'^2 < 2^-125`` of ``a / b``.  So the floor is off by under 2 units, and
+    under 1 when it is exact; without a shift, by under 1 unless exact.
     """
-    if target_digits < 1:
-        raise ValueError("target_digits must be >= 1")
-    slack = Fraction(0)  # the prefactor's radius over its midpoint
-    if isinstance(prefactor, iv.mpf):
-        low, high = (Fraction(*to_rational(end)) for end in prefactor._mpi_)
-        prefactor, slack = (low + high) / 2, (high - low) / abs(low + high)
-    if isinstance(prefactor, mpf):
-        prefactor = Fraction(*to_rational(prefactor._mpf_))
-    pref = Fraction(1 if prefactor is None else prefactor)
-    if not pref:
-        raise ValueError("prefactor must be nonzero")
+    if b < 0:
+        a, b = -a, -b
+    shift = max(b.bit_length() - max(abs(a).bit_length() - b.bit_length() + 1, 0) - 128, 0)
+    quotient, rem = divmod(a >> shift, b >> shift)
+    return quotient, (rem != 0) + (shift > 0)
+
+
+def _sum(
+    cores: Sequence[HypTerms], target_digits: int, pref: Fraction, slack: Fraction, max_terms
+) -> Tuple[int, int, int, int, List[_Walk]]:
+    """``(total, bits, lost, N, walks)``: ``|S - total 2^-bits| <= lost 2^-bits``
+    for the cores' sum ``S``, with ``|pref| (lost + 1) 2^-bits`` plus ``slack``
+    times ``|pref S|`` below ``10^-target_digits``, and the cores' walks."""
     # budget = 10^-d / |pref| in units of 2^-bits, and at least 10^-d
     scale = 10**target_digits * abs(pref.numerator)
     wide = 10**target_digits * max(abs(pref.numerator), pref.denominator)
@@ -413,7 +422,8 @@ def sum_terms(
     for core in cores:  # terms that do not end stop only at a tail bound, read from n0 on
         if not core.ends and (n0 := core.tail_forms[0]) > max_terms:
             raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
-    rounding, room = 1 + len(walks), math.log2(budget) - bits  # a unit per floor
+    # two units per final division, one for the rounding to an mpf
+    rounding, room = 1 + 2 * len(walks), math.log2(budget) - bits
 
     def small(n: int) -> bool:  # floats put the tail bound from term n in budget
         forms = [walk.bound(n) for walk in walks]
@@ -445,12 +455,88 @@ def sum_terms(
             break
         splits, tail, n = prior, before, n - 1
     pairs = zip((walk.core.t0 for walk in walks), splits)
-    parts = [divmod(a.numerator * t << bits, a.denominator * v * q) for a, (_, q, v, t) in pairs]
-    total, rounding = sum(part for part, _ in parts), 1 + sum(rem != 0 for _, rem in parts)
-    bound = abs(pref.numerator) * (tail + rounding), pref.denominator << bits
+    parts = [_quotient(a.numerator * t << bits, a.denominator * v * q) for a, (_, q, v, t) in pairs]
+    total, lost = sum(part for part, _ in parts), tail + sum(units for _, units in parts)
+    return total, bits, lost, n, walks
+
+
+#: a prefactor: exact, or a rational midpoint and radius
+Prefactor = Union[Fraction, Tuple[Fraction, Fraction]]
+
+
+def sum_terms(
+    cores: Sequence[HypTerms],
+    target_digits: int,
+    prefactor: Union[Prefactor, mpf, int, None] = None,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> EvalResult:
+    """Sum the cores, term ``n`` being the sum of their terms ``n``, until the
+    proven error bound falls below ``10^-target_digits``.
+
+    ``prefactor`` scales the value and the target, so the bound refers to the
+    reported value; a ``(midpoint, radius)`` pair is taken at its midpoint,
+    the bound covering its radius times ``|S|``.  Terms that end sum exactly.
+    The bound holds two units of ``|prefactor| 2^-W`` per core for the final
+    division (``_quotient``) and one for the rounding to an mpf.
+    """
+    if target_digits < 1:
+        raise ValueError("target_digits must be >= 1")
+    prefactor, radius = prefactor if isinstance(prefactor, tuple) else (prefactor, 0)
+    if isinstance(prefactor, mpf):
+        prefactor = Fraction(*to_rational(prefactor._mpf_))
+    pref = Fraction(1 if prefactor is None else prefactor)
+    if not pref:
+        raise ValueError("prefactor must be nonzero")
+    slack = Fraction(radius) / abs(pref)  # the radius over the midpoint
+    total, bits, lost, n, walks = _sum(cores, target_digits, pref, slack, max_terms)
+    bound = abs(pref.numerator) * (lost + 1), pref.denominator << bits
     logs = zip(range(n // 2, n), *(walk.term_logs(n // 2, n) for walk in walks))
     rate = _fit_rate([(i, x) for i, *xs in logs if (x := max(xs)) > -math.inf])
     return EvalResult(_from_fixed(pref, total, bits), n, _rounded(*bound, 53, round_up), rate)
+
+
+def _proven_sum(cores: Sequence[HypTerms], target_digits: int, pref: Fraction) -> Prefactor:
+    """The sum ``S`` of cores whose ratios are at most 1/2 as ``(midpoint,
+    radius)``, the radius times ``|pref|`` below ``10^-target_digits``."""
+    # such tails are at most twice the term: the stop comes before any limit
+    total, bits, lost, *_ = _sum(cores, target_digits, pref, Fraction(0), math.inf)
+    return Fraction(total, 1 << bits), Fraction(lost, 1 << bits)
+
+
+@cache
+def _beta_cores(u: Fraction, v: Fraction) -> Tuple[Tuple[HypTerms, ...], Optional[HypTerms]]:
+    """The cores of ``S(u, v)`` and ``S(v, u)``, and of ``(1/2)^f`` unless ``f = 0``."""
+    half, f = Fraction(1, 2), u + v - math.floor(u + v)
+    cores = tuple(HypTerms(1 / x, half, ((1, u + v),), ((1, x + 1),)) for x in (u, v))
+    return cores, HypTerms(Fraction(1), half, ((1, -f),), ((1, Fraction(1)),)) if f else None
+
+
+def beta_prefactor(p: Fraction, q: Fraction, scale: Fraction, target_digits: int) -> Prefactor:
+    """``scale B(p, q)`` for positive rationals: exact where it is rational,
+    else a ``(midpoint, radius)`` pair with a radius below ``3 10^-target_digits``.
+
+    ``p = u + j`` and ``q = v + k`` with ``u, v`` in (0, 1] give ``B(p, q) = r
+    B(u, v)``, ``r = (u)_j (v)_k / (u+v)_{j+k}`` exact.  ``B(1, v) = 1 / v``.
+    Otherwise ``B(u, v) = 2^-(u+v) (S(u, v) + S(v, u))`` (DLMF 8.17.8: ``2^-(u+v)
+    S(u, v)`` is ``B_{1/2}(u, v)``), ``S(x, y) = sum_n (x+y)_n / ((x+1)_n 2^n) /
+    x``, whose ratio ``(x+y+n) / (2 (x+1+n))`` is at most 1/2.  ``2^-(u+v) =
+    2^-m P`` for ``m = floor(u+v)`` and ``P = (1/2)^f = sum_n (-f)_n / n! 2^-n``,
+    ``f = u+v-m``.  The two ``S`` cores are summed together, ``P`` after them
+    at its own radius; each is proven by ``_sum``.
+    """
+    j, k = math.ceil(p) - 1, math.ceil(q) - 1
+    u, v = p - j, q - k
+    scale = scale * math.prod(u + i for i in range(j)) * math.prod(v + i for i in range(k))
+    scale /= math.prod(u + v + i for i in range(j + k))
+    if u == 1 or v == 1:
+        return scale / (v if u == 1 else u)
+    scale /= 2 ** math.floor(u + v)
+    cores, power = _beta_cores(u, v)
+    s, s_radius = _proven_sum(cores, target_digits, scale)
+    if power is None:
+        return scale * s, abs(scale) * s_radius
+    x, x_radius = _proven_sum([power], target_digits, scale * s)
+    return scale * s * x, abs(scale) * (abs(x) * s_radius + (s + s_radius) * x_radius)
 
 
 @cache
@@ -469,19 +555,13 @@ def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
 def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     """Value of the bound seed integral: prefactor times the series sum.
 
-    The prefactor ``B(a+1, b+1) / z`` is the float library's Beta at
-    ``GUARD_BITS`` beyond the target and beyond ``log2 |prefactor|``, which
-    ``B(x, y) <= 2/x + 2/y`` bounds.  The bound allows that Beta ``2^32``
-    units in its last place: the sum takes the prefactor as an interval.
+    The prefactor ``B(a+1, b+1) / z`` is ``beta_prefactor``'s: exact where it
+    is rational, else a midpoint proven within ``3 10^-(target_digits +
+    _BETA_DIGITS)``, whose radius the sum's bound covers times ``|S|``.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    size = (2 / (ds.a + 1) + 2 / (ds.b + 1)) / abs(ds.z)
-    bits = (10**target_digits * math.ceil(size)).bit_length() + GUARD_BITS
-    with mp.workprec(bits):
-        pref = mp.beta(to_mpf(ds.a + 1), to_mpf(ds.b + 1)) / to_mpf(ds.z)
-    unit = from_man_exp(1, mp.mag(pref) + 32 - bits)
-    pref = iv.make_mpf((mpf_sub(pref._mpf_, unit), mpf_add(pref._mpf_, unit)))
+    pref = beta_prefactor(ds.a + 1, ds.b + 1, 1 / ds.z, target_digits + _BETA_DIGITS)
     return sum_terms([derived_core(ds)], target_digits, prefactor=pref)
 
 

@@ -15,7 +15,11 @@ from betaseries.engine import (
     EvaluationError,
     HypTerms,
     SeriesDivergenceError,
+    _quotient,
     _rounded,
+    _split,
+    _Walk,
+    beta_prefactor,
     derived_core,
     derived_terms,
     evaluate_derived,
@@ -27,7 +31,7 @@ from betaseries.engine import (
 )
 from betaseries.expressions import pochhammer
 from betaseries.polynomials import Polynomial, integer_coefficients
-from betaseries.references import atan_of, pi_machin, sqrt_of
+from betaseries.references import atan_of, beta_value, pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
 from scratch_terms import derived_term, partial_sums, pochhammer_ratio
 
@@ -335,6 +339,90 @@ class TestEvaluateDerived:
     def test_bad_digits(self):
         with pytest.raises(ValueError):
             evaluate_derived(arcsine_series(), 0)
+
+
+def _catalog_betas():
+    """``(a+1, b+1, z)`` of every catalog derived series."""
+    cases = {}
+    for r in load_catalog():
+        if r.kind == "duality":
+            ds = series_spec_from_dict(r.series)
+            cases.setdefault((ds.a + 1, ds.b + 1, ds.z), r.id)
+    return [pytest.param(*key, id=rid) for key, rid in cases.items()]
+
+
+def _assert_beta_within(prefactor, p, q, scale, digits):
+    """The prefactor's radius covers ``scale B(p, q)`` by ``mp.beta`` and by
+    ``references.beta_value``, each taken 40 digits past it."""
+    mid, radius = prefactor if isinstance(prefactor, tuple) else (prefactor, F(0))
+    assert radius < F(3, 10**digits)
+    with mp.workdps(digits + 40):
+        for beta in (mp.beta(to_mpf(p), to_mpf(q)), beta_value(p, q, digits + 40)):
+            err = abs(to_mpf(mid) - to_mpf(scale) * beta)
+            assert err <= to_mpf(radius) + mpf(10) ** -(digits + 35)
+
+
+class TestBetaPrefactor:
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("p, q, z", _catalog_betas())
+    def test_catalog_prefactors(self, p, q, z, digits):
+        _assert_beta_within(beta_prefactor(p, q, 1 / z, digits), p, q, 1 / z, digits)
+
+    def test_two_thirds_half_at_1000_digits(self):
+        p, q = F(2, 3), F(1, 2)
+        _assert_beta_within(beta_prefactor(p, q, F(1), 1000), p, q, F(1), 1000)
+
+    @pytest.mark.parametrize(
+        "p, q, value",
+        [(F(1, 2), F(1), F(2)), (F(1), F(1), F(1)), (F(3, 2), F(2), F(4, 15))],
+        ids=["half-one", "one-one", "j-k-reduced"],
+    )
+    def test_rational_betas_are_exact(self, p, q, value):
+        # B(1, v) = 1 / v after the reduction: no series, no radius
+        for scale in (F(1), F(-1, 48)):
+            prefactor = beta_prefactor(p, q, scale, 30)
+            assert isinstance(prefactor, F) and prefactor == scale * value
+
+
+class TestTruncatedQuotient:
+    """``_quotient`` floors ``a / b`` after cutting both to the bits it keeps;
+    it is within one unit of the full floor and within its units of ``a / b``."""
+
+    @staticmethod
+    def assert_close(a, b):
+        quotient, units = _quotient(a, b)
+        assert abs(quotient - a // b) <= 1
+        assert abs(F(a, b) - quotient) < max(units, F(1, 2**100))
+        return units
+
+    def test_pi_split_at_30000_digits(self):
+        # the final division of the (1,2) pi series: V Q has far more bits
+        # than the quotient
+        ds = series_spec_from_dict(
+            next(r for r in load_catalog() if r.id == "eq-1.1-derived").series
+        )
+        core = derived_core(ds)
+        walk = _Walk(core)
+        walk.extend(11_900)
+        _, q, v, t = _split(walk.leaves)
+        bits = (10**30_000).bit_length() + GUARD_BITS
+        a, b = core.t0.numerator * t << bits, core.t0.denominator * v * q
+        assert b.bit_length() > 2 * bits
+        assert self.assert_close(a, b) >= 1
+
+    def test_quotient_far_above_two_to_the_width(self):
+        # |S| >> 2^W: the divisor keeps 128 bits past the quotient, not past W
+        rng = random.Random(3)
+        for _ in range(200):
+            b = rng.getrandbits(rng.randrange(1, 4000)) + 1
+            a = rng.getrandbits(max(b.bit_length() + rng.randrange(-300, 3000), 0))
+            a, b = a * rng.choice((-1, 1)), b * rng.choice((-1, 1))
+            self.assert_close(a, b)
+            self.assert_close(a << 1000, b)
+
+    def test_exact_when_nothing_is_cut(self):
+        assert _quotient(7 << 300, 7) == (1 << 300, 0)
+        assert _quotient(-7, 2) == (-4, 1)
 
 
 class TestRounded:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
 
 from betaseries.catalog import load_catalog
 from betaseries.engine import (
@@ -435,16 +435,15 @@ class TestPolicyEdges:
         assert sum_terms([core], 50, at_target(delta)).terms_used == terms
 
     def test_interval_prefactor_radius_is_covered(self):
-        # the prefactor [1 - h, 1 + h] with h |S| = 10^-30 / 2 for S = 2: the
-        # bound covers the value at either end of the interval
+        # the prefactor 1 +- h with h |S| = 10^-30 / 2 for S = 2: the bound
+        # covers the value at either end of the interval
         core, _ = geometric(F(1, 2))
+        h = F(1, 4 * 10**30)
+        result = sum_terms([core], 30, (F(1), h))
         with mp.workdps(60):
-            ends = [1 + sign * mpf(10) ** -30 / 4 for sign in (-1, 1)]
-            prefactor = iv.make_mpf(tuple(end._mpf_ for end in ends))
-            result = sum_terms([core], 30, prefactor)
             assert result.tail_bound < mpf(10) ** -30
-            for end in ends:
-                assert abs(result.value - 2 * end) <= result.tail_bound
+            for end in (1 - h, 1 + h):
+                assert abs(result.value - 2 * num(end)) <= result.tail_bound
 
     @pytest.mark.parametrize("k", [47, 50, 56])
     @pytest.mark.parametrize("sign, terms", [(-1, 10), (1, 11)])
