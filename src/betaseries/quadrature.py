@@ -23,11 +23,34 @@ Fixed point.  The summands are Python ints: a real ``v`` is held as
 needs apart from the problem is computed once per ``W`` and kept in that
 ``W``'s node table: ``x``, ``1-x`` and ``pi cosh t`` as fixed-point ints,
 and ``1-x`` once more as a ``libmp`` value with ``W + GUARD_BITS`` bits of
-relative precision.  With ``e = exp(-pi sinh t)`` that is ``e / (1+e)``,
-and ``x = 1 / (1+e)``: nothing cancels.  Only nodes at ``t >= 0`` are
+relative precision.  With ``E = exp(-pi sinh t)`` that is ``E / (1+E)``,
+and ``x = 1 / (1+E)``: nothing cancels.  Only nodes at ``t >= 0`` are
 kept, where ``x`` lies in [1/2, 1] and its fixed-point int has full
 relative precision; ``1-x`` falls towards 0, where the int keeps only a
 few significant bits, so its roots read the ``libmp`` value.
+
+Node entries.  An entry is built on ints at ``p = W + NODE_GUARD_BITS``
+bits, with one exponential.  ``e^t`` and ``e^-t`` are products of
+``exp(+-2^k)``, one for each set bit of ``t = j / 2^L`` in lowest terms
+(``k`` from ``-L`` to 3); those constants, ``pi`` and ``ln 2`` at ``p``
+bits are kept per ``W`` beside the node table, and each is computed on its
+own, so an entry depends on ``(t, W)`` only, never on which other entries
+the table holds.  Products of them give ``u = pi sinh t`` and
+``pi cosh t``.  With ``k, r = divmod(u, ln 2)``, ``E = m 2^-(k+1)``, where
+``m = exp(ln 2 - r)`` in (1, 2] comes from ``exp_basecase``, the
+fixed-point kernel of ``libmp``'s ``mpf_exp``; so ``u = 5.1e6`` at
+``t = T_CAP`` costs no more than ``u = 1``.  Then ``1 / (1+E)`` is one
+integer division at ``p`` bits; ``x`` and ``pi cosh t`` are its floor and
+the product's floor at ``W`` bits, and ``1-x = m 2^-(k+1) / (1+E)`` is
+rounded to nearest at ``W + GUARD_BITS`` bits.  Errors at ``p`` bits: each
+``exp(+-2^k)`` is within 2 units; ``e^t < 2^22``, a product of at most
+``L + 4`` factors, is within a relative ``3 (L + 4) 2^-p``; so ``u`` is
+within ``2^25 (L + 4)`` units, which is the relative error of ``E``,
+beside ``m``'s few units (``mpf_exp`` allows its kernel ``2^14``).  With
+``NODE_GUARD_BITS = 64`` and ``L <= 20`` (the default ``max_levels``) that
+is under ``2^-34`` relative: ``x``, ``1-x`` and ``pi cosh t`` are within 1
+unit of ``2^-W``, and the ``libmp`` ``1-x``, at ``2^-(W+32)`` relative or
+coarser, within 1 unit in its last place, at every ``t`` up to ``T_CAP``.
 
 Roots.  Write ``a + 1 = na/qa`` and ``b + 1 = nb/qb`` in lowest terms.
 Then ``x^(a+1) = (x^(1/qa))^na``, and the roots of order ``q`` come from
@@ -90,18 +113,16 @@ Once per process.  ``integrate`` cancels ``N/D`` by the monic
 on the ``D`` as given, so a removable root on [0, 1] is refused.  Each
 value is kept under the reduced problem, ``target_digits`` and
 ``max_levels``, and a repeated call returns it without evaluating a node;
-a raised ``QuadratureError`` is not kept.  A node-table entry is built from
-``libmp`` calls at ``W + GUARD_BITS`` bits, each rounded to nearest: the
-calls the ``mp.workprec`` context makes, without building mpf objects.
+a raised ``QuadratureError`` is not kept.
 
 Every value a node contributes is the same integer whether its transform
 and roots are fresh or read from a table, and a kept value is the one its
 reduced problem computes, so results do not depend on what ``_cache``
-holds.  The node tables, the root tables and the kept values live in
-``_cache``, the process-wide cache of precision-keyed constants that
-``references`` also uses for its reference values.  They last as long as
-the process, or until ``_cache.clear()``, which returns the process to the
-state of a fresh start.
+holds.  The node tables with their constants, the root tables and the kept
+values live in ``_cache``, the process-wide cache of precision-keyed
+constants that ``references`` also uses for its reference values.  They
+last as long as the process, or until ``_cache.clear()``, which returns
+the process to the state of a fresh start.
 """
 
 from __future__ import annotations
@@ -109,24 +130,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Tuple
+from typing import Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone,
     from_man_exp,
     from_rational,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_mul,
-    mpf_neg,
-    mpf_pi,
+    ln2_fixed,
     mpf_shift,
-    mpf_sub,
+    pi_fixed,
     round_nearest,
-    to_fixed,
 )
+from mpmath.libmp.libelefun import exp_basecase
 
 from .polynomials import (
     Polynomial,
@@ -148,6 +163,10 @@ NODE_BUDGET = 2**15
 
 #: Nodes lie in ``|t| <= T_CAP``.
 T_CAP = 15
+
+#: Bits past ``W`` of the fixed-point arithmetic that builds a node-table
+#: entry (see the module docstring).
+NODE_GUARD_BITS = 64
 
 
 class QuadratureError(ArithmeticError):
@@ -182,34 +201,80 @@ class QuadratureProblem:
 _cache: dict = {}
 
 
+def _node_constants(w: int) -> tuple:
+    """``(p, pi, ln 2, powers)`` for the node table of ``w``.
+
+    ``p = w + NODE_GUARD_BITS``; ``pi`` and ``ln 2`` are ``floor(v 2^p)``
+    (``libmp``'s ``pi_fixed`` and ``ln2_fixed``), and ``powers`` is the dict
+    that ``_exp_powers`` fills with ``exp(+-2^k)``.
+    """
+    key = ("tanh-sinh node constants", w)
+    constants = _cache.get(key)
+    if constants is None:
+        p = w + NODE_GUARD_BITS
+        constants = _cache[key] = (p, pi_fixed(p), ln2_fixed(p), {})
+    return constants
+
+
+def _exp_powers(powers: dict, k: int, p: int) -> Tuple[int, int]:
+    """``(floor(exp(2^k) 2^p), floor(exp(-2^k) 2^p))``, kept in ``powers``.
+
+    Each pair is computed on its own, 32 bits finer: ``exp_basecase`` of
+    ``+-2^min(k, 0)``, within ``2^14`` units (the margin ``mpf_exp`` gives
+    it), squared ``k`` times for ``k > 0`` (``T_CAP`` needs ``k <= 3``), so
+    each value is within 2 units.
+    """
+    pair = powers.get(k)
+    if pair is None:
+        q = p + 32
+        x = 1 << (q + min(k, 0))
+        ep, em = exp_basecase(x, q), exp_basecase(-x, q)
+        for _ in range(k):
+            ep, em = ep * ep >> q, em * em >> q
+        pair = powers[k] = ep >> 32, em >> 32
+    return pair
+
+
 def _node(table: dict, j: int, level: int, w: int) -> tuple:
     """``(x, 1-x, pi cosh t, 1-x)`` at ``t = j / 2^level >= 0``.
 
-    The first three are ints, ``floor(v * 2^w)``; the last is a ``libmp``
-    value with ``w + GUARD_BITS`` bits of relative precision, which
-    ``_root_pair`` reads.  ``table`` is the node table of ``w``, keyed by
-    ``float(t)`` (exact).  With ``e = exp(-pi sinh t)``, ``x = 1 / (1+e)``
-    and ``1-x = e / (1+e)``, so nothing cancels.  Each step is one ``libmp``
-    call at ``w + GUARD_BITS`` bits, rounded to nearest.
+    The first three are ints, ``floor(v * 2^w)`` within 1 unit; the last is
+    a ``libmp`` value with ``w + GUARD_BITS`` bits of relative precision,
+    within 1 unit in its last place, which ``_root_pair`` reads.  ``table``
+    is the node table of ``w``, keyed by ``float(t)`` (exact).
+
+    All of it is fixed point at ``p = w + NODE_GUARD_BITS`` bits (see the
+    module docstring).  ``e^t`` and ``e^-t`` are products of ``exp(+-2^k)``,
+    one for each set bit of ``t`` in lowest terms, so the entry depends on
+    ``(t, w)`` only.  With ``u = pi sinh t`` and ``k, r = divmod(u, ln 2)``,
+    ``E = exp(-u) = m 2^-(k+1)``, where ``m = exp(ln 2 - r)`` in (1, 2] is
+    the entry's one exponential; then ``x = 1 / (1+E)`` and
+    ``1-x = E / (1+E)``, so nothing cancels.
     """
     key = j / (1 << level)
     entry = table.get(key)
     if entry is None:
-        prec = w + GUARD_BITS
-        rnd = round_nearest
-        half_pi = mpf_shift(mpf_pi(prec, rnd), -1)
-        et = mpf_exp(from_man_exp(j, -level), prec, rnd)
-        iet = mpf_div(fone, et, prec, rnd)
-        u2 = mpf_mul(half_pi, mpf_sub(et, iet, prec, rnd), prec, rnd)
-        e = mpf_exp(mpf_neg(u2), prec, rnd)
-        ope = mpf_add(fone, e, prec, rnd)
-        x = to_fixed(mpf_div(fone, ope, prec, rnd), w)
-        pc = mpf_mul(half_pi, mpf_add(et, iet, prec, rnd), prec, rnd)
+        p, pi, ln2, powers = _node_constants(w)
+        while level and not j & 1:
+            j, level = j >> 1, level - 1
+        ep = em = None
+        for bit in range(j.bit_length()):
+            if j >> bit & 1:
+                cp, cm = _exp_powers(powers, bit - level, p)
+                ep, em = (cp, cm) if ep is None else (ep * cp >> p, em * cm >> p)
+        if ep is None:  # t = 0
+            ep = em = 1 << p
+        k, r = divmod(pi * (ep - em) >> (p + 1), ln2)
+        m = exp_basecase(ln2 - r, p)
+        y = (1 << 2 * p) // ((1 << p) + (m >> (k + 1)))  # 1 / (1+E)
+        omx = m * y  # (1-x) 2^(2p + k + 1)
+        s = omx.bit_length() - (w + GUARD_BITS)
+        x = y >> (p - w)
         entry = table[key] = (
             x,
             (1 << w) - x,
-            to_fixed(pc, w),
-            mpf_div(e, ope, prec, rnd),
+            pi * (ep + em) >> (2 * p + 1 - w),
+            from_man_exp((omx >> (s - 1)) + 1 >> 1, s - 2 * p - k - 1),
         )
     return entry
 
@@ -236,13 +301,12 @@ def _iroot(n: int, m: int) -> int:
         x = y
 
 
-def _root_pair(
-    table: Optional[dict], t: float, entry: tuple, q: int, w: int
-) -> Tuple[int, int]:
+def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int, int]:
     """``(floor(x^(1/q) 2^w), floor((1-x)^(1/q) 2^w))`` for the node
     ``entry`` at ``t >= 0``; ``table`` is the root table of ``(w, q)``,
-    keyed like the node table.  Order 1 needs no table: the roots are the
-    entry's own ``x`` and ``1-x``.
+    keyed like the node table.  Order 1 has no table of its own: its roots
+    are the entry's own ``x`` and ``1-x``, and ``integrate`` looks them up
+    in the node table, whose entries begin with them.
 
     The root of ``x`` is that of the fixed-point int, as ``x >= 1/2``; the
     root of ``1-x`` is the floor root of the ``libmp`` mantissa shifted by
@@ -344,8 +408,9 @@ def _tanh_sinh(
         # x^(a+1) = (x^(1/qa))^na with na / qa = a + 1, and alike for 1-x
         qa, na = (a + 1).denominator, (a + 1).numerator
         qb, nb = (b + 1).denominator, (b + 1).numerator
+        # order 1 reads its roots, x and 1-x, off the node entries themselves
         roots_a, roots_b = (
-            _cache.setdefault(("tanh-sinh roots", w, q), {}) if q > 1 else None
+            _cache.setdefault(("tanh-sinh roots", w, q), {}) if q > 1 else nodes
             for q in (qa, qb)
         )
         nscale, ncoeffs = _fixed_coefficients(numerator, w)
@@ -368,8 +433,10 @@ def _tanh_sinh(
             """Sum over j = start, start+step, ... of the nodes at +-j/2^level.
 
             The node at -t is the node at t with x and 1-x (and their
-            roots) swapped.  The walk stops after three small contributions
-            in a row once one above the cut has been met.
+            roots) swapped.  Entries and root pairs are read from their
+            tables; ``_node`` and ``_root_pair`` run only on a miss.  The
+            walk stops after three small contributions in a row once one
+            above the cut has been met.
             """
             nonlocal evaluated
             total = 0
@@ -382,12 +449,12 @@ def _tanh_sinh(
                         f"no convergence to {target_digits} digits within the "
                         f"quadrature budget of {NODE_BUDGET} nodes"
                     )
-                entry = _node(nodes, j, level, w)
                 t = j / (1 << level)
-                ra, oma = _root_pair(roots_a, t, entry, qa, w)
-                rb, omb = _root_pair(roots_b, t, entry, qb, w)
-                x, omx, pc = entry[:3]
-                pair = summand(x, ra, omb) + summand(omx, oma, rb)
+                entry = nodes.get(t) or _node(nodes, j, level, w)
+                ra = roots_a.get(t) or _root_pair(roots_a, t, entry, qa, w)
+                rb = roots_b.get(t) or _root_pair(roots_b, t, entry, qb, w)
+                x, omx, pc, _ = entry
+                pair = summand(x, ra[0], rb[1]) + summand(omx, ra[1], rb[0])
                 contrib = pc * pair >> w
                 total += contrib
                 if abs(contrib) * trunc_scale >= trunc_bound:
@@ -405,8 +472,8 @@ def _tanh_sinh(
             return mp.make_mpf(mpf_shift(value, -(w + level)))
 
         entry = _node(nodes, 0, 0, w)
-        ra, _ = _root_pair(roots_a, 0.0, entry, qa, w)
-        _, omb = _root_pair(roots_b, 0.0, entry, qb, w)
+        ra = _root_pair(roots_a, 0.0, entry, qa, w)[0]
+        omb = _root_pair(roots_b, 0.0, entry, qb, w)[1]
         total = (entry[2] * summand(entry[0], ra, omb) >> w) + pair_sum(0, 1, 1)
         evaluated += 1
         estimate = level_value(total, 0)

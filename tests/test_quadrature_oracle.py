@@ -14,8 +14,9 @@ fixed-point ``x`` for half-integer powers, and for one without guard bits.
 hold: fresh, after other precisions, and after the cache is cleared.  It
 integrates ``N/D`` cancelled by their gcd and keeps each value in ``_cache``,
 so a repeated call evaluates no node, and the same bits must come back once
-only the kept values are dropped.  The node tables, built by ``libmp`` calls,
-must hold the bits of the ``mp.workprec`` computation they replace.
+only the kept values are dropped.  Every field of a node-table entry must lie
+within its stated error of an mpmath value at ``3W`` bits, and an entry must
+not depend on the order in which the table was built.
 
 The reference keeps each node's transform, and ``x^a (1-x)^b`` per exponent
 pair, between cases at one precision; a kept value has the same bits as a
@@ -31,7 +32,6 @@ from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
 
 from betaseries import quadrature, references
 from betaseries.catalog import _quadrature_problem, eval_recipe, load_catalog
@@ -397,29 +397,53 @@ def test_kept_values_dropped_over_warm_tables(monkeypatch):
         assert calls
 
 
-def reference_node(j, level, w):
-    """``quadrature._node``'s entry as the mpf context computed it."""
-    with mp.workprec(w + GUARD_BITS):
-        et = mp.exp(mpf(j) / (1 << level))
-        iet = 1 / et
-        u2 = mp.pi / 2 * (et - iet)
-        em = mp.exp(-u2)
-        x, omx = 1 / (1 + em), em / (1 + em)
-        pc = mp.pi / 2 * (et + iet)
-    fixed_x = to_fixed(x._mpf_, w)
-    return fixed_x, (1 << w) - fixed_x, to_fixed(pc._mpf_, w), omx._mpf_
+def true_node(t, w):
+    """``(x, 1-x, pi cosh t)`` at ``t`` as mpf values at ``3w`` bits."""
+    with mp.workprec(3 * w):
+        e = mp.exp(-mp.pi * mp.sinh(t))
+        return 1 / (1 + e), e / (1 + e), mp.pi * mp.cosh(t)
 
 
 @pytest.mark.parametrize("digits, levels", [(20, 4), (105, 4), (305, 4), (1005, 2)])
-def test_nodes_match_the_mpf_context(digits, levels):
+def test_nodes_are_within_their_error_bounds(digits, levels):
+    # x, 1-x and pi cosh t within one unit of 2^-W; the libmp 1-x within two
+    # units in the last place of its W + GUARD_BITS bits, down to t = T_CAP
+    # where 1-x is about 2^-(7.4 10^6)
     with mp.workdps(digits):
         w = mp.prec + GUARD_BITS
     table = {}
     for level in range(levels + 1):
         # level 0 holds t = 0 .. T_CAP, a finer level only its new odd j
         for j in range(level > 0, (T_CAP << level) + 1, 1 + (level > 0)):
-            assert quadrature._node(table, j, level, w) == reference_node(j, level, w)
+            entry = quadrature._node(table, j, level, w)
+            x, omx, pc = true_node(mpf(j) / (1 << level), w)
+            with mp.workprec(3 * w):
+                for fixed, value in zip(entry[:3], (x, omx, pc)):
+                    assert abs(fixed - mp.ldexp(value, w)) <= 1
+                man, exp = entry[3][1:3]
+                ulp = mp.ldexp(1, int(mp.floor(mp.log(omx, 2))) + 1 - w - GUARD_BITS)
+                assert entry[3][3] <= w + GUARD_BITS
+                assert abs(mp.ldexp(man, exp) - omx) <= 2 * ulp
     assert T_CAP in table
+
+
+@pytest.mark.parametrize("digits", [20, 105])
+def test_nodes_do_not_depend_on_build_order(digits):
+    # t = 1/8 built cold at its own level, from the unreduced 2/16, and
+    # after levels 0 to 2 have filled the table and its constants
+    with mp.workdps(digits):
+        w = mp.prec + GUARD_BITS
+    references._cache.clear()
+    cold = quadrature._node({}, 1, 3, w)
+    references._cache.clear()
+    unreduced = quadrature._node({}, 2, 4, w)
+    references._cache.clear()
+    table = {}
+    for level in range(3):
+        for j in range(level > 0, (T_CAP << level) + 1, 1 + (level > 0)):
+            quadrature._node(table, j, level, w)
+    assert 1 / 8 not in table
+    assert quadrature._node(table, 1, 3, w) == cold == unreduced
 
 
 def test_imports_no_derivation_code():
