@@ -55,21 +55,32 @@ coarser, within 1 unit in its last place, at every ``t`` up to ``T_CAP``.
 Roots.  Write ``a + 1 = na/qa`` and ``b + 1 = nb/qb`` in lowest terms.
 Then ``x^(a+1) = (x^(1/qa))^na``, and the roots of order ``q`` come from
 a table per ``(W, q)`` that maps ``t`` to ``floor(x^(1/q) 2^W)`` and
-``floor((1-x)^(1/q) 2^W)``; the node at ``-t`` swaps the pair.  Each root
-is an exact floor integer root (``_iroot``): of the fixed-point ``x``
-shifted by ``(q-1) W``, and of the mantissa of ``1-x`` shifted by
-``exp + qW``.  Entries are filled lazily, and integrals that share a
-denominator at one ``W`` share its table: the catalog's 7 distinct
-integrals with fractional powers need the orders 2 to 5 only.  Integer
-exponents are the case ``q = 1``, whose roots are ``x`` and ``1-x``
-themselves and need no table.  So every power takes one path: each root
-raised to ``na`` or ``nb`` by squaring, with a truncation after each
-product, and the two powers multiplied.  No node calls an exponential or a
-logarithm for its powers, and the cost grows with ``log(na nb)``.  ``N``
-and ``D`` are scaled to integer coefficients and evaluated by fixed-point
-Horner, with one integer division per node for ``N/D``.  A level's sum
-over all its nodes is one exact int, turned into one correctly rounded
-mpf.
+``floor((1-x)^(1/q) 2^W)``; the node at ``-t`` swaps the pair.  Each
+root is an exact floor integer root: of the fixed-point ``x`` shifted by
+``(q-1) W``, and of the mantissa of ``1-x`` shifted by ``exp + qW``.
+``_iroot`` takes an odd-order root of an integer of at most ``48 q``
+bits from its float root, corrected to the exact floor by ``r**q``
+checks; a larger integer takes the root of its top half, rounded up and
+shifted back, and one Newton step, which lands on the floor or under a
+unit above it, so one ``r**q`` check usually settles it.  Even orders
+take ``math.isqrt`` first.  For ``x`` near 1 no Newton step is needed:
+with ``d = 2^W - x`` for the fixed-point ``x``, concavity puts the root
+at most ``2^W - d/q`` and within ``d^2 2^-W`` units of it, so when
+``2 d.bit_length() < W - 8`` the floor of that bound is the floor root
+or one above it, and one or two ``r**q`` checks give the root.  Entries
+are filled lazily, and integrals that share a denominator at one ``W``
+share its table: the catalog's 7 distinct integrals with fractional
+powers need the orders 2 to 5 only.  Integer exponents are the case
+``q = 1``, whose roots are ``x`` and ``1-x`` themselves and need no
+table.  So every power takes one path: each root raised to ``na`` or ``nb`` by
+squaring (skipped for 1), with a truncation after each product, and the
+two powers multiplied.  No node calls an exponential or a logarithm for
+its powers, and the cost grows with ``log(na nb)``.  ``N`` and ``D`` are
+scaled to integer coefficients and evaluated by fixed-point Horner, at
+``x`` and ``1-x`` in one pass (a constant ``N`` is one factor), with one
+integer division per node for ``N/D``; one call gives the summands at
+``t`` and ``-t`` added.  A level's sum over all its nodes is one exact
+int, turned into one correctly rounded mpf.
 
 Error budget, in units of ``2^-W``.  Per node: each tabled value is within
 1; each root is within 2 (a unit of ``x >= 1/2`` moves its root by under
@@ -129,7 +140,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, ldexp
 from typing import Tuple
 
 from mpmath import mp, mpf
@@ -167,6 +178,11 @@ T_CAP = 15
 #: Bits past ``W`` of the fixed-point arithmetic that builds a node-table
 #: entry (see the module docstring).
 NODE_GUARD_BITS = 64
+
+#: Bits that ``_iroot``'s shift ``k`` leaves below half the root's bits,
+#: so that its one Newton step per level lands a fraction of a unit above
+#: the root.
+ROOT_GUARD_BITS = 4
 
 
 class QuadratureError(ArithmeticError):
@@ -283,22 +299,37 @@ def _iroot(n: int, m: int) -> int:
     """``floor(n^(1/m))`` for ``n >= 1``.
 
     Even orders take ``math.isqrt`` first, which is exact:
-    ``floor(floor(n^(1/2))^(1/k)) = floor(n^(1/(2k)))``.  Odd orders use
-    Newton's iteration on integers, which falls to the root from any start
-    above it.  The start is the root of the top half of the bits, rounded
-    up, so two or three steps remain.
+    ``floor(floor(n^(1/2))^(1/k)) = floor(n^(1/(2k)))``.  For odd orders,
+    an ``n`` of at most ``48 m`` bits, whose root a float holds with room,
+    starts from the float root of ``n >> s`` times ``2^(s/m)``, with ``s``
+    a multiple of ``m`` (floats end at ``2^1024``), and ``x**m`` checks move
+    it to the floor.  A larger ``n`` starts from the root of ``n >> m k``,
+    rounded up and shifted back: above the root by at most ``2^k``.  One
+    Newton step from any start lands on or above the floor (by AM-GM), and
+    from ``e`` above the root lands within ``(m-1) e^2 / (2 root)`` of it:
+    with the ``ROOT_GUARD_BITS`` in ``k``, at most ``(m-1) 2^(1/m - 5)``
+    units, under a sixth for ``m <= 5``, so one ``x**m`` check usually
+    ends it.
     """
+    while m % 2 == 0:
+        n, m = isqrt(n), m // 2
     if m == 1:
         return n
-    if m % 2 == 0:
-        return _iroot(isqrt(n), m // 2)
-    k = n.bit_length() // (2 * m)
-    x = (_iroot(n >> m * k, m) + 1) << k if k else 1 << -(-n.bit_length() // m)
-    while True:
-        y = ((m - 1) * x + n // x ** (m - 1)) // m
-        if y >= x:
-            return x
-        x = y
+    bits = n.bit_length()
+    if bits <= 48 * m:
+        s = -(-max(bits - 1000, 0) // m) * m
+        x = int(ldexp(float(n >> s) ** (1 / m), s // m))
+        while x**m > n:
+            x -= 1
+        while (x + 1) ** m <= n:
+            x += 1
+        return x
+    k = (bits // m - ROOT_GUARD_BITS) // 2
+    x = (_iroot(n >> m * k, m) + 1) << k
+    x = ((m - 1) * x + n // x ** (m - 1)) // m
+    while x**m > n:
+        x -= 1
+    return x
 
 
 def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int, int]:
@@ -311,7 +342,8 @@ def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int
     The root of ``x`` is that of the fixed-point int, as ``x >= 1/2``; the
     root of ``1-x`` is the floor root of the ``libmp`` mantissa shifted by
     ``exp + q w``.  A right shift loses nothing, as the floor root of the
-    floor of a number is the floor root of the number.
+    floor of a number is the floor root of the number.  Near 1, the root of
+    ``x`` starts from ``2^w - d/q`` (see the module docstring).
     """
     if q == 1:
         return entry[0], entry[1]
@@ -323,7 +355,16 @@ def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int
             omx = 0
         else:
             omx = _iroot(man << s if s >= 0 else man >> -s, q)
-        pair = table[t] = _iroot(entry[0] << (q - 1) * w, q), omx
+        n, d = entry[0] << (q - 1) * w, entry[1]
+        if 2 * d.bit_length() < w - 8:
+            # 2^w - d/q is above the root by under 2^-9 units, so its floor
+            # is the floor root or one above it
+            rx = (1 << w) + (-d // q)
+            while rx**q > n:
+                rx -= 1
+        else:
+            rx = _iroot(n, q)
+        pair = table[t] = rx, omx
     return pair
 
 
@@ -416,15 +457,35 @@ def _tanh_sinh(
         nscale, ncoeffs = _fixed_coefficients(numerator, w)
         dscale, dcoeffs = _fixed_coefficients(denominator, w)
 
-        def summand(x: int, rx: int, romx: int) -> int:
-            """``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times ``nscale / dscale``,
-            from ``x`` and the roots of ``x`` and ``1-x`` of orders ``qa``
-            and ``qb``."""
-            p = _fixed_power(rx, na, w) * _fixed_power(romx, nb, w) >> w
-            return p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
+        # a constant N, as in every catalog integral, is one factor
+        nconst = ncoeffs[0] if len(ncoeffs) == 1 else None
 
-        # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5)
-        trunc_scale, trunc_bound = dscale * 10 ** (wp + 5), nscale << w
+        def pair_summand(x: int, omx: int, ra: tuple, rb: tuple) -> int:
+            """The summands at ``t`` and ``-t`` added, from ``x``, ``1-x`` and
+            the root pairs ``(x^(1/q), (1-x)^(1/q))`` of orders ``qa`` and
+            ``qb``: ``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times
+            ``nscale / dscale``, and the same with ``x`` and ``1-x`` swapped.
+            A root of 0 in place of ``ra[1]`` makes the one at ``-t`` 0."""
+            xa, omxa = ra[0], ra[1]
+            if na > 1:
+                xa, omxa = _fixed_power(xa, na, w), _fixed_power(omxa, na, w)
+            xb, omxb = rb[0], rb[1]
+            if nb > 1:
+                xb, omxb = _fixed_power(xb, nb, w), _fixed_power(omxb, nb, w)
+            dx = domx = 0
+            for c in dcoeffs:
+                dx = (dx * x >> w) + c
+                domx = (domx * omx >> w) + c
+            p, pm = xa * omxb >> w, omxa * xb >> w
+            if nconst is None:
+                p *= _fixed_horner(ncoeffs, x, w)
+                pm *= _fixed_horner(ncoeffs, omx, w)
+            else:
+                p, pm = p * nconst, pm * nconst
+            return p // dx + pm // domx
+
+        # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5), on integers
+        cut = -(-(nscale << w) // (dscale * 10 ** (wp + 5)))
         agree_tol = mpf(10) ** (-(target_digits + 5))
         doubling_tol = mpf(10) ** -wp
         evaluated = 0
@@ -453,11 +514,9 @@ def _tanh_sinh(
                 entry = nodes.get(t) or _node(nodes, j, level, w)
                 ra = roots_a.get(t) or _root_pair(roots_a, t, entry, qa, w)
                 rb = roots_b.get(t) or _root_pair(roots_b, t, entry, qb, w)
-                x, omx, pc, _ = entry
-                pair = summand(x, ra[0], rb[1]) + summand(omx, ra[1], rb[0])
-                contrib = pc * pair >> w
+                contrib = entry[2] * pair_summand(entry[0], entry[1], ra, rb) >> w
                 total += contrib
-                if abs(contrib) * trunc_scale >= trunc_bound:
+                if abs(contrib) >= cut:
                     seen, small = True, 0
                 elif seen:
                     small += 1
@@ -471,10 +530,12 @@ def _tanh_sinh(
             value = from_rational(total * dscale, nscale, mp.prec, round_nearest)
             return mp.make_mpf(mpf_shift(value, -(w + level)))
 
+        # the node at t = 0 is counted once: a root of 0 drops its mirror
         entry = _node(nodes, 0, 0, w)
-        ra = _root_pair(roots_a, 0.0, entry, qa, w)[0]
-        omb = _root_pair(roots_b, 0.0, entry, qb, w)[1]
-        total = (entry[2] * summand(entry[0], ra, omb) >> w) + pair_sum(0, 1, 1)
+        ra = _root_pair(roots_a, 0.0, entry, qa, w)[0], 0
+        rb = _root_pair(roots_b, 0.0, entry, qb, w)
+        center = pair_summand(entry[0], entry[1], ra, rb)
+        total = (entry[2] * center >> w) + pair_sum(0, 1, 1)
         evaluated += 1
         estimate = level_value(total, 0)
         previous = last_diff = None

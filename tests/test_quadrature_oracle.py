@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from betaseries import quadrature, references
 from betaseries.catalog import _quadrature_problem, eval_recipe, load_catalog
@@ -469,13 +470,15 @@ def _newton_root(n, m):
         x = y
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 27, 55, 101])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 21, 27, 55, 101])
 def test_iroot_is_the_exact_floor(m):
     rng = random.Random(m)
     cases = [1, 2, 3]
     sizes = [1, 2, 5, 39, 40, 41, 53, 80, 120, 320, 321, 1000, 2500, 5000]
-    # 1025 bits and more do not fit a float
-    sizes += [1024, 1025, 1100, 40 * m - 1, 40 * m, 40 * m + 1]
+    # 1025 bits and more do not fit a float; a float seeds roots of up to
+    # 48 m bits, from above 1000 bits (orders 21 and up) shifted first
+    sizes += [1001, 1024, 1025, 1100, 40 * m - 1, 40 * m, 40 * m + 1]
+    sizes += [48 * m - 1, 48 * m, 48 * m + 1]
     for bits in sizes:
         cases += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
         r = rng.getrandbits(max(bits // m, 1)) | 1
@@ -484,6 +487,51 @@ def test_iroot_is_the_exact_floor(m):
         if n >= 1:
             root = quadrature._iroot(n, m)
             assert root**m <= n < (root + 1) ** m
+
+
+def _near_one_deltas(q, w):
+    """``d = 2^w - x`` for the root of ``x`` near 1: 0, 1, ``q - 1``, ``q``
+    and ``3 q`` (whose starts are one above the floor root), and both sides
+    of the near-one start's reach, ``2 d.bit_length() < w - 8``."""
+    edge = (w - 9) // 2  # the largest bit length it takes
+    rng = random.Random(q * w)
+    deltas = [0, 1, q - 1, q, 3 * q, (1 << edge) - 1, 1 << edge - 1]
+    deltas += [1 << edge, (1 << edge) + 1, 2 * q << edge]
+    deltas += [rng.getrandbits(bits) | 1 << bits - 1 for bits in (edge, edge + 1)]
+    return deltas
+
+
+@pytest.mark.parametrize("w", [135, 201, 434])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+def test_root_pair_is_the_exact_floor_near_one(q, w):
+    for d in _near_one_deltas(q, w):
+        omx = from_man_exp(d or 1, -w)  # 1-x as the node entry keeps it
+        entry = ((1 << w) - d, d, None, omx)
+        rx, romx = quadrature._root_pair({}, 1.0, entry, q, w)
+        n = ((1 << w) - d) << (q - 1) * w
+        assert rx**q <= n < (rx + 1) ** q
+        n = omx[1] << omx[2] + q * w
+        assert romx**q <= n < (romx + 1) ** q
+
+
+@pytest.mark.parametrize("ab", [(F(-4, 5), F(3, 5)), (F(-2, 3), F(1, 3))])
+def test_root_tables_are_plain_newton_roots(ab):
+    # every root-table integer of a 105-digit integral, against the
+    # plain Newton root of the same input: the tables keep their bits
+    references._cache.clear()
+    integrate(QuadratureProblem(*ab), 105)
+    tables = [key for key in references._cache if key[0] == "tanh-sinh roots"]
+    assert len(tables) == 1
+    _, w, q = tables[0]
+    nodes = references._cache[("tanh-sinh nodes", w)]
+    for t, (rx, romx) in references._cache[tables[0]].items():
+        x, _, _, (_, man, exp, bc) = nodes[t]
+        assert rx == _newton_root(x << (q - 1) * w, q)
+        s = exp + q * w
+        if s + bc > 0:
+            assert romx == _newton_root(man << s if s >= 0 else man >> -s, q)
+        else:
+            assert romx == 0
 
 
 def _root_leaves(node):
