@@ -59,28 +59,24 @@ a table per ``(W, q)`` that maps ``t`` to ``floor(x^(1/q) 2^W)`` and
 root is an exact floor integer root: of the fixed-point ``x`` shifted by
 ``(q-1) W``, and of the mantissa of ``1-x`` shifted by ``exp + qW``.
 ``_iroot`` takes an odd-order root of an integer of at most ``48 q``
-bits from its float root, corrected to the exact floor by ``r**q``
-checks; a larger integer takes the root of its top half, rounded up and
-shifted back, and one Newton step, which lands on the floor or under a
-unit above it, so one ``r**q`` check usually settles it.  Even orders
-take ``math.isqrt`` first.  For ``x`` near 1 no Newton step is needed:
-with ``d = 2^W - x`` for the fixed-point ``x``, concavity puts the root
-at most ``2^W - d/q`` and within ``d^2 2^-W`` units of it, so when
-``2 d.bit_length() < W - 8`` the floor of that bound is the floor root
-or one above it, and one or two ``r**q`` checks give the root.  Entries
-are filled lazily, and integrals that share a denominator at one ``W``
-share its table: the catalog's 7 distinct integrals with fractional
-powers need the orders 2 to 5 only.  Integer exponents are the case
-``q = 1``, whose roots are ``x`` and ``1-x`` themselves and need no
-table.  So every power takes one path: each root raised to ``na`` or ``nb`` by
-squaring (skipped for 1), with a truncation after each product, and the
-two powers multiplied.  No node calls an exponential or a logarithm for
-its powers, and the cost grows with ``log(na nb)``.  ``N`` and ``D`` are
-scaled to integer coefficients and evaluated by fixed-point Horner, at
-``x`` and ``1-x`` in one pass (a constant ``N`` is one factor), with one
-integer division per node for ``N/D``; one call gives the summands at
-``t`` and ``-t`` added.  A level's sum over all its nodes is one exact
-int, turned into one correctly rounded mpf.
+bits from the float root of its top 1000 bits, stepped up by ``r**q``
+checks if it is below the floor; a larger integer takes the root of its
+top half plus one, shifted back, and one Newton step, which lands on the
+floor or under a sixteenth of a unit above the root, with no check until
+the top level, where one ``r**q`` check usually settles it.  Even orders
+take ``math.isqrt`` first.  Entries are filled lazily, and integrals that
+share a denominator at one ``W`` share its table: the catalog's 7
+distinct integrals with fractional powers need the orders 2 to 5 only.
+Integer exponents are the case ``q = 1``, whose roots are ``x`` and
+``1-x`` themselves and need no table.  So every power takes one path:
+each root raised to ``na`` or ``nb`` by squaring, with a truncation
+after each product, and the two powers multiplied.  No node calls an
+exponential or a logarithm for its powers, and the cost grows with
+``log(na nb)``.  ``N`` and ``D`` are scaled to integer coefficients and
+evaluated by fixed-point Horner, with one integer division per node for
+``N/D``; one call gives the summands at ``t`` and ``-t`` added.  A
+level's sum over all its nodes is one exact int, turned into one
+correctly rounded mpf.
 
 Error budget, in units of ``2^-W``.  Per node: each tabled value is within
 1; each root is within 2 (a unit of ``x >= 1/2`` moves its root by under
@@ -179,9 +175,9 @@ T_CAP = 15
 #: entry (see the module docstring).
 NODE_GUARD_BITS = 64
 
-#: Bits that ``_iroot``'s shift ``k`` leaves below half the root's bits,
-#: so that its one Newton step per level lands a fraction of a unit above
-#: the root.
+#: Bits that ``_odd_root_above``'s shift ``k`` leaves below half the
+#: root's bits, beside the bits of the order, so that its one Newton step
+#: per level lands under a sixteenth of a unit above the root.
 ROOT_GUARD_BITS = 4
 
 
@@ -299,37 +295,49 @@ def _iroot(n: int, m: int) -> int:
     """``floor(n^(1/m))`` for ``n >= 1``.
 
     Even orders take ``math.isqrt`` first, which is exact:
-    ``floor(floor(n^(1/2))^(1/k)) = floor(n^(1/(2k)))``.  For odd orders,
-    an ``n`` of at most ``48 m`` bits, whose root a float holds with room,
-    starts from the float root of ``n >> s`` times ``2^(s/m)``, with ``s``
-    a multiple of ``m`` (floats end at ``2^1024``), and ``x**m`` checks move
-    it to the floor.  A larger ``n`` starts from the root of ``n >> m k``,
-    rounded up and shifted back: above the root by at most ``2^k``.  One
-    Newton step from any start lands on or above the floor (by AM-GM), and
-    from ``e`` above the root lands within ``(m-1) e^2 / (2 root)`` of it:
-    with the ``ROOT_GUARD_BITS`` in ``k``, at most ``(m-1) 2^(1/m - 5)``
-    units, under a sixth for ``m <= 5``, so one ``x**m`` check usually
-    ends it.
+    ``floor(floor(n^(1/2))^(1/k)) = floor(n^(1/(2k)))``.  An odd order
+    starts from ``_odd_root_above``, at least the floor root and usually
+    on it, and ``x**m`` checks step it down to the floor.
     """
     while m % 2 == 0:
         n, m = isqrt(n), m // 2
     if m == 1:
         return n
-    bits = n.bit_length()
-    if bits <= 48 * m:
-        s = -(-max(bits - 1000, 0) // m) * m
-        x = int(ldexp(float(n >> s) ** (1 / m), s // m))
-        while x**m > n:
-            x -= 1
-        while (x + 1) ** m <= n:
-            x += 1
-        return x
-    k = (bits // m - ROOT_GUARD_BITS) // 2
-    x = (_iroot(n >> m * k, m) + 1) << k
-    x = ((m - 1) * x + n // x ** (m - 1)) // m
+    x = _odd_root_above(n, m)
     while x**m > n:
         x -= 1
     return x
+
+
+def _odd_root_above(n: int, m: int) -> int:
+    """An integer at least ``floor(n^(1/m))`` and under an eighth of a unit
+    above ``n^(1/m)``, for odd ``m`` and ``n >= 1``.
+
+    An ``n`` of at most ``48 m`` bits, whose root a float holds with room,
+    takes the float root of its top 1000 bits ``n >> s`` (floats end at
+    ``2^1024``) times ``2^(s/m)``: within a few units in the float's last
+    place, so under an eighth of a unit of the root.  ``x**m`` checks step
+    it up to the floor root if it is below.  A larger ``n`` starts from the
+    result for ``n >> m k``, plus one, shifted back: at least the root, and
+    above it by under ``(9/8) 2^k``.  One Newton step from any start lands
+    on or above the floor root (by AM-GM), and from ``e`` above the root
+    lands within ``(m-1) e^2 / (2 root)`` of it: with ``ROOT_GUARD_BITS``
+    and the bits of ``m`` taken off ``k``, under ``(81/64) 2^(1/m - 5)``
+    units, less than a sixteenth.  No level checks its Newton step, as the
+    next one needs only a start above the root; a float root worse than
+    stated would cost more checks in ``_iroot``, never a wrong root.
+    """
+    bits = n.bit_length()
+    if bits <= 48 * m:
+        s = max(bits - 1000, 0)
+        e, r = divmod(s, m)
+        x = int(ldexp(float(n >> s) ** (1 / m) * 2 ** (r / m), e))
+        while (x + 1) ** m <= n:
+            x += 1
+        return x
+    k = (bits // m - ROOT_GUARD_BITS - m.bit_length()) // 2
+    x = (_odd_root_above(n >> m * k, m) + 1) << k
+    return ((m - 1) * x + n // x ** (m - 1)) // m
 
 
 def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int, int]:
@@ -342,8 +350,7 @@ def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int
     The root of ``x`` is that of the fixed-point int, as ``x >= 1/2``; the
     root of ``1-x`` is the floor root of the ``libmp`` mantissa shifted by
     ``exp + q w``.  A right shift loses nothing, as the floor root of the
-    floor of a number is the floor root of the number.  Near 1, the root of
-    ``x`` starts from ``2^w - d/q`` (see the module docstring).
+    floor of a number is the floor root of the number.
     """
     if q == 1:
         return entry[0], entry[1]
@@ -355,16 +362,7 @@ def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int
             omx = 0
         else:
             omx = _iroot(man << s if s >= 0 else man >> -s, q)
-        n, d = entry[0] << (q - 1) * w, entry[1]
-        if 2 * d.bit_length() < w - 8:
-            # 2^w - d/q is above the root by under 2^-9 units, so its floor
-            # is the floor root or one above it
-            rx = (1 << w) + (-d // q)
-            while rx**q > n:
-                rx -= 1
-        else:
-            rx = _iroot(n, q)
-        pair = table[t] = rx, omx
+        pair = table[t] = _iroot(entry[0] << (q - 1) * w, q), omx
     return pair
 
 
@@ -457,32 +455,17 @@ def _tanh_sinh(
         nscale, ncoeffs = _fixed_coefficients(numerator, w)
         dscale, dcoeffs = _fixed_coefficients(denominator, w)
 
-        # a constant N, as in every catalog integral, is one factor
-        nconst = ncoeffs[0] if len(ncoeffs) == 1 else None
-
         def pair_summand(x: int, omx: int, ra: tuple, rb: tuple) -> int:
             """The summands at ``t`` and ``-t`` added, from ``x``, ``1-x`` and
             the root pairs ``(x^(1/q), (1-x)^(1/q))`` of orders ``qa`` and
             ``qb``: ``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times
             ``nscale / dscale``, and the same with ``x`` and ``1-x`` swapped.
             A root of 0 in place of ``ra[1]`` makes the one at ``-t`` 0."""
-            xa, omxa = ra[0], ra[1]
-            if na > 1:
-                xa, omxa = _fixed_power(xa, na, w), _fixed_power(omxa, na, w)
-            xb, omxb = rb[0], rb[1]
-            if nb > 1:
-                xb, omxb = _fixed_power(xb, nb, w), _fixed_power(omxb, nb, w)
-            dx = domx = 0
-            for c in dcoeffs:
-                dx = (dx * x >> w) + c
-                domx = (domx * omx >> w) + c
-            p, pm = xa * omxb >> w, omxa * xb >> w
-            if nconst is None:
-                p *= _fixed_horner(ncoeffs, x, w)
-                pm *= _fixed_horner(ncoeffs, omx, w)
-            else:
-                p, pm = p * nconst, pm * nconst
-            return p // dx + pm // domx
+            p = _fixed_power(ra[0], na, w) * _fixed_power(rb[1], nb, w) >> w
+            pm = _fixed_power(ra[1], na, w) * _fixed_power(rb[0], nb, w) >> w
+            p = p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
+            pm = pm * _fixed_horner(ncoeffs, omx, w) // _fixed_horner(dcoeffs, omx, w)
+            return p + pm
 
         # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5), on integers
         cut = -(-(nscale << w) // (dscale * 10 ** (wp + 5)))

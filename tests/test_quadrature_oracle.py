@@ -470,15 +470,17 @@ def _newton_root(n, m):
         x = y
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 21, 27, 55, 101])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 21, 27, 55, 101, 999, 1001])
 def test_iroot_is_the_exact_floor(m):
     rng = random.Random(m)
     cases = [1, 2, 3]
     sizes = [1, 2, 5, 39, 40, 41, 53, 80, 120, 320, 321, 1000, 2500, 5000]
     # 1025 bits and more do not fit a float; a float seeds roots of up to
-    # 48 m bits, from above 1000 bits (orders 21 and up) shifted first
+    # 48 m bits, from their top 1000 bits (orders 21 and up)
     sizes += [1001, 1024, 1025, 1100, 40 * m - 1, 40 * m, 40 * m + 1]
     sizes += [48 * m - 1, 48 * m, 48 * m + 1]
+    # a multiple of m bits, and 2 above one, at both sides of 1000 bits
+    sizes += [c * m + e for c in (1, 30, 60) for e in (0, 2)]
     for bits in sizes:
         cases += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
         r = rng.getrandbits(max(bits // m, 1)) | 1
@@ -489,22 +491,16 @@ def test_iroot_is_the_exact_floor(m):
             assert root**m <= n < (root + 1) ** m
 
 
-def _near_one_deltas(q, w):
-    """``d = 2^w - x`` for the root of ``x`` near 1: 0, 1, ``q - 1``, ``q``
-    and ``3 q`` (whose starts are one above the floor root), and both sides
-    of the near-one start's reach, ``2 d.bit_length() < w - 8``."""
-    edge = (w - 9) // 2  # the largest bit length it takes
-    rng = random.Random(q * w)
-    deltas = [0, 1, q - 1, q, 3 * q, (1 << edge) - 1, 1 << edge - 1]
-    deltas += [1 << edge, (1 << edge) + 1, 2 * q << edge]
-    deltas += [rng.getrandbits(bits) | 1 << bits - 1 for bits in (edge, edge + 1)]
-    return deltas
-
-
 @pytest.mark.parametrize("w", [135, 201, 434])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
 def test_root_pair_is_the_exact_floor_near_one(q, w):
-    for d in _near_one_deltas(q, w):
+    # d = 2^w - x for x near 1, the nodes at large t: small d, whose roots
+    # of x lie within a few units of 2^w, and d of a quarter and a half of
+    # w's bits; the roots of 1-x = d 2^-w alongside
+    rng = random.Random(q * w)
+    deltas = [0, 1, q - 1, q, 3 * q]
+    deltas += [rng.getrandbits(bits) | 1 << bits - 1 for bits in (w // 4, w // 2)]
+    for d in deltas:
         omx = from_man_exp(d or 1, -w)  # 1-x as the node entry keeps it
         entry = ((1 << w) - d, d, None, omx)
         rx, romx = quadrature._root_pair({}, 1.0, entry, q, w)
