@@ -20,7 +20,6 @@ Record kinds:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .engine import (
     evaluate_expr,
     predicted_rate,
 )
-from .hyper import GroupedSeries, eval_hyp, group, verify_grouping
+from .hyper import GroupedSeries, eval_hyp, first_mismatch, group, verify_grouping
 from .polynomials import ParamPolynomial, Polynomial, kernel_polynomial, rational
 from .quadrature import QuadratureProblem, integrate
 from .references import (
@@ -413,15 +412,8 @@ def _verify_grouping_record(record: IdentityRecord, digits: int) -> VerifyReport
     if isinstance(base, GroupedSeries):
         raise ValueError("grouping record base must be ungrouped")
     m = record.m or 2
-    grouped = group(base, m)
     # exact telescoping: grouped partial sums == base partial sums at stride m
-    base_sums = itertools.accumulate(base.terms())
-    grouped_sums = itertools.accumulate(grouped.terms())
-    first_bad = None
-    for n in range(record.check_terms + 1):
-        if next(grouped_sums) != list(itertools.islice(base_sums, m))[-1]:
-            first_bad = n
-            break
+    first_bad = first_mismatch(base.core, group(base, m).core, m, record.check_terms)
     exact_ok = first_bad is None
     numeric = verify_grouping(base, m, digits)
     ok = exact_ok and numeric.passed

@@ -274,10 +274,10 @@ class HypTerms:
         ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``,
         composed once at ``mn + j`` into one ``U(n) / V(n)`` over the common
         denominator ``prod_{i<m-1} D(mn+i)`` times the base weights'
-        denominators.
+        denominators.  Each grouped core is built once per instance and kept.
         """
-        if m == 1:
-            return self
+        if m == 1 or m in self._grouped:
+            return self._grouped.get(m, self)
         top, bottom = self.integer_ratio
         a, b = self.weight
 
@@ -291,7 +291,14 @@ class HypTerms:
             u, v = at(a, j) * d * v + bj * at(top, j) * u, bj * d * v
         num = tuple((p * m, q) for p, q in self.num)
         den = tuple((p * m, q) for p, q in self.den)
-        return HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v))
+        core = HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v))
+        self._grouped[m] = core
+        return core
+
+    @cached_property
+    def _grouped(self) -> dict:
+        """The cores ``grouped`` has built, by ``m``."""
+        return {}
 
     def rate(self) -> float:
         """Digits per term ``log10(1/|L|)``, with ``L = c prod p^p / prod p'^p'``
@@ -369,6 +376,21 @@ class _Walk:
             if u:
                 logs[i] = self.logs[start + i] + math.log2(abs(u)) - math.log2(abs(v * d))
         return logs
+
+
+def partial_sums(core: HypTerms) -> Iterator[Tuple[int, int]]:
+    """The exact partial sums ``S_1, S_2, ...`` of the core's terms, each as
+    the numerator and denominator of ``t0 T / (V Q)`` of the split over
+    ``[0, n)``, one merge per leaf; after the last nonzero term the last sum
+    repeats."""
+    walk, split, t0 = _Walk(core), (1, 1, 1, 0), core.t0
+    for n in itertools.count():
+        if n == len(walk.leaves):
+            walk.extend(n + _BLOCK)
+        if n < len(walk.leaves):
+            split = _merge(split, walk.leaves[n])
+        _, q, v, t = split
+        yield t0.numerator * t, t0.denominator * v * q
 
 
 def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:

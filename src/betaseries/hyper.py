@@ -13,7 +13,9 @@ base series -- partial sum ``N`` of the grouped form equals partial sum
 per term.  Both forms are ``engine.HypTerms`` cores: the spec compiles to
 the Pochhammer symbols ``(1, x_g)`` over ``(1, y_g)``, and ``grouped(m)``
 maps each ``(p, q)`` to ``(pm, q)``, with ``inner_n`` as the weight.
-``verify_grouping`` compares the rates that the two sums fit themselves.
+``verify_grouping`` compares the rates that the two sums fit themselves,
+and ``first_mismatch`` checks the telescoping exactly, on the integers of
+both cores' binary splits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, sum_terms
+from .engine import EvalResult, HypTerms, partial_sums, sum_terms
 
 # Unused here: the benchmark's tracer (``bench/layers.py``) patches this as
 # a layer boundary; remove it together with that patch.
@@ -119,6 +121,24 @@ def eval_hyp(
 def hyp_rate(spec: Union[HypSeriesSpec, GroupedSeries]) -> float:
     """Predicted digits per term: ``log10(1/|z|)``, times m when grouped."""
     return spec.core.rate()
+
+
+def first_mismatch(base: HypTerms, grouped: HypTerms, m: int, count: int) -> Optional[int]:
+    """The first ``n <= count`` at which partial sum ``n + 1`` of ``grouped``
+    differs from partial sum ``m (n + 1)`` of ``base``, or None.
+
+    Each partial sum is the exact rational of ``engine.partial_sums``, and
+    two are compared by cross-multiplication; terms after the last nonzero
+    one are 0.
+    """
+    base_sums, grouped_sums = partial_sums(base), partial_sums(grouped)
+    for n in range(count + 1):
+        top, bottom = next(grouped_sums)
+        for _ in range(m):
+            base_top, base_bottom = next(base_sums)
+        if top * base_bottom != base_top * bottom:
+            return n
+    return None
 
 
 @dataclass(frozen=True)

@@ -116,20 +116,25 @@ halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
 
 Once per process.  ``integrate`` cancels ``N/D`` by the monic
 ``gcd(N, D)`` and integrates the reduced problem: the catalog's
-``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  The root scan still runs
-on the ``D`` as given, so a removable root on [0, 1] is refused.  Each
-value is kept under the reduced problem, ``target_digits`` and
-``max_levels``, and a repeated call returns it without evaluating a node;
-a raised ``QuadratureError`` is not kept.
+``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  It then takes out the
+exact rational ``c = lead(N) / lead(D)`` and integrates with ``N`` and
+``D`` both monic: ``1 / (1 + x/3)``, ``1 / (x + 3)`` and ``1 / (-3 - x)``
+are one integral, times 3, 1 and -1.  The root scan still runs on the
+``D`` as given, so a removable root on [0, 1] is refused.  Each value is
+kept under the normalized problem, ``target_digits`` and ``max_levels``;
+a call returns ``c`` times it, rounded once at the working precision,
+and a repeated or scaled call evaluates no node.  A raised
+``QuadratureError`` is not kept.
 
 Every value a node contributes is the same integer whether its transform
 and roots are fresh or read from a table, and a kept value is the one its
-reduced problem computes, so results do not depend on what ``_cache``
-holds.  The node tables with their constants, the root tables and the kept
-values live in ``_cache``, the process-wide cache of precision-keyed
-constants that ``references`` also uses for its reference values.  They
-last as long as the process, or until ``_cache.clear()``, which returns
-the process to the state of a fresh start.
+normalized problem computes, so results do not depend on what ``_cache``
+holds or on the order of the calls.  The node tables with their
+constants, the root tables and the kept values live in ``_cache``, the
+process-wide cache of precision-keyed constants that ``references`` also
+uses for its reference sums and values.  They last as long as the
+process, or until ``_cache.clear()``, which returns the process to the
+state of a fresh start.
 """
 
 from __future__ import annotations
@@ -405,8 +410,10 @@ def integrate(
 ) -> mpf:
     """Value of the integral, correct to ``target_digits`` decimal digits.
 
-    The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)``, once
-    per process: the value is kept in ``_cache`` (see the module docstring).
+    The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)`` and
+    both made monic, once per process: that value is kept in ``_cache``, and
+    the exact scale ``lead(N) / lead(D)`` is applied with one rounding (see
+    the module docstring).
 
     The rule works at ``target_digits + 15`` digits, its fixed-point
     summands ``GUARD_BITS`` below that (see the module docstring for the
@@ -421,14 +428,23 @@ def integrate(
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
     g = _poly_gcd(problem.numerator, problem.denominator)
-    numerator = poly_divmod(problem.numerator, g)[0]
-    denominator = poly_divmod(problem.denominator, g)[0]
+    numerator, denominator = (
+        poly_divmod(p, g)[0] for p in (problem.numerator, problem.denominator)
+    )
+    # the exact c = lead(N) / lead(D), and N and D made monic
+    scale = numerator.leading / denominator.leading
+    numerator, denominator = (p * (1 / p.leading) for p in (numerator, denominator))
     args = (problem.a, problem.b, numerator, denominator, target_digits, max_levels)
     key = ("tanh-sinh integral",) + args
     value = _cache.get(key)
     if value is None:
         value = _cache[key] = _tanh_sinh(*args)
-    return value
+    if scale == 1:
+        return value
+    man, exp = value.man_exp
+    with mp.workdps(target_digits + 15):
+        scaled = from_rational(man * scale.numerator, scale.denominator, mp.prec, round_nearest)
+        return mp.make_mpf(mpf_shift(scaled, exp))
 
 
 def _tanh_sinh(

@@ -18,7 +18,11 @@ rounded once to an mpf; a Beta value is one such sum times one root, and the
 Gamma combinations compose such values in mpf arithmetic.
 
 Computed constants are cached per (name, digits) in ``_cache``, the
-process-wide cache of precision-keyed constants.  It is defined in
+process-wide cache of precision-keyed constants.  Each fixed-point series
+sum is kept there too, keyed by the inputs that define it and its width:
+the two series of ``B(u, u)`` are one sum, ``B(1/3, 1/3)`` and
+``B(1/3, 4/3)`` at one width share theirs, and an arctangent or atanh
+series at a repeated argument is summed once.  ``_cache`` is defined in
 ``quadrature``, which keeps its tanh-sinh node and root tables there too,
 so one ``_cache.clear()`` returns the process to the state of a fresh
 start.  The lock around its reads and writes does not make concurrent use
@@ -32,6 +36,7 @@ import math
 import re
 import threading
 from fractions import Fraction
+from functools import partial
 from typing import Tuple
 
 from mpmath import mp, mpf
@@ -52,17 +57,25 @@ _SPARE_BITS = 32  # of a fixed-point width past its error budget
 _cache_lock = threading.Lock()
 
 
+def _kept(key, compute):
+    """``compute()``, kept in ``_cache`` under ``key``."""
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is None:
+        hit = compute()
+        with _cache_lock:
+            _cache[key] = hit
+    return hit
+
+
 def _cached(key, digits: int, builder):
     """``builder()`` at ``_GUARD_DIGITS`` past ``digits``, cached per key."""
-    with _cache_lock:
-        hit = _cache.get((key, digits))
-    if hit is not None:
-        return hit
-    with mp.workdps(digits + _GUARD_DIGITS):
-        value = builder()
-    with _cache_lock:
-        _cache[(key, digits)] = value
-    return value
+
+    def build():
+        with mp.workdps(digits + _GUARD_DIGITS):
+            return builder()
+
+    return _kept((key, digits), build)
 
 
 def _rounded(total: int, lost: int, bits: int) -> mpf:
@@ -112,18 +125,23 @@ def _odd_series(sign: int, terms, bits: int, shift: int) -> Tuple[int, int]:
     from ``T_0 = y / z`` by the ratio ``sign y^2 / z^2``, a power of two in
     ``z`` taken by a shift.  With ``|y/z| <= 1/2`` the tail after a term is
     no larger than the term: the arctan terms alternate and fall, and the
-    atanh terms fall by at least 4.
+    atanh terms fall by at least 4.  Each ``f(y/z)`` is kept in ``_cache``.
     """
-    total = lost = 0
-    for c, y, z in terms:
+
+    def series(y: int, z: int) -> Tuple[int, int]:
         s = (z & -z).bit_length() - 1
         step = (sign * y * y, (z >> s) ** 2, 2 * s)
         t, rem = divmod(y << bits, z)
         part, tail, rounding = _fixed_sum(
             t, int(rem != 0), lambda n: step, lambda n: (1, 2 * n + 1), shift
         )
+        return part, tail + rounding
+
+    total = lost = 0
+    for c, y, z in terms:
+        part, err = _kept(("odd series", sign, y, z, bits, shift), partial(series, y, z))
         total += c * part
-        lost += abs(c) * (tail + rounding)
+        lost += abs(c) * err
     return total, lost
 
 
@@ -286,7 +304,9 @@ def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
     ``2^-(u+v) S(u, v)``, ``S(u, v) = sum_n (u+v)_n / ((u+1)_n 2^n) / u``, is
     ``B_{1/2}(u, v)`` (DLMF 8.17.8).  For ``u, v <= 1`` the term ratio
     ``(u+v+n) / (2 (u+1+n))`` is at most 1/2: the tail after any term is no
-    larger than the term, and one width always suffices.
+    larger than the term, and one width always suffices.  Each ``S`` is
+    kept in ``_cache`` per ``(u, v)`` and width, so ``S(u, u)`` is summed
+    once.
     """
     p, q = rational(p), rational(q)
     if p <= 0 or q <= 0:
@@ -295,16 +315,21 @@ def beta_value(p: Fraction, q: Fraction, digits: int) -> mpf:
     a, b = int((p - j) * d), int((q - k) * d)  # p' = a / d, q' = b / d
     s = Fraction(a + b, d)
 
+    def series(c: int, bits: int) -> Tuple[int, int]:
+        """``2^bits S(c/d, (a+b-c)/d)`` and a bound on its error."""
+        t, rem = divmod(d << bits, c)
+        step = lambda n: (a + b + (n - 1) * d, 2 * (c + n * d), 0)
+        part, tail, rounding = _fixed_sum(
+            t, int(rem != 0), step, lambda n: (1, 1), bits - _SPARE_BITS + 1
+        )
+        return part, tail + rounding
+
     def build():
         bits = mp.prec + _GUARD_BITS + _SPARE_BITS
         total = lost = 0
         for c in (a, b):
-            t, rem = divmod(d << bits, c)
-            step = lambda n: (a + b + (n - 1) * d, 2 * (c + n * d), 0)
-            part, tail, rounding = _fixed_sum(
-                t, int(rem != 0), step, lambda n: (1, 1), bits - _SPARE_BITS + 1
-            )
-            total, lost = total + part, lost + tail + rounding
+            part, err = _kept(("beta series", c, a + b, d, bits), partial(series, c, bits))
+            total, lost = total + part, lost + err
         # r = (a/d)_j (b/d)_k / ((a+b)/d)_{j+k}: the powers of d cancel
         num, den = _rising(a, j, d) * _rising(b, k, d), _rising(a + b, j + k, d)
         # r <= 1, as B falls in each argument; scaled by 2^x, r total >= total / 2

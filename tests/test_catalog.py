@@ -157,6 +157,13 @@ class TestVerify:
         report = verify("eq-5.6-grouping-m2", digits=30)
         assert report.passed
 
+    @pytest.mark.parametrize("rid", ["eq-5.6-grouping-m2", "eq-5.7-grouping-m3"])
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_grouping_records_telescope(self, rid, digits):
+        report = verify(rid, digits=digits)
+        assert report.passed
+        assert report.detail.startswith("exact partial sums n<=50 match; rates base ")
+
     def test_summary_schema(self):
         report = verify("eq-3.2-w1", digits=15)
         doc = report.summary()

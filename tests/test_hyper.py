@@ -1,5 +1,8 @@
 """Grouping transform: exact telescoping, printed-form matches, rates."""
 
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,14 +17,25 @@ from betaseries.hyper import (
     GroupingError,
     HypSeriesSpec,
     eval_hyp,
+    first_mismatch,
     group,
     hyp_rate,
     verify_grouping,
 )
-from betaseries.polynomials import quotient
+from betaseries.polynomials import Polynomial, quotient
 from betaseries.references import ln2_series
 from betaseries.wire import hyp_spec_from_dict
 from scratch_terms import grouped_term, hyp_term, pochhammer_ratio
+
+def fraction_first_mismatch(base, grouped, m, count):
+    """``first_mismatch`` on ``Fraction`` partial sums of the cores' terms."""
+    base_sums = itertools.accumulate(base.terms())
+    grouped_sums = itertools.accumulate(grouped.terms())
+    for n in range(count + 1):
+        if next(grouped_sums) != list(itertools.islice(base_sums, m))[-1]:
+            return n
+    return None
+
 
 def weight_at(core, n):
     """The core's weight ``A(n) / B(n)``."""
@@ -132,6 +146,37 @@ class TestExactTelescoping:
         for n in range(51):
             gacc += next(ggen)
             assert gacc == base_partials[m * (n + 1) - 1]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_split_sums_match(self, m):
+        grouped = group(CATALAN_BASE, m).core
+        assert first_mismatch(CATALAN_BASE.core, grouped, m, 50) is None
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 17])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_perturbed_weight_fails_where_fractions_do(self, m, k):
+        # the weight times 1 + n (n-1) ... (n-k+1): unchanged below n = k
+        grouped = CATALAN_BASE.core.grouped(m)
+        top, bottom = grouped.weight
+        bump = Polynomial.one() + math.prod(
+            (Polynomial((-i, 1)) for i in range(k)), start=Polynomial.one()
+        )
+        top = tuple(int(c) for c in (Polynomial(top) * bump).coeffs)
+        perturbed = dataclasses.replace(grouped, weight=(top, bottom))
+        assert first_mismatch(CATALAN_BASE.core, perturbed, m, 50) == k
+        assert fraction_first_mismatch(CATALAN_BASE.core, perturbed, m, 50) == k
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_ending_base_passes(self, m):
+        # (-3)_n ends the terms after n = 3; later partial sums stay put
+        base = HypSeriesSpec(upper=(F(-3), F(1, 2)), lower=(F(1, 2), F(5, 3)), z=F(1, 3))
+        assert first_mismatch(base.core, group(base, m).core, m, 10) is None
+
+    def test_grouped_core_is_kept(self):
+        core = HypSeriesSpec(upper=(F(1, 2),), lower=(F(3, 2),), z=F(1, 4)).core
+        assert core.grouped(1) is core
+        assert core.grouped(3) is core.grouped(3)
+        assert core.grouped(2) is not core.grouped(3)
 
     def test_m1_is_identity(self):
         grouped = group(CATALAN_BASE, 1)
@@ -245,6 +290,8 @@ class TestVerifyGrouping:
             (CATALAN_BASE.core, 40),
             (group(CATALAN_BASE, 3).core, 40),
         ]
+        # the grouped core is the one the base core keeps
+        assert calls[1][0] is CATALAN_BASE.core.grouped(3)
 
     @pytest.mark.parametrize("m, digits", [(2, 40), (3, 100)])
     def test_rates_are_the_sums_own(self, m, digits):

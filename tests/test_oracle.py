@@ -296,6 +296,18 @@ class TestElementaryFunctions:
             s3 = sqrt_of(mpf(3))
             assert abs(ln_of(2 - s3) + ln_of(2 + s3)) < mpf(10) ** -45
 
+    def test_repeated_argument_sums_no_series(self, monkeypatch):
+        # the catalog's arctangents repeat arguments; each series is kept
+        widths = _count_series(monkeypatch)
+        references._cache.clear()
+        with mp.workdps(60):
+            x = 1 / sqrt_of(mpf(3))
+            first = [atan_of(x), ln_of(x), asin_of(x / 2)]
+            calls = len(widths)
+            again = [atan_of(x), ln_of(x), asin_of(x / 2)]
+        assert calls and len(widths) == calls
+        assert [v._mpf_ for v in again] == [v._mpf_ for v in first]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             ln_of(mpf(0))
@@ -355,6 +367,19 @@ def _mpf(r):
 CATALOG_BETA_PAIRS = [(F(1, 3), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 5), F(1, 5))]
 for _h in (F(1, 3), F(1, 4), F(1, 5)):
     CATALOG_BETA_PAIRS += [(_h, 2 - 2 * _h), (F(1, 2), F(3, 2) - _h)]
+
+
+def _count_series(monkeypatch):
+    """Route ``references._fixed_sum`` through a spy; returns the list of the
+    bit lengths of the first terms it is called with."""
+    fixed_sum, widths = references._fixed_sum, []
+
+    def spy(t, *args):
+        widths.append(t.bit_length())
+        return fixed_sum(t, *args)
+
+    monkeypatch.setattr(references, "_fixed_sum", spy)
+    return widths
 
 
 def _pair_id(pq):
@@ -424,21 +449,51 @@ class TestBetaSeries:
 
     def test_each_series_summed_once(self, monkeypatch):
         # B(1/2, 2001/2) at 30 digits: the two positive series of the reduced
-        # pair (1/2, 1/2) are summed once each, at one width
-        fixed_sum, widths = references._fixed_sum, []
-
-        def spy(t, *args):
-            widths.append(t.bit_length())
-            return fixed_sum(t, *args)
-
-        monkeypatch.setattr(references, "_fixed_sum", spy)
+        # pair (1/2, 1/2) are one series, summed once
+        widths = _count_series(monkeypatch)
         references._cache.clear()
         p, q = F(1, 2), F(2001, 2)
         value = beta_value(p, q, 30)
-        assert len(widths) == 2 and widths[0] == widths[1]
+        assert len(widths) == 1
         with mp.workdps(60):
             exact = mp.beta(_mpf(p), _mpf(q))
             assert abs(value - exact) <= mpf(10) ** -35 * exact
+
+    @pytest.mark.parametrize(
+        "pq", [(F(1, 3), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 3), F(2, 3))], ids=_pair_id
+    )
+    def test_series_calls_per_pair(self, monkeypatch, pq):
+        # one series for u = v, two otherwise
+        widths = _count_series(monkeypatch)
+        references._cache.clear()
+        beta_value(*pq, 40)
+        assert len(widths) == (1 if pq[0] == pq[1] else 2)
+
+    def test_reduced_pairs_share_their_sums(self, monkeypatch):
+        # B(1/3, 4/3) reduces to the pair (1/3, 1/3) of B(1/3, 1/3)
+        widths = _count_series(monkeypatch)
+        references._cache.clear()
+        first = beta_value(F(1, 3), F(1, 3), 40)
+        assert len(widths) == 1
+        second = beta_value(F(1, 3), F(4, 3), 40)
+        assert len(widths) == 1
+        references._cache.clear()
+        assert beta_value(F(1, 3), F(4, 3), 40)._mpf_ == second._mpf_
+        assert beta_value(F(1, 3), F(1, 3), 40)._mpf_ == first._mpf_
+        with mp.workdps(60):
+            exact = mp.beta(mpf(1) / 3, mpf(4) / 3)
+            assert abs(second - exact) <= mpf(10) ** -45 * exact
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_kept_sums_give_the_fresh_bits(self, digits):
+        pairs = [(F(1, 3), F(1, 3)), (F(1, 3), F(4, 3)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 2))]
+        fresh = []
+        for pq in pairs:
+            references._cache.clear()
+            fresh.append(beta_value(*pq, digits)._mpf_)
+        references._cache.clear()
+        for pq, bits in reversed(list(zip(pairs, fresh))):
+            assert beta_value(*pq, digits)._mpf_ == bits
 
     @pytest.mark.parametrize("p", [F(1, 3), F(7, 2), F(5), F(123, 10)])
     def test_terminating(self, p):

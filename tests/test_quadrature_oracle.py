@@ -12,9 +12,10 @@ plain ``x^a (1-x)^b`` must match ``mp.beta(a+1, b+1)`` to the same
 fixed-point ``x`` for half-integer powers, and for one without guard bits.
 ``integrate`` itself must return the same bits whatever the tables already
 hold: fresh, after other precisions, and after the cache is cleared.  It
-integrates ``N/D`` cancelled by their gcd and keeps each value in ``_cache``,
-so a repeated call evaluates no node, and the same bits must come back once
-only the kept values are dropped.  Every field of a node-table entry must lie
+integrates ``N/D`` cancelled by their gcd and made monic, keeps each value in
+``_cache`` and scales it by the exact ``lead(N) / lead(D)``, so a repeated or
+scaled call evaluates no node, and the same bits must come back once only the
+kept values are dropped.  Every field of a node-table entry must lie
 within its stated error of an mpmath value at ``3W`` bits, and an entry must
 not depend on the order in which the table was built.
 
@@ -345,6 +346,63 @@ def test_cancelling_covers_the_catalog():
     assert len(CANCELLING) == 3
 
 
+#: ``x^(-1/2) / (x + 3)`` and its multiples ``3 / (x + 3)`` and ``-1 / (x + 3)``,
+#: the seeds of eq-2.11-derived and eq-1.1-derived and the reduced eq-2.8
+SCALED_FORMS = [
+    QuadratureProblem(a=F(-1, 2), b=0, denominator=Polynomial(d))
+    for d in ((3, 1), (1, F(1, 3)), (-3, -1))
+]
+
+
+def count_tanh_sinh_calls(monkeypatch):
+    """Route ``quadrature._tanh_sinh`` through a counter; returns the call list."""
+    calls = []
+    real = quadrature._tanh_sinh
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+def test_scaled_forms_are_one_integral(monkeypatch, digits):
+    calls = count_tanh_sinh_calls(monkeypatch)
+    references._cache.clear()
+    values = [integrate(p, digits) for p in SCALED_FORMS]
+    assert len(calls) == 1
+    with mp.workdps(digits + 20):
+        # x = u^2 takes out the endpoint singularity
+        quad = mp.quad(lambda u: 2 / (u * u + 3), [0, 1])
+        assert abs(quad - mp.pi / (3 * mp.sqrt(3))) <= mpf(10) ** -(digits + 15)
+        for value, scale in zip(values, (1, 3, -1)):
+            assert abs(value - scale * quad) <= mpf(10) ** -(digits + 12) * abs(quad)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+def test_scaled_forms_do_not_depend_on_call_order(order):
+    cold = []
+    for p in SCALED_FORMS:
+        references._cache.clear()
+        cold.append(integrate(p, 40)._mpf_)
+    references._cache.clear()
+    for i in order:
+        assert integrate(SCALED_FORMS[i], 40)._mpf_ == cold[i]
+
+
+def test_scaled_failure_is_not_kept():
+    p = QuadratureProblem(a=F(-1, 2), b=F(-1, 2), numerator=Polynomial((F(2, 3),)))
+    references._cache.clear()
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            integrate(p, 30, max_levels=1)
+    assert not [key for key in references._cache if key[0] == "tanh-sinh integral"]
+    with mp.workdps(50):
+        assert abs(integrate(p, 30) - 2 * mp.pi / 3) <= mpf(10) ** -42
+
+
 def test_repeated_call_evaluates_no_node(monkeypatch):
     first = integrate(problem((F(1, 7), F(5, 2)), "kernel"), 50)
     calls = count_node_calls(monkeypatch)
@@ -375,6 +433,17 @@ def test_removable_root_is_still_refused():
             b=0,
             numerator=Polynomial((F(-1, 2), 1)),
             denominator=Polynomial((F(-1, 2), F(1, 2), 1)),
+        )
+
+
+def test_scaled_removable_root_is_still_refused():
+    # 3 (x - 1/2) / (2 (x - 1/2) (x + 1)) is 3 / (2 (x + 1)) off x = 1/2 only
+    with pytest.raises(ValueError, match="root on"):
+        QuadratureProblem(
+            a=0,
+            b=0,
+            numerator=Polynomial((F(-3, 2), 3)),
+            denominator=Polynomial((-1, 1, 2)),
         )
 
 
