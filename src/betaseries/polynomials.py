@@ -391,7 +391,12 @@ def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         a, b = b, r
     if a.is_zero:
         return a
-    return a * (Fraction(1) / a.leading)
+    return monic(a)
+
+
+def monic(p: Polynomial) -> Polynomial:
+    """``p`` divided by its leading coefficient."""
+    return p * (Fraction(1) / p.leading)
 
 
 def _sign_changes(values) -> int:

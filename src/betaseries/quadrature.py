@@ -116,15 +116,21 @@ halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
 
 Once per process.  ``integrate`` cancels ``N/D`` by the monic
 ``gcd(N, D)`` and integrates the reduced problem: the catalog's
-``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  It then takes out the
-exact rational ``c = lead(N) / lead(D)`` and integrates with ``N`` and
-``D`` both monic: ``1 / (1 + x/3)``, ``1 / (x + 3)`` and ``1 / (-3 - x)``
-are one integral, times 3, 1 and -1.  The root scan still runs on the
-``D`` as given, so a removable root on [0, 1] is refused.  Each value is
-kept under the normalized problem, ``target_digits`` and ``max_levels``;
-a call returns ``c`` times it, rounded once at the working precision,
-and a repeated or scaled call evaluates no node.  A raised
-``QuadratureError`` is not kept.
+``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  It then writes ``N/D`` as
+``c N'/D'`` with ``N'`` monic and ``D'(0) = 1`` (``D`` has no root at 0),
+for the exact rational ``c = lead(N) / D(0)``, and integrates ``N'/D'``
+when ``|c| <= 1``: ``1 / (1 + x/3)``, ``1 / (x + 3)`` and ``1 / (-3 - x)``
+are one integral, times 1, 1/3 and -1/3.  The level test and the cut read
+the kept run's own value, so they hold for ``c`` times it only while
+``|c| <= 1``: its differences relative to ``max(1, |S|)`` are then no
+larger in the caller's units, and its contributions no larger in
+absolute terms.  A problem with ``|c| > 1`` is integrated as it is
+reduced, as ``1 / (1 + x/10^20)`` and ``10^20 / (x + 1)`` are.  The root
+scan still runs on the ``D`` as given, so a removable root on [0, 1] is
+refused.  Each value is kept under the problem that was integrated,
+``target_digits`` and ``max_levels``; a call returns ``c`` times it,
+rounded once at the working precision, and a repeated or scaled call
+evaluates no node.  A raised ``QuadratureError`` is not kept.
 
 Every value a node contributes is the same integer whether its transform
 and roots are fresh or read from a table, and a kept value is the one its
@@ -159,6 +165,7 @@ from .polynomials import (
     Polynomial,
     _poly_gcd,
     has_root_on_unit_interval,
+    monic,
     poly_divmod,
     rational,
 )
@@ -410,10 +417,10 @@ def integrate(
 ) -> mpf:
     """Value of the integral, correct to ``target_digits`` decimal digits.
 
-    The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)`` and
-    both made monic, once per process: that value is kept in ``_cache``, and
-    the exact scale ``lead(N) / lead(D)`` is applied with one rounding (see
-    the module docstring).
+    The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)``, and
+    with the exact scale ``c = lead(N) / D(0)`` taken out when ``|c| <= 1``,
+    once per process: that value is kept in ``_cache``, and ``c`` is applied
+    with one rounding (see the module docstring).
 
     The rule works at ``target_digits + 15`` digits, its fixed-point
     summands ``GUARD_BITS`` below that (see the module docstring for the
@@ -431,9 +438,14 @@ def integrate(
     numerator, denominator = (
         poly_divmod(p, g)[0] for p in (problem.numerator, problem.denominator)
     )
-    # the exact c = lead(N) / lead(D), and N and D made monic
-    scale = numerator.leading / denominator.leading
-    numerator, denominator = (p * (1 / p.leading) for p in (numerator, denominator))
+    # N/D = c N'/D' with N' monic and D'(0) = 1 (D has no root at 0), taken
+    # out only for |c| <= 1, where the rule on N'/D' is the stricter one
+    scale = numerator.leading / denominator.coeffs[0]
+    if abs(scale) <= 1:
+        numerator = monic(numerator)
+        denominator = denominator * (1 / denominator.coeffs[0])
+    else:
+        scale = 1
     args = (problem.a, problem.b, numerator, denominator, target_digits, max_levels)
     key = ("tanh-sinh integral",) + args
     value = _cache.get(key)
@@ -443,7 +455,9 @@ def integrate(
         return value
     man, exp = value.man_exp
     with mp.workdps(target_digits + 15):
-        scaled = from_rational(man * scale.numerator, scale.denominator, mp.prec, round_nearest)
+        scaled = from_rational(
+            man * scale.numerator, scale.denominator, mp.prec, round_nearest
+        )
         return mp.make_mpf(mpf_shift(scaled, exp))
 
 

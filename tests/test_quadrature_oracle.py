@@ -12,10 +12,11 @@ plain ``x^a (1-x)^b`` must match ``mp.beta(a+1, b+1)`` to the same
 fixed-point ``x`` for half-integer powers, and for one without guard bits.
 ``integrate`` itself must return the same bits whatever the tables already
 hold: fresh, after other precisions, and after the cache is cleared.  It
-integrates ``N/D`` cancelled by their gcd and made monic, keeps each value in
-``_cache`` and scales it by the exact ``lead(N) / lead(D)``, so a repeated or
-scaled call evaluates no node, and the same bits must come back once only the
-kept values are dropped.  Every field of a node-table entry must lie
+integrates ``N/D`` cancelled by their gcd, takes out the exact scale
+``c = lead(N) / D(0)`` when ``|c| <= 1``, keeps each value in ``_cache`` and
+scales it by ``c``, so a repeated or scaled call evaluates no node, and the
+same bits must come back once only the kept values are dropped.  A scale
+``|c| > 1`` must not loosen the caller's tolerance.  Every field of a node-table entry must lie
 within its stated error of an mpmath value at ``3W`` bits, and an entry must
 not depend on the order in which the table was built.
 
@@ -401,6 +402,31 @@ def test_scaled_failure_is_not_kept():
     assert not [key for key in references._cache if key[0] == "tanh-sinh integral"]
     with mp.workdps(50):
         assert abs(integrate(p, 30) - 2 * mp.pi / 3) <= mpf(10) ** -42
+
+
+#: ``(N, D, I / ln(1 + 10^-20))`` with ``I`` the integral over [0, 1]: the kept
+#: form ``1 / (1 + x/10^20)``, its multiple by ``c = 10^-20``, and its multiple
+#: by ``c = 10^20``, which is integrated as it stands
+LARGE_SCALES = [
+    ((1,), (1, F(1, 10**20)), 10**20),
+    ((1,), (10**20, 1), 1),
+    ((10**20,), (1, F(1, 10**20)), 10**40),
+]
+
+
+@pytest.mark.parametrize("digits", [20, 30])
+def test_large_scale_keeps_the_callers_tolerance(monkeypatch, digits):
+    calls = count_tanh_sinh_calls(monkeypatch)
+    references._cache.clear()
+    for num, den, factor in LARGE_SCALES:
+        p = QuadratureProblem(
+            a=0, b=0, numerator=Polynomial(num), denominator=Polynomial(den)
+        )
+        value = integrate(p, digits)
+        with mp.workdps(digits + 20):
+            exact = factor * mp.log1p(mpf(10) ** -20)
+            assert abs(value - exact) <= mpf(10) ** -digits * exact
+    assert len(calls) == 2
 
 
 def test_repeated_call_evaluates_no_node(monkeypatch):
