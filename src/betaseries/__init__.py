@@ -27,7 +27,6 @@ from .engine import (
     SeriesDivergenceError,
     evaluate_derived,
     evaluate_expr,
-    measured_rate,
     predicted_rate,
     sum_terms,
 )
@@ -38,6 +37,7 @@ from .hyper import (
     eval_hyp,
     group,
     hyp_rate,
+    measured_rate,
     verify_grouping,
 )
 from .polynomials import (

@@ -15,6 +15,14 @@ length (``_quotient``), and ``prefactor S / 2^W`` is rounded once to an mpf.
 ``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
 ``GUARD_BITS``.
 
+The proof alone picks ``N``; floats only place its start.  The closed form
+``log2 |t(n)| = log2 |t0| + n log2 |c| +- sum ln |(q)_{pn}| / ln 2``
+(``_Walk.size``, by ``math.lgamma``, far under a bit off) is searched by
+doubling, then bisection, at O(log N) points.  Each core's leaves up to there
+are then built once, as four integer columns, and split; the proof merges one
+leaf on, or divides one out, until ``N`` is the first that proves.  A float
+tail bound ``2^8`` past budget at ``max_terms`` is refused before any leaf.
+
 A derived series' prefactor ``B(a+1, b+1) / z`` is proven on the same cores
 (``beta_prefactor``): an exact rational where the Beta is one, else two
 positive ``HypTerms`` cores summed together times a third, each proven by
@@ -64,9 +72,6 @@ GUARD_BITS = 64
 #: ``|S|`` takes ``3 |S| 10^-20`` of the sum's error budget
 _BETA_DIGITS = 20
 
-#: leaves taken at a time while floats search for the stop
-_BLOCK = 32
-
 DEFAULT_MAX_TERMS = 100_000
 
 _leaf_forms = cache(leaf_forms)  # a catalog record's cores are built anew per run
@@ -114,19 +119,6 @@ class EvalResult:
     measured_rate: Optional[float]
 
 
-def _log2(x: mpf) -> float:
-    """``log2 |x|`` of a nonzero mpf, from the top 53 bits of its mantissa.
-
-    Truncating the mantissa to ``m = man >> shift`` moves the log by less than
-    ``2^-51``; ``math.log2(m) < 54`` rounds by less than ``2^-47``, and adding
-    the exponent by half an ulp.  So the error is below
-    ``2^-45 max(1, |log2 x|)``, and no mantissa width overflows a float.
-    """
-    _, man, exp, bc = x._mpf_
-    shift = max(bc - 53, 0)
-    return math.log2(man >> shift) + (exp + shift)
-
-
 def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
     """Least-squares slope of ``-log10 |x_i|`` against ``i`` over the points
     ``(i, log2 |x_i|)``; None for fewer than 3."""
@@ -135,20 +127,11 @@ def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
     return -statistics.linear_regression(*zip(*points)).slope * math.log10(2)
 
 
-def measured_rate(sums: Sequence[mpf], reference: mpf) -> float:
-    """Digits gained per term, measured against a more accurate reference.
-
-    Fits the least-squares slope of ``-log10 |S_n - reference|`` over the
-    last half of the sequence, which must hold at least 10 partial sums.
-    Partial sums that exactly equal the reference are clamped out of the fit.
-    """
-    if len(sums) < 10:
-        raise ValueError("need at least 10 partial sums")
-    points = [(i, _log2(d)) for i, s in enumerate(sums) if (d := abs(s - reference))]
-    slope = _fit_rate(points[len(points) // 2 :])
-    if slope is None:
-        raise ValueError("not enough usable points to fit a rate")
-    return slope
+def _first_zero(symbols) -> Union[int, float]:
+    """The first ``n`` where a Pochhammer symbol ``(q)_{pn}`` (an integer ``q <=
+    0``) has reached its zero factor ``q + pn - 1 >= 0``, else ``inf``."""
+    zeros = (-q // p + 1 for p, q in symbols if p and q.denominator == 1 and q <= 0)
+    return min(zeros, default=math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -201,16 +184,15 @@ class HypTerms:
         return limit / math.prod(p**p for p, _ in self.den)
 
     @property
-    def ends(self) -> bool:
-        """``t0`` or ``c`` is 0, or a numerator symbol ``(q)_{pn}`` with an
-        integer ``q <= 0`` is 0 from some ``n`` on."""
-        zero = any(p and q.denominator == 1 and q <= 0 for p, q in self.num)
-        return zero or self.c == 0 or not self.t0
+    def end(self) -> Union[int, float]:
+        """The first term that is 0, ``inf`` while the terms go on: ``t0`` or
+        ``c`` is 0, or a numerator symbol reaches its zero factor."""
+        return 0 if not self.t0 else 1 if not self.c else _first_zero(self.num)
 
     def check_convergence(self) -> None:
         """Raise unless ``|r(n)|`` tends to a limit below 1 or the terms end."""
         excess = sum(p for p, _ in self.num) - sum(p for p, _ in self.den)
-        if self.ends or excess < 0:
+        if self.end < math.inf or excess < 0:
             return
         limit = self.limit() if excess == 0 else math.inf
         if limit > 1:
@@ -330,67 +312,76 @@ def _unsplit(split: tuple, leaf: tuple) -> Optional[tuple]:
     return (p, q, v, (t - v * p * u) // (vn * d)) if a else None
 
 
+def _ln_poch(q: float, m: int) -> float:
+    """``ln |(q)_m|`` by ``math.lgamma``; for an integer ``q <= 0``, only for
+    ``m <= -q``, where ``|(q)_m| = (-q)! / (-q - m)!``."""
+    if q <= 0 and q.is_integer():
+        return math.lgamma(1 - q) - math.lgamma(1 - q - m)
+    return math.lgamma(q + m) - math.lgamma(q)
+
+
 class _Walk:
-    """A core's leaves ``(N(n), D(n), V(n), U(n))`` of ``split_forms`` up to its last
-    nonzero term, and floats ``log2 |t(n)|``, one more while the terms go on."""
+    """A core's leaves ``(N(n), D(n), V(n), U(n))`` of ``split_forms``, each built
+    once, by one ``consecutive`` column per form, and ``log2 |t(n)|`` in closed
+    form (``size``), which places the stop without a leaf; the proof on the
+    leaves' integers picks it.  ``math.lgamma(x)`` is within a few ulps, so a
+    symbol is off by under ``2^-47 x ln x`` bits for ``x = pn + |q| + 1``:
+    ``2^-10`` at ``x = 2^32``, far below the ``2^8`` margin of ``_sum``'s refusal.
+
+    ``end`` is the first term that is 0 (``t0`` or ``c`` is 0, or an upper
+    symbol ``(q)_{pn}`` with an integer ``q <= 0`` reaches its zero factor) or
+    undefined (a lower one does); no leaf is built from there on.
+    """
 
     def __init__(self, core: HypTerms):
         core.check_convergence()
         self.core, self.leaves = core, []
-        self.values = [consecutive(c, _BLOCK) for c in core.split_forms]
-        t0 = core.t0  # in parts: |t0| may be out of a float's range
-        self.logs = [math.log2(abs(t0.numerator)) - math.log2(t0.denominator)] if t0 else []
-        roots = (-(q + j) / p for p, q in core.den for j in range(p))
-        self.stops = {x for x in roots if x.denominator == 1 and x >= 0}  # D(x) = 0
+        self.zero = _first_zero(core.den)  # term zero divides by D(zero - 1) = 0
+        self.end = min(core.end, self.zero)
+        # in parts: |t0| and |c| may be out of a float's range
+        parts = ((abs(x.numerator), x.denominator) for x in (core.t0, core.c))
+        self.logs = [math.log2(p) - math.log2(q) if p else 0.0 for p, q in parts]
+        sides = ((1, core.num), (-1, core.den))
+        self.symbols = [(sign, p, float(q)) for sign, side in sides for p, q in side]
 
     def extend(self, stop: int) -> None:
-        """Take the leaves up to ``stop`` or the last nonzero term."""
-        n = len(self.leaves)
-        count = max(stop - n, 0) if len(self.logs) > n else 0
-        a, d, v, u = (list(itertools.islice(g, count)) for g in self.values)
-        if 0 in a:  # t(n) = 0 after the last nonzero term
-            del a[a.index(0) + 1 :], d[len(a) :], v[len(a) :], u[len(a) :]
-        for i, x in enumerate(v):
-            if not x or n + i in self.stops:  # B(n) = 0 at term n, else D(n) = 0
-                i += horner(self.core.weight[1], n + i) != 0
-                raise ZeroDivisionError(f"division by zero at n={n + i}")
-        if a:  # log2 |t(n + 1)| = log2 |t(n)| + log2 |N(n)| - log2 |D(n)|
-            steps = (map(math.log2, map(abs, x)) for x in (a[: len(a) - (0 in a)], d))
-            steps = map(float.__sub__, *steps)
-            self.logs[-1:] = itertools.accumulate(steps, initial=self.logs[-1])
+        """Build the leaves up to ``stop`` or ``end``; a zero denominator
+        raises, naming its term, before a leaf is kept."""
+        n, stop = len(self.leaves), min(stop, self.end)
+        if stop <= n:
+            return
+        a, d, v, u = (consecutive(form, n, stop - n) for form in self.core.split_forms)
+        zeros = [n + v.index(0)] if 0 in v else []  # B(i) = 0 at term i
+        zeros += [self.zero - 1] if n < self.zero <= stop else []
+        if zeros:  # the term after D(i) = 0, unless B(i) = 0 as well
+            i = min(zeros)
+            i += horner(self.core.weight[1], i) != 0
+            raise ZeroDivisionError(f"division by zero at n={i}")
         self.leaves += zip(a, d, v, u)
+
+    def size(self, n: int) -> float:
+        """``log2 |t(n)|`` for ``n < end``: ``log2 |t0| + n log2 |c|`` plus ``ln |(q)_{pn}|
+        / ln 2`` of each upper symbol, less those of the lower."""
+        logs = sum(sign * _ln_poch(q, p * n) for sign, p, q in self.symbols)
+        return self.logs[0] + n * self.logs[1] + logs / math.log(2)
 
     def bound(self, n: int) -> Optional[Tuple[int, int]]:
         """``(Ah Q, Bv (Q - P))`` of ``HypTerms.tail_forms`` at ``n``, the tail from
         ``n`` over ``|t(n)|``: ``(0, 1)`` once terms end, None where none applies."""
         forms = self.core.tail_forms
-        if n >= len(self.logs) or forms is None or n < forms[0]:
-            return (0, 1) if n >= len(self.logs) else None
+        if n >= self.end or forms is None or n < forms[0]:
+            return (0, 1) if n >= self.end else None
         p, q, top, bottom = (horner(c, n) for c in forms[1:])
         return (top * q, bottom * (q - p)) if p < q and bottom > 0 else None
 
     def term_logs(self, start: int, stop: int) -> List[float]:
-        """``log2 |t(n) w(n)|`` for ``start <= n < stop``, ``-inf`` for a zero term."""
-        logs = [-math.inf] * (stop - start)
-        for i, (_, d, v, u) in enumerate(self.leaves[start:stop]):
-            if u:
-                logs[i] = self.logs[start + i] + math.log2(abs(u)) - math.log2(abs(v * d))
+        """``log2 |t(n) w(n)|`` for the leaves ``start <= n < stop``, ``-inf`` for a
+        zero term: ``size(start)``, then the steps ``log2 |N(n) / D(n)|``."""
+        logs, size = [], self.size(start) if start < len(self.leaves) else 0.0
+        for a, d, v, u in self.leaves[start:stop]:
+            logs.append(size + math.log2(abs(u)) - math.log2(abs(v * d)) if u else -math.inf)
+            size += math.log2(abs(a)) - math.log2(abs(d)) if a else 0.0
         return logs
-
-
-def partial_sums(core: HypTerms) -> Iterator[Tuple[int, int]]:
-    """The exact partial sums ``S_1, S_2, ...`` of the core's terms, each as
-    the numerator and denominator of ``t0 T / (V Q)`` of the split over
-    ``[0, n)``, one merge per leaf; after the last nonzero term the last sum
-    repeats."""
-    walk, split, t0 = _Walk(core), (1, 1, 1, 0), core.t0
-    for n in itertools.count():
-        if n == len(walk.leaves):
-            walk.extend(n + _BLOCK)
-        if n < len(walk.leaves):
-            split = _merge(split, walk.leaves[n])
-        _, q, v, t = split
-        yield t0.numerator * t, t0.denominator * v * q
 
 
 def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
@@ -411,6 +402,15 @@ def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
             size += ((top >> shift) + 1 << bits) // (bottom >> shift) + 1
     tail -= -(size + tail + rounding) * slack.numerator // slack.denominator
     return tail if tail + rounding < budget else None
+
+
+def _over(walks: List[_Walk], n: int, room: float) -> float:
+    """The float tail bound from term ``n`` over the budget ``2^room``, each core's
+    capped at ``2^9``; ``inf`` where a core has none."""
+    forms = [walk.bound(n) for walk in walks]
+    terms = zip(walks, forms)
+    logs = (w.size(n) + math.log2(a) - math.log2(b) - room for w, (a, b) in terms if a)
+    return math.inf if None in forms else sum(2.0 ** min(x, 9) for x in logs)
 
 
 def _quotient(a: int, b: int) -> Tuple[int, int]:
@@ -442,33 +442,28 @@ def _sum(
     budget = (pref.denominator << bits) // scale
     walks = [_Walk(core) for core in cores]
     for core in cores:  # terms that do not end stop only at a tail bound, read from n0 on
-        if not core.ends and (n0 := core.tail_forms[0]) > max_terms:
+        if core.end == math.inf and (n0 := core.tail_forms[0]) > max_terms:
             raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
     # two units per final division, one for the rounding to an mpf
     rounding, room = 1 + 2 * len(walks), math.log2(budget) - bits
 
-    def small(n: int) -> bool:  # floats put the tail bound from term n in budget
-        forms = [walk.bound(n) for walk in walks]
-        terms = zip(walks, forms)
-        logs = (w.logs[n] + math.log2(a) - math.log2(b) - room for w, (a, b) in terms if a)
-        return None not in forms and sum(2.0 ** min(x, 8) for x in logs) < 1
-
-    start = n = 0  # read at the end of each block of leaves, then within it
-    while not small(n) and n < max_terms:
-        start, n = n + 1, min(n + min(max(n, 4), _BLOCK), max_terms)
-        for walk in walks:
-            walk.extend(n)
-    while start < n:  # the first in the block where it holds, if it holds from there on
+    start = n = 0  # doubling until the floats put the tail in budget, then bisecting
+    while (excess := _over(walks, n, room)) >= 1 and n < max_terms:
+        start, n = n + 1, min(max(2 * n, 4), max_terms)
+    if 2**8 < excess < math.inf:  # 2^8 past the budget at max_terms: no leaf can help
+        raise EvaluationError(f"tail target not reached within {max_terms} terms")
+    while start < n:  # the first where it holds, if it holds from there on
         mid = (start + n) // 2
-        start, n = (start, mid) if small(mid) else (mid + 1, n)
-    splits = [_split(walk.leaves[:n]) for walk in walks]
+        start, n = (start, mid) if _over(walks, mid, room) < 1 else (mid + 1, n)
+    for walk in walks:
+        walk.extend(n)
+    splits = [_split(walk.leaves) for walk in walks]
     while (tail := _proof(walks, splits, n, bits, budget, slack, rounding)) is None:
         if n == max_terms:
             raise EvaluationError(f"tail target not reached within {max_terms} terms")
         for walk in walks:
             walk.extend(n + 1)
-        pairs = zip(splits, walks)
-        splits = [_merge(s, w.leaves[n]) if n < len(w.leaves) else s for s, w in pairs]
+        splits = [_merge(s, w.leaves[n]) if n < len(w.leaves) else s for s, w in zip(splits, walks)]
         n += 1
     while n:  # step back while the term before proves too
         pairs = zip(splits, walks)
@@ -512,7 +507,8 @@ def sum_terms(
     slack = Fraction(radius) / abs(pref)  # the radius over the midpoint
     total, bits, lost, n, walks = _sum(cores, target_digits, pref, slack, max_terms)
     bound = abs(pref.numerator) * (lost + 1), pref.denominator << bits
-    logs = zip(range(n // 2, n), *(walk.term_logs(n // 2, n) for walk in walks))
+    logs = (walk.term_logs(n // 2, n) for walk in walks)
+    logs = itertools.zip_longest(range(n // 2, n), *logs, fillvalue=-math.inf)
     rate = _fit_rate([(i, x) for i, *xs in logs if (x := max(xs)) > -math.inf])
     return EvalResult(_from_fixed(pref, total, bits), n, _rounded(*bound, 53, round_up), rate)
 

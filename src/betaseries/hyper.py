@@ -20,18 +20,15 @@ both cores' binary splits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, partial_sums, sum_terms
-
-# Unused here: the benchmark's tracer (``bench/layers.py``) patches this as
-# a layer boundary; remove it together with that patch.
-from .engine import measured_rate  # noqa: F401
+from .engine import EvalResult, HypTerms, _fit_rate, _merge, _Walk, sum_terms
 from .polynomials import rational
 
 
@@ -123,15 +120,58 @@ def hyp_rate(spec: Union[HypSeriesSpec, GroupedSeries]) -> float:
     return spec.core.rate()
 
 
+def _log2(x: mpf) -> float:
+    """``log2 |x|`` of a nonzero mpf, from the top 53 bits of its mantissa.
+
+    Truncating the mantissa to ``m = man >> shift`` moves the log by less than
+    ``2^-51``; ``math.log2(m) < 54`` rounds by less than ``2^-47``, and adding
+    the exponent by half an ulp.  So the error is below
+    ``2^-45 max(1, |log2 x|)``, and no mantissa width overflows a float.
+    """
+    _, man, exp, bc = x._mpf_
+    shift = max(bc - 53, 0)
+    return math.log2(man >> shift) + (exp + shift)
+
+
+def measured_rate(sums: Sequence[mpf], reference: mpf) -> float:
+    """Digits gained per term, measured against a more accurate reference.
+
+    Fits the least-squares slope of ``-log10 |S_n - reference|`` over the
+    last half of the sequence, which must hold at least 10 partial sums.
+    Partial sums that exactly equal the reference are clamped out of the fit.
+    """
+    if len(sums) < 10:
+        raise ValueError("need at least 10 partial sums")
+    points = [(i, _log2(d)) for i, s in enumerate(sums) if (d := abs(s - reference))]
+    slope = _fit_rate(points[len(points) // 2 :])
+    if slope is None:
+        raise ValueError("not enough usable points to fit a rate")
+    return slope
+
+
+def _partial_sums(core: HypTerms, count: int) -> Iterator[Tuple[int, int]]:
+    """The exact partial sums ``S_1, ..., S_count`` of the core's terms, each as
+    the numerator and denominator of ``t0 T / (V Q)`` of the split over
+    ``[0, n)``, one merge per leaf; after the last nonzero term the last sum
+    repeats."""
+    walk, split, t0 = _Walk(core), (1, 1, 1, 0), core.t0
+    walk.extend(count)
+    for n in range(count):
+        split = _merge(split, walk.leaves[n]) if n < len(walk.leaves) else split
+        _, q, v, t = split
+        yield t0.numerator * t, t0.denominator * v * q
+
+
 def first_mismatch(base: HypTerms, grouped: HypTerms, m: int, count: int) -> Optional[int]:
     """The first ``n <= count`` at which partial sum ``n + 1`` of ``grouped``
     differs from partial sum ``m (n + 1)`` of ``base``, or None.
 
-    Each partial sum is the exact rational of ``engine.partial_sums``, and
+    Each partial sum is the exact rational of ``_partial_sums``, and
     two are compared by cross-multiplication; terms after the last nonzero
     one are 0.
     """
-    base_sums, grouped_sums = partial_sums(base), partial_sums(grouped)
+    base_sums = _partial_sums(base, m * (count + 1))
+    grouped_sums = _partial_sums(grouped, count + 1)
     for n in range(count + 1):
         top, bottom = next(grouped_sums)
         for _ in range(m):

@@ -26,9 +26,9 @@ needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -347,23 +347,17 @@ def quotient(
     return Fraction(horner(top, n), d)
 
 
-def consecutive(coeffs: Sequence[int], block: int = 32) -> Iterator[int]:
-    """The polynomial ``coeffs`` at ``0, 1, 2, ...``: forward differences from
-    ``horner`` at ``0, ..., degree``, then additions only, summed in lists of
-    ``block`` values."""
-    row, lead = [horner(coeffs, i) for i in range(max(len(coeffs), 1))], []
+def consecutive(coeffs: Sequence[int], start: int, count: int) -> List[int]:
+    """The polynomial ``coeffs`` at ``start, ..., start + count - 1``: forward
+    differences from ``horner`` at the first ``degree + 1`` points, then one
+    ``accumulate`` per order of difference, additions only."""
+    row, lead = [horner(coeffs, start + i) for i in range(max(len(coeffs), 1))], []
     while row:
         lead, row = lead + [row[0]], [b - a for a, b in zip(row, row[1:])]
-
-    def blocks() -> Iterator[list]:
-        while True:
-            level = [lead[-1]] * (block + 1)
-            for j in range(len(lead) - 2, -1, -1):
-                level = list(accumulate(level[:block], initial=lead[j]))
-                lead[j] = level[block]
-            yield level[:block]
-
-    return chain.from_iterable(blocks())
+    level = [lead.pop()] * count  # the highest difference is constant
+    for first in reversed(lead):
+        level = list(accumulate(level[: count - 1], initial=first))
+    return level[:count]
 
 
 def leaf_forms(ratio: Sequence, weight: Sequence) -> Tuple[Tuple[int, ...], ...]:

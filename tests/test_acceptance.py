@@ -14,9 +14,9 @@ from mpmath import mp, mpf
 
 from betaseries.catalog import eval_recipe, load_catalog, verify
 from betaseries.derive import SeedIntegral, solve_seed, solve_seed_param
-from betaseries.engine import derived_terms, evaluate_expr, measured_rate, to_mpf
+from betaseries.engine import derived_terms, evaluate_expr, to_mpf
 from betaseries.expressions import pochhammer
-from betaseries.hyper import HypSeriesSpec, group
+from betaseries.hyper import HypSeriesSpec, group, measured_rate
 from betaseries.polynomials import (
     ParamPolynomial,
     Polynomial,

@@ -181,7 +181,8 @@ class TestVerify:
 class TestCatalogWideInvariants:
     def test_predicted_vs_measured_rate_for_every_derived_series(self):
         # past the first 10 terms the fitted slope agrees with log10(|z|/M)
-        from betaseries.engine import evaluate_derived, measured_rate, predicted_rate, to_mpf
+        from betaseries.engine import evaluate_derived, predicted_rate, to_mpf
+        from betaseries.hyper import measured_rate
         from scratch_terms import derived_term, partial_sums
 
         for record in load_catalog():

@@ -24,12 +24,12 @@ from betaseries.engine import (
     derived_terms,
     evaluate_derived,
     evaluate_expr,
-    measured_rate,
     predicted_rate,
     sum_terms,
     to_mpf,
 )
 from betaseries.expressions import pochhammer
+from betaseries.hyper import measured_rate
 from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.references import atan_of, beta_value, pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict

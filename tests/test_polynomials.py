@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic: division, kernels, parameterized division."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -73,10 +72,12 @@ class TestConsecutive:
     @pytest.mark.parametrize(
         "coeffs", [(), (7,), (-3, 2), (5, 0, -1), (2**70, -(3**40), 17, 0, 1, -9)]
     )
-    @pytest.mark.parametrize("block", [1, 4, 32])
-    def test_forward_differences_match_horner(self, coeffs, block):
-        values = itertools.islice(consecutive(coeffs, block), 100)
-        assert list(values) == [horner(coeffs, n) for n in range(100)]
+    @pytest.mark.parametrize("start", [0, 1, 4, 32])
+    def test_forward_differences_match_horner(self, coeffs, start):
+        values = consecutive(coeffs, start, 100)
+        assert values == [horner(coeffs, start + n) for n in range(100)]
+        assert consecutive(coeffs, start, 1) == values[:1]
+        assert consecutive(coeffs, start, 0) == []
 
 
 class TestPolyDivmod:

@@ -8,6 +8,9 @@ prefactor, ``mp.pi`` for the pi series, and a direct mpmath sum of the
 closed-form terms (``expressions.evaluate``) for the printed summands.
 """
 
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +23,7 @@ from betaseries.engine import (
     EvaluationError,
     HypTerms,
     SeriesDivergenceError,
-    _log2,
+    _beta_cores,
     _split,
     _Walk,
     derived_core,
@@ -30,7 +33,7 @@ from betaseries.engine import (
     sum_terms,
 )
 from betaseries.expressions import evaluate, parse_term_expr
-from betaseries.hyper import eval_hyp, group
+from betaseries.hyper import _log2, eval_hyp, group
 from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.wire import hyp_spec_from_dict, series_spec_from_dict
 from scratch_terms import core_terms, derived_term, expr_terms
@@ -549,6 +552,116 @@ def random_core(rng):
         bottoms = [positive(rng) for _ in range(rng.randint(0, 2))]
         return weighted(core, random_rational(rng, 1, 5), tops, bottoms)
     return weighted(core)
+
+
+# --------------------------------------------------------------------------
+# The closed-form term sizes that place the stop
+# --------------------------------------------------------------------------
+
+# the printed summand of (1.1): about 119 500 terms for 300 000 digits
+EQ_1_1 = "fact(2*n)*(130*n+109)/(poch(7/6,n)*poch(11/6,n)*(-1296)^n)"
+
+#: binom(5, n) 2^n: the terms end after n = 5
+ENDING = HypTerms(F(1), F(-2), ((1, F(-5)),), ((1, F(1)),))
+#: (1)_n / (-3)_n 2^-n: term 4 divides by zero
+ZERO_LOWER = HypTerms(F(1), F(1, 2), ((1, F(1)),), ((1, F(-3)),))
+
+
+def catalog_cores():
+    """The cores of every catalog sum by name: derived, ``hyp`` grouped by
+    m = 1, 2, 3, the products of each printed summand, and the cores of each
+    non-rational Beta prefactor."""
+    cores = {}
+    for rid in DERIVED_IDS:
+        ds = derived(rid)
+        cores[rid] = [derived_core(ds)]
+        u, v = (x - math.ceil(x) + 1 for x in (ds.a + 1, ds.b + 1))
+        if u != 1 and v != 1:
+            pair, power = _beta_cores(u, v)
+            cores[f"{rid}-beta"] = list(pair)
+            cores[f"{rid}-beta-power"] = [power] if power else []
+    for rid, record in RECORDS.items():
+        if record.kind == "grouping" or isinstance(record.lhs, dict) and "hyp" in record.lhs:
+            doc = record.base if record.kind == "grouping" else record.lhs["hyp"]
+            for m in (1, 2, 3):
+                cores[f"{rid}-m{m}"] = [group(hyp_spec_from_dict(doc), m).core]
+        for i, text in enumerate(summands(record.lhs)):
+            cores[f"{rid}-expr{i}"] = [product_core(p) for p in parse_term_expr(text)]
+    return {name: group for name, group in cores.items() if group}
+
+
+def log2_fraction(x):
+    return math.log2(abs(x.numerator)) - math.log2(x.denominator)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", sorted(catalog_cores()) + ["ending", "zero-lower"])
+    def test_matches_exact_terms(self, name):
+        # log2 |t(n)| from lgamma against the exact terms of the recurrence
+        cores = {"ending": [ENDING], "zero-lower": [ZERO_LOWER]}.get(name)
+        for core in cores or catalog_cores()[name]:
+            walk = _Walk(core)
+            count = 1001 if walk.end > 1000 else walk.end
+            unweighted = dataclasses.replace(core, weight=((1,), (1,)))
+            terms = list(itertools.islice(unweighted.terms(), count))
+            assert len(terms) == count
+            for n in (0, 1, 2, 3, 5, 7, 100, 1000):
+                if n < count:
+                    exact = log2_fraction(terms[n])
+                    assert abs(walk.size(n) - exact) <= 1e-9 * max(1, abs(exact)), n
+
+    def test_end_is_the_first_zero_or_undefined_term(self):
+        assert _Walk(ENDING).end == 6
+        assert _Walk(ZERO_LOWER).end == 4
+        assert _Walk(dataclasses.replace(ZERO_LOWER, t0=F(0))).end == 0
+        assert _Walk(dataclasses.replace(ZERO_LOWER, c=F(0))).end == 1
+        assert math.isinf(_Walk(HypTerms(F(1), F(1, 2), ((1, F(1, 2)),), ((1, F(1)),))).end)
+
+    @pytest.mark.parametrize("shift", [-4, 4])
+    @pytest.mark.parametrize("name", sorted(catalog_cores()))
+    def test_floats_only_place_the_start(self, name, shift, monkeypatch):
+        # sizes off by 2^4 move the search's start; the proof still picks N
+        cores = catalog_cores()[name]
+        expected = [sum_terms(cores, digits) for digits in (10, 35, 100)]
+        size = _Walk.size
+        monkeypatch.setattr(_Walk, "size", lambda self, n: size(self, n) + shift)
+        for digits, before in zip((10, 35, 100), expected):
+            result = sum_terms(cores, digits)
+            assert result.terms_used == before.terms_used
+            assert result.value._mpf_ == before.value._mpf_
+            assert result.tail_bound == before.tail_bound
+
+
+class TestRefusal:
+    @staticmethod
+    def count_extends(monkeypatch):
+        calls, extend = [], _Walk.extend
+
+        def counted(self, stop):
+            calls.append(stop)
+            extend(self, stop)
+
+        monkeypatch.setattr(_Walk, "extend", counted)
+        return calls
+
+    def test_runaway_request_is_refused_before_any_leaf(self, monkeypatch):
+        calls = self.count_extends(monkeypatch)
+        with pytest.raises(EvaluationError, match="^tail target not reached within 100000 terms$"):
+            evaluate_expr(EQ_1_1, 300_000)
+        assert calls == []
+
+    @pytest.mark.parametrize("max_terms, built", [(88, False), (96, True)])
+    def test_refusal_margin(self, max_terms, built, monkeypatch):
+        # the tail of geometric(1/2) from term m is 2^(1 - m); the target
+        # 10^-30 is about 2^-99.66: at m = 88 the floats put it 2^12.66 past,
+        # so no leaf is built; at m = 96, 2^4.66 past, the proof decides
+        calls = self.count_extends(monkeypatch)
+        core, _ = geometric(F(1, 2))
+        message = f"^tail target not reached within {max_terms} terms$"
+        with pytest.raises(EvaluationError, match=message):
+            sum_terms([core], 30, max_terms=max_terms)
+        assert bool(calls) == built
+        assert sum_terms([core], 30, max_terms=101).terms_used == 101
 
 
 @pytest.mark.parametrize("bits", [1, 2, 52, 53, 54, 64, 1024, 1025, 20_000])
