@@ -51,15 +51,17 @@ from .references import (
     pi_machin,
     sqrt_of,
 )
-from .wire import float_str, hyp_spec_from_dict, series_spec_from_dict
+from .wire import bound_str, float_str, hyp_spec_from_dict, rounded_rate, series_spec_from_dict
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """One record of ``data/catalog.json``, whose fields are exactly these."""
+
     id: str
     kind: str
     digits: int
-    provenance: str
+    provenance: str = ""
     lhs: Optional[dict] = None
     rhs: Optional[dict] = None
     series: Optional[dict] = None
@@ -82,43 +84,21 @@ class VerifyReport:
     predicted_rate: Optional[float] = None
     detail: str = ""
 
+    #: the fields that ``verify`` prints, in order
+    PRINTED = ("id", "status", "lhs", "rhs", "abs_err", "terms", "measured_rate")
+
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
 
     def summary(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "terms": self.terms,
-            "measured_rate": self.measured_rate,
-        }
+        return {name: getattr(self, name) for name in self.PRINTED}
 
 
 def load_catalog() -> List[IdentityRecord]:
     """Read the checked-in registry, sorted by id."""
     text = resources.files("betaseries").joinpath("data/catalog.json").read_text()
-    raw = json.loads(text)
-    records = [
-        IdentityRecord(
-            id=doc["id"],
-            kind=doc["kind"],
-            digits=int(doc["digits"]),
-            provenance=doc.get("provenance", ""),
-            lhs=doc.get("lhs"),
-            rhs=doc.get("rhs"),
-            series=doc.get("series"),
-            base=doc.get("base"),
-            m=doc.get("m"),
-            check_terms=int(doc.get("check_terms", 50)),
-            check=doc.get("check"),
-            notes=doc.get("notes", ""),
-        )
-        for doc in raw
-    ]
+    records = [IdentityRecord(**doc) for doc in json.loads(text)]
     return sorted(records, key=lambda r: r.id)
 
 
@@ -189,7 +169,7 @@ def _eval_node(node: dict, digits: int, metas: List[EvalResult]) -> mpf:
         return _eval_node(base, digits, metas) ** int(exponent)
     if key == "beta":
         p, q = arg
-        return beta_value(rational(p), rational(q), leaf_digits)
+        return beta_value(p, q, leaf_digits)
     if key == "gamma":
         return gamma_combination(arg, leaf_digits)
     if key == "kummer":
@@ -212,21 +192,17 @@ def _eval_node(node: dict, digits: int, metas: List[EvalResult]) -> mpf:
 
 
 def _quadrature_problem(doc: dict) -> QuadratureProblem:
-    numerator = (
-        Polynomial(rational(c) for c in doc["num"])
-        if "num" in doc
-        else Polynomial((1,))
-    )
+    numerator = Polynomial(doc.get("num", (1,)))
     if "den_p" in doc:
-        denominator = Polynomial(rational(c) for c in doc["den_p"])
+        denominator = Polynomial(doc["den_p"])
     elif "den_kernel" in doc:
         kd = doc["den_kernel"]
         denominator = kernel_polynomial(kd["z"], int(kd["k"]), int(kd["s"]))
     else:
         denominator = Polynomial((1,))
     return QuadratureProblem(
-        a=rational(doc["a"]),
-        b=rational(doc["b"]),
+        a=doc["a"],
+        b=doc["b"],
         numerator=numerator,
         denominator=denominator,
     )
@@ -332,26 +308,41 @@ def verify(record, digits: Optional[int] = None) -> VerifyReport:
     raise ValueError(f"unknown record kind {record.kind!r}")
 
 
-def _float_or_none(rate: Optional[float]) -> Optional[float]:
-    return None if rate is None else round(rate, 4)
+def _report(
+    record, ok, lhs, rhs, abs_err, detail, series=None, terms=None, rate=None, predicted=None
+) -> VerifyReport:
+    """The report of ``record``, PASS iff ``ok``; ``terms`` and the measured rate
+    are those of ``series``, a series-shaped side's ``EvalResult``, if given."""
+    if series is not None:
+        terms, rate = series.terms_used, series.measured_rate
+    return VerifyReport(
+        id=record.id,
+        status="PASS" if ok else "FAIL",
+        lhs=lhs,
+        rhs=rhs,
+        abs_err=abs_err,
+        terms=terms,
+        measured_rate=rounded_rate(rate),
+        predicted_rate=rounded_rate(predicted),
+        detail=detail,
+    )
+
+
+def _spread(values, digits: int) -> Tuple[mpf, bool]:
+    """The largest difference of two values, and whether it is below ``10^-digits``."""
+    with mp.workdps(digits + 12):
+        err = max(abs(u - v) for u in values for v in values)
+        return err, err < mpf(10) ** (-digits)
 
 
 def _verify_numeric(record: IdentityRecord, digits: int) -> VerifyReport:
     lhs, lmeta = eval_recipe(record.lhs, digits)
     rhs, rmeta = eval_recipe(record.rhs, digits)
-    with mp.workdps(digits + 12):
-        err = abs(lhs - rhs)
-        ok = err < mpf(10) ** (-digits)
-    meta = lmeta[0] if lmeta else (rmeta[0] if rmeta else None)
-    return VerifyReport(
-        id=record.id,
-        status="PASS" if ok else "FAIL",
-        lhs=float_str(lhs, digits),
-        rhs=float_str(rhs, digits),
-        abs_err=float_str(err, 5),
-        terms=meta.terms_used if meta else None,
-        measured_rate=_float_or_none(meta.measured_rate if meta else None),
-        detail="" if ok else f"|lhs - rhs| = {float_str(err, 5)} >= 1e-{digits}",
+    err, ok = _spread((lhs, rhs), digits)
+    detail = "" if ok else f"|lhs - rhs| = {bound_str(err)} >= 1e-{digits}"
+    return _report(
+        record, ok, float_str(lhs, digits), float_str(rhs, digits), bound_str(err), detail,
+        series=next(iter(lmeta + rmeta), None),
     )
 
 
@@ -366,27 +357,14 @@ def _verify_duality(record: IdentityRecord, digits: int) -> VerifyReport:
     result = evaluate_derived(ds, digits + 5)
     seed_problem = QuadratureProblem(a=ds.a, b=ds.b, denominator=ds.seed_p)
     v_seed = integrate(seed_problem, digits + 5)
-    values = [result.value, v_seed]
-    detail_parts = []
-    if record.rhs is not None:
-        rhs_value, _ = eval_recipe(record.rhs, digits)
-        values.append(rhs_value)
-        detail_parts.append("closed form included")
-    with mp.workdps(digits + 12):
-        err = max(abs(u - v) for u in values for v in values)
-        ok = err < mpf(10) ** (-digits)
-    return VerifyReport(
-        id=record.id,
-        status="PASS" if ok else "FAIL",
-        lhs=float_str(result.value, digits),
-        rhs=float_str(v_seed, digits),
-        abs_err=float_str(err, 5),
-        terms=result.terms_used,
-        measured_rate=_float_or_none(result.measured_rate),
-        predicted_rate=round(predicted_rate(ds), 4),
-        detail="; ".join(detail_parts)
-        if ok
-        else f"series/quadrature spread {float_str(err, 5)} >= 1e-{digits}",
+    closed = [eval_recipe(record.rhs, digits)[0]] if record.rhs is not None else []
+    err, ok = _spread([result.value, v_seed, *closed], digits)
+    detail = "closed form included" if closed else ""
+    if not ok:
+        detail = f"series/quadrature spread {bound_str(err)} >= 1e-{digits}"
+    return _report(
+        record, ok, float_str(result.value, digits), float_str(v_seed, digits), bound_str(err),
+        detail, series=result, predicted=predicted_rate(ds),
     )
 
 
@@ -395,16 +373,7 @@ def _verify_exact(record: IdentityRecord) -> VerifyReport:
     if checker is None:
         raise ValueError(f"unknown exact check {record.check!r}")
     ok, detail = checker()
-    return VerifyReport(
-        id=record.id,
-        status="PASS" if ok else "FAIL",
-        lhs="exact",
-        rhs="exact",
-        abs_err="0" if ok else "nonzero",
-        terms=None,
-        measured_rate=None,
-        detail=detail,
-    )
+    return _report(record, ok, "exact", "exact", "0" if ok else "nonzero", detail)
 
 
 def _verify_grouping_record(record: IdentityRecord, digits: int) -> VerifyReport:
@@ -416,7 +385,6 @@ def _verify_grouping_record(record: IdentityRecord, digits: int) -> VerifyReport
     first_bad = first_mismatch(base.core, group(base, m).core, m, record.check_terms)
     exact_ok = first_bad is None
     numeric = verify_grouping(base, m, digits)
-    ok = exact_ok and numeric.passed
     sums_note = "match" if exact_ok else f"diverge at n={first_bad}"
     detail = f"exact partial sums n<={record.check_terms} {sums_note}"
     if numeric.detail:
@@ -426,15 +394,10 @@ def _verify_grouping_record(record: IdentityRecord, digits: int) -> VerifyReport
             f"; rates base {numeric.base_rate:.3f} -> grouped "
             f"{numeric.grouped_rate:.3f} digits/term"
         )
-    return VerifyReport(
-        id=record.id,
-        status="PASS" if ok else "FAIL",
-        lhs=float_str(numeric.grouped_value, digits),
-        rhs=float_str(numeric.base_value, digits),
-        abs_err="0" if exact_ok else "exact mismatch",
-        terms=record.check_terms,
-        measured_rate=_float_or_none(numeric.grouped_rate),
-        detail=detail,
+    return _report(
+        record, exact_ok and numeric.passed, float_str(numeric.grouped_value, digits),
+        float_str(numeric.base_value, digits), "0" if exact_ok else "exact mismatch", detail,
+        terms=record.check_terms, rate=numeric.grouped_rate,
     )
 
 

@@ -24,10 +24,12 @@ from .hyper import GroupedSeries, eval_hyp, group, hyp_rate
 from .polynomials import ParamPolynomial, Polynomial, kernel_polynomial, rational
 from .quadrature import QuadratureProblem, integrate
 from .wire import (
+    bound_str,
     float_str,
     hyp_spec_from_dict,
     hyp_spec_to_dict,
     param_series_to_dict,
+    rounded_rate,
     series_spec_from_dict,
     series_spec_to_dict,
 )
@@ -145,10 +147,8 @@ def _cmd_eval(args) -> int:
             "value": float_str(result.value, args.digits),
             "digits": args.digits,
             "terms": result.terms_used,
-            "tail_bound": float_str(result.tail_bound, 5),
-            "measured_rate": None
-            if result.measured_rate is None
-            else round(result.measured_rate, 4),
+            "tail_bound": bound_str(result.tail_bound),
+            "measured_rate": rounded_rate(result.measured_rate),
         }
     )
     return 0
@@ -156,12 +156,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rate(args) -> int:
     doc = _load_spec_file(args.spec)
+    if "expr" in doc:
+        raise ValueError("rate --spec takes a derived or hypergeometric spec, not an expression")
     if _is_hyp_spec(doc):
-        spec = hyp_spec_from_dict(doc)
-        _emit({"predicted_rate": round(hyp_rate(spec), 4)})
-        return 0
-    ds = series_spec_from_dict(doc)
-    _emit({"predicted_rate": round(predicted_rate(ds), 4)})
+        rate = hyp_rate(hyp_spec_from_dict(doc))
+    else:
+        rate = predicted_rate(series_spec_from_dict(doc))
+    _emit({"predicted_rate": rounded_rate(rate)})
     return 0
 
 
@@ -200,17 +201,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_list(_args) -> int:
     records = catalog_mod.load_catalog()
-    _emit(
-        [
-            {
-                "id": r.id,
-                "kind": r.kind,
-                "digits": r.digits,
-                "provenance": r.provenance,
-            }
-            for r in records
-        ]
-    )
+    fields = ("id", "kind", "digits", "provenance")
+    _emit([{name: getattr(r, name) for name in fields} for r in records])
     return 0
 
 

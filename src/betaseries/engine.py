@@ -43,7 +43,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up, to_rational
 
 from .derive import DerivedSeries
-from .expressions import Product, TermExpr, parse_term_expr
+from .expressions import Product, TermExpr, parse_term_expr, pochhammer
 from .polynomials import (
     Polynomial,
     consecutive,
@@ -344,20 +344,20 @@ class _Walk:
         sides = ((1, core.num), (-1, core.den))
         self.symbols = [(sign, p, float(q)) for sign, side in sides for p, q in side]
 
-    def extend(self, stop: int) -> None:
-        """Build the leaves up to ``stop`` or ``end``; a zero denominator
-        raises, naming its term, before a leaf is kept."""
+    def extend(self, stop: int) -> Optional[int]:
+        """Build the leaves up to ``stop`` or ``end``; at a zero denominator keep
+        none and return the first term it leaves undefined."""
         n, stop = len(self.leaves), min(stop, self.end)
         if stop <= n:
-            return
+            return None
         a, d, v, u = (consecutive(form, n, stop - n) for form in self.core.split_forms)
         zeros = [n + v.index(0)] if 0 in v else []  # B(i) = 0 at term i
         zeros += [self.zero - 1] if n < self.zero <= stop else []
         if zeros:  # the term after D(i) = 0, unless B(i) = 0 as well
             i = min(zeros)
-            i += horner(self.core.weight[1], i) != 0
-            raise ZeroDivisionError(f"division by zero at n={i}")
+            return i + (horner(self.core.weight[1], i) != 0)
         self.leaves += zip(a, d, v, u)
+        return None
 
     def size(self, n: int) -> float:
         """``log2 |t(n)|`` for ``n < end``: ``log2 |t0| + n log2 |c|`` plus ``ln |(q)_{pn}|
@@ -382,6 +382,14 @@ class _Walk:
             logs.append(size + math.log2(abs(u)) - math.log2(abs(v * d)) if u else -math.inf)
             size += math.log2(abs(a)) - math.log2(abs(d)) if a else 0.0
         return logs
+
+
+def _extend(walks: Sequence[_Walk], stop: int) -> None:
+    """Extend every walk to ``stop``; a zero denominator raises, naming the first
+    term that any core leaves undefined, whatever the order of the cores."""
+    undefined = [i for walk in walks if (i := walk.extend(stop)) is not None]
+    if undefined:
+        raise ZeroDivisionError(f"division by zero at n={min(undefined)}")
 
 
 def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
@@ -455,14 +463,12 @@ def _sum(
     while start < n:  # the first where it holds, if it holds from there on
         mid = (start + n) // 2
         start, n = (start, mid) if _over(walks, mid, room) < 1 else (mid + 1, n)
-    for walk in walks:
-        walk.extend(n)
+    _extend(walks, n)
     splits = [_split(walk.leaves) for walk in walks]
     while (tail := _proof(walks, splits, n, bits, budget, slack, rounding)) is None:
         if n == max_terms:
             raise EvaluationError(f"tail target not reached within {max_terms} terms")
-        for walk in walks:
-            walk.extend(n + 1)
+        _extend(walks, n + 1)
         splits = [_merge(s, w.leaves[n]) if n < len(w.leaves) else s for s, w in zip(splits, walks)]
         n += 1
     while n:  # step back while the term before proves too
@@ -544,8 +550,7 @@ def beta_prefactor(p: Fraction, q: Fraction, scale: Fraction, target_digits: int
     """
     j, k = math.ceil(p) - 1, math.ceil(q) - 1
     u, v = p - j, q - k
-    scale = scale * math.prod(u + i for i in range(j)) * math.prod(v + i for i in range(k))
-    scale /= math.prod(u + v + i for i in range(j + k))
+    scale = scale * pochhammer(u, j) * pochhammer(v, k) / pochhammer(u + v, j + k)
     if u == 1 or v == 1:
         return scale / (v if u == 1 else u)
     scale /= 2 ** math.floor(u + v)

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, _fit_rate, _merge, _Walk, sum_terms
+from .engine import EvalResult, HypTerms, _extend, _fit_rate, _merge, _Walk, sum_terms
 from .polynomials import rational
 
 
@@ -155,7 +155,7 @@ def _partial_sums(core: HypTerms, count: int) -> Iterator[Tuple[int, int]]:
     ``[0, n)``, one merge per leaf; after the last nonzero term the last sum
     repeats."""
     walk, split, t0 = _Walk(core), (1, 1, 1, 0), core.t0
-    walk.extend(count)
+    _extend([walk], count)
     for n in range(count):
         split = _merge(split, walk.leaves[n]) if n < len(walk.leaves) else split
         _, q, v, t = split

@@ -47,7 +47,7 @@ rounded to nearest at ``W + GUARD_BITS`` bits.  Errors at ``p`` bits: each
 ``L + 4`` factors, is within a relative ``3 (L + 4) 2^-p``; so ``u`` is
 within ``2^25 (L + 4)`` units, which is the relative error of ``E``,
 beside ``m``'s few units (``mpf_exp`` allows its kernel ``2^14``).  With
-``NODE_GUARD_BITS = 64`` and ``L <= 20`` (the default ``max_levels``) that
+``NODE_GUARD_BITS = 64`` and ``L <= MAX_LEVELS = 20`` that
 is under ``2^-34`` relative: ``x``, ``1-x`` and ``pi cosh t`` are within 1
 unit of ``2^-W``, and the ``libmp`` ``1-x``, at ``2^-(W+32)`` relative or
 coarser, within 1 unit in its last place, at every ``t`` up to ``T_CAP``.
@@ -111,7 +111,7 @@ Neither rule is a proof: both read the error off the convergence of the
 levels.  ``catalog.verify`` compares the quadrature with an independent
 series or closed form, so a wrong quadrature value turns a record into a
 FAIL; it could hide a wrong series only if both were wrong by the same
-amount.  The work is bounded: failure to converge within ``max_levels``
+amount.  The work is bounded: failure to converge within ``MAX_LEVELS``
 halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
 
 Once per process.  ``integrate`` cancels ``N/D`` by the monic
@@ -127,8 +127,8 @@ larger in the caller's units, and its contributions no larger in
 absolute terms.  A problem with ``|c| > 1`` is integrated as it is
 reduced, as ``1 / (1 + x/10^20)`` and ``10^20 / (x + 1)`` are.  The root
 scan still runs on the ``D`` as given, so a removable root on [0, 1] is
-refused.  Each value is kept under the problem that was integrated,
-``target_digits`` and ``max_levels``; a call returns ``c`` times it,
+refused.  Each value is kept under the problem that was integrated and
+``target_digits``; a call returns ``c`` times it,
 rounded once at the working precision, and a repeated or scaled call
 evaluates no node.  A raised ``QuadratureError`` is not kept.
 
@@ -139,8 +139,9 @@ holds or on the order of the calls.  The node tables with their
 constants, the root tables and the kept values live in ``_cache``, the
 process-wide cache of precision-keyed constants that ``references`` also
 uses for its reference sums and values.  They last as long as the
-process, or until ``_cache.clear()``, which returns the process to the
-state of a fresh start.
+process, or until ``_cache.clear()``.  That leaves four ``functools``
+caches of ``engine`` warm (``derived_core``, ``product_core``,
+``_beta_cores`` and ``_leaf_forms``); a fresh start has them empty too.
 """
 
 from __future__ import annotations
@@ -179,6 +180,10 @@ GUARD_BITS = 32
 #: ``x^0 (1-x)^0 / (x^2 - x + 2501/10000)``, with poles at ``1/2 +- i/100``,
 #: needs 16 983 at 20 digits.
 NODE_BUDGET = 2**15
+
+#: The most halvings of the step one ``integrate`` call takes before it
+#: raises ``QuadratureError``.
+MAX_LEVELS = 20
 
 #: Nodes lie in ``|t| <= T_CAP``.
 T_CAP = 15
@@ -410,11 +415,7 @@ def _fixed_horner(coeffs: Tuple[int, ...], x: int, w: int) -> int:
     return acc
 
 
-def integrate(
-    problem: QuadratureProblem,
-    target_digits: int,
-    max_levels: int = 20,
-) -> mpf:
+def integrate(problem: QuadratureProblem, target_digits: int) -> mpf:
     """Value of the integral, correct to ``target_digits`` decimal digits.
 
     The problem is integrated with ``N/D`` cancelled by ``gcd(N, D)``, and
@@ -430,7 +431,7 @@ def integrate(
     and ``|S_k - S_{k-1}|^2 <= 10^-(target_digits + 15)``, differences
     relative to ``max(1, |S_k|)``.  Neither rule proves the digits; they
     read the error off the convergence.  Raises ``QuadratureError`` after
-    ``max_levels`` halvings of the step or ``NODE_BUDGET`` nodes.
+    ``MAX_LEVELS`` halvings of the step or ``NODE_BUDGET`` nodes.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
@@ -446,7 +447,7 @@ def integrate(
         denominator = denominator * (1 / denominator.coeffs[0])
     else:
         scale = 1
-    args = (problem.a, problem.b, numerator, denominator, target_digits, max_levels)
+    args = (problem.a, problem.b, numerator, denominator, target_digits)
     key = ("tanh-sinh integral",) + args
     value = _cache.get(key)
     if value is None:
@@ -467,7 +468,6 @@ def _tanh_sinh(
     numerator: Polynomial,
     denominator: Polynomial,
     target_digits: int,
-    max_levels: int,
 ) -> mpf:
     """The level-halving rule of ``integrate`` on ``x^a (1-x)^b N/D``."""
     wp = target_digits + 15
@@ -552,7 +552,7 @@ def _tanh_sinh(
         evaluated += 1
         estimate = level_value(total, 0)
         previous = last_diff = None
-        for level in range(max_levels):
+        for level in range(MAX_LEVELS):
             if previous is not None:
                 diff = abs(estimate - previous) / max(mpf(1), abs(estimate))
                 doubled = last_diff is not None and diff <= last_diff**1.8
@@ -563,5 +563,5 @@ def _tanh_sinh(
             total += pair_sum(level + 1, 1, 2)
             estimate = level_value(total, level + 1)
         raise QuadratureError(
-            f"no convergence to {target_digits} digits after {max_levels} levels"
+            f"no convergence to {target_digits} digits after {MAX_LEVELS} levels"
         )

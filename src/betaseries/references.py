@@ -24,8 +24,10 @@ the two series of ``B(u, u)`` are one sum, ``B(1/3, 1/3)`` and
 ``B(1/3, 4/3)`` at one width share theirs, and an arctangent or atanh
 series at a repeated argument is summed once.  ``_cache`` is defined in
 ``quadrature``, which keeps its tanh-sinh node and root tables there too,
-so one ``_cache.clear()`` returns the process to the state of a fresh
-start.  The lock around its reads and writes does not make concurrent use
+so one ``_cache.clear()`` empties every precision-keyed table.  Four
+``functools`` caches of ``engine`` survive it: ``derived_core``,
+``product_core``, ``_beta_cores`` and ``_leaf_forms``, exact cores and
+forms that no value depends on; a fresh start clears them too.  The lock around its reads and writes does not make concurrent use
 safe: every computation here runs at mpmath's global ``mp`` precision,
 which all threads share.
 """

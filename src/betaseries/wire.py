@@ -2,15 +2,18 @@
 
 Rationals travel as strings (``"num/den"``, or plain ``"num"`` when the
 denominator is 1) so no precision is ever lost; floats travel as decimal
-strings with an explicit digit count.  For derived and hypergeometric
-specs ``parse -> serialize -> parse`` is the identity; the parameterized
-series of ``derive --param`` is only written, never read back.
+strings with an explicit digit count: an error or a bound to 5
+significant digits, a rate to 4 decimals.  A spec is read by passing its
+JSON values on to ``DerivedSeries`` and ``HypSeriesSpec``, which coerce
+them with ``rational``.  For derived and hypergeometric specs ``parse ->
+serialize -> parse`` is the identity; the parameterized series of
+``derive --param`` is only written, never read back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from mpmath import mp, mpf
 
@@ -35,6 +38,16 @@ def float_str(value: mpf, digits: int) -> str:
     return mp.nstr(value, digits, strip_zeros=False)
 
 
+def bound_str(value: mpf) -> str:
+    """An error or an error bound, to 5 significant digits."""
+    return float_str(value, 5)
+
+
+def rounded_rate(rate: Optional[float]) -> Optional[float]:
+    """A rate in digits per term, to 4 decimals; None stays None."""
+    return None if rate is None else round(rate, 4)
+
+
 def series_spec_to_dict(ds: DerivedSeries) -> dict:
     return {
         "a": rat_str(ds.a),
@@ -56,15 +69,13 @@ def _require(doc: dict, kind: str, *fields: str) -> None:
 def series_spec_from_dict(doc: dict) -> DerivedSeries:
     _require(doc, "derived series", "a", "b", "k", "s", "z", "qcoeffs")
     return DerivedSeries(
-        a=rational(doc["a"]),
-        b=rational(doc["b"]),
+        a=doc["a"],
+        b=doc["b"],
         k=int(doc["k"]),
         s=int(doc["s"]),
-        z=rational(doc["z"]),
-        qcoeffs=tuple(rational(c) for c in doc["qcoeffs"]),
-        seed_p=Polynomial(rational(c) for c in doc["seed_p_coeffs"])
-        if "seed_p_coeffs" in doc
-        else None,
+        z=doc["z"],
+        qcoeffs=doc["qcoeffs"],
+        seed_p=Polynomial(doc["seed_p_coeffs"]) if "seed_p_coeffs" in doc else None,
     )
 
 
@@ -97,11 +108,7 @@ def hyp_spec_to_dict(spec) -> dict:
 
 def hyp_spec_from_dict(doc: dict):
     _require(doc, "hypergeometric", "upper", "lower", "z")
-    base = HypSeriesSpec(
-        upper=tuple(rational(x) for x in doc["upper"]),
-        lower=tuple(rational(y) for y in doc["lower"]),
-        z=rational(doc["z"]),
-    )
+    base = HypSeriesSpec(upper=doc["upper"], lower=doc["lower"], z=doc["z"])
     m = doc.get("m")
     if m is not None and int(m) != 1:
         return GroupedSeries(base=base, m=int(m))

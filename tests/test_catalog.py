@@ -1,5 +1,7 @@
 """Catalog registry, recipe evaluation, verification reports, wire formats."""
 
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
@@ -270,6 +272,26 @@ class TestRunAll:
     def test_weak_tolerance_run(self):
         summary = run_all(digits=6, only="eq-2.*")
         assert summary["failed"] == 0
+
+    def test_stdout_does_not_depend_on_the_caches(self):
+        # a warm run against one after every cache is emptied: the kept
+        # integrals, reference sums and tables, and engine's cores and forms
+        from betaseries import cli, engine, references
+
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["verify", "--all", "--digits", "30"]) == 0
+            return out.getvalue()
+
+        run()
+        warm = run()
+        caches = (engine.derived_core, engine.product_core, engine._beta_cores, engine._leaf_forms)
+        assert references._cache and all(c.cache_info().currsize for c in caches)
+        references._cache.clear()
+        for c in caches:
+            c.cache_clear()
+        assert run() == warm
 
 
 class TestWireFormats:

@@ -186,6 +186,16 @@ class TestRateAndIntegrate:
             2.5105, abs=1e-3
         )
 
+    def test_rate_of_expression_spec_is_refused(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"expr": "(1/2)^n"}))
+        proc = run_cli("rate", "--spec", str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == (
+            "error: rate --spec takes a derived or hypergeometric spec, not an expression"
+        )
+
     def test_integrate_beta(self):
         proc = run_cli("integrate", "--a", "-1/2", "--b", "-1/2", "--digits", "25")
         assert proc.returncode == 0
@@ -363,8 +373,10 @@ class TestUsage:
             ("(1/2)^n/(n-1)^2", "error: division by zero at n=1"),
             ("(1/2)^n*(1 + (n-2)^(-1))", "error: division by zero at n=2"),
             ("(1/2)^n/poch(-2,n)", "error: division by zero at n=3"),
+            ("(1/2)^n/poch(-7,n) + (1/3)^n/(n-5)", "error: division by zero at n=5"),
+            ("(1/3)^n/(n-5) + (1/2)^n/poch(-7,n)", "error: division by zero at n=5"),
         ],
-        ids=["division", "power", "lower-symbol"],
+        ids=["division", "power", "lower-symbol", "symbol-first", "weight-first"],
     )
     def test_zero_at_an_index_is_a_failure_without_position(self, expr, message):
         # the zero is found only when evaluating term n: no source position.

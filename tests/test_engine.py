@@ -241,6 +241,16 @@ class TestSumTerms:
         with pytest.raises(ZeroDivisionError, match=f"^division by zero at n={n}$"):
             sum_terms([core], 20)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(1/2)^n/poch(-7,n) + (1/3)^n/(n-5)", "(1/3)^n/(n-5) + (1/2)^n/poch(-7,n)"],
+        ids=["symbol-first", "weight-first"],
+    )
+    def test_first_undefined_term_of_any_core_is_named(self, text):
+        # 1/(n-5) leaves term 5 undefined, 1/(-7)_n term 8: either order names 5
+        with pytest.raises(ZeroDivisionError, match="^division by zero at n=5$"):
+            evaluate_expr(text, 20)
+
 
 class TestEvaluateDerived:
     def test_recurrence_matches_scratch(self):

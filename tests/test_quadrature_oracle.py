@@ -302,10 +302,13 @@ def test_node_tables_share_the_reference_cache():
     assert not references._cache
 
 
-def test_too_few_levels_raise():
+def test_too_few_levels_raise(monkeypatch):
     p = problem((F(-1, 2), F(-1, 2)), "none")
+    # a kept value would be returned without a level: the cap acts on a new one
+    references._cache.clear()
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 1)
     with pytest.raises(QuadratureError) as ours:
-        integrate(p, 30, max_levels=1)
+        integrate(p, 30)
     with pytest.raises(QuadratureError) as theirs:
         reference_integrate(p, 30, max_levels=1)
     assert str(ours.value) == str(theirs.value)
@@ -393,12 +396,14 @@ def test_scaled_forms_do_not_depend_on_call_order(order):
         assert integrate(SCALED_FORMS[i], 40)._mpf_ == cold[i]
 
 
-def test_scaled_failure_is_not_kept():
+def test_scaled_failure_is_not_kept(monkeypatch):
     p = QuadratureProblem(a=F(-1, 2), b=F(-1, 2), numerator=Polynomial((F(2, 3),)))
     references._cache.clear()
-    for _ in range(2):
-        with pytest.raises(QuadratureError):
-            integrate(p, 30, max_levels=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "MAX_LEVELS", 1)
+        for _ in range(2):
+            with pytest.raises(QuadratureError):
+                integrate(p, 30)
     assert not [key for key in references._cache if key[0] == "tanh-sinh integral"]
     with mp.workdps(50):
         assert abs(integrate(p, 30) - 2 * mp.pi / 3) <= mpf(10) ** -42
@@ -440,12 +445,14 @@ def test_repeated_call_evaluates_no_node(monkeypatch):
     assert calls
 
 
-def test_failure_is_not_kept():
+def test_failure_is_not_kept(monkeypatch):
     p = problem((F(-1, 2), F(-1, 2)), "none")
     references._cache.clear()
-    for _ in range(2):
-        with pytest.raises(QuadratureError):
-            integrate(p, 30, max_levels=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "MAX_LEVELS", 1)
+        for _ in range(2):
+            with pytest.raises(QuadratureError):
+                integrate(p, 30)
     value = integrate(p, 30)
     with mp.workdps(50):
         assert abs(value - mp.pi) <= mpf(10) ** -42
