@@ -25,6 +25,7 @@ from .polynomials import ParamPolynomial, Polynomial, kernel_polynomial, rationa
 from .quadrature import QuadratureProblem, integrate
 from .wire import (
     bound_str,
+    expr_from_dict,
     float_str,
     hyp_spec_from_dict,
     hyp_spec_to_dict,
@@ -137,7 +138,7 @@ def _cmd_eval(args) -> int:
     else:
         doc = _load_spec_file(args.spec)
         if "expr" in doc:
-            result = evaluate_expr(doc["expr"], args.digits)
+            result = evaluate_expr(expr_from_dict(doc), args.digits)
         elif _is_hyp_spec(doc):
             result = eval_hyp(hyp_spec_from_dict(doc), args.digits)
         else:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up, to_rational
+from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up
 
 from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr, pochhammer
@@ -483,14 +483,14 @@ def _sum(
     return total, bits, lost, n, walks
 
 
-#: a prefactor: exact, or a rational midpoint and radius
+#: a prefactor: exact (an ``int`` is one), or a rational midpoint and radius
 Prefactor = Union[Fraction, Tuple[Fraction, Fraction]]
 
 
 def sum_terms(
     cores: Sequence[HypTerms],
     target_digits: int,
-    prefactor: Union[Prefactor, mpf, int, None] = None,
+    prefactor: Optional[Prefactor] = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> EvalResult:
     """Sum the cores, term ``n`` being the sum of their terms ``n``, until the
@@ -505,8 +505,6 @@ def sum_terms(
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
     prefactor, radius = prefactor if isinstance(prefactor, tuple) else (prefactor, 0)
-    if isinstance(prefactor, mpf):
-        prefactor = Fraction(*to_rational(prefactor._mpf_))
     pref = Fraction(1 if prefactor is None else prefactor)
     if not pref:
         raise ValueError("prefactor must be nonzero")

@@ -54,21 +54,23 @@ from .polynomials import Polynomial
 
 
 class ExprError(ValueError):
-    """Base class for term-expression failures."""
+    """Base class for term-expression failures: ``"<kind> error at L:C:
+    <message>"``, with the position kept as ``line`` and ``column``."""
+
+    kind = "expression"
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{self.kind} error at {line}:{column}: {message}")
+        self.line = line
+        self.column = column
 
 
 class ExprSyntaxError(ExprError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"syntax error at {line}:{column}: {message}")
-        self.line = line
-        self.column = column
+    kind = "syntax"
 
 
 class ExprSemanticError(ExprError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"semantic error at {line}:{column}: {message}")
-        self.line = line
-        self.column = column
+    kind = "semantic"
 
 
 # --------------------------------------------------------------------------
@@ -260,6 +262,36 @@ def _negate(x: TermExpr) -> TermExpr:
     return tuple(p._replace(a=-p.a) for p in x)
 
 
+def _sum_node(x: TermExpr, y: TermExpr, tok: _Token) -> TermExpr:
+    """``x + y`` or ``x - y``, as ``tok`` says."""
+    return _add(x + (y if tok.text == "+" else _negate(y)))
+
+
+def _product_node(x: TermExpr, y: TermExpr, tok: _Token) -> TermExpr:
+    """``x * y`` or ``x / y``, as ``tok`` says."""
+    return _mul(x, y if tok.text == "*" else _inverse(y, "division by zero constant", tok))
+
+
+def _power_node(base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
+    """``base ^ exponent``: an integer constant exponent, or an integer linear
+    form in ``n`` over a constant rational base."""
+    k = _const_value(exponent)
+    if k is not None:
+        if k.denominator != 1:
+            raise _semantic("constant exponent must be an integer", tok)
+        return _power(base, int(k), tok)
+    c = _const_value(base)
+    if c is None:
+        raise _semantic("variable exponent requires a constant rational base", tok)
+    f = _polynomial(exponent)
+    if f is None or f.degree > 1 or any(e.denominator != 1 for e in f.coeffs):
+        raise _semantic("exponent must be an integer-valued linear form in n", tok)
+    p, q = int(f.coefficient(1)), int(f.coefficient(0))
+    if c == 0 and (p < 0 or q < 0):
+        raise _semantic("zero base with possibly negative exponent", tok)
+    return _single(c**p, a=Polynomial.constant(c**q))
+
+
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------
@@ -326,29 +358,20 @@ class _Parser:
             )
         return node
 
+    def fold(self, operand, ops: str, combine) -> TermExpr:
+        """``operand (op operand)*`` for the operators in ``ops``, folded from
+        the left by ``combine(node, rhs, tok)``."""
+        node = operand()
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
+            self.advance()
+            node = combine(node, operand(), tok)
+        return node
+
     def expr(self) -> TermExpr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = _add(node + (rhs if tok.text == "+" else _negate(rhs)))
-            else:
-                return node
+        return self.fold(self.term, "+-", _sum_node)
 
     def term(self) -> TermExpr:
-        node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.unary()
-                if tok.text == "/":
-                    rhs = _inverse(rhs, "division by zero constant", tok)
-                node = _mul(node, rhs)
-            else:
-                return node
+        return self.fold(self.unary, "*/", _product_node)
 
     def unary(self) -> TermExpr:
         tok = self.peek()
@@ -358,32 +381,7 @@ class _Parser:
         return self.power()
 
     def power(self) -> TermExpr:
-        node = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "^":
-                self.advance()
-                exponent = self.atom()
-                node = self._make_pow(node, exponent, tok)
-            else:
-                return node
-
-    def _make_pow(self, base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
-        k = _const_value(exponent)
-        if k is not None:
-            if k.denominator != 1:
-                raise _semantic("constant exponent must be an integer", tok)
-            return _power(base, int(k), tok)
-        c = _const_value(base)
-        if c is None:
-            raise _semantic("variable exponent requires a constant rational base", tok)
-        f = _polynomial(exponent)
-        if f is None or f.degree > 1 or any(e.denominator != 1 for e in f.coeffs):
-            raise _semantic("exponent must be an integer-valued linear form in n", tok)
-        p, q = int(f.coefficient(1)), int(f.coefficient(0))
-        if c == 0 and (p < 0 or q < 0):
-            raise _semantic("zero base with possibly negative exponent", tok)
-        return _single(c**p, a=Polynomial.constant(c**q))
+        return self.fold(self.atom, "^", _power_node)
 
     def atom(self) -> TermExpr:
         tok = self.advance()

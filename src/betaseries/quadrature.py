@@ -68,27 +68,35 @@ take ``math.isqrt`` first.  Entries are filled lazily, and integrals that
 share a denominator at one ``W`` share its table: the catalog's 7
 distinct integrals with fractional powers need the orders 2 to 5 only.
 Integer exponents are the case ``q = 1``, whose roots are ``x`` and
-``1-x`` themselves and need no table.  So every power takes one path:
-each root raised to ``na`` or ``nb`` by squaring, with a truncation
-after each product, and the two powers multiplied.  No node calls an
-exponential or a logarithm for its powers, and the cost grows with
-``log(na nb)``.  ``N`` and ``D`` are scaled to integer coefficients and
+``1-x`` themselves: its root table is the node table, whose entries begin
+with them.  So every power takes one path: each root raised to ``na`` or
+``nb`` by squaring, with a truncation after each product, and the two
+powers multiplied.  No node calls an exponential or a logarithm for its
+powers, and the cost grows with ``log(na nb)``.  ``N`` and ``D`` are
+scaled by one rational, the least that makes all their coefficients
+integers with no common factor (``polynomials.integer_coefficients``), so
+the integer forms ``N_int / D_int`` are ``N / D`` exactly.  They are
 evaluated by fixed-point Horner, with one integer division per node for
 ``N/D``; one call gives the summands at ``t`` and ``-t`` added.  A
-level's sum over all its nodes is one exact int, turned into one
-correctly rounded mpf.
+level's sum over all its nodes is one exact int ``S``, and the level is
+``S 2^-(W + level)``, rounded once to an mpf.
 
 Error budget, in units of ``2^-W``.  Per node: each tabled value is within
 1; each root is within 2 (a unit of ``x >= 1/2`` moves its root by under
 one, and the floor adds one); a root within ``e`` raised to ``n`` by
 squaring is within ``(e + 1) n - 1``, as a product of two factors of at
 most 1 adds their errors and one truncation, so the power
-``x^(a+1) (1-x)^(b+1)`` is within ``3 (na + nb)``; Horner adds at most
-``deg`` truncations plus ``|N'|`` or ``|D'|`` times the error of ``x``;
-the division adds 1 plus the relative errors of ``N`` and ``D`` times
-``|N/D|``, which a denominator close to a pole amplifies by
-``(sum |coefficients|) / min |D|``; the final product with ``pc`` scales
-the sum by ``pc``.  Per level: ``h * sum over nodes``, at most
+``x^(a+1) (1-x)^(b+1)`` is within ``3 (na + nb)``; Horner on ``N_int``
+and ``D_int`` adds at most ``deg`` truncations plus ``|N_int'|`` or
+``|D_int'|`` times the error of ``x``; the division adds 1 plus the
+relative errors of ``N_int`` and ``D_int`` times ``|N/D|``.  The relative
+error of ``D_int(x)`` is ``(deg + |D_int'|) / |D_int|`` units: the part
+``|D_int'| / |D_int|`` does not depend on the scale and grows as a pole
+nears [0, 1]; the part ``deg / |D_int|`` does.  Dividing out the content
+of ``N`` and ``D`` together can leave ``|D_int|`` smaller than ``D``
+scaled on its own (``6 / (2 + 4x)`` is ``3 / (1 + 2x)``), so the
+truncations weigh up to that content more.  The final product with
+``pc`` scales the sum by ``pc``.  Per level: ``h * sum over nodes``, at most
 ``2 t_max max(pc * node error)``, with ``t_max`` a few units and ``pc`` up
 to ``pi cosh t_max``: a few thousand at 300 digits.
 ``GUARD_BITS = 32`` (about 9.6 digits) keeps that whole budget below
@@ -127,28 +135,33 @@ larger in the caller's units, and its contributions no larger in
 absolute terms.  A problem with ``|c| > 1`` is integrated as it is
 reduced, as ``1 / (1 + x/10^20)`` and ``10^20 / (x + 1)`` are.  The root
 scan still runs on the ``D`` as given, so a removable root on [0, 1] is
-refused.  Each value is kept under the problem that was integrated and
-``target_digits``; a call returns ``c`` times it,
-rounded once at the working precision, and a repeated or scaled call
-evaluates no node.  A raised ``QuadratureError`` is not kept.
+refused.  Each value is kept by ``_kept`` under the problem that was
+integrated and ``target_digits``; a call returns ``c`` times it, rounded
+once at the working precision, and a repeated or scaled call evaluates no
+node.  A raised ``QuadratureError`` is not kept.
 
 Every value a node contributes is the same integer whether its transform
 and roots are fresh or read from a table, and a kept value is the one its
 normalized problem computes, so results do not depend on what ``_cache``
 holds or on the order of the calls.  The node tables with their
 constants, the root tables and the kept values live in ``_cache``, the
-process-wide cache of precision-keyed constants that ``references`` also
-uses for its reference sums and values.  They last as long as the
-process, or until ``_cache.clear()``.  That leaves four ``functools``
-caches of ``engine`` warm (``derived_core``, ``product_core``,
-``_beta_cores`` and ``_leaf_forms``); a fresh start has them empty too.
+process-wide cache of precision-keyed constants, and ``_kept`` is its one
+keeper: ``references`` keeps its reference sums and values through it
+too.  They last as long as the process, or until ``_cache.clear()``.
+That leaves four ``functools`` caches of ``engine`` warm
+(``derived_core``, ``product_core``, ``_beta_cores`` and
+``_leaf_forms``); a fresh start has them empty too.  The lock around
+``_kept``'s reads and writes does not make concurrent use safe: every
+computation here and in ``references`` runs at mpmath's global ``mp``
+precision, which all threads share.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, ldexp
+from math import isqrt, ldexp
 from typing import Tuple
 
 from mpmath import mp, mpf
@@ -166,6 +179,7 @@ from .polynomials import (
     Polynomial,
     _poly_gcd,
     has_root_on_unit_interval,
+    integer_coefficients,
     monic,
     poly_divmod,
     rational,
@@ -226,8 +240,22 @@ class QuadratureProblem:
 
 #: The process-wide cache of precision-keyed constants: the node tables,
 #: root tables and integral values of this module and the reference values
-#: of ``references``, which imports it.
+#: of ``references``, which imports it with ``_kept``.
 _cache: dict = {}
+
+_cache_lock = threading.Lock()
+
+
+def _kept(key, compute):
+    """``compute()``, kept in ``_cache`` under ``key``; an exception it raises
+    is not kept."""
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is None:
+        hit = compute()
+        with _cache_lock:
+            _cache[key] = hit
+    return hit
 
 
 def _node_constants(w: int) -> tuple:
@@ -237,12 +265,8 @@ def _node_constants(w: int) -> tuple:
     (``libmp``'s ``pi_fixed`` and ``ln2_fixed``), and ``powers`` is the dict
     that ``_exp_powers`` fills with ``exp(+-2^k)``.
     """
-    key = ("tanh-sinh node constants", w)
-    constants = _cache.get(key)
-    if constants is None:
-        p = w + NODE_GUARD_BITS
-        constants = _cache[key] = (p, pi_fixed(p), ln2_fixed(p), {})
-    return constants
+    p = w + NODE_GUARD_BITS
+    return _kept(("tanh-sinh node constants", w), lambda: (p, pi_fixed(p), ln2_fixed(p), {}))
 
 
 def _exp_powers(powers: dict, k: int, p: int) -> Tuple[int, int]:
@@ -361,16 +385,14 @@ def _root_pair(table: dict, t: float, entry: tuple, q: int, w: int) -> Tuple[int
     """``(floor(x^(1/q) 2^w), floor((1-x)^(1/q) 2^w))`` for the node
     ``entry`` at ``t >= 0``; ``table`` is the root table of ``(w, q)``,
     keyed like the node table.  Order 1 has no table of its own: its roots
-    are the entry's own ``x`` and ``1-x``, and ``integrate`` looks them up
-    in the node table, whose entries begin with them.
+    are the entry's own ``x`` and ``1-x``, so its table is the node table,
+    which holds ``entry`` at ``t`` already.
 
     The root of ``x`` is that of the fixed-point int, as ``x >= 1/2``; the
     root of ``1-x`` is the floor root of the ``libmp`` mantissa shifted by
     ``exp + q w``.  A right shift loses nothing, as the floor root of the
     floor of a number is the floor root of the number.
     """
-    if q == 1:
-        return entry[0], entry[1]
     pair = table.get(t)
     if pair is None:
         _, man, exp, bc = entry[3]
@@ -396,15 +418,6 @@ def _fixed_power(v: int, n: int, w: int) -> int:
         if not n:
             return r
         v = v * v >> w
-
-
-def _fixed_coefficients(poly: Polynomial, w: int) -> Tuple[int, Tuple[int, ...]]:
-    """``(L, c)``: ``L * poly`` has integer coefficients, and ``c`` holds them
-    times ``2^w``, highest degree first, for ``_fixed_horner``."""
-    scale = lcm(*(c.denominator for c in poly.coeffs))
-    return scale, tuple(
-        c.numerator * (scale // c.denominator) << w for c in reversed(poly.coeffs)
-    )
 
 
 def _fixed_horner(coeffs: Tuple[int, ...], x: int, w: int) -> int:
@@ -448,10 +461,7 @@ def integrate(problem: QuadratureProblem, target_digits: int) -> mpf:
     else:
         scale = 1
     args = (problem.a, problem.b, numerator, denominator, target_digits)
-    key = ("tanh-sinh integral",) + args
-    value = _cache.get(key)
-    if value is None:
-        value = _cache[key] = _tanh_sinh(*args)
+    value = _kept(("tanh-sinh integral",) + args, lambda: _tanh_sinh(*args))
     if scale == 1:
         return value
     man, exp = value.man_exp
@@ -473,32 +483,35 @@ def _tanh_sinh(
     wp = target_digits + 15
     with mp.workdps(wp):
         w = mp.prec + GUARD_BITS
-        nodes = _cache.setdefault(("tanh-sinh nodes", w), {})
+        nodes = _kept(("tanh-sinh nodes", w), dict)
         # x^(a+1) = (x^(1/qa))^na with na / qa = a + 1, and alike for 1-x
         qa, na = (a + 1).denominator, (a + 1).numerator
         qb, nb = (b + 1).denominator, (b + 1).numerator
         # order 1 reads its roots, x and 1-x, off the node entries themselves
         roots_a, roots_b = (
-            _cache.setdefault(("tanh-sinh roots", w, q), {}) if q > 1 else nodes
+            _kept(("tanh-sinh roots", w, q), dict) if q > 1 else nodes
             for q in (qa, qb)
         )
-        nscale, ncoeffs = _fixed_coefficients(numerator, w)
-        dscale, dcoeffs = _fixed_coefficients(denominator, w)
+        # N/D with one integer scale, highest degree first, times 2^w
+        ncoeffs, dcoeffs = (
+            tuple(c << w for c in reversed(form))
+            for form in integer_coefficients(numerator, denominator)
+        )
 
         def pair_summand(x: int, omx: int, ra: tuple, rb: tuple) -> int:
             """The summands at ``t`` and ``-t`` added, from ``x``, ``1-x`` and
             the root pairs ``(x^(1/q), (1-x)^(1/q))`` of orders ``qa`` and
-            ``qb``: ``x^(a+1) (1-x)^(b+1) N(x) / D(x)`` times
-            ``nscale / dscale``, and the same with ``x`` and ``1-x`` swapped.
-            A root of 0 in place of ``ra[1]`` makes the one at ``-t`` 0."""
+            ``qb``: ``x^(a+1) (1-x)^(b+1) N(x) / D(x)``, and the same with
+            ``x`` and ``1-x`` swapped.  A root of 0 in place of ``ra[1]``
+            makes the one at ``-t`` 0."""
             p = _fixed_power(ra[0], na, w) * _fixed_power(rb[1], nb, w) >> w
             pm = _fixed_power(ra[1], na, w) * _fixed_power(rb[0], nb, w) >> w
             p = p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
             pm = pm * _fixed_horner(ncoeffs, omx, w) // _fixed_horner(dcoeffs, omx, w)
             return p + pm
 
-        # |contribution| * 2^-w * dscale / nscale < 10^-(wp + 5), on integers
-        cut = -(-(nscale << w) // (dscale * 10 ** (wp + 5)))
+        # |contribution| * 2^-w < 10^-(wp + 5), on integers
+        cut = -(-(1 << w) // 10 ** (wp + 5))
         agree_tol = mpf(10) ** (-(target_digits + 5))
         doubling_tol = mpf(10) ** -wp
         evaluated = 0
@@ -540,8 +553,7 @@ def _tanh_sinh(
 
         def level_value(total: int, level: int) -> mpf:
             """``2^-level`` times the level's sum, as one rounded mpf."""
-            value = from_rational(total * dscale, nscale, mp.prec, round_nearest)
-            return mp.make_mpf(mpf_shift(value, -(w + level)))
+            return mp.make_mpf(from_man_exp(total, -(w + level), mp.prec, round_nearest))
 
         # the node at t = 0 is counted once: a root of 0 drops its mirror
         entry = _node(nodes, 0, 0, w)

@@ -22,21 +22,19 @@ process-wide cache of precision-keyed constants.  Each fixed-point series
 sum is kept there too, keyed by the inputs that define it and its width:
 the two series of ``B(u, u)`` are one sum, ``B(1/3, 1/3)`` and
 ``B(1/3, 4/3)`` at one width share theirs, and an arctangent or atanh
-series at a repeated argument is summed once.  ``_cache`` is defined in
-``quadrature``, which keeps its tanh-sinh node and root tables there too,
-so one ``_cache.clear()`` empties every precision-keyed table.  Four
-``functools`` caches of ``engine`` survive it: ``derived_core``,
-``product_core``, ``_beta_cores`` and ``_leaf_forms``, exact cores and
-forms that no value depends on; a fresh start clears them too.  The lock around its reads and writes does not make concurrent use
-safe: every computation here runs at mpmath's global ``mp`` precision,
-which all threads share.
+series at a repeated argument is summed once.  ``_cache`` and its keeper
+``_kept`` are defined in ``quadrature``, which keeps its tanh-sinh node
+and root tables there too, so one ``_cache.clear()`` empties every
+precision-keyed table.  Four ``functools`` caches of ``engine`` survive
+it: ``derived_core``, ``product_core``, ``_beta_cores`` and
+``_leaf_forms``, exact cores and forms that no value depends on; a fresh
+start clears them too.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 from functools import partial
 from typing import Tuple
@@ -45,29 +43,17 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .polynomials import rational
-from .quadrature import _cache, _iroot
+from .quadrature import _iroot, _kept
 
-# Nothing here calls the quadrature.  ``integrate`` stays importable from this
-# module only because the benchmark's tracer (``bench/layers.py``) patches
-# ``references.integrate`` as a layer boundary; remove both together.
-from .quadrature import integrate  # noqa: F401
+# Nothing here calls the quadrature or reads ``_cache``.  Both stay importable
+# from this module: the tests and the benchmark clear ``references._cache``,
+# and the benchmark's tracer (``bench/layers.py``) patches
+# ``references.integrate`` as a layer boundary.
+from .quadrature import _cache, integrate  # noqa: F401
 
 _GUARD_DIGITS = 10  # past the requested digits, for each named constant
 _GUARD_BITS = 10  # past the working precision, for every error bound and rounding
 _SPARE_BITS = 32  # of a fixed-point width past its error budget
-
-_cache_lock = threading.Lock()
-
-
-def _kept(key, compute):
-    """``compute()``, kept in ``_cache`` under ``key``."""
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is None:
-        hit = compute()
-        with _cache_lock:
-            _cache[key] = hit
-    return hit
 
 
 def _cached(key, digits: int, builder):

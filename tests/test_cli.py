@@ -450,6 +450,71 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ("eval", "--digits", "5", "--spec"),
+            ("rate", "--spec"),
+            ("accelerate", "--m", "2", "--hyp"),
+        ],
+        ids=["eval", "rate", "accelerate"],
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("upper", "12", 'must be an array of rationals (strings or integers), got "12"'),
+            ("lower", [True], "must be an array of rationals (strings or integers), got [true]"),
+            ("z", 0.5, "must be a rational (a string or an integer), got 0.5"),
+            ("z", None, "must be a rational (a string or an integer), got null"),
+            ("m", 2.5, "must be an integer, got 2.5"),
+        ],
+        ids=["string-list", "boolean", "float", "null", "float-m"],
+    )
+    def test_hyp_spec_field_of_another_type_is_named(self, tmp_path, argv, field, value, message):
+        # a string is not split into parameters, nor a float or bool read as an int
+        doc = {"upper": ["1/2"], "lower": ["3/2"], "z": "-1/2", field: value}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: hypergeometric spec field {field!r} {message}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--digits", "5", "--spec"), ("rate", "--spec")],
+        ids=["eval", "rate"],
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("qcoeffs", "5", 'must be an array of rationals (strings or integers), got "5"'),
+            ("a", True, "must be a rational (a string or an integer), got true"),
+            ("z", -48.0, "must be a rational (a string or an integer), got -48.0"),
+            ("k", 1.0, "must be an integer, got 1.0"),
+            ("s", 2.7, "must be an integer, got 2.7"),
+        ],
+        ids=["string-list", "boolean", "float", "float-k", "float-s"],
+    )
+    def test_derived_spec_field_of_another_type_is_named(
+        self, tmp_path, argv, field, value, message
+    ):
+        doc = {"a": "-1/2", "b": "0", "k": 1, "s": 2, "z": "-48", "qcoeffs": ["-48", "15", "-3"]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(doc, **{field: value})))
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: derived series spec field {field!r} {message}"
+
+    def test_expression_spec_must_be_a_string(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"expr": 5}))
+        proc = run_cli("eval", "--digits", "5", "--spec", str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == "error: expression spec field 'expr' must be a string, got 5"
+
+    @pytest.mark.parametrize(
+        "argv",
         [("eval", "--digits", "5", "--spec"), ("rate", "--spec")],
         ids=["eval", "rate"],
     )

@@ -16,7 +16,9 @@ integrates ``N/D`` cancelled by their gcd, takes out the exact scale
 ``c = lead(N) / D(0)`` when ``|c| <= 1``, keeps each value in ``_cache`` and
 scales it by ``c``, so a repeated or scaled call evaluates no node, and the
 same bits must come back once only the kept values are dropped.  A scale
-``|c| > 1`` must not loosen the caller's tolerance.  Every field of a node-table entry must lie
+``|c| > 1`` must not loosen the caller's tolerance, and ``N`` and ``D``
+share one integer scale: one that divides out a common content must keep
+the value.  Every field of a node-table entry must lie
 within its stated error of an mpmath value at ``3W`` bits, and an entry must
 not depend on the order in which the table was built.
 
@@ -432,6 +434,24 @@ def test_large_scale_keeps_the_callers_tolerance(monkeypatch, digits):
             exact = factor * mp.log1p(mpf(10) ** -20)
             assert abs(value - exact) <= mpf(10) ** -digits * exact
     assert len(calls) == 2
+
+
+#: ``(N, D, I)``, each with ``|c| > 1``, so integrated as it stands, on one
+#: integer scale: ``6 / (2 + 4x)`` has the content 2 and is ``3 / (1 + 2x)``
+#: there, and ``(7/3) / (1/5 + x/2)`` is ``70 / (6 + 15x)``
+SHARED_SCALES = [
+    ((6,), (2, 4), lambda: 3 * mp.log(3) / 2),
+    ((F(7, 3),), (F(1, 5), F(1, 2)), lambda: 14 * mp.log(mpf(7) / 2) / 3),
+]
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("num, den, exact", SHARED_SCALES, ids=["content-2", "no-content"])
+def test_one_integer_scale_keeps_the_value(num, den, exact, digits):
+    p = QuadratureProblem(a=0, b=0, numerator=Polynomial(num), denominator=Polynomial(den))
+    value = integrate(p, digits)
+    with mp.workdps(2 * digits + 20):
+        assert abs(value - exact()) <= mpf(10) ** -(digits + 12) * exact()
 
 
 def test_repeated_call_evaluates_no_node(monkeypatch):
