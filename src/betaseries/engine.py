@@ -45,11 +45,12 @@ from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up
 from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr, pochhammer
 from .polynomials import (
-    Polynomial,
     consecutive,
     horner,
     integer_coefficients,
     integer_forms,
+    coeff_product,
+    coeff_sum,
     leaf_forms,
     quotient,
 )
@@ -237,16 +238,17 @@ class HypTerms:
         n0 = max([1] + [math.floor(-x) + 1 for x in above + below])
         top, bottom = self.weight
         d = max(len(top) - len(bottom), 0)
-        p = Polynomial.constant(self.limit()) * Polynomial((1, 1)) ** d
-        q = Polynomial((0, 1)) ** d
+        # each factor n + x is the rising factorial (x + n)_1
+        p, q = [(1, 1, 1)] * d, [(0, 1, 1)] * d
         for a, b in itertools.zip_longest(above, below):
             if a is None or a > b:  # an unpaired lower factor, or a pair above 1
-                q = q * Polynomial((b, 1))
+                q.append((b, 1, 1))
                 if a is not None:
-                    p = p * Polynomial((a, 1))
+                    p.append((a, 1, 1))
         sign = 1 if bottom[-1] > 0 else -1
         floor = tuple(min(sign * c, 0) for c in bottom[:-1]) + (abs(bottom[-1]),)
-        return (n0, *integer_coefficients(p, q), tuple(map(abs, top)), floor)
+        forms = integer_forms([(self.limit(), p)], [(1, q)])
+        return (n0, *forms, tuple(map(abs, top)), floor)
 
     def grouped(self, m: int) -> "HypTerms":
         """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
@@ -263,14 +265,20 @@ class HypTerms:
         top, bottom = self.integer_ratio
         a, b = self.weight
 
-        def at(coeffs: Sequence[int], j: int) -> Polynomial:
-            return horner(coeffs, Polynomial((j, m)), Polynomial.zero())
+        def at(coeffs: Sequence[int], j: int) -> Tuple[int, ...]:
+            """The polynomial ``coeffs`` at ``mn + j``, by Horner on integers."""
+            acc = ()
+            for c in reversed(coeffs):
+                acc = coeff_sum(coeff_product(acc, (j, m)), (c,))
+            return acc
 
         # nested from the last summand: w(j) + r(j) (w(j+1) + r(j+1) (...))
         u, v = at(a, m - 1), at(b, m - 1)
         for j in range(m - 2, -1, -1):
-            d, bj = at(bottom, j), at(b, j)
-            u, v = at(a, j) * d * v + bj * at(top, j) * u, bj * d * v
+            bj, dv = at(b, j), coeff_product(at(bottom, j), v)
+            u = coeff_product(bj, coeff_product(at(top, j), u))
+            u = coeff_sum(coeff_product(at(a, j), dv), u)
+            v = coeff_product(bj, dv)
         num = tuple((p * m, q) for p, q in self.num)
         den = tuple((p * m, q) for p, q in self.den)
         core = HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v))
@@ -589,7 +597,7 @@ def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
 @cache
 def product_core(p: Product) -> HypTerms:
     """The core of one printed product, with ``a / b`` as its weight."""
-    return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a, p.b))
+    return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a.coeffs, p.b.coeffs))
 
 
 def evaluate_expr(expr: Union[TermExpr, str], target_digits: int) -> EvalResult:

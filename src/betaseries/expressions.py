@@ -23,9 +23,13 @@ hypergeometric ``Product``s
     c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n),
 
 with Pochhammer symbols ``(p, q)`` as in ``engine.HypTerms`` and polynomials
-``a``, ``b``.  Products that share ``(c, num, den)`` are merged, so every
-catalog summand is one product.  ``fact(pn+q)`` is ``q! (q+1)_{pn}``,
-``poch(x, pn+q)`` is ``(x)_q (x+q)_{pn}``, ``c^(pn+q)`` is ``c^q (c^p)^n``,
+``a``, ``b``.  While folding, each product carries ``a / b`` as integer
+coefficients ``(A, B)`` without common content, multiplied and added by the
+integer kernel of ``polynomials``; the normal form, ``a = A / lead(B)`` and
+``b`` monic, is made once, when the whole summand is read.  Products that
+share ``(c, num, den)`` are merged, so every catalog summand is one product.
+``fact(pn+q)`` is ``q! (q+1)_{pn}``, ``poch(x, pn+q)`` is ``(x)_q
+(x+q)_{pn}``, ``c^(pn+q)`` is ``c^q (c^p)^n``,
 and ``binom`` is a quotient of factorials whose last factorial is rewritten
 so that the product is 0 exactly where the binomial is.  Each product is
 one term core to the engine; ``evaluate`` is its closed form, kept as an
@@ -45,12 +49,13 @@ index ``n`` (``1/(n-1)``) is left to evaluation, which raises
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
-from .polynomials import Polynomial
+from .polynomials import IntPoly, Polynomial, coeff_product, coeff_sum
 
 
 class ExprError(ValueError):
@@ -132,16 +137,23 @@ def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
 # Folding: sums and products of products
 # --------------------------------------------------------------------------
 
-_ONE = Polynomial.one()
-
-
 def _semantic(message: str, tok: _Token) -> ExprSemanticError:
     return ExprSemanticError(message, tok.line, tok.column)
 
 
-def _single(c=Fraction(1), num=(), den=(), a: Polynomial = _ONE) -> TermExpr:
-    """The one product ``c^n num/den a``, or the empty sum when ``a`` is 0."""
-    return (Product(c, num, den, a, _ONE),) if a else ()
+def _single(c=Fraction(1), num=(), den=(), k: Union[Fraction, int] = 1, a=(1,)) -> TermExpr:
+    """The one product ``c^n num/den k a`` for a rational ``k`` and integer
+    coefficients ``a``, or the empty sum when it is 0."""
+    a = tuple(k.numerator * v for v in a) if k else ()
+    return (Product(c, num, den, a, (k.denominator,)),) if a else ()
+
+
+def _pair(c, num, den, a: IntPoly, b: IntPoly) -> Product:
+    """A folded product: ``a / b`` without common content."""
+    g = math.gcd(*a, *b)
+    if g > 1:
+        a, b = tuple(x // g for x in a), tuple(x // g for x in b)
+    return Product(c, num, den, a, b)
 
 
 def _add(products: Iterable[Product]) -> TermExpr:
@@ -150,18 +162,16 @@ def _add(products: Iterable[Product]) -> TermExpr:
     for p in products:
         key = p[:3]
         if key in merged:
+            # over b p.b, or over b lead(p.b) where b and p.b are one monic b
             a, b = merged[key]
-            if b == p.b:
-                merged[key] = a + p.a, b
-            else:  # a product of monic polynomials is monic
-                merged[key] = a * p.b + p.a * b, b * p.b
+            u, v = (b[-1],), (p.b[-1],)
+            if coeff_product(b, v) != coeff_product(p.b, u):
+                u, v = b, p.b
+            a = coeff_sum(coeff_product(a, v), coeff_product(p.a, u))
+            merged[key] = a, coeff_product(b, v)
         else:
             merged[key] = p.a, p.b
-    return tuple(Product(*key, a, b) for key, (a, b) in merged.items() if a)
-
-
-def _times(x: Polynomial, y: Polynomial) -> Polynomial:
-    return y if x.coeffs == (1,) else x if y.coeffs == (1,) else x * y
+    return tuple(_pair(*key, a, b) for key, (a, b) in merged.items() if a)
 
 
 def _mul(left: TermExpr, right: TermExpr) -> TermExpr:
@@ -175,8 +185,8 @@ def _mul(left: TermExpr, right: TermExpr) -> TermExpr:
                     den.remove(s)
                 else:
                     num.append(s)
-            a, b = _times(x.a, y.a), _times(x.b, y.b)
-            products.append(Product(x.c * y.c, tuple(num), tuple(den), a, b))
+            a, b = coeff_product(x.a, y.a), coeff_product(x.b, y.b)
+            products.append(_pair(x.c * y.c, tuple(num), tuple(den), a, b))
     return _add(products) if len(products) > 1 else tuple(products)
 
 
@@ -187,9 +197,7 @@ def _inverse(x: TermExpr, zero: str, tok: _Token) -> TermExpr:
     if len(x) > 1:
         raise _semantic("not hypergeometric: 1 / a sum of unlike products", tok)
     (p,) = x
-    scale = 1 / p.a.coeffs[-1]  # makes the new denominator monic
-    a, b = (p.b, p.a) if scale == 1 else (p.b * scale, p.a * scale)
-    return (Product(1 / p.c, p.den, p.num, a, b),)
+    return (Product(1 / p.c, p.den, p.num, p.b, p.a),)
 
 
 def _power(x: TermExpr, k: int, tok: _Token) -> TermExpr:
@@ -211,8 +219,8 @@ def _polynomial(x: TermExpr) -> Optional[Polynomial]:
         return Polynomial.zero()
     if len(x) == 1:
         c, num, den, a, b = x[0]
-        if c == 1 and not num and not den and b.degree == 0:
-            return a
+        if c == 1 and not num and not den and len(b) == 1:
+            return Polynomial(Fraction(v, b[0]) for v in a)
     return None
 
 
@@ -239,27 +247,27 @@ def _linear(x: TermExpr, what: str, tok: _Token) -> Tuple[int, int]:
 def _factorial(p: int, q: int) -> TermExpr:
     """``(pn + q)! = q! (q + 1)_{pn}``."""
     num = ((p, Fraction(q + 1)),) if p else ()
-    return _single(num=num, a=Polynomial.constant(math.factorial(q)))
+    return _single(num=num, k=math.factorial(q))
 
 
 def _reciprocal_factorial(e: int, f: int) -> TermExpr:
     """``1 / (en + f)!``, taken as 0 wherever ``en + f < 0``."""
     if f >= 0:
-        inverse = Polynomial.constant(Fraction(1, math.factorial(f)))
+        inverse = Fraction(1, math.factorial(f))
         if e >= 0:
-            return _single(den=((e, Fraction(f + 1)),) if e else (), a=inverse)
+            return _single(den=((e, Fraction(f + 1)),) if e else (), k=inverse)
         # 1/(f - kn)! = (f - kn + 1) ... (f) / f! = (-1)^{kn} (-f)_{kn} / f!
-        return _single(Fraction((-1) ** -e), num=((-e, Fraction(-f)),), a=inverse)
+        return _single(Fraction((-1) ** -e), num=((-e, Fraction(-f)),), k=inverse)
     if e > 0:
         # 1/(en + f)! = (en + f + 1) ... (en) / (en)!, where one factor is 0
         # wherever 0 <= en < -f
-        a = math.prod((Polynomial((j, e)) for j in range(f + 1, 1)), start=_ONE)
+        a = functools.reduce(coeff_product, ((j, e) for j in range(f + 1, 1)), (1,))
         return _single(den=((e, Fraction(1)),), a=a)
     return ()  # en + f < 0 for every n >= 0
 
 
 def _negate(x: TermExpr) -> TermExpr:
-    return tuple(p._replace(a=-p.a) for p in x)
+    return tuple(p._replace(a=tuple(-v for v in p.a)) for p in x)
 
 
 def _sum_node(x: TermExpr, y: TermExpr, tok: _Token) -> TermExpr:
@@ -289,7 +297,7 @@ def _power_node(base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
     p, q = int(f.coefficient(1)), int(f.coefficient(0))
     if c == 0 and (p < 0 or q < 0):
         raise _semantic("zero base with possibly negative exponent", tok)
-    return _single(c**p, a=Polynomial.constant(c**q))
+    return _single(c**p, k=c**q)
 
 
 # --------------------------------------------------------------------------
@@ -386,10 +394,10 @@ class _Parser:
     def atom(self) -> TermExpr:
         tok = self.advance()
         if tok.kind == "int":
-            return _single(a=Polynomial.constant(int(tok.text)))
+            return _single(k=int(tok.text))
         if tok.kind == "name":
             if tok.text == "n":
-                return _single(a=Polynomial.x())
+                return _single(a=(0, 1))
             if tok.text in _FUNRS:
                 self.expect("(")
                 first = self.expr()
@@ -409,7 +417,7 @@ class _Parser:
                     raise _semantic("poch base must be a constant rational", tok)
                 p, q = _linear(second, "pochhammer length", tok)
                 num = ((p, x + q),) if p else ()
-                return _single(num=num, a=Polynomial.constant(pochhammer(x, q)))
+                return _single(num=num, k=pochhammer(x, q))
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
@@ -424,4 +432,8 @@ class _Parser:
 
 def parse_term_expr(text: str) -> TermExpr:
     """Parse a summand in the grammar into its normal form, checking it on the way."""
-    return _Parser(text).parse()
+    normal = []
+    for p in _Parser(text).parse():
+        a, b = (Polynomial(Fraction(v, p.b[-1]) for v in x) for x in (p.a, p.b))
+        normal.append(p._replace(a=a, b=b))
+    return tuple(normal)

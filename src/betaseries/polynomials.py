@@ -9,24 +9,26 @@ multiplication, powers, equality, hashing and the long division
 divisor's leading x-coefficient must be a nonzero constant, which keeps
 every quotient inside the ring (no rational functions of ``w`` ever
 appear).  ``ParamPolynomial`` adds only exact specialization at a rational
-``w``.  Root counting on [0, 1] (Sturm chains) works over Q.  The kernel
-facts that seed solving, the catalog and the CLI share live here too:
-``expand_kernel``, ``kernel_polynomial`` and ``convergence_bound``.  So
-does the one builder of the term cores' integer polynomials in ``n``,
-``integer_forms`` (over ``integer_coefficients``), with ``horner``,
-``quotient`` and ``consecutive`` to evaluate them, and ``leaf_forms``
-for the binary splitting of a term core.
+``w``.  The kernel facts that seed solving, the catalog and the CLI share
+live here too: ``expand_kernel``, ``kernel_polynomial`` and
+``convergence_bound``.
 
-Rationals are represented by ``fractions.Fraction`` throughout: it is
-always reduced, its denominator is positive, and its canonical zero is
-``Fraction(0, 1)``, which is exactly the representation this package
-needs.
+Rationals are ``fractions.Fraction``s: always reduced, with a positive
+denominator and the canonical zero ``Fraction(0, 1)``.  Work whose results
+are integers runs on ``IntPoly``s, tuples of ints, with no rational at all:
+sums and products (``coeff_sum`` and ``coeff_product``, which serve the
+coefficients of ``Polynomial`` too), primitive parts, a sign-preserving
+pseudo-remainder, the gcd by a primitive remainder sequence (Collins, J.
+ACM 1967; Brown, J. ACM 1971) and exact division by a primitive divisor.
+They build the term cores' forms in ``n`` (``integer_forms``,
+``leaf_forms``), which ``horner``, ``quotient`` and ``consecutive``
+evaluate, and the Sturm chains that count roots on [0, 1].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -59,10 +61,7 @@ class Polynomial:
     _coefficient = staticmethod(rational)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [self._coefficient(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trim(map(self._coefficient, coeffs)))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -124,10 +123,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        return type(self)(coeff_sum(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -150,15 +146,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return type(self)()
-        out = [self._coefficient(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return type(self)(out)
+        return type(self)(coeff_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -241,21 +229,23 @@ def poly_divmod(dividend: Polynomial, divisor: Polynomial):
         if lead.degree != 0:
             raise ValueError("divisor not monic-up-to-constant in x")
         lead = lead.leading
-    cls = type(dividend)
-    if dividend.degree < divisor.degree:
-        return cls(), dividend
-    rem = list(dividend.coeffs)
-    ddeg = divisor.degree
-    qlen = len(rem) - ddeg
-    quot = [dividend._coefficient(0)] * qlen
     inv = 1 / lead
-    for shift in range(qlen - 1, -1, -1):
-        factor = rem[shift + ddeg] * inv
-        if factor:
-            quot[shift] = factor
-            for i, dc in enumerate(divisor.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * dc
-    return cls(quot), cls(rem[:ddeg])
+    quot, rem = _long_division(dividend.coeffs, divisor.coeffs, lambda c: c * inv)
+    return type(dividend)(quot), type(dividend)(rem)
+
+
+def _long_division(a: Sequence, b: Sequence, step) -> Tuple[list, list]:
+    """``(q, r)`` with ``a = b q + r`` and ``r`` shorter than ``b``, for
+    coefficient sequences, lowest first, in any ring: each coefficient of
+    ``q`` is ``step`` of the leading one left, its quotient by ``lead(b)``."""
+    r, top = list(a), len(b) - 1
+    q = [0] * max(len(a) - top, 0)
+    for shift in reversed(range(len(q))):
+        c = q[shift] = step(r[shift + top])
+        if c:
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+    return q, r[:top]
 
 
 def expand_kernel(k: int, s: int) -> Polynomial:
@@ -295,7 +285,70 @@ def convergence_bound(k: int, s: int) -> Fraction:
     return Fraction(k**k * s**s, (k + s) ** (k + s))
 
 
-def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
+#: ints, lowest degree first, with no trailing zeros: ``()`` is 0
+IntPoly = Tuple[int, ...]
+
+
+def _trim(coeffs) -> tuple:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def coeff_sum(a: Sequence, b: Sequence) -> tuple:
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def coeff_product(a: Sequence, b: Sequence) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def primitive(a: IntPoly) -> IntPoly:
+    """``a`` divided by the gcd of its coefficients, its sign kept."""
+    g = gcd(*a)
+    return tuple(c // g for c in a) if g > 1 else a
+
+
+def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """``K a mod b`` for ``K = |lead(b)|^(deg a - deg b + 1)``: the remainder
+    over Q times ``K > 0``, so with its signs; ``K a / b`` divides exactly."""
+    k = abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+    return _trim(_long_division([k * c for c in a], b, lambda c: c // b[-1])[1])
+
+
+def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The gcd over Q, primitive with a positive leading coefficient, by the
+    primitive remainder sequence; ``()`` when ``a`` and ``b`` are both 0."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(pseudo_remainder(a, b))
+    return tuple(-c for c in a) if a and a[-1] < 0 else a
+
+
+def exact_quotient(a: IntPoly, g: IntPoly) -> IntPoly:
+    """``a / g`` for a primitive ``g`` that divides ``a`` over Q: by Gauss's
+    lemma the quotient has integer coefficients, each an exact division."""
+    return tuple(_long_division(a, g, lambda c: c // g[-1])[0])
+
+
+def integer_coefficients(*polys: Sequence[Fraction]) -> Tuple[IntPoly, ...]:
+    """Coefficient sequences, lowest first, times one positive rational scale:
+    the least that makes them all integers with no common factor."""
+    scale = lcm(*(c.denominator for p in polys for c in p))
+    forms = [[c.numerator * (scale // c.denominator) for c in p] for p in polys]
+    content = gcd(*(c for form in forms for c in form)) or 1
+    return tuple(tuple(c // content for c in form) for form in forms)
+
+
+def integer_forms(*sums) -> Tuple[IntPoly, ...]:
     """Sums of rising factorials in ``n`` as integer coefficients, lowest first.
 
     Each sum is a sequence of terms ``(c, symbols)``: the rational ``c``
@@ -305,26 +358,20 @@ def integer_forms(*sums) -> Tuple[Tuple[int, ...], ...]:
     at any ``n`` is the quotient of the two sums.  Term cores evaluate them at
     each ``n`` and multiply the values by binary splitting: integer work.
     """
-    polys = []
-    for terms in sums:
-        total = Polynomial.zero()
+    pieces = []  # (i, P, d): the term P / d of sum i
+    for i, terms in enumerate(sums):
         for c, symbols in terms:
-            piece = Polynomial.constant(c)
+            piece, den = _trim((c.numerator,)), c.denominator
             for x, d, m in symbols:
+                u, v = x.numerator, x.denominator
                 for j in range(m):
-                    piece = piece * Polynomial((x + j, d))
-            total = total + piece
-        polys.append(total)
-    return integer_coefficients(*polys)
-
-
-def integer_coefficients(*polys: Polynomial) -> Tuple[Tuple[int, ...], ...]:
-    """The coefficients, lowest first, times one rational scale: the least
-    that makes them all integers with no common factor."""
-    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    forms = [[c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys]
-    content = gcd(*(c for form in forms for c in form)) or 1
-    return tuple(tuple(c // content for c in form) for form in forms)
+                    piece = coeff_product(piece, _trim((u + j * v, d * v)))
+                den *= v**m
+            pieces.append((i, piece, den))
+    scale, forms = lcm(*(den for _, _, den in pieces)), [()] * len(sums)
+    for i, piece, den in pieces:
+        forms[i] = coeff_sum(forms[i], coeff_product(piece, (scale // den,)))
+    return integer_coefficients(*forms)
 
 
 def horner(coeffs: Sequence, x, zero=0):
@@ -360,37 +407,21 @@ def consecutive(coeffs: Sequence[int], start: int, count: int) -> List[int]:
     return level[:count]
 
 
-def leaf_forms(ratio: Sequence, weight: Sequence) -> Tuple[Tuple[int, ...], ...]:
+def leaf_forms(ratio: Sequence[IntPoly], weight: Sequence[IntPoly]) -> Tuple[IntPoly, ...]:
     """``(N', D', V, U)`` for a ratio ``N / D`` and a weight ``A / B`` given as
     integer coefficients: ``N' / D'`` is ``N / D`` without the common factors
     that ``B`` does not need, and ``A / B = U / (V D')`` with ``U = A D' / g``
     and ``V = B / g`` for ``g = gcd(B, D')``, a constant ``V`` where ``B``
-    divides ``D``.  Each pair is scaled by ``integer_coefficients``."""
-    top, bottom, a, b = (Polynomial(c) for c in (*ratio, *weight))
-    g = _poly_gcd(top, bottom)
-    g = poly_divmod(g, _poly_gcd(g, b))[0]
-    top, bottom = integer_coefficients(*(poly_divmod(x, g)[0] for x in (top, bottom)))
-    d = Polynomial(bottom)
-    g = _poly_gcd(b, d)
-    return top, bottom, *integer_coefficients(poly_divmod(b, g)[0], a * poly_divmod(d, g)[0])
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return Polynomial(i * c for i, c in enumerate(p.coeffs) if i > 0)
-
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return monic(a)
-
-
-def monic(p: Polynomial) -> Polynomial:
-    """``p`` divided by its leading coefficient."""
-    return p * (Fraction(1) / p.leading)
+    divides ``D``.  Each pair is on one integer scale without common content
+    (``integer_coefficients``), as ``N / D`` must be given."""
+    top, bottom, a, b = (*ratio, *weight)
+    g = int_gcd(top, bottom)
+    g = exact_quotient(g, int_gcd(g, b))
+    top, bottom = exact_quotient(top, g), exact_quotient(bottom, g)
+    g = int_gcd(b, bottom)
+    return top, bottom, *integer_coefficients(
+        exact_quotient(b, g), coeff_product(a, exact_quotient(bottom, g))
+    )
 
 
 def _sign_changes(values) -> int:
@@ -401,43 +432,30 @@ def _sign_changes(values) -> int:
 def count_distinct_roots_on_unit_interval(p: Polynomial) -> int:
     """Exact count of distinct real roots of ``p`` in [0, 1] (Sturm chain).
 
-    The squarefree part of ``p`` is isolated first (dividing by
-    ``gcd(p, p')``) so repeated roots count once, and endpoint roots are
-    deflated out and counted separately so the Sturm count covers the open
-    interval.  Everything runs in exact rational arithmetic: no root can
-    be missed or invented, in particular even-multiplicity roots that a
-    sign scan cannot see.
+    The chain, a primitive remainder sequence on integers, starts from the
+    squarefree part ``p / gcd(p, p')``: repeated roots count once, and no
+    even-multiplicity root (which a sign scan misses) is lost.  Every root
+    in (0, 1] drops one sign change; one at 0 drops none and is added apart.
     """
     if p.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
-    if p.degree == 0:
+    (a,) = integer_coefficients(p.coeffs)
+    if len(a) == 1:
         return 0
-    endpoint_roots = int(p(0) == 0) + int(p(1) == 0)
-    g = _poly_gcd(p, derivative(p))
-    sf = poly_divmod(p, g)[0] if g.degree >= 1 else p
-    if sf(0) == 0:
-        sf = poly_divmod(sf, Polynomial((0, 1)))[0]
-    if sf(1) == 0:
-        sf = poly_divmod(sf, Polynomial((-1, 1)))[0]
-    if sf.degree < 1:
-        return endpoint_roots
-    chain = [sf, derivative(sf)]
-    while chain[-1].degree >= 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    interior = _sign_changes([q(0) for q in chain]) - _sign_changes(
-        [q(1) for q in chain]
-    )
-    return max(interior, 0) + endpoint_roots
+    sf = exact_quotient(a, int_gcd(a, _derivative(a)))
+    chain = [sf, _derivative(sf)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in primitive(pseudo_remainder(*chain[-2:]))))
+    return _sign_changes(q[0] for q in chain) - _sign_changes(map(sum, chain)) + (sf[0] == 0)
+
+
+def _derivative(a: IntPoly) -> IntPoly:
+    return tuple(i * c for i, c in enumerate(a))[1:]
 
 
 def has_root_on_unit_interval(p: Polynomial) -> bool:
     """Exact decision: does ``p`` vanish anywhere on [0, 1]?"""
-    if p.is_zero:
-        return True
-    return count_distinct_roots_on_unit_interval(p) > 0
+    return p.is_zero or count_distinct_roots_on_unit_interval(p) > 0
 
 
 class ParamPolynomial(Polynomial):

@@ -122,8 +122,8 @@ FAIL; it could hide a wrong series only if both were wrong by the same
 amount.  The work is bounded: failure to converge within ``MAX_LEVELS``
 halvings, or within ``NODE_BUDGET`` nodes, raises ``QuadratureError``.
 
-Once per process.  ``integrate`` cancels ``N/D`` by the monic
-``gcd(N, D)`` and integrates the reduced problem: the catalog's
+Once per process.  ``integrate`` cancels ``N/D``, on one integer scale,
+by their primitive gcd and integrates the reduced problem: the catalog's
 ``(x - 2) / (x^2 - x - 2)`` is ``1 / (x + 1)``.  It then writes ``N/D`` as
 ``c N'/D'`` with ``N'`` monic and ``D'(0) = 1`` (``D`` has no root at 0),
 for the exact rational ``c = lead(N) / D(0)``, and integrates ``N'/D'``
@@ -176,12 +176,12 @@ from mpmath.libmp import (
 from mpmath.libmp.libelefun import exp_basecase
 
 from .polynomials import (
+    IntPoly,
     Polynomial,
-    _poly_gcd,
+    exact_quotient,
     has_root_on_unit_interval,
+    int_gcd,
     integer_coefficients,
-    monic,
-    poly_divmod,
     rational,
 )
 
@@ -448,16 +448,17 @@ def integrate(problem: QuadratureProblem, target_digits: int) -> mpf:
     """
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    g = _poly_gcd(problem.numerator, problem.denominator)
-    numerator, denominator = (
-        poly_divmod(p, g)[0] for p in (problem.numerator, problem.denominator)
-    )
+    forms = integer_coefficients(problem.numerator.coeffs, problem.denominator.coeffs)
+    g = int_gcd(*forms)
+    numerator, denominator = (exact_quotient(p, g) for p in forms)
     # N/D = c N'/D' with N' monic and D'(0) = 1 (D has no root at 0), taken
     # out only for |c| <= 1, where the rule on N'/D' is the stricter one
-    scale = numerator.leading / denominator.coeffs[0]
+    scale = Fraction(numerator[-1], denominator[0])
     if abs(scale) <= 1:
-        numerator = monic(numerator)
-        denominator = denominator * (1 / denominator.coeffs[0])
+        numerator, denominator = integer_coefficients(
+            [Fraction(c, numerator[-1]) for c in numerator],
+            [Fraction(c, denominator[0]) for c in denominator],
+        )
     else:
         scale = 1
     args = (problem.a, problem.b, numerator, denominator, target_digits)
@@ -475,8 +476,8 @@ def integrate(problem: QuadratureProblem, target_digits: int) -> mpf:
 def _tanh_sinh(
     a: Fraction,
     b: Fraction,
-    numerator: Polynomial,
-    denominator: Polynomial,
+    numerator: IntPoly,
+    denominator: IntPoly,
     target_digits: int,
 ) -> mpf:
     """The level-halving rule of ``integrate`` on ``x^a (1-x)^b N/D``."""
@@ -494,8 +495,7 @@ def _tanh_sinh(
         )
         # N/D with one integer scale, highest degree first, times 2^w
         ncoeffs, dcoeffs = (
-            tuple(c << w for c in reversed(form))
-            for form in integer_coefficients(numerator, denominator)
+            tuple(c << w for c in reversed(form)) for form in (numerator, denominator)
         )
 
         def pair_summand(x: int, omx: int, ra: tuple, rb: tuple) -> int:

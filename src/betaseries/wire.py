@@ -3,10 +3,11 @@
 Rationals travel as strings (``"num/den"``, or plain ``"num"`` when the
 denominator is 1) so no precision is ever lost; floats travel as decimal
 strings with an explicit digit count: an error or a bound to 5
-significant digits, a rate to 4 decimals.  A spec is read by checking each
-field's JSON type where it is read (a rational is a string or an integer,
-never a boolean; a list is an array; ``k``, ``s`` and ``m`` are integers;
-an expression is a string), then passing the values on to
+significant digits, a rate to 4 decimals, with no trailing point.  A spec
+with a field it does not declare is refused; else it is read by checking
+each field's JSON type where it is read (a rational is a string or an
+integer, never a boolean; a list is an array; ``k``, ``s`` and ``m`` are
+integers; an expression is a string), then passing the values on to
 ``DerivedSeries`` and ``HypSeriesSpec``, which coerce them with
 ``rational``.  For derived and hypergeometric specs ``parse -> serialize
 -> parse`` is the identity; the parameterized series of ``derive
@@ -38,7 +39,7 @@ def rat_list(xs) -> List[str]:
 
 def float_str(value: mpf, digits: int) -> str:
     """Deterministic decimal rendering with an explicit digit count."""
-    return mp.nstr(value, digits, strip_zeros=False)
+    return mp.nstr(value, digits, strip_zeros=False).removesuffix(".")
 
 
 def bound_str(value: mpf) -> str:
@@ -63,10 +64,13 @@ def series_spec_to_dict(ds: DerivedSeries) -> dict:
     }
 
 
-def _require(doc: dict, kind: str, *fields: str) -> None:
-    missing = [name for name in fields if name not in doc]
+def _require(doc: dict, kind: str, required: tuple, optional=()) -> None:
+    missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"{kind} spec is missing {', '.join(map(repr, missing))}")
+    unknown = [name for name in doc if name not in required + optional]
+    if unknown:
+        raise ValueError(f"{kind} spec has unknown field {', '.join(map(repr, unknown))}")
 
 
 def _is_rational(value) -> bool:
@@ -92,12 +96,13 @@ def _field(doc: dict, kind: str, name: str, json_type: tuple):
 
 
 def expr_from_dict(doc: dict) -> str:
+    _require(doc, "expression", ("expr",))
     return _field(doc, "expression", "expr", _STRING)
 
 
 def series_spec_from_dict(doc: dict) -> DerivedSeries:
     kind = "derived series"
-    _require(doc, kind, "a", "b", "k", "s", "z", "qcoeffs")
+    _require(doc, kind, ("a", "b", "k", "s", "z", "qcoeffs"), ("seed_p_coeffs",))
     seed_p = None
     if "seed_p_coeffs" in doc:
         seed_p = Polynomial(_field(doc, kind, "seed_p_coeffs", _RATIONALS))
@@ -141,7 +146,7 @@ def hyp_spec_to_dict(spec) -> dict:
 
 def hyp_spec_from_dict(doc: dict):
     kind = "hypergeometric"
-    _require(doc, kind, "upper", "lower", "z")
+    _require(doc, kind, ("upper", "lower", "z"), ("m",))
     base = HypSeriesSpec(
         upper=_field(doc, kind, "upper", _RATIONALS),
         lower=_field(doc, kind, "lower", _RATIONALS),

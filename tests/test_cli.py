@@ -231,6 +231,15 @@ class TestRateAndIntegrate:
             "of 32768 nodes\n"
         )
 
+    def test_integer_valued_print_has_no_trailing_point(self):
+        # 10^20 ln 2 = 69314718055994530941.72...: all 20 digits are integer digits
+        proc = run_cli(
+            "integrate", "--a", "0", "--b", "0", "--num", "100000000000000000000",
+            "--p", "1,1", "--digits", "20",
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == "69314718055994530942"
+
     def test_integrate_rejects_two_denominators(self):
         proc = run_cli(
             "integrate", "--a", "0", "--b", "0", "--p", "1,1",
@@ -251,6 +260,24 @@ class TestAccelerate:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["m"] == 2 and doc["z"] == "1/4"
+
+    def test_outputs_are_read_back(self, tmp_path):
+        # derive's and accelerate's JSON are specs that eval and rate accept
+        hyp = tmp_path / "hyp.json"
+        hyp.write_text(json.dumps({"upper": ["1", "1/2"], "lower": ["3/2", "3/2"], "z": "1/4"}))
+        grouped = run_cli("accelerate", "--hyp", str(hyp), "--m", "3", check=True).stdout
+        derived = run_cli(
+            "derive", "--p", "1,1/3", "--a", "-1/2", "--b", "0", "--k", "1", "--s", "2",
+            check=True,
+        ).stdout
+        # 3 log10(4) and log10(48 / M(1, 2)) = log10(324)
+        for text, rate in ((grouped, 1.8062), (derived, 2.5105)):
+            spec = tmp_path / "spec.json"
+            spec.write_text(text)
+            proc = run_cli("rate", "--spec", str(spec))
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout) == {"predicted_rate": rate}
+            assert run_cli("eval", "--digits", "10", "--spec", str(spec)).returncode == 0
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_step_below_one_is_a_usage_error(self, tmp_path, m):
@@ -504,6 +531,43 @@ class TestUsage:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.strip() == f"error: derived series spec field {field!r} {message}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--digits", "5", "--spec"), ("rate", "--spec")],
+        ids=["eval", "rate"],
+    )
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                # a misspelled "m" would give the ungrouped series
+                {"upper": ["1", "1/2"], "lower": ["3/2", "3/2"], "z": "1/4", "M": 3},
+                "hypergeometric spec has unknown field 'M'",
+            ),
+            (
+                {"a": "-1/2", "b": "0", "k": 1, "s": 2, "z": "-48",
+                 "qcoeffs": ["-48", "15", "-3"], "seed_p": ["1", "1/3"], "digits": 5},
+                "derived series spec has unknown field 'seed_p', 'digits'",
+            ),
+        ],
+        ids=["hyp", "derived"],
+    )
+    def test_spec_with_an_undeclared_field_is_named(self, tmp_path, argv, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"error: {message}"
+
+    def test_expression_spec_with_an_undeclared_field_is_named(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"expr": "1/2^n", "digits": 5}))
+        proc = run_cli("eval", "--digits", "5", "--spec", str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == "error: expression spec has unknown field 'digits'"
 
     def test_expression_spec_must_be_a_string(self, tmp_path):
         spec = tmp_path / "spec.json"

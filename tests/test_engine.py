@@ -86,7 +86,7 @@ def polynomial_weight(*roots, scale=F(1)):
     top = Polynomial.constant(scale)
     for root in roots:
         top = top * Polynomial((-root, 1))
-    return integer_coefficients(top, Polynomial.one())
+    return integer_coefficients(top.coeffs, (1,))
 
 
 class TestSumTerms:

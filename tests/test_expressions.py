@@ -154,6 +154,10 @@ class TestNormalForm:
         assert parse_term_expr("1/(2*n+1) + 1/(2*n+3)") == (
             product(a=[1, 1], b=[F(3, 4), 2, 1]),
         )
+        # one monic denominator is kept, not squared
+        assert parse_term_expr("1/(2*n+1) + 3/(4*n+2)") == (
+            product(a=[F(5, 4)], b=[F(1, 2), 1]),
+        )
 
     def test_unlike_products_stay_apart(self):
         assert parse_term_expr("2^n + 3^n") == (product(2), product(3))

@@ -5,15 +5,26 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from betaseries import catalog, engine, hyper
+from betaseries.expressions import parse_term_expr
 from betaseries.polynomials import (
     ParamPolynomial,
     Polynomial,
+    coeff_product,
+    coeff_sum,
     consecutive,
     count_distinct_roots_on_unit_interval,
+    exact_quotient,
     expand_kernel,
     has_root_on_unit_interval,
     horner,
+    int_gcd,
+    integer_coefficients,
+    leaf_forms,
     poly_divmod,
+    primitive,
+    pseudo_remainder,
     rational,
 )
 
@@ -270,3 +281,114 @@ class TestRootDetection:
                 p = p * (X - root)
             expected = any(0 <= root <= 1 for root in roots)
             assert has_root_on_unit_interval(p) == expected
+
+
+def kernel_polynomials(rng, count):
+    """``count`` random polynomials over Q of degree at most 7: zero, constants
+    and either sign of leading coefficient, and in three of every four a root
+    of multiplicity 2 or 3 forced at 0, at 1 or inside (0, 1)."""
+    for i in range(count):
+        multiplicity = rng.randint(2, 3)
+        forced = (None, F(0), F(1), F(rng.randint(1, 15), 16))[i % 4]
+        p = rand_poly(rng, max_deg=7 - multiplicity if forced is not None else 7)
+        if forced is not None:
+            p = p * (X - forced) ** multiplicity
+        yield p
+
+
+def check_kernel(p, q):
+    """The integer kernel on the integer forms of ``p`` and ``q`` agrees with
+    ``Polynomial`` arithmetic and the oracles over Q."""
+    (a,), (b,) = integer_coefficients(p.coeffs), integer_coefficients(q.coeffs)
+    assert P(a) == p * (F(a[-1]) / p.leading if a else 1)
+    # more points than either degree: the values decide the polynomials
+    s, m, points = coeff_sum(a, b), coeff_product(a, b), range(-3, len(a) + len(b))
+    assert (not s or s[-1]) and (not m or m[-1])
+    assert all(horner(s, x) == horner(a, x) + horner(b, x) for x in points)
+    assert all(horner(m, x) == horner(a, x) * horner(b, x) for x in points)
+    g = int_gcd(a, b)
+    assert P(g) == oracles.poly_gcd(P(a), P(b)) * (g[-1] if g else 1)
+    assert not g or (g[-1] > 0 and primitive(g) == g)
+    if b:
+        r = poly_divmod(P(a), P(b))[1]
+        pr = pseudo_remainder(a, b)
+        assert len(pr) == len(r.coeffs)
+        assert not pr or (pr[-1] / r.leading > 0 and P(pr) == r * (pr[-1] / r.leading))
+        divisor = primitive(b)
+        assert exact_quotient(coeff_product(a, divisor), divisor) == a
+    if a:
+        assert count_distinct_roots_on_unit_interval(p) == (
+            oracles.count_distinct_roots_on_unit_interval(p)
+        )
+
+
+def check_kernel_agreement(seed, count):
+    """``check_kernel`` on ``count`` random pairs, each polynomial also against
+    its derivative: the pairs whose gcd is a repeated root."""
+    rng = random.Random(seed)
+    polys = kernel_polynomials(rng, count)
+    for p, q in zip(polys, kernel_polynomials(rng, count)):
+        check_kernel(p, q)
+        check_kernel(p, oracles.derivative(p))
+
+
+class TestIntegerKernel:
+    def test_agrees_with_the_oracles(self):
+        check_kernel_agreement(seed=31, count=600)
+
+    @pytest.mark.parametrize(
+        "p",
+        [P(), P([5]), P([-F(1, 3)]), P([1, -1]), P([3, 0, -2]), P([0, 0, -7]),
+         -(X - F(1, 2)) ** 2, -X**3 * (X - 1) ** 2],
+        ids=["zero", "constant", "negative-constant", "1-x", "negative-lead",
+             "-7x^2", "negative-double-root", "negative-endpoint-roots"],
+    )
+    def test_edges(self, p):
+        for q in (P(), P([2]), P([-1, 1]), X * (X - F(1, 3)), p):
+            check_kernel(p, q)
+            check_kernel(q, p)
+
+    def test_gcd_with_zero(self):
+        # a summand such as 5*0^n has the ratio 0 / 1: its leaves cancel by gcd(0, 1)
+        assert int_gcd((), (3, 6)) == (1, 2)
+        assert int_gcd((-4, -2), ()) == (2, 1)
+        assert int_gcd((), ()) == ()
+        assert leaf_forms(((), (1,)), ((5,), (1,))) == ((), (1,), (1,), (5,))
+        assert leaf_forms(((), (1,)), ((5,), (1,))) == oracles.leaf_forms(((), (1,)), ((5,), (1,)))
+
+    def test_zero_literal_folds_to_the_empty_sum(self):
+        assert parse_term_expr("0") == ()
+        assert parse_term_expr("0*fact(n)") == ()
+        assert parse_term_expr("n - n") == ()
+
+
+@pytest.fixture(scope="module")
+def catalog_cores():
+    """Every term core a ``verify --all`` at 10 digits sums."""
+    seen = {}
+    real = engine.sum_terms
+
+    def spy(cores, *args, **kwargs):
+        seen.update(dict.fromkeys(cores))
+        return real(cores, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "sum_terms", spy)
+        patch.setattr(hyper, "sum_terms", spy)
+        assert catalog.run_all(digits=10)["failed"] == 0
+    return list(seen)
+
+
+class TestCatalogCoreForms:
+    def test_catalog_cores_are_found(self, catalog_cores):
+        assert len(catalog_cores) >= 30
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_forms_agree_with_the_oracles(self, catalog_cores, m):
+        for base in catalog_cores:
+            core = base.grouped(m)
+            if m > 1:
+                assert core.weight == oracles.grouped_weight(base, m)
+            assert core.integer_ratio == oracles.integer_ratio(core)
+            assert core.split_forms == oracles.leaf_forms(core.integer_ratio, core.weight)
+            assert core.tail_forms == oracles.tail_forms(core)

@@ -88,7 +88,7 @@ def weighted(core, k=F(1), tops=(), bottoms=()):
         top = top * Polynomial((a, 1))
     for b in bottoms:
         bottom = bottom * Polynomial((b, 1))
-    weight = integer_coefficients(top, bottom)
+    weight = integer_coefficients(top.coeffs, bottom.coeffs)
     core = HypTerms(core.t0, core.c, core.num, core.den, weight)
     return core, (k, tuple(tops), tuple(bottoms))
 
