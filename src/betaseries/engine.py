@@ -17,11 +17,12 @@ length (``_quotient``), and ``prefactor S / 2^W`` is rounded once to an mpf.
 
 The proof alone picks ``N``; floats only place its start.  The closed form
 ``log2 |t(n)| = log2 |t0| + n log2 |c| +- sum ln |(q)_{pn}| / ln 2``
-(``_Walk.size``, by ``math.lgamma``, far under a bit off) is searched by
-doubling, then bisection, at O(log N) points.  Each core's leaves up to there
-are then built once, as four integer columns, and split; the proof merges one
-leaf on, or divides one out, until ``N`` is the first that proves.  A float
-tail bound ``2^8`` past budget at ``max_terms`` is refused before any leaf.
+(``_Walk.size``, by ``math.lgamma``, far under a bit off) gives the float
+tail bound, whose first ``n`` in budget ``placement.place`` finds by Newton
+steps, in a few evaluations.  Each core's leaves up to there are then built
+once, as four integer columns, and split; the proof merges one leaf on, or
+divides one out, until ``N`` is the first that proves.  A float tail bound
+``2^8`` past budget at ``max_terms`` is refused before any leaf.
 
 A derived series' prefactor ``B(a+1, b+1) / z`` is proven on the same cores
 (``beta_prefactor``): an exact rational where the Beta is one, else two
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -42,6 +42,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up
 
+from . import placement
 from .derive import DerivedSeries
 from .expressions import Product, TermExpr, parse_term_expr, pochhammer
 from .polynomials import (
@@ -112,7 +113,8 @@ class EvalResult:
     ``tail_bound`` bounds ``|value - prefactor * sum|``: the tail, every rounding
     and an interval prefactor's radius.  ``measured_rate`` is the digits per term
     fitted to the floats ``log2 |t(n) w(n)|`` (the largest core's) over the back
-    half of the ``terms_used`` terms, zero terms left out; None below 3 points."""
+    half of the ``terms_used`` terms, zero terms left out; None below 3 points.
+    Its bits are ``_fit_rate``'s, the same on every Python."""
 
     value: mpf
     terms_used: int
@@ -120,12 +122,17 @@ class EvalResult:
     measured_rate: Optional[float]
 
 
-def _fit_rate(points: Sequence[Tuple[int, float]]) -> Optional[float]:
-    """Least-squares slope of ``-log10 |x_i|`` against ``i`` over the points
-    ``(i, log2 |x_i|)``; None for fewer than 3."""
-    if len(points) < 3:
+def _fit_rate(xs: Sequence[int], ys: Sequence[float]) -> Optional[float]:
+    """The least-squares slope of ``-log10 |x_i|`` against ``i`` over the points
+    ``(i, log2 |x_i|)``; None for fewer than 3.  It is defined by ``fsum``
+    and the formulas of CPython 3.11's ``statistics.linear_regression``, so
+    it is the same on every Python, whatever its ``statistics`` does."""
+    if len(xs) < 3:
         return None
-    return -statistics.linear_regression(*zip(*points)).slope * math.log10(2)
+    xbar, ybar = (math.fsum(c) / len(c) for c in (xs, ys))
+    dx = [x - xbar for x in xs]
+    sxy = math.fsum(d * (y - ybar) for d, y in zip(dx, ys))
+    return -(sxy / math.fsum(d * d for d in dx)) * math.log10(2)
 
 
 def _first_zero(symbols) -> Union[int, float]:
@@ -420,15 +427,6 @@ def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
     return tail if tail + rounding < budget else None
 
 
-def _over(walks: List[_Walk], n: int, room: float) -> float:
-    """The float tail bound from term ``n`` over the budget ``2^room``, each core's
-    capped at ``2^9``; ``inf`` where a core has none."""
-    forms = [walk.bound(n) for walk in walks]
-    terms = zip(walks, forms)
-    logs = (w.size(n) + math.log2(a) - math.log2(b) - room for w, (a, b) in terms if a)
-    return math.inf if None in forms else sum(2.0 ** min(x, 9) for x in logs)
-
-
 def _quotient(a: int, b: int) -> Tuple[int, int]:
     """``a / b`` floored after both are cut to the bits the quotient keeps, and
     the units it may be off by, for ``b != 0``.
@@ -460,18 +458,10 @@ def _sum(
     for core in cores:  # terms that do not end stop only at a tail bound, read from n0 on
         if core.end == math.inf and (n0 := core.tail_forms[0]) > max_terms:
             raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
-    # two units per final division, one for the rounding to an mpf
-    rounding, room = 1 + 2 * len(walks), math.log2(budget) - bits
-
-    start = n = 0  # doubling until the floats put the tail in budget, then bisecting
-    while (excess := _over(walks, n, room)) >= 1 and n < max_terms:
-        start, n = n + 1, min(max(2 * n, 4), max_terms)
-    if 2**8 < excess < math.inf:  # 2^8 past the budget at max_terms: no leaf can help
+    if (n := placement.place(walks, math.log2(budget) - bits, max_terms)) is None:
         raise EvaluationError(f"tail target not reached within {max_terms} terms")
-    while start < n:  # the first where it holds, if it holds from there on
-        mid = (start + n) // 2
-        start, n = (start, mid) if _over(walks, mid, room) < 1 else (mid + 1, n)
     _extend(walks, n)
+    rounding = 1 + 2 * len(walks)  # two units per final division, one for the mpf
     splits = [_split(walk.leaves) for walk in walks]
     while (tail := _proof(walks, splits, n, bits, budget, slack, rounding)) is None:
         if n == max_terms:
@@ -520,8 +510,10 @@ def sum_terms(
     total, bits, lost, n, walks = _sum(cores, target_digits, pref, slack, max_terms)
     bound = abs(pref.numerator) * (lost + 1), pref.denominator << bits
     logs = (walk.term_logs(n // 2, n) for walk in walks)
-    logs = itertools.zip_longest(range(n // 2, n), *logs, fillvalue=-math.inf)
-    rate = _fit_rate([(i, x) for i, *xs in logs if (x := max(xs)) > -math.inf])
+    logs = list(map(max, itertools.zip_longest(*logs, fillvalue=-math.inf)))
+    finite = list(map(math.isfinite, logs))  # a zero term is -inf
+    xs = list(itertools.compress(itertools.count(n // 2), finite))
+    rate = _fit_rate(xs, list(itertools.compress(logs, finite)))
     return EvalResult(_from_fixed(pref, total, bits), n, _rounded(*bound, 53, round_up), rate)
 
 

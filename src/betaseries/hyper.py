@@ -143,7 +143,8 @@ def measured_rate(sums: Sequence[mpf], reference: mpf) -> float:
     if len(sums) < 10:
         raise ValueError("need at least 10 partial sums")
     points = [(i, _log2(d)) for i, s in enumerate(sums) if (d := abs(s - reference))]
-    slope = _fit_rate(points[len(points) // 2 :])
+    half = points[len(points) // 2 :]
+    slope = _fit_rate([i for i, _ in half], [y for _, y in half])
     if slope is None:
         raise ValueError("not enough usable points to fit a rate")
     return slope

@@ -420,12 +420,18 @@ def _fixed_power(v: int, n: int, w: int) -> int:
         v = v * v >> w
 
 
-def _fixed_horner(coeffs: Tuple[int, ...], x: int, w: int) -> int:
-    """The polynomial at the fixed-point ``x``, within ``len(coeffs)`` units."""
-    acc = 0
-    for c in coeffs:
+def _fixed_horner(coeffs: Tuple[int, ...], x: int, w: int, scale: int = 1) -> int:
+    """``scale`` times the polynomial at the fixed-point ``x``, within
+    ``len(coeffs)`` units of the polynomial, for ``coeffs`` highest degree
+    first: the leading one as it is and the others times ``2^w``.  The first
+    product ``c_d x`` needs no shift, and a constant ``c`` gives ``(scale c)
+    2^w``: neither multiplies by a full-width ``c 2^w``."""
+    if len(coeffs) == 1:
+        return scale * coeffs[0] << w
+    acc = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
         acc = (acc * x >> w) + c
-    return acc
+    return scale * acc
 
 
 def integrate(problem: QuadratureProblem, target_digits: int) -> mpf:
@@ -493,10 +499,19 @@ def _tanh_sinh(
             _kept(("tanh-sinh roots", w, q), dict) if q > 1 else nodes
             for q in (qa, qb)
         )
-        # N/D with one integer scale, highest degree first, times 2^w
+        # N/D with one integer scale, highest degree first, all but the
+        # leading coefficient times 2^w (see _fixed_horner)
         ncoeffs, dcoeffs = (
-            tuple(c << w for c in reversed(form)) for form in (numerator, denominator)
+            (form[-1], *(c << w for c in reversed(form[:-1])))
+            for form in (numerator, denominator)
         )
+
+        def powers(pair: tuple, n: int) -> tuple:
+            """A root pair ``(x^(1/q), (1-x)^(1/q))`` (order 1: a node entry,
+            which begins with ``x`` and ``1-x``) raised to ``n``, read as it is
+            for ``n = 1``."""
+            x, omx = pair[:2]
+            return (x, omx) if n == 1 else (_fixed_power(x, n, w), _fixed_power(omx, n, w))
 
         def pair_summand(x: int, omx: int, ra: tuple, rb: tuple) -> int:
             """The summands at ``t`` and ``-t`` added, from ``x``, ``1-x`` and
@@ -504,10 +519,9 @@ def _tanh_sinh(
             ``qb``: ``x^(a+1) (1-x)^(b+1) N(x) / D(x)``, and the same with
             ``x`` and ``1-x`` swapped.  A root of 0 in place of ``ra[1]``
             makes the one at ``-t`` 0."""
-            p = _fixed_power(ra[0], na, w) * _fixed_power(rb[1], nb, w) >> w
-            pm = _fixed_power(ra[1], na, w) * _fixed_power(rb[0], nb, w) >> w
-            p = p * _fixed_horner(ncoeffs, x, w) // _fixed_horner(dcoeffs, x, w)
-            pm = pm * _fixed_horner(ncoeffs, omx, w) // _fixed_horner(dcoeffs, omx, w)
+            (xa, oa), (xb, ob) = powers(ra, na), powers(rb, nb)
+            p = _fixed_horner(ncoeffs, x, w, xa * ob >> w) // _fixed_horner(dcoeffs, x, w)
+            pm = _fixed_horner(ncoeffs, omx, w, oa * xb >> w) // _fixed_horner(dcoeffs, omx, w)
             return p + pm
 
         # |contribution| * 2^-w < 10^-(wp + 5), on integers

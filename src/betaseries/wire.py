@@ -3,7 +3,7 @@
 Rationals travel as strings (``"num/den"``, or plain ``"num"`` when the
 denominator is 1) so no precision is ever lost; floats travel as decimal
 strings with an explicit digit count: an error or a bound to 5
-significant digits, a rate to 4 decimals, with no trailing point.  A spec
+significant digits, a rate to 4 decimals, with no bare point.  A spec
 with a field it does not declare is refused; else it is read by checking
 each field's JSON type where it is read (a rational is a string or an
 integer, never a boolean; a list is an array; ``k``, ``s`` and ``m`` are
@@ -38,8 +38,10 @@ def rat_list(xs) -> List[str]:
 
 
 def float_str(value: mpf, digits: int) -> str:
-    """Deterministic decimal rendering with an explicit digit count."""
-    return mp.nstr(value, digits, strip_zeros=False).removesuffix(".")
+    """Deterministic decimal rendering with an explicit digit count, with no
+    bare point: ``"69314718055994530942"`` and ``"1e-5"``, not ``"...942."``
+    and ``"1.e-5"``."""
+    return mp.nstr(value, digits, strip_zeros=False).removesuffix(".").replace(".e", "e")
 
 
 def bound_str(value: mpf) -> str:

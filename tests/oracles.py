@@ -1,19 +1,31 @@
-"""Rational-arithmetic oracles of the integer polynomial kernel.
+"""Oracles: the textbook forms of exact and float work the package does faster.
 
 ``polynomials`` does its exact work on tuples of ints: a primitive remainder
 sequence for gcds and Sturm chains, and exact division by a primitive
 divisor.  These functions do the same work the textbook way, on
 ``Polynomial``s over Q (``Fraction`` coefficients, monic gcds by Euclid's
 algorithm, a Sturm chain of remainders over Q), and share no code with the
-kernel beyond ``Polynomial`` and ``poly_divmod``.  The tests require equal
-results, and a CI step runs the agreement on many more random polynomials.
+kernel beyond ``Polynomial`` and ``poly_divmod``.
+
+A sum's float bookkeeping is kept here as it was before Newton steps and
+columns replaced it: ``place`` finds the start of the stop search by
+doubling and then bisection on the capped float bound ``over``, and
+``measured_rate`` fits the back half's term sizes, summed leaf by leaf
+(``term_logs``, ``rate_points``), with ``statistics.linear_regression`` (``fit_rate``).
+``fit_rate_311`` is that function's formulas in CPython 3.11, which
+``engine._fit_rate`` must match on every Python.
+
+The tests require equal results, and CI steps run the agreement on many
+more inputs.
 """
 
 import itertools
 import math
+import statistics
 from fractions import Fraction
-from math import gcd, lcm
+from math import fsum, gcd, lcm
 
+from betaseries.engine import EvaluationError
 from betaseries.polynomials import Polynomial, horner, poly_divmod
 
 
@@ -152,3 +164,72 @@ def grouped_weight(core, m):
         d, bj = at(bottom, j), at(b, j)
         u, v = at(a, j) * d * v + bj * at(top, j) * u, bj * d * v
     return integer_coefficients(u, v)
+
+
+def over(walks, n, room):
+    """The float tail bound from term ``n`` over the budget ``2^room``, each core's
+    capped at ``2^9``; ``inf`` where a core has none."""
+    forms = [walk.bound(n) for walk in walks]
+    terms = zip(walks, forms)
+    logs = (w.size(n) + math.log2(a) - math.log2(b) - room for w, (a, b) in terms if a)
+    return math.inf if None in forms else sum(2.0 ** min(x, 9) for x in logs)
+
+
+def place(walks, room, max_terms):
+    """The start of the stop search: doubling until the floats put the tail in
+    budget, then bisecting; a bound ``2^8`` past the budget at ``max_terms``
+    raises."""
+    start = n = 0
+    while (excess := over(walks, n, room)) >= 1 and n < max_terms:
+        start, n = n + 1, min(max(2 * n, 4), max_terms)
+    if 2**8 < excess < math.inf:  # 2^8 past the budget at max_terms: no leaf can help
+        raise EvaluationError(f"tail target not reached within {max_terms} terms")
+    while start < n:  # the first where it holds, if it holds from there on
+        mid = (start + n) // 2
+        start, n = (start, mid) if over(walks, mid, room) < 1 else (mid + 1, n)
+    return n
+
+
+def term_logs(walk, start, stop):
+    """``log2 |t(n) w(n)|`` for the leaves ``start <= n < stop``, ``-inf`` for a
+    zero term: ``size(start)``, then the steps ``log2 |N(n) / D(n)|``."""
+    logs, size = [], walk.size(start) if start < len(walk.leaves) else 0.0
+    for a, d, v, u in walk.leaves[start:stop]:
+        logs.append(size + math.log2(abs(u)) - math.log2(abs(v * d)) if u else -math.inf)
+        size += math.log2(abs(a)) - math.log2(abs(d)) if a else 0.0
+    return logs
+
+
+def fit_rate(points):
+    """Least-squares slope of ``-log10 |x_i|`` against ``i`` over the points
+    ``(i, log2 |x_i|)``; None for fewer than 3."""
+    if len(points) < 3:
+        return None
+    return -statistics.linear_regression(*zip(*points)).slope * math.log10(2)
+
+
+def fit_rate_311(points):
+    """``fit_rate`` with the slope of CPython 3.11's ``linear_regression``."""
+    if len(points) < 3:
+        return None
+    x, y = zip(*points)
+    n = len(x)
+    xbar = fsum(x) / n
+    ybar = fsum(y) / n
+    sxy = fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    sxx = fsum((d := xi - xbar) * d for xi in x)
+    return -(sxy / sxx) * math.log10(2)
+
+
+def rate_points(walks, n):
+    """The points of ``EvalResult.measured_rate`` of a sum stopped at ``n``: the
+    largest core's ``log2 |t(i) w(i)|`` for ``n // 2 <= i < n``, zero terms
+    left out."""
+    logs = (term_logs(walk, n // 2, n) for walk in walks)
+    logs = itertools.zip_longest(range(n // 2, n), *logs, fillvalue=-math.inf)
+    return [(i, x) for i, *xs in logs if (x := max(xs)) > -math.inf]
+
+
+def measured_rate(walks, n):
+    """``EvalResult.measured_rate`` of a sum stopped at ``n``."""
+    return fit_rate(rate_points(walks, n))

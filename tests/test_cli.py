@@ -240,6 +240,20 @@ class TestRateAndIntegrate:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == "69314718055994530942"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--expr", "(1/100000)*0^n", "--digits", "1"),
+            ("integrate", "--a", "0", "--b", "0", "--p", "100000", "--digits", "1"),
+        ],
+        ids=["eval", "integrate"],
+    )
+    def test_one_digit_print_has_no_bare_point(self, argv):
+        # 10^-5 to one significant digit prints in exponent form
+        proc = run_cli(*argv)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == "1e-5"
+
     def test_integrate_rejects_two_denominators(self):
         proc = run_cli(
             "integrate", "--a", "0", "--b", "0", "--p", "1,1",
