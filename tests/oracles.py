@@ -17,16 +17,41 @@ doubling and then bisection on the capped float bound ``over``, and
 
 The tests require equal results, and CI steps run the agreement on many
 more inputs.
+
+The term-expression reader is kept here as it was before one flat loop
+replaced it: ``parse_term_expr`` tokenizes into ``_Token``s with their
+line and column, descends recursively through ``_Parser`` with one
+``fold`` frame per precedence level, and folds every node on
+``Product``s whose ``c`` and symbols are ``Fraction``s.
 """
 
+from __future__ import annotations
+
+import functools
 import itertools
 import math
+import re
 import statistics
 from fractions import Fraction
 from math import fsum, gcd, lcm
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from betaseries.engine import EvaluationError
-from betaseries.polynomials import Polynomial, horner, poly_divmod
+from betaseries.expressions import (
+    ExprSemanticError,
+    ExprSyntaxError,
+    Product,
+    TermExpr,
+    pochhammer,
+)
+from betaseries.polynomials import (
+    IntPoly,
+    Polynomial,
+    coeff_product,
+    coeff_sum,
+    horner,
+    poly_divmod,
+)
 
 
 def integer_coefficients(*polys):
@@ -233,3 +258,309 @@ def rate_points(walks, n):
 def measured_rate(walks, n):
     """``EvalResult.measured_rate`` of a sum stopped at ``n``."""
     return fit_rate(rate_points(walks, n))
+
+
+# --------------------------------------------------------------------------
+# Folding: sums and products of products
+# --------------------------------------------------------------------------
+
+def _semantic(message: str, tok: _Token) -> ExprSemanticError:
+    return ExprSemanticError(message, tok.line, tok.column)
+
+
+def _single(c=Fraction(1), num=(), den=(), k: Union[Fraction, int] = 1, a=(1,)) -> TermExpr:
+    """The one product ``c^n num/den k a`` for a rational ``k`` and integer
+    coefficients ``a``, or the empty sum when it is 0."""
+    a = tuple(k.numerator * v for v in a) if k else ()
+    return (Product(c, num, den, a, (k.denominator,)),) if a else ()
+
+
+def _pair(c, num, den, a: IntPoly, b: IntPoly) -> Product:
+    """A folded product: ``a / b`` without common content."""
+    g = math.gcd(*a, *b)
+    if g > 1:
+        a, b = tuple(x // g for x in a), tuple(x // g for x in b)
+    return Product(c, num, den, a, b)
+
+
+def _add(products: Iterable[Product]) -> TermExpr:
+    """The sum, with the products that share ``(c, num, den)`` merged."""
+    merged = {}
+    for p in products:
+        key = p[:3]
+        if key in merged:
+            # over b p.b, or over b lead(p.b) where b and p.b are one monic b
+            a, b = merged[key]
+            u, v = (b[-1],), (p.b[-1],)
+            if coeff_product(b, v) != coeff_product(p.b, u):
+                u, v = b, p.b
+            a = coeff_sum(coeff_product(a, v), coeff_product(p.a, u))
+            merged[key] = a, coeff_product(b, v)
+        else:
+            merged[key] = p.a, p.b
+    return tuple(_pair(*key, a, b) for key, (a, b) in merged.items() if a)
+
+
+def _mul(left: TermExpr, right: TermExpr) -> TermExpr:
+    products = []
+    for x in left:
+        for y in right:
+            den = sorted(x.den + y.den)
+            num = []
+            for s in sorted(x.num + y.num):
+                if s in den:
+                    den.remove(s)
+                else:
+                    num.append(s)
+            a, b = coeff_product(x.a, y.a), coeff_product(x.b, y.b)
+            products.append(_pair(x.c * y.c, tuple(num), tuple(den), a, b))
+    return _add(products) if len(products) > 1 else tuple(products)
+
+
+def _inverse(x: TermExpr, zero: str, tok: _Token) -> TermExpr:
+    """``1 / x`` for one product ``x``; ``zero`` names the error of ``x = 0``."""
+    if not x or x[0].c == 0:
+        raise _semantic(zero, tok)
+    if len(x) > 1:
+        raise _semantic("not hypergeometric: 1 / a sum of unlike products", tok)
+    (p,) = x
+    return (Product(1 / p.c, p.den, p.num, p.b, p.a),)
+
+
+def _power(x: TermExpr, k: int, tok: _Token) -> TermExpr:
+    if k < 0:
+        x, k = _inverse(x, "zero base with negative exponent", tok), -k
+    result = _single()
+    while k:
+        if k & 1:
+            result = _mul(result, x)
+        k >>= 1
+        if k:
+            x = _mul(x, x)
+    return result
+
+
+def _polynomial(x: TermExpr) -> Optional[Polynomial]:
+    """The value of ``x`` if it is a polynomial in n."""
+    if not x:
+        return Polynomial.zero()
+    if len(x) == 1:
+        c, num, den, a, b = x[0]
+        if c == 1 and not num and not den and len(b) == 1:
+            return Polynomial(Fraction(v, b[0]) for v in a)
+    return None
+
+
+def _const_value(x: TermExpr) -> Optional[Fraction]:
+    p = _polynomial(x)
+    return p.coefficient(0) if p is not None and p.degree <= 0 else None
+
+
+def _linear(x: TermExpr, what: str, tok: _Token) -> Tuple[int, int]:
+    """``(c1, c0)`` of ``x = c1*n + c0`` for integers ``c1, c0 >= 0``, else
+    an error at ``tok``."""
+    p = _polynomial(x)
+    if p is None or p.degree > 1:
+        message = f"{what} must be linear in n"
+    elif any(c.denominator != 1 for c in p.coeffs):
+        message = f"{what} must have integer coefficients"
+    elif any(c < 0 for c in p.coeffs):
+        message = f"{what} must be a nonnegative integer for all n >= 0"
+    else:
+        return int(p.coefficient(1)), int(p.coefficient(0))
+    raise _semantic(message, tok)
+
+
+def _factorial(p: int, q: int) -> TermExpr:
+    """``(pn + q)! = q! (q + 1)_{pn}``."""
+    num = ((p, Fraction(q + 1)),) if p else ()
+    return _single(num=num, k=math.factorial(q))
+
+
+def _reciprocal_factorial(e: int, f: int) -> TermExpr:
+    """``1 / (en + f)!``, taken as 0 wherever ``en + f < 0``."""
+    if f >= 0:
+        inverse = Fraction(1, math.factorial(f))
+        if e >= 0:
+            return _single(den=((e, Fraction(f + 1)),) if e else (), k=inverse)
+        # 1/(f - kn)! = (f - kn + 1) ... (f) / f! = (-1)^{kn} (-f)_{kn} / f!
+        return _single(Fraction((-1) ** -e), num=((-e, Fraction(-f)),), k=inverse)
+    if e > 0:
+        # 1/(en + f)! = (en + f + 1) ... (en) / (en)!, where one factor is 0
+        # wherever 0 <= en < -f
+        a = functools.reduce(coeff_product, ((j, e) for j in range(f + 1, 1)), (1,))
+        return _single(den=((e, Fraction(1)),), a=a)
+    return ()  # en + f < 0 for every n >= 0
+
+
+def _negate(x: TermExpr) -> TermExpr:
+    return tuple(p._replace(a=tuple(-v for v in p.a)) for p in x)
+
+
+def _sum_node(x: TermExpr, y: TermExpr, tok: _Token) -> TermExpr:
+    """``x + y`` or ``x - y``, as ``tok`` says."""
+    return _add(x + (y if tok.text == "+" else _negate(y)))
+
+
+def _product_node(x: TermExpr, y: TermExpr, tok: _Token) -> TermExpr:
+    """``x * y`` or ``x / y``, as ``tok`` says."""
+    return _mul(x, y if tok.text == "*" else _inverse(y, "division by zero constant", tok))
+
+
+def _power_node(base: TermExpr, exponent: TermExpr, tok: _Token) -> TermExpr:
+    """``base ^ exponent``: an integer constant exponent, or an integer linear
+    form in ``n`` over a constant rational base."""
+    k = _const_value(exponent)
+    if k is not None:
+        if k.denominator != 1:
+            raise _semantic("constant exponent must be an integer", tok)
+        return _power(base, int(k), tok)
+    c = _const_value(base)
+    if c is None:
+        raise _semantic("variable exponent requires a constant rational base", tok)
+    f = _polynomial(exponent)
+    if f is None or f.degree > 1 or any(e.denominator != 1 for e in f.coeffs):
+        raise _semantic("exponent must be an integer-valued linear form in n", tok)
+    p, q = int(f.coefficient(1)), int(f.coefficient(0))
+    if c == 0 and (p < 0 or q < 0):
+        raise _semantic("zero base with possibly negative exponent", tok)
+    return _single(c**p, k=c**q)
+
+
+# --------------------------------------------------------------------------
+# Tokenizer / parser
+# --------------------------------------------------------------------------
+
+_FUNRS = ("fact", "binom", "poch")
+
+
+class _Token(NamedTuple):
+    kind: str  # 'int', 'name', 'op', 'end'
+    text: str
+    line: int
+    column: int
+
+
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])|(?P<space>\s)|(?P<bad>.)",
+    re.S,
+)
+
+
+def _tokenize(text: str):
+    tokens, line, start = [], 1, 0  # start: the offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind, column = m.lastgroup, m.start() - start + 1
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", line, column)
+        if kind != "space":
+            tokens.append(_Token(kind, m.group(), line, column))
+        elif m.group() == "\n":
+            line, start = line + 1, m.end()
+    tokens.append(_Token("end", "", line, len(text) - start + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == text:
+            return self.advance()
+        raise ExprSyntaxError(
+            f"expected {text!r}, found {tok.text or 'end of input'!r}",
+            tok.line,
+            tok.column,
+        )
+
+    def parse(self) -> TermExpr:
+        node = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(
+                f"unexpected trailing input {tok.text!r}", tok.line, tok.column
+            )
+        return node
+
+    def fold(self, operand, ops: str, combine) -> TermExpr:
+        """``operand (op operand)*`` for the operators in ``ops``, folded from
+        the left by ``combine(node, rhs, tok)``."""
+        node = operand()
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
+            self.advance()
+            node = combine(node, operand(), tok)
+        return node
+
+    def expr(self) -> TermExpr:
+        return self.fold(self.term, "+-", _sum_node)
+
+    def term(self) -> TermExpr:
+        return self.fold(self.unary, "*/", _product_node)
+
+    def unary(self) -> TermExpr:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            return _negate(self.unary())
+        return self.power()
+
+    def power(self) -> TermExpr:
+        return self.fold(self.atom, "^", _power_node)
+
+    def atom(self) -> TermExpr:
+        tok = self.advance()
+        if tok.kind == "int":
+            return _single(k=int(tok.text))
+        if tok.kind == "name":
+            if tok.text == "n":
+                return _single(a=(0, 1))
+            if tok.text in _FUNRS:
+                self.expect("(")
+                first = self.expr()
+                if tok.text == "fact":
+                    self.expect(")")
+                    return _factorial(*_linear(first, "factorial argument", tok))
+                self.expect(",")
+                second = self.expr()
+                self.expect(")")
+                if tok.text == "binom":
+                    a, b = _linear(first, "binomial argument", tok)
+                    c, d = _linear(second, "binomial argument", tok)
+                    top = _mul(_factorial(a, b), _reciprocal_factorial(c, d))
+                    return _mul(top, _reciprocal_factorial(a - c, b - d))
+                x = _const_value(first)
+                if x is None:
+                    raise _semantic("poch base must be a constant rational", tok)
+                p, q = _linear(second, "pochhammer length", tok)
+                num = ((p, x + q),) if p else ()
+                return _single(num=num, k=pochhammer(x, q))
+            raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
+        if tok.kind == "op" and tok.text == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        raise ExprSyntaxError(
+            f"expected a value, found {tok.text or 'end of input'!r}",
+            tok.line,
+            tok.column,
+        )
+
+
+def parse_term_expr(text: str) -> TermExpr:
+    """Parse a summand in the grammar into its normal form, checking it on the way."""
+    normal = []
+    for p in _Parser(text).parse():
+        a, b = (Polynomial(Fraction(v, p.b[-1]) for v in x) for x in (p.a, p.b))
+        normal.append(p._replace(a=a, b=b))
+    return tuple(normal)

@@ -1,15 +1,24 @@
 """Term-expression grammar: parsing into the normal form, evaluation, errors."""
 
 import ast
+import collections
 import itertools
+import json
 import math
+import os
+import random
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import betaseries
+import oracles
+from betaseries import cli, expressions
 from betaseries.catalog import load_catalog
 from betaseries.engine import HypTerms, product_core
 from betaseries.expressions import (
@@ -422,3 +431,179 @@ def test_normal_form_matches_python_eval(text, monkeypatch):
     got = list(itertools.islice(terms, len(expected)))
     assert got == expected[: len(got)], text
     assert all(value == 0 for value in expected[len(got) :]), text
+
+
+# --------------------------------------------------------------------------
+# The reference parser: the recursive reader of tests/oracles.py
+# --------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """The normal form of ``text``, or the class and message of its error."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - any error must match the reference's
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", ORACLE_EXPRESSIONS)
+def test_normal_form_matches_the_reference_parser(text):
+    assert parse_term_expr(text) == oracles.parse_term_expr(text)
+
+
+# each list is one string, so that the scan of sources for summands in n
+# does not take its forms for summands; a few forms are not linear
+_LINEAR = "n 2*n+1 n+3 2*n 4 0 6*n+6 3*n-n 2*(n+1) n-2 n/2 n*n".split()
+_BASES = "1/2 (-3) 2/3 (-1) 0 5".split()
+_EXPONENTS = "0 1 2 3 (-1) (-2) n (2*n+1) (n-1) (-n) (1/2) (n*n)".split()
+_NOISE = ("(", ")", "+", "-", "*", "/", ",", "n", " ", "\n", "&", "é", "x", "fact", "poch(", "binom(")
+
+
+def _space(rng):
+    return rng.choice(("", "", "", "", " ", "\n"))
+
+
+def _atom(rng, depth):
+    """An atom; at depth 0 one with no power and no nested expression."""
+    kind = rng.randrange(8 if depth else 7)
+    if kind <= 1:
+        return str(rng.choice((0, 1, 1, 2, 2, 3, 5, 7, 12)))
+    if kind == 2:
+        return "n"
+    if kind == 3:
+        return f"fact{_space(rng)}({rng.choice(_LINEAR)})"
+    if kind == 4:
+        return f"binom{_space(rng)}({rng.choice(_LINEAR)},{_space(rng)}{rng.choice(_LINEAR)})"
+    if kind == 5:
+        return f"poch{_space(rng)}({rng.choice(_BASES)},{rng.choice(_LINEAR)})"
+    if kind == 6:
+        return f"({rng.choice(_LINEAR)})"
+    return f"({_space(rng)}{_expr(rng, depth - 1)}{_space(rng)})"
+
+
+def _unary(rng, depth):
+    if rng.random() < 0.15:
+        return "-" + _unary(rng, depth)
+    if rng.random() < 0.3:
+        # a power's base has no power inside, so every power folds small
+        exponent = rng.choice(_EXPONENTS)
+        base = rng.choice(_BASES) if "n" in exponent or rng.random() < 0.3 else _atom(rng, 0)
+        return f"{base}{_space(rng)}^{_space(rng)}{exponent}"
+    return _atom(rng, depth)
+
+
+def _joined(rng, parts, ops):
+    text = parts[0]
+    for part in parts[1:]:
+        text += _space(rng) + rng.choice(ops) + _space(rng) + part
+    return text
+
+
+def _expr(rng, depth):
+    terms = [
+        _joined(rng, [_unary(rng, depth) for _ in range(rng.randint(1, 3))], "**/")  # '*' twice as often
+        for _ in range(rng.randint(1, 3))
+    ]
+    return _joined(rng, terms, "+-")
+
+
+def random_summand(rng, depth=3):
+    """A summand from the grammar, or one mutated by a deleted, inserted or
+    replaced character, which neither adds a digit nor a '^'."""
+    text = _expr(rng, depth)
+    while rng.random() < 0.4:
+        i = rng.randrange(len(text) + 1)
+        noise = rng.choice(_NOISE)
+        kind = rng.randrange(3)
+        if kind == 0:
+            mutated = text[:i] + text[i + 1 :]
+        else:
+            mutated = text[:i] + noise + text[i + (kind == 2) :]
+        # a deletion may join an exponent's digits: keep every exponent small
+        if not re.search(r"\^[\s(\-]*\d\d", mutated):
+            text = mutated
+    return text
+
+
+def check_parser_agreement(seed, count):
+    """``parse_term_expr`` against the reference parser on ``count`` seeded
+    random summands: the same normal form, or the same error and message."""
+    rng = random.Random(seed)
+    kinds = collections.Counter()
+    for _ in range(count):
+        text = random_summand(rng)
+        got = _outcome(parse_term_expr, text)
+        assert got == _outcome(oracles.parse_term_expr, text), text
+        kinds[got[0].__name__ if got and isinstance(got[0], type) else "parsed"] += 1
+    return kinds
+
+
+def test_parser_agrees_with_the_reference_on_random_summands():
+    kinds = check_parser_agreement(seed=33, count=2000)
+    # summands that parse and both kinds of error are well represented
+    assert kinds["parsed"] >= 400 and kinds["ExprSyntaxError"] >= 200, kinds
+    assert kinds["ExprSemanticError"] >= 200, kinds
+
+
+class TestLimits:
+    """What the flat reader refuses, and the depth it takes without recursion."""
+
+    def test_nesting_depth_costs_nothing(self):
+        bare = parse_term_expr("(1/2)^n")
+        assert parse_term_expr("(" * 5000 + "(1/2)^n" + ")" * 5000) == bare
+        assert parse_term_expr("-" * 5000 + "(1/2)^n") == bare
+        assert parse_term_expr("-" * 5001 + "(1/2)^n") == parse_term_expr("-(1/2)^n")
+        # '^' chains, flat and with every exponent nested in the next
+        assert parse_term_expr("(1/2)^n" + "*1" + "^2" * 5000) == bare
+        nested = "(1/2)^n*2^(" + "1^(" * 5000 + "1" + ")" * 5001
+        assert parse_term_expr(nested) == parse_term_expr("(1/2)^n" + "*2")
+        deep_call = "fact(" + "(" * 5000 + "2*(n+1)+n" + ")" * 5000 + ")"
+        assert parse_term_expr(deep_call) == parse_term_expr("fact(2*(n+1)+n)")
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            # split, so that the scan of sources for summands does not fold them
+            ("(1/2)^n" + "*3^100000000", 10),
+            ("(1/2)^n" + "*n^100000", 10),
+            ("(1/2)^n*" + "2^" * 300 + "1", 30),
+        ],
+        ids=["constant", "polynomial", "tower"],
+    )
+    def test_runaway_constant_powers_are_refused(self, text, column):
+        # in a child with 2 GB of address space: folding these runs out of
+        # time or memory where they are not refused
+        proc = subprocess.run(
+            [sys.executable, "-m", "betaseries", "eval", "--expr", text, "--digits", "5"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        message = f"semantic error at 1:{column}: power folds past size {expressions.MAX_FOLD_SIZE}"
+        assert proc.returncode == 2 and f"argument --expr: {message}" in proc.stderr, proc.stderr
+        with pytest.raises(ExprSemanticError, match=re.escape(message)):
+            parse_term_expr(text)
+
+    def test_size_limit_admits_every_source_summand(self, monkeypatch):
+        # every summand in the sources that the reference reads is read; the
+        # largest constant power among them is (1/10)^400
+        monkeypatch.setattr(sys.modules[__name__], "parse_term_expr", oracles.parse_term_expr)
+        read_by_the_reference = set(source_expressions())
+        monkeypatch.undo()
+        assert read_by_the_reference <= set(ORACLE_EXPRESSIONS)
+        assert "(1/10)^400*(-1/3)^n" in ORACLE_EXPRESSIONS
+        assert parse_term_expr("(1/10)^512" + "*(1/2)^n")
+        with pytest.raises(ExprSemanticError, match="power folds past"):
+            parse_term_expr("(1/10)^513" + "*(1/2)^n")
+
+    def test_long_integer_literal_is_a_syntax_error(self, tmp_path, capsys):
+        text = "(1/1" + "0" * 5000 + ")^n"
+        message = "syntax error at 1:4: integer literal too long: 5001 digits"
+        with pytest.raises(ExprSyntaxError, match=message):
+            parse_term_expr(text)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"expr": text}))
+        assert cli.main(["eval", "--spec", str(spec), "--digits", "5"]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
