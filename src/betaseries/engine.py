@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -101,11 +101,6 @@ def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
     return mp.make_mpf(mpf_shift(from_rational(num, den >> k, prec, rnd), -k))
 
 
-def _from_fixed(pref: Fraction, s: int, w: int) -> mpf:
-    """``pref * s / 2^w`` rounded once, within ``|pref| 2^-w`` of it."""
-    return _rounded(pref.numerator * s, pref.denominator << w, max(w, s.bit_length()))
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Outcome of a series evaluation.
@@ -114,12 +109,21 @@ class EvalResult:
     and an interval prefactor's radius.  ``measured_rate`` is the digits per term
     fitted to the floats ``log2 |t(n) w(n)|`` (the largest core's) over the back
     half of the ``terms_used`` terms, zero terms left out; None below 3 points.
-    Its bits are ``_fit_rate``'s, the same on every Python."""
+    Its bits are ``_fit_rate``'s, the same on every Python.  It is fitted on its
+    first read and kept, from what ``backs`` holds until then."""
 
     value: mpf
     terms_used: int
     tail_bound: mpf
-    measured_rate: Optional[float]
+    backs: list = field(repr=False, compare=False)  # per core, size(n // 2) and leaves [n // 2, n)
+
+    @cached_property
+    def measured_rate(self) -> Optional[float]:
+        logs = itertools.starmap(_Walk.term_logs, self.backs)
+        logs = list(map(max, itertools.zip_longest(*logs, fillvalue=-math.inf)))
+        self.backs.clear()
+        xs = itertools.compress(itertools.count(self.terms_used // 2), map(math.isfinite, logs))
+        return _fit_rate(list(xs), list(filter(math.isfinite, logs)))  # a zero term is -inf
 
 
 def _fit_rate(xs: Sequence[int], ys: Sequence[float]) -> Optional[float]:
@@ -389,14 +393,12 @@ class _Walk:
         p, q, top, bottom = (horner(c, n) for c in forms[1:])
         return (top * q, bottom * (q - p)) if p < q and bottom > 0 else None
 
-    def term_logs(self, start: int, stop: int) -> List[float]:
-        """``log2 |t(n) w(n)|`` for the leaves ``start <= n < stop``, ``-inf`` for a
-        zero term: ``size(start)``, then the steps ``log2 |N(n) / D(n)|``."""
-        logs, size = [], self.size(start) if start < len(self.leaves) else 0.0
-        for a, d, v, u in self.leaves[start:stop]:
-            logs.append(size + math.log2(abs(u)) - math.log2(abs(v * d)) if u else -math.inf)
+    @staticmethod
+    def term_logs(size: float, leaves: Sequence[tuple]) -> Iterator[float]:
+        """``log2 |t(n) w(n)|`` over leaves from ``n``, ``size = log2 |t(n)|``; ``-inf`` for 0."""
+        for a, d, v, u in leaves:
+            yield size + math.log2(abs(u)) - math.log2(abs(v * d)) if u else -math.inf
             size += math.log2(abs(a)) - math.log2(abs(d)) if a else 0.0
-        return logs
 
 
 def _extend(walks: Sequence[_Walk], stop: int) -> None:
@@ -508,13 +510,10 @@ def sum_terms(
         raise ValueError("prefactor must be nonzero")
     slack = Fraction(radius) / abs(pref)  # the radius over the midpoint
     total, bits, lost, n, walks = _sum(cores, target_digits, pref, slack, max_terms)
-    bound = abs(pref.numerator) * (lost + 1), pref.denominator << bits
-    logs = (walk.term_logs(n // 2, n) for walk in walks)
-    logs = list(map(max, itertools.zip_longest(*logs, fillvalue=-math.inf)))
-    finite = list(map(math.isfinite, logs))  # a zero term is -inf
-    xs = list(itertools.compress(itertools.count(n // 2), finite))
-    rate = _fit_rate(xs, list(itertools.compress(logs, finite)))
-    return EvalResult(_from_fixed(pref, total, bits), n, _rounded(*bound, 53, round_up), rate)
+    value = _rounded(pref.numerator * total, pref.denominator << bits, max(bits, total.bit_length()))
+    bound = _rounded(abs(pref.numerator) * (lost + 1), pref.denominator << bits, 53, round_up)
+    backs = [(w.size(n // 2), w.leaves[n // 2 : n]) for w in walks if n // 2 < w.end]
+    return EvalResult(value, n, bound, backs)
 
 
 def _proven_sum(cores: Sequence[HypTerms], target_digits: int, pref: Fraction) -> Prefactor:

@@ -48,13 +48,14 @@ base with a negative exponent, that is a sum of unlike products, such as
 ``1/(2^n+1)``: it is not hypergeometric.  Only a zero that appears at some
 index ``n`` (``1/(n-1)``) is left to evaluation, which raises
 ``ZeroDivisionError`` naming that ``n``.  A constant power ``x^k`` that may
-fold past ``MAX_FOLD_SIZE`` is a semantic error at its ``^``, and an integer
-literal with more digits than ``int`` converts is a syntax error.
+fold past ``MAX_FOLD_SIZE`` is a semantic error at its ``^``, a constant
+that ``fact``, ``binom`` or ``poch`` would fold past it one at the function
+name, and an integer literal with more digits than ``int`` converts is a
+syntax error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -144,7 +145,8 @@ def pochhammer(x: Union[Fraction, int], m: int) -> Fraction:
 # --------------------------------------------------------------------------
 
 #: the most a constant power may fold to: its products times the largest of
-#: their integers' bits and their counts of coefficients and symbols
+#: their integers' bits and their counts of coefficients and symbols; and the
+#: most the constant of a ``fact``, ``binom`` or ``poch`` may fold to
 MAX_FOLD_SIZE = 2048
 
 _ONE, _ZERO = (1, 1), (0, 1)
@@ -285,17 +287,30 @@ def _linear(x, what):
     return c1, c0
 
 
+def _product(factors):
+    """The product of integer polynomials, refused as soon as it folds past
+    ``MAX_FOLD_SIZE`` by its count of coefficients or their largest bits.
+    Neither falls for the factors multiplied here: nonzero integers, and
+    ``en + j`` for ``j <= 0 < e``, whose products' signs alternate alike."""
+    product = (1,)
+    for x in factors:
+        product = coeff_product(product, x)
+        if max(len(product), *map(int.bit_length, product)) > MAX_FOLD_SIZE:
+            raise _Refusal(f"constant folds past size {MAX_FOLD_SIZE}")
+    return product
+
+
 def _reciprocal_factorial(e, f):
     """``1 / (en + f)!``, taken as 0 wherever ``en + f < 0``."""
     if f < 0:
         # 1/(en + f)! = (en + f + 1) ... (en) / (en)!, where one factor is 0
         # wherever 0 <= en < -f; and en + f < 0 for every n >= 0 if e <= 0
-        a = functools.reduce(coeff_product, ((j, e) for j in range(f + 1, 1)), (1,))
-        return [(_ONE, (), ((e, Fraction(1)),), a, (1,))] if e > 0 else []
+        a = _product((j, e) for j in range(f + 1, 1)) if e > 0 else ()
+        return [(_ONE, (), ((e, Fraction(1)),), a, (1,))] if a else []
     # 1/(f - kn)! = (f - kn + 1) ... (f) / f! = (-1)^{kn} (-f)_{kn} / f!,
     # and otherwise 1/(en + f)! = 1 / (f! (f + 1)_{en})
     c, num, den = (((-1) ** -e, 1), ((-e, Fraction(-f)),), ()) if e < 0 else (_ONE, (), ((e, Fraction(f + 1)),) if e else ())
-    return [(c, num, den, (1,), (math.factorial(f),))]
+    return [(c, num, den, (1,), _product((j,) for j in range(2, f + 1)))]
 
 
 def _combine(op, x, y):
@@ -327,8 +342,12 @@ def _combine(op, x, y):
     if base is None:
         raise _Refusal("poch base must be a constant rational")
     p, q = _linear(y, "pochhammer length")
-    base = Fraction(*base)
-    return _single(_ONE, ((p, base + q),) if p else (), pochhammer_pair(base, q))
+    u, v = base
+    steps = range(u, u + q * v, v)
+    # (u/v)_q = prod (u + jv) / v^q: 0 if a factor is; else all factors but
+    # two add a bit, so a numerator that folds leaves q < MAX_FOLD_SIZE + 3
+    k = (_product((x,) for x in steps)[0], _product([(v,)] * q)[0]) if 0 not in steps else _ZERO
+    return _single(_ONE, ((p, Fraction(u, v) + q),) if p else (), k)
 
 
 # --------------------------------------------------------------------------

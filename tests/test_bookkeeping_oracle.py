@@ -5,9 +5,10 @@ bisection found (``oracles.place``), refusing where it refused.  Each sum
 must report the same ``terms_used``, value bits and ``tail_bound`` from
 either start, and a ``measured_rate`` equal, bit for bit, to the old
 leaf-by-leaf sizes fitted by ``statistics.linear_regression``
-(``oracles.measured_rate``).  The fit is defined by CPython 3.11's
-formulas: other Pythons' ``statistics`` may round differently, so there
-the rate must equal ``oracles.fit_rate_311``'s and be within ``1e-12`` of
+(``oracles.measured_rate``), fitted on its first read, after which the
+result holds no leaves.  The fit is defined by CPython 3.11's formulas:
+other Pythons' ``statistics`` may round differently, so there the rate
+must equal ``oracles.fit_rate_311``'s and be within ``1e-12`` of
 ``statistics``'.  A CI step runs ``check_bookkeeping_agreement`` on every
 catalog core at 10, 100 and 1000 digits.
 """
@@ -94,7 +95,10 @@ def checked():
         result = real_terms(*args, **kwargs)
         *_, n, walks = last["sum"]
         assert result.terms_used == n
-        assert_same_rate(result.measured_rate, walks, n)
+        assert "measured_rate" not in vars(result)  # not fitted until read
+        rate = result.measured_rate
+        assert_same_rate(rate, walks, n)
+        assert result.backs == [] and result.measured_rate is rate
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -144,7 +148,7 @@ def check_bookkeeping_agreement(digit_counts):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("digits", [10, 35, 105, 1000])
+@pytest.mark.parametrize("digits", [10, 35, 100, 105, 1000])
 def test_catalog_cores_agree(digits):
     check_bookkeeping_agreement([digits])
 
@@ -228,6 +232,45 @@ def test_grouping_rates_agree():
     spec = hyp_spec_from_dict({"upper": ["1/2"], "lower": ["3/2"], "z": "-1/4"})
     for m in (2, 3):
         assert_same_sum(lambda: hyper.verify_grouping(spec, m, 300))
+
+
+# --------------------------------------------------------------------------
+# The rate, fitted on its first read
+# --------------------------------------------------------------------------
+
+GROUPING_SPEC = {"upper": ["1/2"], "lower": ["3/2"], "z": "-1/4"}
+
+FRONT_ENDS = {
+    "derived": lambda: evaluate_derived(derived("eq-1.2-derived"), 100),
+    "expr": lambda: evaluate_expr(EDGE_EXPRESSIONS["three-products"], 100),
+    "hyp": lambda: eval_hyp(hyp_spec_from_dict(GROUPING_SPEC), 100),
+}
+
+
+@pytest.fixture
+def term_logs_calls(monkeypatch):
+    calls, real = [], engine._Walk.term_logs
+    spy = staticmethod(lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(engine._Walk, "term_logs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_ENDS))
+def test_rate_is_fitted_on_first_read_only(name, term_logs_calls):
+    result = FRONT_ENDS[name]()
+    cores = len(result.backs)
+    assert term_logs_calls == [] and cores
+    rate = result.measured_rate
+    assert len(term_logs_calls) == cores and rate is not None and result.backs == []
+    assert result.measured_rate is rate and len(term_logs_calls) == cores
+
+
+def test_rate_read_after_other_evaluations_has_the_same_bits():
+    early = {name: run() for name, run in FRONT_ENDS.items()}
+    for run in FRONT_ENDS.values():  # others in between, read and not read
+        assert run().measured_rate is not None and run()
+    for name, run in FRONT_ENDS.items():
+        assert early[name].measured_rate.hex() == run().measured_rate.hex()
 
 
 # --------------------------------------------------------------------------

@@ -545,6 +545,24 @@ def test_parser_agrees_with_the_reference_on_random_summands():
     assert kinds["ExprSemanticError"] >= 200, kinds
 
 
+def assert_refused(text, message):
+    """``eval --expr text`` exits 2 at once with ``message``, and the parser
+    raises it; in a child with 2 GB of address space, as folding such a
+    summand runs out of time or memory where it is not refused."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "betaseries", "eval", "--expr", text, "--digits", "5"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    message += f" {expressions.MAX_FOLD_SIZE}"
+    assert proc.returncode == 2 and f"argument --expr: {message}" in proc.stderr, proc.stderr
+    with pytest.raises(ExprSemanticError, match=re.escape(message)):
+        parse_term_expr(text)
+
+
 class TestLimits:
     """What the flat reader refuses, and the depth it takes without recursion."""
 
@@ -571,20 +589,33 @@ class TestLimits:
         ids=["constant", "polynomial", "tower"],
     )
     def test_runaway_constant_powers_are_refused(self, text, column):
-        # in a child with 2 GB of address space: folding these runs out of
-        # time or memory where they are not refused
-        proc = subprocess.run(
-            [sys.executable, "-m", "betaseries", "eval", "--expr", text, "--digits", "5"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
-        )
-        message = f"semantic error at 1:{column}: power folds past size {expressions.MAX_FOLD_SIZE}"
-        assert proc.returncode == 2 and f"argument --expr: {message}" in proc.stderr, proc.stderr
-        with pytest.raises(ExprSemanticError, match=re.escape(message)):
-            parse_term_expr(text)
+        assert_refused(text, f"semantic error at 1:{column}: power folds past size")
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("(1/2)^n" + "*poch(1/3,300000)", 9),
+            ("(1/2)^n" + "*poch(1/3,n+100000)", 9),
+            ("(1/2)^n" + "*fact(200000)", 9),
+            ("fact(2000000)", 1),
+        ],
+        ids=["poch-constant", "poch-offset", "fact-in-summand", "fact-alone"],
+    )
+    def test_runaway_constant_arguments_are_refused(self, text, column):
+        assert_refused(text, f"semantic error at 1:{column}: constant folds past size")
+
+    def test_constant_arguments_fold_up_to_the_size_limit(self):
+        # 300! has 2 042 bits, 301! 2 050
+        assert parse_term_expr("(1/2)^n" + "*fact(300)")
+        # and the denominator 2^3000 of the last, whose numerator has 2 001 bits
+        for text in ("fact(301)", "binom(301,2)", "poch(1/3,300)", "poch((1-2^1000)/2^1000,3)"):
+            with pytest.raises(ExprSemanticError, match="1:1: constant folds past"):
+                parse_term_expr(text)
+        # 1 / (999 n - 250)! holds (999 n - 249) ... (999 n), leading coefficient 999^250 of 2 491 bits
+        with pytest.raises(ExprSemanticError, match="1:9: constant folds past"):
+            parse_term_expr("(1/2)^n" + "*binom(1000*n,n+250)")
+        # a factor 0 makes a poch of any length 0
+        assert parse_term_expr("(1/2)^n" + "*poch(-5,300000)") == ()
 
     def test_size_limit_admits_every_source_summand(self, monkeypatch):
         # every summand in the sources that the reference reads is read; the
