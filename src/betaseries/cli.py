@@ -188,6 +188,8 @@ def _cmd_accelerate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.all:
         summary = catalog_mod.run_all(digits=args.digits, only=args.only)
+        if not summary["total"]:
+            args.usage_error(f"--only {args.only!r} matches no record id")
         _emit(summary)
         return 0 if summary["failed"] == 0 else 1
     if args.only is not None:

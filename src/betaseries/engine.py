@@ -28,6 +28,9 @@ A derived series' prefactor ``B(a+1, b+1) / z`` is proven on the same cores
 (``beta_prefactor``): an exact rational where the Beta is one, else two
 positive ``HypTerms`` cores summed together times a third, each proven by
 the same splitting, so no factor of a derived value is taken on trust.
+
+Each core is interned by value for the life of the process (``interned``); what
+precision keys lives in ``quadrature._cache``.  A fresh start clears both.
 """
 
 from __future__ import annotations
@@ -75,8 +78,6 @@ GUARD_BITS = 64
 _BETA_DIGITS = 20
 
 DEFAULT_MAX_TERMS = 100_000
-
-_leaf_forms = cache(leaf_forms)  # a catalog record's cores are built anew per run
 
 #: integer coefficients, lowest degree first, of ``A`` and ``B`` in ``A / B``
 IntegerForm = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -183,7 +184,7 @@ class HypTerms:
         """``(N, D, V, U)`` of the binary splitting's leaves: ``r = N / D``
         and ``w = U / (V D)``, ``V`` constant where ``B`` divides ``D`` (as in
         every derived core), from ``polynomials.leaf_forms``."""
-        return _leaf_forms(self.integer_ratio, self.weight)
+        return leaf_forms(self.integer_ratio, self.weight)
 
     def ratio(self, n: int) -> Fraction:
         """``t(n + 1) / t(n)``; a lower symbol that is 0 at ``n + 1`` raises."""
@@ -269,7 +270,7 @@ class HypTerms:
         ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``,
         composed once at ``mn + j`` into one ``U(n) / V(n)`` over the common
         denominator ``prod_{i<m-1} D(mn+i)`` times the base weights'
-        denominators.  Each grouped core is built once per instance and kept.
+        denominators.  Each grouped core is interned and kept by ``m``.
         """
         if m == 1 or m in self._grouped:
             return self._grouped.get(m, self)
@@ -292,9 +293,8 @@ class HypTerms:
             v = coeff_product(bj, dv)
         num = tuple((p * m, q) for p, q in self.num)
         den = tuple((p * m, q) for p, q in self.den)
-        core = HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v))
-        self._grouped[m] = core
-        return core
+        self._grouped[m] = interned(HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v)))
+        return self._grouped[m]
 
     @cached_property
     def _grouped(self) -> dict:
@@ -308,6 +308,11 @@ class HypTerms:
             raise ValueError("z = 0 has no geometric rate")
         limit = self.limit()
         return math.log10(limit.denominator) - math.log10(limit.numerator)
+
+
+@cache
+def interned(core: HypTerms) -> HypTerms:  # the first core built with these fields
+    return core
 
 
 def _merge(left: tuple, right: tuple) -> tuple:
@@ -524,12 +529,11 @@ def _proven_sum(cores: Sequence[HypTerms], target_digits: int, pref: Fraction) -
     return Fraction(total, 1 << bits), Fraction(lost, 1 << bits)
 
 
-@cache
 def _beta_cores(u: Fraction, v: Fraction) -> Tuple[Tuple[HypTerms, ...], Optional[HypTerms]]:
     """The cores of ``S(u, v)`` and ``S(v, u)``, and of ``(1/2)^f`` unless ``f = 0``."""
     half, f = Fraction(1, 2), u + v - math.floor(u + v)
-    cores = tuple(HypTerms(1 / x, half, ((1, u + v),), ((1, x + 1),)) for x in (u, v))
-    return cores, HypTerms(Fraction(1), half, ((1, -f),), ((1, Fraction(1)),)) if f else None
+    cores = tuple(interned(HypTerms(1 / x, half, ((1, u + v),), ((1, x + 1),))) for x in (u, v))
+    return cores, interned(HypTerms(Fraction(1), half, ((1, -f),), ((1, Fraction(1)),))) if f else None
 
 
 def beta_prefactor(p: Fraction, q: Fraction, scale: Fraction, target_digits: int) -> Prefactor:
@@ -559,12 +563,11 @@ def beta_prefactor(p: Fraction, q: Fraction, scale: Fraction, target_digits: int
     return scale * s * x, abs(scale) * (abs(x) * s_radius + (s + s_radius) * x_radius)
 
 
-@cache
 def derived_core(ds: DerivedSeries) -> HypTerms:
     """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
     a, b, k, s = ds.a, ds.b, ds.k, ds.s
     num, den = ((k, a + 1), (s, b + 1)), ((k + s, a + b + 2),)
-    return HypTerms(Fraction(1), 1 / ds.z, num, den, ds.integer_weight)
+    return interned(HypTerms(Fraction(1), 1 / ds.z, num, den, ds.integer_weight))
 
 
 def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
@@ -585,10 +588,9 @@ def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     return sum_terms([derived_core(ds)], target_digits, prefactor=pref)
 
 
-@cache
 def product_core(p: Product) -> HypTerms:
     """The core of one printed product, with ``a / b`` as its weight."""
-    return HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a.coeffs, p.b.coeffs))
+    return interned(HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a.coeffs, p.b.coeffs)))
 
 
 def evaluate_expr(expr: Union[TermExpr, str], target_digits: int) -> EvalResult:

@@ -33,10 +33,10 @@ coefficients ``(A, B)``, multiplied and added by the integer kernel of
 made once, when the whole summand is read.  Products that share ``(c, num,
 den)`` are merged, so every catalog summand is one product.  ``fact(pn+q)``
 is ``q! (q+1)_{pn}``, ``poch(x, pn+q)`` is ``(x)_q (x+q)_{pn}``, ``c^(pn+q)``
-is ``c^q (c^p)^n``, and ``binom`` is a quotient of factorials whose last
-factorial is rewritten so that the product is 0 exactly where the binomial
-is.  Each product is one term core to the engine; ``evaluate`` is its
-closed form, kept as an independent check.
+is ``c^q (c^p)^n``, a constant ``binom`` is ``math.comb``, and any other a
+quotient of factorials, the last rewritten so that the product is 0 exactly
+where the binomial is.  Each product is one term core to the engine;
+``evaluate`` is its closed form, kept as an independent check.
 
 Arguments of ``fact`` and ``binom``, and the length of ``poch``, must be
 ``c1*n + c0`` with nonnegative integers ``c1, c0``; a ``poch`` base and the
@@ -336,6 +336,10 @@ def _combine(op, x, y):
     if op == "b":
         a, b = _linear(x, "binomial argument")
         c, d = _linear(y, "binomial argument")
+        if not a and not c:  # a constant: its size is at most min(d, b - d) times b's bits
+            if min(d, b - d) * b.bit_length() > MAX_FOLD_SIZE:
+                raise _Refusal(f"constant folds past size {MAX_FOLD_SIZE}")
+            return math.comb(b, d), 1
         top = _inverse(_reciprocal_factorial(a, b), "")
         return _mul(_mul(top, _reciprocal_factorial(c, d)), _reciprocal_factorial(a - c, b - d))
     base = _constant(x)

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, _extend, _fit_rate, _merge, _Walk, sum_terms
+from .engine import EvalResult, HypTerms, _extend, _fit_rate, _merge, _Walk, interned, sum_terms
 from .polynomials import rational
 
 
@@ -71,7 +71,7 @@ class HypSeriesSpec:
         """Term ``n`` is ``z^n prod_g (x_g)_n / (y_g)_n``."""
         upper = tuple((1, x) for x in self.upper)
         lower = tuple((1, y) for y in self.lower)
-        return HypTerms(Fraction(1), self.z, upper, lower)
+        return interned(HypTerms(Fraction(1), self.z, upper, lower))
 
     def terms(self) -> Iterator[Fraction]:
         """Exact terms via the one-step ratio recurrence."""

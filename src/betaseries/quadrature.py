@@ -147,11 +147,8 @@ holds or on the order of the calls.  The node tables with their
 constants, the root tables and the kept values live in ``_cache``, the
 process-wide cache of precision-keyed constants, and ``_kept`` is its one
 keeper: ``references`` keeps its reference sums and values through it
-too.  They last as long as the process, or until ``_cache.clear()``.
-That leaves four ``functools`` caches of ``engine`` warm
-(``derived_core``, ``product_core``, ``_beta_cores`` and
-``_leaf_forms``); a fresh start has them empty too.  The lock around
-``_kept``'s reads and writes does not make concurrent use safe: every
+too; a fresh start clears ``_cache`` and ``engine.interned``.  The lock
+around ``_kept``'s reads and writes does not make concurrent use safe: every
 computation here and in ``references`` runs at mpmath's global ``mp``
 precision, which all threads share.
 """

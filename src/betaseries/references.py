@@ -23,12 +23,8 @@ sum is kept there too, keyed by the inputs that define it and its width:
 the two series of ``B(u, u)`` are one sum, ``B(1/3, 1/3)`` and
 ``B(1/3, 4/3)`` at one width share theirs, and an arctangent or atanh
 series at a repeated argument is summed once.  ``_cache`` and its keeper
-``_kept`` are defined in ``quadrature``, which keeps its tanh-sinh node
-and root tables there too, so one ``_cache.clear()`` empties every
-precision-keyed table.  Four ``functools`` caches of ``engine`` survive
-it: ``derived_core``, ``product_core``, ``_beta_cores`` and
-``_leaf_forms``, exact cores and forms that no value depends on; a fresh
-start clears them too.
+``_kept`` are defined in ``quadrature``, whose node and root tables live
+there too; a fresh start clears ``_cache`` and ``engine.interned``.
 """
 
 from __future__ import annotations

@@ -537,6 +537,8 @@ class _Parser:
                 if tok.text == "binom":
                     a, b = _linear(first, "binomial argument", tok)
                     c, d = _linear(second, "binomial argument", tok)
+                    if not a and not c:
+                        return _single(k=math.comb(b, d))
                     top = _mul(_factorial(a, b), _reciprocal_factorial(c, d))
                     return _mul(top, _reciprocal_factorial(a - c, b - d))
                 x = _const_value(first)

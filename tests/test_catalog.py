@@ -273,25 +273,46 @@ class TestRunAll:
         summary = run_all(digits=6, only="eq-2.*")
         assert summary["failed"] == 0
 
+    @staticmethod
+    def _stdout(argv):
+        from betaseries import cli
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
     def test_stdout_does_not_depend_on_the_caches(self):
-        # a warm run against one after every cache is emptied: the kept
-        # integrals, reference sums and tables, and engine's cores and forms
-        from betaseries import cli, engine, references
+        # a warm run against one after both memos are emptied: the kept
+        # integrals, reference sums and tables, and the interned cores
+        from betaseries import engine, references
 
-        def run():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.main(["verify", "--all", "--digits", "30"]) == 0
-            return out.getvalue()
-
-        run()
-        warm = run()
-        caches = (engine.derived_core, engine.product_core, engine._beta_cores, engine._leaf_forms)
-        assert references._cache and all(c.cache_info().currsize for c in caches)
+        argv = ["verify", "--all", "--digits", "30"]
+        self._stdout(argv)
+        warm = self._stdout(argv)
+        assert references._cache and engine.interned.cache_info().currsize
         references._cache.clear()
-        for c in caches:
-            c.cache_clear()
-        assert run() == warm
+        engine.interned.cache_clear()
+        assert self._stdout(argv) == warm
+
+    def test_each_core_builds_its_leaf_forms_once(self, monkeypatch):
+        # over two commands from empty memos, leaf_forms runs once per
+        # distinct core, each summed, and never in the second
+        from betaseries import engine, references
+
+        leaf_forms, built = engine.leaf_forms, []
+
+        def spy(ratio, weight):
+            built.append(ratio)
+            return leaf_forms(ratio, weight)
+
+        monkeypatch.setattr(engine, "leaf_forms", spy)
+        references._cache.clear()
+        engine.interned.cache_clear()
+        first = self._stdout(["verify", "--all"])
+        count = len(built)
+        assert self._stdout(["verify", "--all"]) == first
+        assert len(built) == count == engine.interned.cache_info().currsize
 
 
 class TestWireFormats:

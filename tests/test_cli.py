@@ -327,6 +327,13 @@ class TestVerify:
             "eq-3.2-w2",
         }
 
+    def test_filter_that_matches_nothing_is_a_usage_error(self):
+        # a mistyped pattern used to print "total": 0 and exit 0
+        proc = run_cli("verify", "--all", "--only", "eq-9.*", "--digits", "10")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "betaseries verify: error: --only 'eq-9.*' matches no record id" in proc.stderr
+
     def test_all_at_few_digits(self):
         # grouping records at 10 digits sum only a few grouped terms
         proc = run_cli("verify", "--all", "--digits", "10")

@@ -24,6 +24,7 @@ from betaseries.engine import (
     derived_terms,
     evaluate_derived,
     evaluate_expr,
+    interned,
     predicted_rate,
     sum_terms,
     to_mpf,
@@ -286,6 +287,17 @@ class TestEvaluateDerived:
         gen = derived_terms(ds)
         for n in range(30):
             assert next(gen) == derived_term(ds, n)
+
+    def test_equal_series_share_one_core(self):
+        # two series read from one spec dict are two objects with one core,
+        # interned by value, so its forms are built once
+        doc = next(r for r in load_catalog() if r.id == "eq-2.11-derived").series
+        first, second = series_spec_from_dict(doc), series_spec_from_dict(doc)
+        assert first is not second and first == second
+        core = derived_core(first)
+        assert derived_core(second) is core
+        copy = HypTerms(core.t0, core.c, core.num, core.den, core.weight)
+        assert copy is not core and interned(copy) is core
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_grouped_weighted_core_sums_consecutive_terms(self, m):

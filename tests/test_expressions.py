@@ -598,8 +598,9 @@ class TestLimits:
             ("(1/2)^n" + "*poch(1/3,n+100000)", 9),
             ("(1/2)^n" + "*fact(200000)", 9),
             ("fact(2000000)", 1),
+            ("(1/2)^n" + "*binom(1000000,500000)", 9),
         ],
-        ids=["poch-constant", "poch-offset", "fact-in-summand", "fact-alone"],
+        ids=["poch-constant", "poch-offset", "fact-in-summand", "fact-alone", "binom-constant"],
     )
     def test_runaway_constant_arguments_are_refused(self, text, column):
         assert_refused(text, f"semantic error at 1:{column}: constant folds past size")
@@ -608,9 +609,17 @@ class TestLimits:
         # 300! has 2 042 bits, 301! 2 050
         assert parse_term_expr("(1/2)^n" + "*fact(300)")
         # and the denominator 2^3000 of the last, whose numerator has 2 001 bits
-        for text in ("fact(301)", "binom(301,2)", "poch(1/3,300)", "poch((1-2^1000)/2^1000,3)"):
+        for text in ("fact(301)", "poch(1/3,300)", "poch((1-2^1000)/2^1000,3)"):
             with pytest.raises(ExprSemanticError, match="1:1: constant folds past"):
                 parse_term_expr(text)
+        # a constant binomial folds by math.comb, at most min(c, a - c) times a's bits
+        assert parse_term_expr("binom(301,2)") == parse_term_expr("45150")
+        assert parse_term_expr("(1/2)^n" + "*binom(1000,2)") == parse_term_expr("(1/2)^n*499500")
+        assert parse_term_expr("binom(3,5)") == ()
+        # 2048 has 12 bits: 170 * 12 = 2040 folds, 171 * 12 = 2052 does not
+        assert parse_term_expr("binom(2048,1878)") == parse_term_expr(str(math.comb(2048, 170)))
+        with pytest.raises(ExprSemanticError, match="1:1: constant folds past"):
+            parse_term_expr("binom(2048,171)")
         # 1 / (999 n - 250)! holds (999 n - 249) ... (999 n), leading coefficient 999^250 of 2 491 bits
         with pytest.raises(ExprSemanticError, match="1:9: constant folds past"):
             parse_term_expr("(1/2)^n" + "*binom(1000*n,n+250)")

@@ -108,6 +108,14 @@ class TestTermRecurrences:
             for n in range(12):
                 assert next(gen) == grouped_term(grouped, n)
 
+    @pytest.mark.parametrize("doc", CATALOG_HYP_SPECS)
+    def test_equal_specs_share_one_core(self, doc):
+        # each spec keeps its own core property, interned by value
+        first, second = hyp_spec_from_dict(doc), hyp_spec_from_dict(doc)
+        assert first is not second
+        assert first.core is second.core
+        assert group(first, 2).core is group(second, 2).core
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     @pytest.mark.parametrize("doc", CATALOG_HYP_SPECS)
     def test_catalog_grouped_terms_match_scratch(self, doc, m):
