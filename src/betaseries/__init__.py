@@ -9,6 +9,7 @@ classical reference constants.
 """
 
 from .catalog import IdentityRecord, VerifyReport, load_catalog, run_all, verify
+from .cores import EvaluationError, SeriesDivergenceError
 from .derive import (
     DerivedSeries,
     DerivationError,
@@ -23,8 +24,6 @@ from .derive import (
 )
 from .engine import (
     EvalResult,
-    EvaluationError,
-    SeriesDivergenceError,
     evaluate_derived,
     evaluate_expr,
     predicted_rate,

@@ -194,7 +194,11 @@ def _cmd_verify(args) -> int:
         return 0 if summary["failed"] == 0 else 1
     if args.only is not None:
         args.usage_error("--only filters --all; it cannot be used with --id")
-    report = catalog_mod.verify(args.id, digits=args.digits)
+    try:
+        record = catalog_mod.get_record(args.id)
+    except KeyError:
+        args.usage_error(f"--id {args.id!r} matches no record id")
+    report = catalog_mod.verify(record, digits=args.digits)
     doc = report.summary()
     if report.detail:
         doc["detail"] = report.detail

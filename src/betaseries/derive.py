@@ -5,7 +5,8 @@ with known value, picks kernel exponents ``(k, s)``, and looks for the unique
 constant ``z`` making ``z - x^k (1-x)^s`` exactly divisible by ``P``.  The
 quotient ``Q`` and the solved ``z`` determine a hypergeometric-style series
 whose sum (times a Beta-function prefactor) reproduces ``I`` while converging
-geometrically with ratio ``sup_[0,1] x^k(1-x)^s / |z|``.
+geometrically with ratio ``sup_[0,1] x^k(1-x)^s / |z|``.  That series is one
+term core, ``DerivedSeries.core``, built once per series.
 
 ``solve_seed_param`` runs the same procedure with a parameter ``w`` carried
 through the polynomial arithmetic, producing ``z(w)`` and ``Q(x, w)`` that
@@ -19,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
+from .cores import HypTerms, interned
 from .polynomials import (
     ParamPolynomial,
     Polynomial,
@@ -141,6 +143,13 @@ class DerivedSeries:
             ],
             [(1, [(bottom, ks, last)])],
         )
+
+    @cached_property
+    def core(self) -> HypTerms:
+        """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
+        num = ((self.k, self.a + 1), (self.s, self.b + 1))
+        den = ((self.k + self.s, self.a + self.b + 2),)
+        return interned(HypTerms(Fraction(1), 1 / self.z, num, den, self.integer_weight))
 
     def __str__(self) -> str:
         return (

@@ -1,36 +1,34 @@
 """Arbitrary-precision series evaluation with proven error bounds.
 
-Derived, hypergeometric, grouped and printed series all compile onto one
-term core, ``HypTerms``: ratio ``N(n) / D(n)`` and weight ``U(n) / (V(n)
-D(n))``, integer polynomials built once per core.  ``sum_terms`` sums a core
-by binary splitting (Haible and Papanikolaou, ANTS-III, 1998): leaf ``n`` is
-``(N, D, V, U)`` at ``n``, two adjacent ranges merge into ``(P1 P2, Q1 Q2, V1
-V2, V2 Q2 T1 + V1 P1 T2)``, and over ``[0, N)`` the sum is ``S_N = t0 T / (V
-Q)`` and the next term ``t(N) = t0 P / Q``, both exact.  Summation stops at
-the first ``N`` where the tail bound proven from ``HypTerms.tail_forms`` at
-``|t(N)|``, plus two rounding units of ``|prefactor| 2^-W`` per core and one
-more, is below ``10^-target_digits``: ``S_N 2^W`` is floored once per core,
-after both operands of that division are cut to 128 bits past the quotient's
-length (``_quotient``), and ``prefactor S / 2^W`` is rounded once to an mpf.
+Derived, hypergeometric, grouped and printed series all reach the engine as
+term cores, ``cores.HypTerms``, which each front end builds: ratio ``N(n) /
+D(n)`` and weight ``U(n) / (V(n) D(n))``, integer polynomials built once per
+core.  ``sum_terms`` sums cores by binary splitting (Haible and
+Papanikolaou, ANTS-III, 1998): leaf ``n`` is ``(N, D, V, U)`` at ``n``, two
+adjacent ranges merge into ``(P1 P2, Q1 Q2, V1 V2, V2 Q2 T1 + V1 P1 T2)``,
+and over ``[0, N)`` the sum is ``S_N = t0 T / (V Q)`` and the next term
+``t(N) = t0 P / Q``, both exact.  Summation stops at the first ``N`` where
+the tail bound proven from ``HypTerms.tail_forms`` at ``|t(N)|``, plus two
+rounding units of ``|prefactor| 2^-W`` per core and one more, is below
+``10^-target_digits``: ``S_N 2^W`` is floored once per core, after both
+operands of that division are cut to 128 bits past the quotient's length
+(``_quotient``), and ``prefactor S / 2^W`` is rounded once to an mpf.
 ``W`` is the bit length of ``10^target_digits max(1, |prefactor|)`` plus
 ``GUARD_BITS``.
 
 The proof alone picks ``N``; floats only place its start.  The closed form
 ``log2 |t(n)| = log2 |t0| + n log2 |c| +- sum ln |(q)_{pn}| / ln 2``
 (``_Walk.size``, by ``math.lgamma``, far under a bit off) gives the float
-tail bound, whose first ``n`` in budget ``placement.place`` finds by Newton
-steps, in a few evaluations.  Each core's leaves up to there are then built
-once, as four integer columns, and split; the proof merges one leaf on, or
-divides one out, until ``N`` is the first that proves.  A float tail bound
-``2^8`` past budget at ``max_terms`` is refused before any leaf.
+tail bound, whose first ``n`` in budget ``_place`` finds by Newton steps, in
+a few evaluations.  Each core's leaves up to there are then built once, as
+four integer columns, and split; the proof merges one leaf on, or divides
+one out, until ``N`` is the first that proves.  A float tail bound ``2^8``
+past budget at ``max_terms`` is refused before any leaf.
 
 A derived series' prefactor ``B(a+1, b+1) / z`` is proven on the same cores
 (``beta_prefactor``): an exact rational where the Beta is one, else two
 positive ``HypTerms`` cores summed together times a third, each proven by
 the same splitting, so no factor of a derived value is taken on trust.
-
-Each core is interned by value for the life of the process (``interned``); what
-precision keys lives in ``quadrature._cache``.  A fresh start clears both.
 """
 
 from __future__ import annotations
@@ -38,26 +36,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_shift, round_nearest, round_up
 
-from . import placement
+from .cores import EvaluationError, HypTerms, _first_zero, interned
 from .derive import DerivedSeries
-from .expressions import Product, TermExpr, parse_term_expr, pochhammer
-from .polynomials import (
-    consecutive,
-    horner,
-    integer_coefficients,
-    integer_forms,
-    coeff_product,
-    coeff_sum,
-    leaf_forms,
-    quotient,
-)
+from .expressions import TermExpr, parse_term_expr, pochhammer
+from .polynomials import consecutive, horner
 
 # Unused here: the benchmark's tracer (``bench/layers.py``) patches these as
 # layer boundaries; remove them together with those patches.
@@ -78,17 +67,6 @@ GUARD_BITS = 64
 _BETA_DIGITS = 20
 
 DEFAULT_MAX_TERMS = 100_000
-
-#: integer coefficients, lowest degree first, of ``A`` and ``B`` in ``A / B``
-IntegerForm = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
-class EvaluationError(ArithmeticError):
-    """Series evaluation could not reach the requested accuracy."""
-
-
-class SeriesDivergenceError(EvaluationError):
-    """The term ratio tends to a limit above 1."""
 
 
 def _rounded(num: int, den: int, prec: int, rnd=round_nearest) -> mpf:
@@ -138,181 +116,6 @@ def _fit_rate(xs: Sequence[int], ys: Sequence[float]) -> Optional[float]:
     dx = [x - xbar for x in xs]
     sxy = math.fsum(d * (y - ybar) for d, y in zip(dx, ys))
     return -(sxy / math.fsum(d * d for d in dx)) * math.log10(2)
-
-
-def _first_zero(symbols) -> Union[int, float]:
-    """The first ``n`` where a Pochhammer symbol ``(q)_{pn}`` (an integer ``q <=
-    0``) has reached its zero factor ``q + pn - 1 >= 0``, else ``inf``."""
-    zeros = (-q // p + 1 for p, q in symbols if p and q.denominator == 1 and q <= 0)
-    return min(zeros, default=math.inf)
-
-
-# --------------------------------------------------------------------------
-# The hypergeometric term core
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypTerms:
-    """Exact terms ``t(n) w(n)``, ``t(n) = t0 c^n prod (q)_{pn} / prod (q')_{p'n}``.
-
-    Each factor ``(p, q)`` in ``num`` and ``den`` is a Pochhammer symbol with
-    integer ``p >= 0``.  The ratio ``r(n) = c prod (q + pn)_p / prod (q' + p'n)_{p'}``
-    is ``N(n) / D(n)`` for the integer polynomials ``integer_ratio``, built once
-    per core.  ``weight`` holds the integer coefficients ``(A, B)`` of
-    ``w(n) = A(n) / B(n)``; it multiplies term ``n`` after the recurrence, so
-    a vanishing weight never enters a denominator.  The terms end after the
-    last nonzero ``t(n)``.
-    """
-
-    t0: Fraction
-    c: Fraction
-    num: Tuple[Tuple[int, Fraction], ...]
-    den: Tuple[Tuple[int, Fraction], ...]
-    weight: IntegerForm = ((1,), (1,))
-
-    @cached_property
-    def integer_ratio(self) -> IntegerForm:
-        """``(N, D)``: integer coefficients, lowest degree first, of ``r = N / D``."""
-        return integer_forms(
-            [(self.c, [(q, p, p) for p, q in self.num])],
-            [(1, [(q, p, p) for p, q in self.den])],
-        )
-
-    @cached_property
-    def split_forms(self) -> Tuple[Tuple[int, ...], ...]:
-        """``(N, D, V, U)`` of the binary splitting's leaves: ``r = N / D``
-        and ``w = U / (V D)``, ``V`` constant where ``B`` divides ``D`` (as in
-        every derived core), from ``polynomials.leaf_forms``."""
-        return leaf_forms(self.integer_ratio, self.weight)
-
-    def ratio(self, n: int) -> Fraction:
-        """``t(n + 1) / t(n)``; a lower symbol that is 0 at ``n + 1`` raises."""
-        return quotient(*self.integer_ratio, n, 1)
-
-    def limit(self) -> Fraction:
-        """``|L| = |c| prod p^p / prod p'^p'``: the limit of ``|r(n)|`` when the
-        lengths in ``num`` and ``den`` add up alike."""
-        limit = abs(self.c) * math.prod(p**p for p, _ in self.num)
-        return limit / math.prod(p**p for p, _ in self.den)
-
-    @property
-    def end(self) -> Union[int, float]:
-        """The first term that is 0, ``inf`` while the terms go on: ``t0`` or
-        ``c`` is 0, or a numerator symbol reaches its zero factor."""
-        return 0 if not self.t0 else 1 if not self.c else _first_zero(self.num)
-
-    def check_convergence(self) -> None:
-        """Raise unless ``|r(n)|`` tends to a limit below 1 or the terms end."""
-        excess = sum(p for p, _ in self.num) - sum(p for p, _ in self.den)
-        if self.end < math.inf or excess < 0:
-            return
-        limit = self.limit() if excess == 0 else math.inf
-        if limit > 1:
-            raise SeriesDivergenceError(f"|term ratio| -> {limit} > 1: diverges")
-        if limit == 1:
-            raise EvaluationError("|term ratio| -> 1: not geometrically convergent")
-
-    def terms(self) -> Iterator[Fraction]:
-        """The exact terms ``t(n) w(n)``, as ``Fraction``s."""
-        self.check_convergence()
-        t = self.t0
-        for n in itertools.count():
-            if not t:
-                return
-            yield t * quotient(*self.weight, n)
-            t *= self.ratio(n)
-
-    @cached_property
-    def tail_forms(self) -> Optional[tuple]:
-        """``(n0, P, Q, Ah, Bv)``: integer polynomials such that, for every
-        ``N >= n0`` with ``P(N) < Q(N)`` and ``Bv(N) > 0``::
-
-            sum_{n >= N} |t(n) w(n)| <= |t(N)| Ah(N) Q(N) / (Bv(N) (Q(N) - P(N)))
-
-        ``r(n) = +-L prod (n + a_i) / prod (n + b_j)`` with ``L = limit()``,
-        every factor positive for ``n >= n0``.  Paired in sorted order, over
-        ``n >= N``, ``a > b`` gives at most ``(N + a) / (N + b)``, ``a <= b``
-        at most 1, and an unpaired ``1 / (n + b)`` at most ``1 / (N + b)``.
-        ``|A(n)| <= (n/N)^dA Ah(N)``; ``|B(n)| >= (n/N)^dB Bv(N)``, ``Bv`` keeping
-        the coefficients of sign opposite to the leading one; ``(n/N)^d <= (1 +
-        1/N)^(d (n-N))`` joins the ratio for ``d = dA - dB > 0``.  None when
-        the numerator has more factors: such terms end.
-        """
-        above, below = (
-            sorted((q + j) / p for p, q in side for j in range(p))
-            for side in (self.num, self.den)
-        )
-        # |n + a| <= n + max(a, -2 - a) for n >= 1: no n0 for a noninteger a
-        above = sorted(a if a.denominator == 1 else max(a, -2 - a) for a in above)
-        if len(above) > len(below):
-            return None
-        n0 = max([1] + [math.floor(-x) + 1 for x in above + below])
-        top, bottom = self.weight
-        d = max(len(top) - len(bottom), 0)
-        # each factor n + x is the rising factorial (x + n)_1
-        p, q = [(1, 1, 1)] * d, [(0, 1, 1)] * d
-        for a, b in itertools.zip_longest(above, below):
-            if a is None or a > b:  # an unpaired lower factor, or a pair above 1
-                q.append((b, 1, 1))
-                if a is not None:
-                    p.append((a, 1, 1))
-        sign = 1 if bottom[-1] > 0 else -1
-        floor = tuple(min(sign * c, 0) for c in bottom[:-1]) + (abs(bottom[-1]),)
-        forms = integer_forms([(self.limit(), p)], [(1, q)])
-        return (n0, *forms, tuple(map(abs, top)), floor)
-
-    def grouped(self, m: int) -> "HypTerms":
-        """Term ``n`` is ``sum_{j<m} t(mn+j) w(mn+j)``.
-
-        The outer term is ``t(mn)``: each symbol ``(q)_{pn}`` becomes
-        ``(q)_{pmn}``, so ``(p, q)`` maps to ``(pm, q)``, and ``c`` becomes
-        ``c^m``.  The weight is ``sum_{j<m} w(mn+j) prod_{i<j} r(mn+i)``,
-        composed once at ``mn + j`` into one ``U(n) / V(n)`` over the common
-        denominator ``prod_{i<m-1} D(mn+i)`` times the base weights'
-        denominators.  Each grouped core is interned and kept by ``m``.
-        """
-        if m == 1 or m in self._grouped:
-            return self._grouped.get(m, self)
-        top, bottom = self.integer_ratio
-        a, b = self.weight
-
-        def at(coeffs: Sequence[int], j: int) -> Tuple[int, ...]:
-            """The polynomial ``coeffs`` at ``mn + j``, by Horner on integers."""
-            acc = ()
-            for c in reversed(coeffs):
-                acc = coeff_sum(coeff_product(acc, (j, m)), (c,))
-            return acc
-
-        # nested from the last summand: w(j) + r(j) (w(j+1) + r(j+1) (...))
-        u, v = at(a, m - 1), at(b, m - 1)
-        for j in range(m - 2, -1, -1):
-            bj, dv = at(b, j), coeff_product(at(bottom, j), v)
-            u = coeff_product(bj, coeff_product(at(top, j), u))
-            u = coeff_sum(coeff_product(at(a, j), dv), u)
-            v = coeff_product(bj, dv)
-        num = tuple((p * m, q) for p, q in self.num)
-        den = tuple((p * m, q) for p, q in self.den)
-        self._grouped[m] = interned(HypTerms(self.t0, self.c**m, num, den, integer_coefficients(u, v)))
-        return self._grouped[m]
-
-    @cached_property
-    def _grouped(self) -> dict:
-        """The cores ``grouped`` has built, by ``m``."""
-        return {}
-
-    def rate(self) -> float:
-        """Digits per term ``log10(1/|L|)``, with ``L = c prod p^p / prod p'^p'``
-        the limit of ``r(n)`` (the lengths in ``num`` and ``den`` add up alike)."""
-        if self.c == 0:
-            raise ValueError("z = 0 has no geometric rate")
-        limit = self.limit()
-        return math.log10(limit.denominator) - math.log10(limit.numerator)
-
-
-@cache
-def interned(core: HypTerms) -> HypTerms:  # the first core built with these fields
-    return core
 
 
 def _merge(left: tuple, right: tuple) -> tuple:
@@ -414,6 +217,60 @@ def _extend(walks: Sequence[_Walk], stop: int) -> None:
         raise ZeroDivisionError(f"division by zero at n={min(undefined)}")
 
 
+def _over(walks: Sequence[_Walk], n: int, room: float) -> Tuple[float, float]:
+    """``log2`` of the float tail bound from term ``n`` over the budget
+    ``2^room``, uncapped: ``log2 sum_cores 2^(size(n) + log2(a / b) - room)``
+    for each walk's ``bound`` ``a / b`` (``inf`` where a core has none,
+    ``-inf`` once every core's terms end), and the Newton slope ``log2 |N(n)
+    / D(n)|`` of the core whose bound is the largest (``0.0`` where there is
+    none)."""
+    forms = [walk.bound(n) for walk in walks]
+    if None in forms:
+        return math.inf, 0.0
+    terms = zip(walks, forms)
+    logs = [w.size(n) + math.log2(a) - math.log2(b) - room if a else -math.inf for w, (a, b) in terms]
+    if (top := max(logs, default=-math.inf)) == -math.inf:
+        return top, 0.0
+    a, d = (horner(c, n) for c in walks[logs.index(top)].core.split_forms[:2])
+    slope = math.log2(abs(a)) - math.log2(abs(d)) if a else -math.inf
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs)), slope
+
+
+def _first_bound(walk: _Walk) -> Union[int, float]:
+    """The first ``n`` where the walk's tail bound may hold: the ``n0`` of its
+    ``tail_forms``, or its end where the terms end before it."""
+    forms = walk.core.tail_forms
+    return min(walk.end, forms[0] if forms else math.inf)
+
+
+def _place(walks: Sequence[_Walk], room: float, max_terms) -> Optional[int]:
+    """The first ``n`` whose float tail bound fits the budget ``2^room``, at
+    most ``max_terms``: where ``_sum``'s proof starts.  None where the bound
+    at ``max_terms`` is ``2^8`` past the budget, so that no leaf can help.
+
+    Every ``n`` before the largest ``_first_bound`` fails, so the search
+    starts there.  Each Newton step goes from ``n`` to the first integer past
+    the tangent's root, whose slope is the exact term ratio, or from an ``n``
+    that fits to the one before it; where a bound is still missing or the
+    terms still rise, it doubles ``n``.  A step that leaves the bracket of the
+    last ``n`` that failed and the first that fit bisects it instead.  The
+    search stops when ``n - 1`` fails and ``n`` fits: the start that doubling
+    and bisection found, in about 4 closed-form evaluations a sum on the
+    benchmark's workloads instead of 12 to 17.
+    """
+    n = min(max(map(_first_bound, walks), default=0), max_terms)
+    lo, hi = n - 1, math.inf  # lo fails, hi fits
+    while hi - lo > 1 and lo < max_terms:
+        log2_over, slope = _over(walks, n, room)
+        lo, hi = (lo, n) if log2_over < 0 else (n, hi)
+        if slope < 0:
+            guess = math.floor(n - log2_over / slope) + (log2_over >= 0)
+        else:
+            guess = 2 * n + 1
+        n = min(guess if lo < guess < hi else (lo + hi) // 2, max_terms)
+    return None if lo == max_terms and 8 < log2_over < math.inf else min(hi, max_terms)
+
+
 def _proof(walks, splits, n, bits, budget, slack, rounding) -> Optional[int]:
     """The tail bound from term ``n`` in units of ``2^-bits``, proven on integers,
     plus ``slack`` times ``|S_n|``; None unless below ``budget - rounding``."""
@@ -465,7 +322,7 @@ def _sum(
     for core in cores:  # terms that do not end stop only at a tail bound, read from n0 on
         if core.end == math.inf and (n0 := core.tail_forms[0]) > max_terms:
             raise EvaluationError(f"no tail bound before term {n0} of {max_terms}")
-    if (n := placement.place(walks, math.log2(budget) - bits, max_terms)) is None:
+    if (n := _place(walks, math.log2(budget) - bits, max_terms)) is None:
         raise EvaluationError(f"tail target not reached within {max_terms} terms")
     _extend(walks, n)
     rounding = 1 + 2 * len(walks)  # two units per final division, one for the mpf
@@ -563,16 +420,9 @@ def beta_prefactor(p: Fraction, q: Fraction, scale: Fraction, target_digits: int
     return scale * s * x, abs(scale) * (abs(x) * s_radius + (s + s_radius) * x_radius)
 
 
-def derived_core(ds: DerivedSeries) -> HypTerms:
-    """``t(n) = (a+1)_{kn} (b+1)_{sn} / ((a+b+2)_{(k+s)n} z^n)``, weight ``w(n)``."""
-    a, b, k, s = ds.a, ds.b, ds.k, ds.s
-    num, den = ((k, a + 1), (s, b + 1)), ((k + s, a + b + 2),)
-    return interned(HypTerms(Fraction(1), 1 / ds.z, num, den, ds.integer_weight))
-
-
 def derived_terms(ds: DerivedSeries) -> Iterator[Fraction]:
     """Exact terms of the series by the ratio recurrence."""
-    return derived_core(ds).terms()
+    return ds.core.terms()
 
 
 def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
@@ -585,25 +435,20 @@ def evaluate_derived(ds: DerivedSeries, target_digits: int) -> EvalResult:
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
     pref = beta_prefactor(ds.a + 1, ds.b + 1, 1 / ds.z, target_digits + _BETA_DIGITS)
-    return sum_terms([derived_core(ds)], target_digits, prefactor=pref)
-
-
-def product_core(p: Product) -> HypTerms:
-    """The core of one printed product, with ``a / b`` as its weight."""
-    return interned(HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(p.a.coeffs, p.b.coeffs)))
+    return sum_terms([ds.core], target_digits, prefactor=pref)
 
 
 def evaluate_expr(expr: Union[TermExpr, str], target_digits: int) -> EvalResult:
     """Sum a printed-form summand ``e(0) + e(1) + ...`` to target accuracy.
 
     Term ``n`` is the sum of term ``n`` of each product's core.  Accepts
-    either the parsed normal form or grammar text.
+    either the parsed tuple of cores or grammar text.
     """
     if isinstance(expr, str):
         expr = parse_term_expr(expr)
-    return sum_terms([product_core(p) for p in expr], target_digits)
+    return sum_terms(list(expr), target_digits)
 
 
 def predicted_rate(ds: DerivedSeries) -> float:
     """Asymptotic decimal digits gained per term: ``log10(|z| / M(k, s))``."""
-    return derived_core(ds).rate()
+    return ds.core.rate()

@@ -19,24 +19,25 @@ Grammar (whitespace insignificant)::
 Operators associate left within a precedence level.  The reader takes the
 tokens in one pass, with its own stack of pending operators, parentheses
 and calls, so nesting costs no recursion, and folds the summand, as it
-reads it, into its normal form ``TermExpr``: a tuple of hypergeometric
-``Product``s
+reads it, into its normal form ``TermExpr``: a tuple of term cores
+(``cores.HypTerms``)
 
-    c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n),
+    c^n prod (q)_{pn} / prod (q')_{p'n} * A(n) / B(n),
 
-with Pochhammer symbols ``(p, q)`` as in ``engine.HypTerms`` and polynomials
-``a``, ``b``.  While folding, a constant is a pair of ints ``(u, v)`` in
-lowest terms, so literals, constant factors and constant quotients build no
-product; a product carries ``c`` as such a pair and ``a / b`` as integer
-coefficients ``(A, B)``, multiplied and added by the integer kernel of
-``polynomials``.  The normal form, ``a = A / lead(B)`` and ``b`` monic, is
-made once, when the whole summand is read.  Products that share ``(c, num,
-den)`` are merged, so every catalog summand is one product.  ``fact(pn+q)``
-is ``q! (q+1)_{pn}``, ``poch(x, pn+q)`` is ``(x)_q (x+q)_{pn}``, ``c^(pn+q)``
-is ``c^q (c^p)^n``, a constant ``binom`` is ``math.comb``, and any other a
-quotient of factorials, the last rewritten so that the product is 0 exactly
-where the binomial is.  Each product is one term core to the engine;
-``evaluate`` is its closed form, kept as an independent check.
+with Pochhammer symbols ``(p, q)`` and integer polynomials ``A``, ``B``.
+While folding, a constant is a pair of ints ``(u, v)`` in lowest terms, so
+literals, constant factors and constant quotients build no product; a
+product carries ``c`` as such a pair and ``A / B`` as integer coefficients,
+multiplied and added by the integer kernel of ``polynomials``.  When the
+whole summand is read, each product becomes one interned core with ``t0 =
+1``, whose weight is ``(A, B)`` without common content and with ``B``
+leading positive.  Products that share ``(c, num, den)`` are merged, so
+every catalog summand is one core.  ``fact(pn+q)`` is ``q! (q+1)_{pn}``,
+``poch(x, pn+q)`` is ``(x)_q (x+q)_{pn}``, ``c^(pn+q)`` is ``c^q
+(c^p)^n``, a constant ``binom`` is ``math.comb``, and any other a quotient
+of factorials, the last rewritten so that the product is 0 exactly where
+the binomial is.  ``engine.evaluate_expr`` sums the cores; ``evaluate`` is
+their closed form, kept as an independent check.
 
 Arguments of ``fact`` and ``binom``, and the length of ``poch``, must be
 ``c1*n + c0`` with nonnegative integers ``c1, c0``; a ``poch`` base and the
@@ -59,9 +60,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple, Tuple, Union
+from typing import Tuple, Union
 
-from .polynomials import Polynomial, coeff_product, coeff_sum
+from .cores import HypTerms, interned
+from .polynomials import coeff_product, coeff_sum, horner, integer_coefficients
 
 
 class ExprError(ValueError):
@@ -88,34 +90,17 @@ class ExprSemanticError(ExprError):
 # The normal form and its closed form
 # --------------------------------------------------------------------------
 
-Symbol = Tuple[int, Fraction]
-
-
-class Product(NamedTuple):
-    """``c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n)``.
-
-    ``num`` and ``den`` are sorted tuples of symbols ``(p, q)`` with
-    ``p >= 1``, and no symbol is in both.  ``a`` is nonzero and ``b`` is
-    monic: the constant 1 unless ``a / b`` has a nonconstant denominator.
-    """
-
-    c: Fraction
-    num: Tuple[Symbol, ...]
-    den: Tuple[Symbol, ...]
-    a: Polynomial
-    b: Polynomial
-
-
-#: a parsed summand: the sum of its products (the empty sum is 0)
-TermExpr = Tuple[Product, ...]
+#: a parsed summand: the sum of its cores (the empty sum is 0)
+TermExpr = Tuple[HypTerms, ...]
 
 
 def evaluate(expr: TermExpr, n: int) -> Fraction:
-    """Exact value at index ``n``, each product from its closed form."""
+    """Exact value at index ``n``, each core from its closed form."""
     total = Fraction(0)
-    for p in expr:
-        top = p.c**n * p.a(n) * math.prod(pochhammer(q, k * n) for k, q in p.num)
-        bottom = p.b(n) * math.prod(pochhammer(q, k * n) for k, q in p.den)
+    for core in expr:
+        (a, b), num, den = core.weight, core.num, core.den
+        top = core.t0 * core.c**n * horner(a, n) * math.prod(pochhammer(q, k * n) for k, q in num)
+        bottom = horner(b, n) * math.prod(pochhammer(q, k * n) for k, q in den)
         if bottom == 0:
             raise ZeroDivisionError(f"division by zero at n={n}")
         total += top / bottom
@@ -435,8 +420,10 @@ def _fold(text):
 
 
 def parse_term_expr(text: str) -> TermExpr:
-    """Parse a summand in the grammar into its normal form, checking it on the way."""
-    return tuple(
-        Product(Fraction(*c), num, den, *(Polynomial(Fraction(v, b[-1]) for v in p) for p in (a, b)))
-        for c, num, den, a, b in _lift(_fold(text))
-    )
+    """Parse a summand in the grammar into its term cores, checking it on the way."""
+    cores = []
+    for c, num, den, a, b in _lift(_fold(text)):
+        sign = -1 if b[-1] < 0 else 1
+        weight = integer_coefficients([sign * x for x in a], [sign * x for x in b])
+        cores.append(interned(HypTerms(Fraction(1), Fraction(*c), num, den, weight)))
+    return tuple(cores)

@@ -10,12 +10,12 @@ rewritten by summing ``m`` consecutive terms in closed Pochhammer form:
 The grouped series ``sum_n outer_n * inner_n`` telescopes exactly onto the
 base series -- partial sum ``N`` of the grouped form equals partial sum
 ``mN`` of the base -- and therefore converges ``m`` times faster in digits
-per term.  Both forms are ``engine.HypTerms`` cores: the spec compiles to
-the Pochhammer symbols ``(1, x_g)`` over ``(1, y_g)``, and ``grouped(m)``
-maps each ``(p, q)`` to ``(pm, q)``, with ``inner_n`` as the weight.
-``verify_grouping`` compares the rates that the two sums fit themselves,
-and ``first_mismatch`` checks the telescoping exactly, on the integers of
-both cores' binary splits.
+per term.  Both forms are ``cores.HypTerms``, which ``engine.sum_terms``
+sums: the spec builds its core from the Pochhammer symbols ``(1, x_g)``
+over ``(1, y_g)``, and ``grouped(m)`` maps each ``(p, q)`` to ``(pm, q)``,
+with ``inner_n`` as the weight.  ``verify_grouping`` compares the rates that
+the two sums fit themselves, and ``first_mismatch`` checks the telescoping
+exactly, on the integers of both cores' binary splits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from mpmath import mpf
 
-from .engine import EvalResult, HypTerms, _extend, _fit_rate, _merge, _Walk, interned, sum_terms
+from .cores import HypTerms, interned
+from .engine import EvalResult, _extend, _fit_rate, _merge, _Walk, sum_terms
 from .polynomials import rational
 
 

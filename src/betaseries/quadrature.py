@@ -147,7 +147,7 @@ holds or on the order of the calls.  The node tables with their
 constants, the root tables and the kept values live in ``_cache``, the
 process-wide cache of precision-keyed constants, and ``_kept`` is its one
 keeper: ``references`` keeps its reference sums and values through it
-too; a fresh start clears ``_cache`` and ``engine.interned``.  The lock
+too; a fresh start clears ``_cache`` and ``cores.interned``.  The lock
 around ``_kept``'s reads and writes does not make concurrent use safe: every
 computation here and in ``references`` runs at mpmath's global ``mp``
 precision, which all threads share.

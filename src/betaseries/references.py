@@ -24,7 +24,7 @@ the two series of ``B(u, u)`` are one sum, ``B(1/3, 1/3)`` and
 ``B(1/3, 4/3)`` at one width share theirs, and an arctangent or atanh
 series at a repeated argument is summed once.  ``_cache`` and its keeper
 ``_kept`` are defined in ``quadrature``, whose node and root tables live
-there too; a fresh start clears ``_cache`` and ``engine.interned``.
+there too; a fresh start clears ``_cache`` and ``cores.interned``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,10 @@ The term-expression reader is kept here as it was before one flat loop
 replaced it: ``parse_term_expr`` tokenizes into ``_Token``s with their
 line and column, descends recursively through ``_Parser`` with one
 ``fold`` frame per precedence level, and folds every node on
-``Product``s whose ``c`` and symbols are ``Fraction``s.
+``Product``s, a working tuple whose ``c`` and symbols are ``Fraction``s.
+Each product then becomes a term core as the engine once built it: the
+weight ``a / lead(b)`` over a monic ``b`` as ``Polynomial``s, brought to
+integers by ``integer_coefficients``.
 """
 
 from __future__ import annotations
@@ -36,14 +39,9 @@ from fractions import Fraction
 from math import fsum, gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
+from betaseries.cores import HypTerms
 from betaseries.engine import EvaluationError
-from betaseries.expressions import (
-    ExprSemanticError,
-    ExprSyntaxError,
-    Product,
-    TermExpr,
-    pochhammer,
-)
+from betaseries.expressions import ExprSemanticError, ExprSyntaxError, pochhammer
 from betaseries.polynomials import (
     IntPoly,
     Polynomial,
@@ -263,6 +261,21 @@ def measured_rate(walks, n):
 # --------------------------------------------------------------------------
 # Folding: sums and products of products
 # --------------------------------------------------------------------------
+
+class Product(NamedTuple):
+    """``c^n prod (q)_{pn} / prod (q')_{p'n} * a(n) / b(n)``: ``num`` and ``den``
+    sorted tuples of symbols ``(p, q)``, ``a`` and ``b`` integer coefficients."""
+
+    c: Fraction
+    num: tuple
+    den: tuple
+    a: IntPoly
+    b: IntPoly
+
+
+#: a folded summand: the sum of its products (the empty sum is 0)
+TermExpr = Tuple[Product, ...]
+
 
 def _semantic(message: str, tok: _Token) -> ExprSemanticError:
     return ExprSemanticError(message, tok.line, tok.column)
@@ -559,10 +572,10 @@ class _Parser:
         )
 
 
-def parse_term_expr(text: str) -> TermExpr:
-    """Parse a summand in the grammar into its normal form, checking it on the way."""
-    normal = []
+def parse_term_expr(text: str) -> Tuple[HypTerms, ...]:
+    """Parse a summand in the grammar into its term cores, checking it on the way."""
+    cores = []
     for p in _Parser(text).parse():
         a, b = (Polynomial(Fraction(v, p.b[-1]) for v in x) for x in (p.a, p.b))
-        normal.append(p._replace(a=a, b=b))
-    return tuple(normal)
+        cores.append(HypTerms(Fraction(1), p.c, p.num, p.den, integer_coefficients(a, b)))
+    return tuple(cores)

@@ -1,6 +1,6 @@
 """A sum's float bookkeeping against the code it replaced (``tests/oracles.py``).
 
-``placement.place`` (Newton steps) must find the start that doubling and
+``engine._place`` (Newton steps) must find the start that doubling and
 bisection found (``oracles.place``), refusing where it refused.  Each sum
 must report the same ``terms_used``, value bits and ``tail_bound`` from
 either start, and a ``measured_rate`` equal, bit for bit, to the old
@@ -24,7 +24,7 @@ import pytest
 from mpmath import mp, mpf
 
 import oracles
-from betaseries import engine, hyper, placement
+from betaseries import engine, hyper
 from betaseries.engine import (
     DEFAULT_MAX_TERMS,
     EvaluationError,
@@ -48,11 +48,11 @@ from test_sum_terms_oracle import (
 #: where ``statistics.linear_regression`` is the fit's own definition
 STATISTICS_IS_311 = sys.version_info[:2] == (3, 11)
 
-NEWTON_PLACE = placement.place
+NEWTON_PLACE = engine._place
 
 
 def old_place(walks, room, max_terms):
-    """``oracles.place`` as ``placement.place`` reports it: None for a refusal."""
+    """``oracles.place`` as ``engine._place`` reports it: None for a refusal."""
     try:
         return oracles.place(walks, room, max_terms)
     except EvaluationError as error:
@@ -102,7 +102,7 @@ def checked():
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(placement, "place", place)
+        patch.setattr(engine, "_place", place)
         patch.setattr(engine, "_sum", spy_sum)
         patch.setattr(engine, "sum_terms", spy_terms)
         patch.setattr(hyper, "sum_terms", spy_terms)
@@ -126,7 +126,7 @@ def assert_same_sum(run):
     with checked():
         new = outcome(run)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(placement, "place", old_place)
+        patch.setattr(engine, "_place", old_place)
         old = outcome(run)
     assert new == old
     return new
@@ -161,10 +161,10 @@ def test_catalog_has_every_kind_of_core():
 
 @pytest.mark.parametrize("digits", [35, 1000])
 def test_few_closed_form_evaluations_per_sum(digits, monkeypatch):
-    calls, real = [], placement.over
-    monkeypatch.setattr(placement, "over", lambda *args: calls.append(1) or real(*args))
+    calls, real = [], engine._over
+    monkeypatch.setattr(engine, "_over", lambda *args: calls.append(1) or real(*args))
     starts = []
-    monkeypatch.setattr(placement, "place", lambda *args: starts.append(1) or NEWTON_PLACE(*args))
+    monkeypatch.setattr(engine, "_place", lambda *args: starts.append(1) or NEWTON_PLACE(*args))
     for group in catalog_cores().values():
         sum_terms(group, digits)
     assert len(calls) <= 5 * len(starts)

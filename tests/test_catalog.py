@@ -285,34 +285,34 @@ class TestRunAll:
     def test_stdout_does_not_depend_on_the_caches(self):
         # a warm run against one after both memos are emptied: the kept
         # integrals, reference sums and tables, and the interned cores
-        from betaseries import engine, references
+        from betaseries import cores, references
 
         argv = ["verify", "--all", "--digits", "30"]
         self._stdout(argv)
         warm = self._stdout(argv)
-        assert references._cache and engine.interned.cache_info().currsize
+        assert references._cache and cores.interned.cache_info().currsize
         references._cache.clear()
-        engine.interned.cache_clear()
+        cores.interned.cache_clear()
         assert self._stdout(argv) == warm
 
     def test_each_core_builds_its_leaf_forms_once(self, monkeypatch):
         # over two commands from empty memos, leaf_forms runs once per
         # distinct core, each summed, and never in the second
-        from betaseries import engine, references
+        from betaseries import cores, references
 
-        leaf_forms, built = engine.leaf_forms, []
+        leaf_forms, built = cores.leaf_forms, []
 
         def spy(ratio, weight):
             built.append(ratio)
             return leaf_forms(ratio, weight)
 
-        monkeypatch.setattr(engine, "leaf_forms", spy)
+        monkeypatch.setattr(cores, "leaf_forms", spy)
         references._cache.clear()
-        engine.interned.cache_clear()
+        cores.interned.cache_clear()
         first = self._stdout(["verify", "--all"])
         count = len(built)
         assert self._stdout(["verify", "--all"]) == first
-        assert len(built) == count == engine.interned.cache_info().currsize
+        assert len(built) == count == cores.interned.cache_info().currsize
 
 
 class TestWireFormats:

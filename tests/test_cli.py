@@ -311,10 +311,11 @@ class TestVerify:
         assert doc["status"] == "PASS"
 
     def test_unknown_identity(self):
+        # a usage error, as --only with no match is
         proc = run_cli("verify", "--id", "eq-0.0")
-        assert proc.returncode == 1
-        assert "eq-0.0" in proc.stderr
-        assert proc.stderr.strip() == "error: unknown identity 'eq-0.0'"
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "betaseries verify: error: --id 'eq-0.0' matches no record id" in proc.stderr
 
     def test_filtered_all(self):
         proc = run_cli("verify", "--all", "--only", "eq-3.2*", "--digits", "10")

@@ -9,18 +9,17 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest, round_up
 
 from betaseries.catalog import load_catalog
+from betaseries.cores import SeriesDivergenceError
 from betaseries.derive import DerivedSeries, SeedIntegral, solve_seed, weight_values
 from betaseries.engine import (
     GUARD_BITS,
     EvaluationError,
     HypTerms,
-    SeriesDivergenceError,
     _quotient,
     _rounded,
     _split,
     _Walk,
     beta_prefactor,
-    derived_core,
     derived_terms,
     evaluate_derived,
     evaluate_expr,
@@ -29,8 +28,8 @@ from betaseries.engine import (
     sum_terms,
     to_mpf,
 )
-from betaseries.expressions import pochhammer
-from betaseries.hyper import measured_rate
+from betaseries.expressions import parse_term_expr, pochhammer
+from betaseries.hyper import HypSeriesSpec, measured_rate
 from betaseries.polynomials import Polynomial, integer_coefficients
 from betaseries.references import atan_of, beta_value, pi_machin, sqrt_of
 from betaseries.wire import series_spec_from_dict
@@ -282,7 +281,7 @@ class TestEvaluateDerived:
     def test_recurrence_matches_scratch_for_any_kernel(self, k, s, p):
         # one symbol per (a+1)_{kn}, (b+1)_{sn}, (a+b+2)_{(k+s)n}, even of length 0
         ds = solve_seed(SeedIntegral(a=F(-1, 2), b=F(1, 3), p=Polynomial(p)), k, s)
-        core = derived_core(ds)
+        core = ds.core
         assert len(core.num) + len(core.den) == 3
         gen = derived_terms(ds)
         for n in range(30):
@@ -294,15 +293,15 @@ class TestEvaluateDerived:
         doc = next(r for r in load_catalog() if r.id == "eq-2.11-derived").series
         first, second = series_spec_from_dict(doc), series_spec_from_dict(doc)
         assert first is not second and first == second
-        core = derived_core(first)
-        assert derived_core(second) is core
+        core = first.core
+        assert second.core is core
         copy = HypTerms(core.t0, core.c, core.num, core.den, core.weight)
         assert copy is not core and interned(copy) is core
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_grouped_weighted_core_sums_consecutive_terms(self, m):
         # grouping keeps the weight: term n is w-weighted terms mn .. mn+m-1
-        core = derived_core(arcsine_series())
+        core = arcsine_series().core
         base = core.terms()
         grouped = core.grouped(m).terms()
         for _ in range(10):
@@ -423,7 +422,7 @@ class TestTruncatedQuotient:
         ds = series_spec_from_dict(
             next(r for r in load_catalog() if r.id == "eq-1.1-derived").series
         )
-        core = derived_core(ds)
+        core = ds.core
         walk = _Walk(core)
         walk.extend(11_900)
         _, q, v, t = _split(walk.leaves)
@@ -507,7 +506,7 @@ class TestIntegerForms:
 
     @pytest.mark.parametrize("ds", DERIVED_SERIES)
     def test_derived_ratio_matches_pochhammer_pairs(self, ds):
-        core = derived_core(ds)
+        core = ds.core
         for n in range(60):
             assert core.ratio(n) == pochhammer_ratio(core, n)
 
@@ -610,6 +609,32 @@ class TestEvaluateExpr:
         a = evaluate_expr(ast, 20)
         b = evaluate_expr("1/(binom(2*n,n)*(2*n+1))", 20)
         assert a.value == b.value
+
+
+class TestOneCore:
+    """Every front end builds the one core type, interned by value."""
+
+    def test_two_front_ends_build_one_core(self):
+        # a printed summand and the hypergeometric spec of one series
+        (core,) = parse_term_expr("poch(1/2,n)/poch(3/2,n)*(1/2)^n")
+        assert core is HypSeriesSpec(("1/2",), ("3/2",), "1/2").core
+
+    def test_a_second_derived_sum_interns_nothing(self):
+        ds = series_spec_from_dict(
+            next(r for r in load_catalog() if r.id == "eq-2.11-derived").series
+        )
+        first = evaluate_derived(ds, 100)
+        misses = interned.cache_info().misses
+        assert evaluate_derived(ds, 100) == first
+        assert interned.cache_info().misses == misses
+        assert vars(ds)["core"] is ds.core  # kept on the series
+
+    def test_summing_a_parsed_summand_builds_no_core(self, monkeypatch):
+        expr = parse_term_expr("poch(1/2,n)/fact(n)*(1/4)^n+(-1/5)^n/(n+1)")
+        built, init = [], HypTerms.__init__
+        monkeypatch.setattr(HypTerms, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        assert evaluate_expr(expr, 30) == evaluate_expr(expr, 30)
+        assert built == []
 
 
 class TestRates:

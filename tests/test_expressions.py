@@ -20,29 +20,29 @@ import betaseries
 import oracles
 from betaseries import cli, expressions
 from betaseries.catalog import load_catalog
-from betaseries.engine import HypTerms, product_core
+from betaseries.cores import HypTerms
 from betaseries.expressions import (
     ExprError,
     ExprSemanticError,
     ExprSyntaxError,
-    Product,
     evaluate,
     parse_term_expr,
 )
-from betaseries.polynomials import Polynomial
+from betaseries.polynomials import Polynomial, integer_coefficients
 
 EQ_1_1 = "fact(2*n)*(130*n+109)/(poch(7/6,n)*poch(11/6,n)*(-1296)^n)"
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def product(c=1, num=(), den=(), a=(1,), b=(1,)):
-    """One ``Product``, symbols given as ``(p, q)`` pairs in any order."""
-    return Product(
+    """The core of one product, symbols given as ``(p, q)`` pairs in any order
+    and the weight as rational coefficients ``a`` over a monic ``b``."""
+    return HypTerms(
+        F(1),
         F(c),
         tuple(sorted((p, F(q)) for p, q in num)),
         tuple(sorted((p, F(q)) for p, q in den)),
-        Polynomial(a),
-        Polynomial(b),
+        integer_coefficients(Polynomial(a).coeffs, Polynomial(b).coeffs),
     )
 
 
@@ -426,7 +426,7 @@ def test_normal_form_matches_python_eval(text, monkeypatch):
     # the cores' recurrences, without the convergence check that rejects
     # some of these summands before their first term
     monkeypatch.setattr(HypTerms, "check_convergence", lambda self: None)
-    streams = [product_core(p).terms() for p in expr]
+    streams = [core.terms() for core in expr]
     terms = map(sum, itertools.zip_longest(*streams, fillvalue=F(0)))
     got = list(itertools.islice(terms, len(expected)))
     assert got == expected[: len(got)], text

@@ -18,18 +18,16 @@ import pytest
 from mpmath import mp, mpf
 
 from betaseries.catalog import load_catalog
+from betaseries.cores import SeriesDivergenceError
 from betaseries.engine import (
     GUARD_BITS,
     EvaluationError,
     HypTerms,
-    SeriesDivergenceError,
     _beta_cores,
     _split,
     _Walk,
-    derived_core,
     evaluate_derived,
     evaluate_expr,
-    product_core,
     sum_terms,
 )
 from betaseries.expressions import evaluate, parse_term_expr
@@ -267,14 +265,14 @@ def split_cores():
     """Derived, hypergeometric, grouped m = 3 and two-product cores."""
     hyp = hyp_spec_from_dict(RECORDS["eq-5.8-hyp"].lhs["hyp"])
     return {
-        "derived": [derived_core(derived("eq-1.1-derived"))],
-        "derived-V": [derived_core(derived("eq-2.11-derived"))],
+        "derived": [derived("eq-1.1-derived").core],
+        "derived-V": [derived("eq-2.11-derived").core],
         "hyp": [hyp.core],
         "grouped-m3": [group(hyp, 3).core],
         "grouped-catalan-m3": [
             group(hyp_spec_from_dict(RECORDS["eq-5.7-grouping-m3"].base), 3).core
         ],
-        "two-products": [product_core(p) for p in parse_term_expr(TWO_PRODUCTS)],
+        "two-products": list(parse_term_expr(TWO_PRODUCTS)),
     }
 
 
@@ -574,7 +572,7 @@ def catalog_cores():
     cores = {}
     for rid in DERIVED_IDS:
         ds = derived(rid)
-        cores[rid] = [derived_core(ds)]
+        cores[rid] = [ds.core]
         u, v = (x - math.ceil(x) + 1 for x in (ds.a + 1, ds.b + 1))
         if u != 1 and v != 1:
             pair, power = _beta_cores(u, v)
@@ -586,7 +584,7 @@ def catalog_cores():
             for m in (1, 2, 3):
                 cores[f"{rid}-m{m}"] = [group(hyp_spec_from_dict(doc), m).core]
         for i, text in enumerate(summands(record.lhs)):
-            cores[f"{rid}-expr{i}"] = [product_core(p) for p in parse_term_expr(text)]
+            cores[f"{rid}-expr{i}"] = list(parse_term_expr(text))
     return {name: group for name, group in cores.items() if group}
 
 
